@@ -59,6 +59,7 @@ from repro.columnar.kernels import (
     REASON_SKILL,
     available_backends,
     default_columnar,
+    dense_pair_columns,
     feasible_dense,
     feasible_pairs,
     numpy_available,
@@ -67,6 +68,7 @@ from repro.columnar.kernels import (
     rejection_reasons_dense,
     resolve_backend,
     set_default_columnar,
+    skill_candidates,
     skill_candidates_dense,
     true_positions,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "default_columnar",
     "default_game_kernels",
     "default_store",
+    "dense_pair_columns",
     "feasible_dense",
     "feasible_pairs",
     "flatten_rows",
@@ -105,6 +108,7 @@ __all__ = [
     "set_default_columnar",
     "set_default_game_kernels",
     "set_default_store",
+    "skill_candidates",
     "skill_candidates_dense",
     "true_positions",
 ]

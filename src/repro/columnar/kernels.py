@@ -31,13 +31,24 @@ duplicate locations simply produce equal distance entries.
 rather than backend arrays so callers replaying per-pair sequences — the
 engine's distance-cache replay — index python ints/floats, not array
 scalars.
+
+Skill first
+-----------
+Most pairs of a tile fail the skill test (on the paper's synthetic
+defaults ~99%), and a rejected pair costs the scalar path only a set
+probe.  ``skill_candidates`` (flattened index columns) and
+``skill_candidates_dense`` (the cross product, row- or task-major, never
+materialised) therefore test skills first on the packed columns, in blocks
+of :data:`TILE_BLOCK_PAIRS`, and compute distances and verdicts for the
+survivors only — the only pairs that ever become python objects.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, product, repeat
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import ColumnarBatch
 from repro.obs.metrics import REGISTRY
@@ -154,6 +165,29 @@ def pair_distances(
 
 # -- tile kernels ------------------------------------------------------------------
 
+#: Pairs per block of a skill-first tile sweep.  The skill test's packed
+#: ``uint64`` intermediate is one word per pair, so evaluating a tile in
+#: blocks of this many pairs caps the sweep's scratch memory at ~1 MB per
+#: block however large the tile (a mass rejoin of 2500 x 2500 would
+#: otherwise allocate ~50 MB at once).  Survivor order does not depend on
+#: the block size.
+TILE_BLOCK_PAIRS = 1 << 17
+
+
+def dense_pair_columns(
+    n_workers: int, n_tasks: int, task_major: bool = False
+) -> Tuple[array, array]:
+    """The cross product's ``(widx, tidx)`` position columns in tile order.
+
+    Row-major (worker-then-task) by default; ``task_major`` enumerates
+    every worker against task 0, then task 1, and so on.  Columns are
+    ``array('q')`` buffers filled at C level, never per-pair python lists.
+    """
+    outer, inner = (n_tasks, n_workers) if task_major else (n_workers, n_tasks)
+    slow = array("q", chain.from_iterable(repeat(k, inner) for k in range(outer)))
+    fast = array("q", range(inner)) * outer
+    return (fast, slow) if task_major else (slow, fast)
+
 
 def feasible_pairs(
     batch: ColumnarBatch,
@@ -188,69 +222,73 @@ def feasible_pairs(
     if count == 0:
         return b"", b"", []
     if resolve_backend(backend) == "numpy":
-        return _feasible_pairs_numpy(batch, widx, tidx, now, code)
+        np = _np
+        wi = np.asarray(widx, dtype=np.intp)
+        ti = np.asarray(tidx, dtype=np.intp)
+        skill = _skill_numpy(batch, wi, ti)
+        dist_list, reach_ok, time_ok = _verdicts_numpy(batch, wi, ti, now, code)
+        mask = skill & reach_ok & time_ok
+        return (
+            mask.astype(np.uint8).tobytes(),
+            skill.astype(np.uint8).tobytes(),
+            dist_list,
+        )
     return _feasible_pairs_fallback(batch, widx, tidx, now, code)
 
 
-def _feasible_pairs_numpy(
-    batch: ColumnarBatch,
-    widx: Sequence[int],
-    tidx: Sequence[int],
-    now: float,
-    code: str,
-) -> Tuple[bytes, bytes, List[float]]:
+def _skill_numpy(batch: ColumnarBatch, wi, ti):
+    """Packed-mask form of ``task.skill in worker.skills`` per pair."""
     np = _np
-    wi = np.asarray(widx, dtype=np.intp)
-    ti = np.asarray(tidx, dtype=np.intp)
-    words = batch.n_skill_words
     wskills = np.frombuffer(batch.wskills, dtype=np.uint64).reshape(
-        batch.n_workers, words
+        batch.n_workers, batch.n_skill_words
     )
     tword = np.frombuffer(batch.tskill_word, dtype=np.int64)
     tbit = np.frombuffer(batch.tskill_bitmask, dtype=np.uint64)
-    skill = (wskills[wi, tword[ti]] & tbit[ti]) != 0
+    return (wskills[wi, tword[ti]] & tbit[ti]) != 0
 
-    wx = np.frombuffer(batch.wx, dtype=np.float64)[wi]
-    wy = np.frombuffer(batch.wy, dtype=np.float64)[wi]
-    tx = np.frombuffer(batch.tx, dtype=np.float64)[ti]
-    ty = np.frombuffer(batch.ty, dtype=np.float64)[ti]
-    dx = wx - tx
-    dy = wy - ty
+
+def _verdicts_numpy(batch: ColumnarBatch, wi, ti, now: float, code: str):
+    """``(dists, reach_ok, time_ok)`` of the pairs ``(wi[k], ti[k])``.
+
+    ``dists`` is a python-float list (bitwise the scalar metric); the two
+    verdicts are boolean arrays.  The skill test is the caller's: together
+    the three make up the scalar predicate.
+    """
+    np = _np
+    f64 = np.float64
+    dx = np.frombuffer(batch.wx, dtype=f64)[wi] - np.frombuffer(batch.tx, dtype=f64)[ti]
+    dy = np.frombuffer(batch.wy, dtype=f64)[wi] - np.frombuffer(batch.ty, dtype=f64)[ti]
     if code == "manhattan":
         dist = np.abs(dx) + np.abs(dy)
         dist_list = dist.tolist()
     else:
+        # The deltas vectorise; the hypot itself must match math.hypot
+        # bit-for-bit, which numpy.hypot does not guarantee.
         dist_list = list(map(math.hypot, dx.tolist(), dy.tolist()))
-        dist = np.asarray(dist_list, dtype=np.float64)
+        dist = np.asarray(dist_list, dtype=f64)
 
-    wstart = np.frombuffer(batch.wstart, dtype=np.float64)[wi]
-    wdeadline = np.frombuffer(batch.wdeadline, dtype=np.float64)[wi]
-    velocity = np.frombuffer(batch.wvelocity, dtype=np.float64)[wi]
-    reach = np.frombuffer(batch.wmax_distance, dtype=np.float64)[wi]
-    tstart = np.frombuffer(batch.tstart, dtype=np.float64)[ti]
-    tdeadline = np.frombuffer(batch.tdeadline, dtype=np.float64)[ti]
+    wdeadline = np.frombuffer(batch.wdeadline, dtype=f64)[wi]
+    velocity = np.frombuffer(batch.wvelocity, dtype=f64)[wi]
+    reach = np.frombuffer(batch.wmax_distance, dtype=f64)[wi]
+    tdeadline = np.frombuffer(batch.tdeadline, dtype=f64)[ti]
 
     # depart = max(s_w, s_t, now); the scalar window tests reduce to the
     # two departure comparisons (depart >= both starts by construction).
-    depart = np.maximum(wstart, tstart)
+    depart = np.maximum(
+        np.frombuffer(batch.wstart, dtype=f64)[wi],
+        np.frombuffer(batch.tstart, dtype=f64)[ti],
+    )
     if now != -math.inf:
         depart = np.maximum(depart, now)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # velocity == 0, dist > 0 -> inf -> fails the comparison, exactly
-        # the scalar early-return; 0/0's nan is masked by the dist == 0 arm.
+        # the scalar early-return; 0/0's nan is masked by the dist == 0
+        # arm; a finite quotient that overflows is inf in scalar python too.
         arrival_ok = depart + dist / velocity <= tdeadline
-    mask = (
-        skill
-        & (dist <= reach)
-        & (depart <= tdeadline)
-        & (depart <= wdeadline)
-        & ((dist == 0.0) | arrival_ok)
+    time_ok = (
+        (depart <= tdeadline) & (depart <= wdeadline) & ((dist == 0.0) | arrival_ok)
     )
-    return (
-        mask.astype(np.uint8).tobytes(),
-        skill.astype(np.uint8).tobytes(),
-        dist_list,
-    )
+    return dist_list, dist <= reach, time_ok
 
 
 def _feasible_pairs_fallback(
@@ -302,23 +340,64 @@ def _feasible_pairs_fallback(
     return bytes(mask), bytes(skill_mask), dists
 
 
+_Candidates = Tuple[List[int], List[int], List[float], bytes]
+
+
+def skill_candidates(
+    batch: ColumnarBatch,
+    widx: Sequence[int],
+    tidx: Sequence[int],
+    now: float,
+    code: str,
+    backend: Optional[str] = None,
+) -> _Candidates:
+    """Skill-passing pairs of a flattened tile, with their verdicts.
+
+    The skill-first counterpart of :func:`feasible_pairs` for callers that
+    must *replay* the scalar path's metric-access sequence (the engine's
+    distance-cache replay): the skill test — which rejects the bulk of a
+    tile and costs the scalar path nothing but a set probe — runs first
+    over the packed columns, and distances and verdicts are computed for
+    the survivors only.  ``widx`` / ``tidx`` may be any integer sequences
+    (``array('q')`` columns avoid per-pair python ints).  Returns
+    ``(widx, tidx, dists, mask)`` of the survivors in input order, where
+    ``mask`` holds the full-predicate verdict of each *candidate*.
+    """
+    count = len(widx)
+    if count != len(tidx):
+        raise ValueError(f"widx/tidx length mismatch: {count} vs {len(tidx)}")
+    _KERNEL_CALLS.inc()
+    _KERNEL_PAIRS.inc(count)
+    if count == 0:
+        return [], [], [], b""
+    if resolve_backend(backend) == "numpy":
+        np = _np
+        wi = np.asarray(widx, dtype=np.intp)
+        ti = np.asarray(tidx, dtype=np.intp)
+        block = TILE_BLOCK_PAIRS
+        keep = np.concatenate([
+            np.flatnonzero(_skill_numpy(batch, wi[lo:lo + block], ti[lo:lo + block])) + lo
+            for lo in range(0, count, block)
+        ])
+        return _candidates_numpy(batch, wi[keep], ti[keep], now, code)
+    return _candidates_fallback(batch, zip(widx, tidx), now, code)
+
+
 def skill_candidates_dense(
     batch: ColumnarBatch,
     now: float,
     code: str,
     backend: Optional[str] = None,
-) -> Tuple[List[int], List[int], List[float], bytes]:
+    task_major: bool = False,
+) -> _Candidates:
     """Skill-passing pairs of the full cross product, with their verdicts.
 
-    The dense counterpart of :func:`feasible_pairs` for callers that must
-    *replay* the scalar path's metric-access sequence (the engine's
-    distance-cache replay): the skill filter — which rejects the bulk of a
-    dense tile and costs the scalar path nothing but a set probe — runs
-    vectorised, and only the surviving pairs are materialised as python
-    lists.  Returns ``(widx, tidx, dists, mask)`` in row-major
-    (worker-then-task) order — exactly the order the scalar build evaluates
-    the metric in — where ``mask`` holds the full-predicate verdict of each
-    *candidate* (skill already passed).
+    The dense form of :func:`skill_candidates`: the tile's pairs are never
+    materialised at all.  Survivors come back in row-major
+    (worker-then-task) order — the order a scalar row build evaluates the
+    metric in — or, with ``task_major``, task-then-worker, the order of a
+    scalar arrival sync linking each new task against every worker.  The
+    numpy skill test runs in blocks of :data:`TILE_BLOCK_PAIRS` pairs.
     """
     n_w, n_t = batch.n_workers, batch.n_tasks
     _KERNEL_CALLS.inc()
@@ -327,52 +406,52 @@ def skill_candidates_dense(
         return [], [], [], b""
     if resolve_backend(backend) == "numpy":
         np = _np
-        words = batch.n_skill_words
-        wskills = np.frombuffer(batch.wskills, dtype=np.uint64).reshape(n_w, words)
+        wskills = np.frombuffer(batch.wskills, dtype=np.uint64).reshape(
+            n_w, batch.n_skill_words
+        )
         tword = np.frombuffer(batch.tskill_word, dtype=np.int64)
         tbit = np.frombuffer(batch.tskill_bitmask, dtype=np.uint64)
-        skill = (wskills[:, tword] & tbit[None, :]) != 0
-        wi, ti = np.nonzero(skill)
-        if len(wi) == 0:
-            return [], [], [], b""
+        outer, inner = (n_t, n_w) if task_major else (n_w, n_t)
+        step = max(1, TILE_BLOCK_PAIRS // inner)
+        outer_pos, inner_pos = [], []
+        for lo in range(0, outer, step):
+            hi = min(outer, lo + step)
+            if task_major:
+                block = (wskills[:, tword[lo:hi]] & tbit[lo:hi]).T != 0
+            else:
+                block = (wskills[lo:hi][:, tword] & tbit) != 0
+            rows, cols = np.nonzero(block)
+            outer_pos.append(rows + lo)
+            inner_pos.append(cols)
+        outer_idx = np.concatenate(outer_pos)
+        inner_idx = np.concatenate(inner_pos)
+        if task_major:
+            return _candidates_numpy(batch, inner_idx, outer_idx, now, code)
+        return _candidates_numpy(batch, outer_idx, inner_idx, now, code)
+    if task_major:
+        pairs = ((i, j) for j in range(n_t) for i in range(n_w))
+    else:
+        pairs = product(range(n_w), range(n_t))
+    return _candidates_fallback(batch, pairs, now, code)
 
-        wx = np.frombuffer(batch.wx, dtype=np.float64)[wi]
-        wy = np.frombuffer(batch.wy, dtype=np.float64)[wi]
-        tx = np.frombuffer(batch.tx, dtype=np.float64)[ti]
-        ty = np.frombuffer(batch.ty, dtype=np.float64)[ti]
-        dx = wx - tx
-        dy = wy - ty
-        if code == "manhattan":
-            dist = np.abs(dx) + np.abs(dy)
-            dist_list = dist.tolist()
-        else:
-            dist_list = list(map(math.hypot, dx.tolist(), dy.tolist()))
-            dist = np.asarray(dist_list, dtype=np.float64)
 
-        wstart = np.frombuffer(batch.wstart, dtype=np.float64)[wi]
-        wdeadline = np.frombuffer(batch.wdeadline, dtype=np.float64)[wi]
-        velocity = np.frombuffer(batch.wvelocity, dtype=np.float64)[wi]
-        reach = np.frombuffer(batch.wmax_distance, dtype=np.float64)[wi]
-        tstart = np.frombuffer(batch.tstart, dtype=np.float64)[ti]
-        tdeadline = np.frombuffer(batch.tdeadline, dtype=np.float64)[ti]
+def _candidates_numpy(
+    batch: ColumnarBatch, wi, ti, now: float, code: str
+) -> _Candidates:
+    """Verdicts of skill-passing pairs, as ``(widx, tidx, dists, mask)``."""
+    dist_list, reach_ok, time_ok = _verdicts_numpy(batch, wi, ti, now, code)
+    return (
+        wi.tolist(),
+        ti.tolist(),
+        dist_list,
+        (reach_ok & time_ok).astype(_np.uint8).tobytes(),
+    )
 
-        depart = np.maximum(wstart, tstart)
-        if now != -math.inf:
-            depart = np.maximum(depart, now)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arrival_ok = depart + dist / velocity <= tdeadline
-        mask = (
-            (dist <= reach)
-            & (depart <= tdeadline)
-            & (depart <= wdeadline)
-            & ((dist == 0.0) | arrival_ok)
-        )
-        return (
-            wi.tolist(),
-            ti.tolist(),
-            dist_list,
-            mask.astype(np.uint8).tobytes(),
-        )
+
+def _candidates_fallback(
+    batch: ColumnarBatch, pairs: Iterable[Tuple[int, int]], now: float, code: str
+) -> _Candidates:
+    """Pure-python skill-first sweep over ``(worker_pos, task_pos)`` pairs."""
     wx, wy = batch.wx, batch.wy
     wstart, wdeadline = batch.wstart, batch.wdeadline
     velocity, reach = batch.wvelocity, batch.wmax_distance
@@ -386,34 +465,32 @@ def skill_candidates_dense(
     tidx: List[int] = []
     dists: List[float] = []
     mask = bytearray()
-    for i in range(n_w):
-        base = i * words
-        for j in range(n_t):
-            if not (wskills[base + tword[j]] & tbit[j]):
-                continue
-            if manhattan:
-                dist = abs(wx[i] - tx[j]) + abs(wy[i] - ty[j])
-            else:
-                dist = hypot(wx[i] - tx[j], wy[i] - ty[j])
-            widx.append(i)
-            tidx.append(j)
-            dists.append(dist)
-            ok = 0
-            if dist <= reach[i]:
-                depart = wstart[i]
-                if tstart[j] > depart:
-                    depart = tstart[j]
-                if now > depart:
-                    depart = now
-                if depart <= tdeadline[j] and depart <= wdeadline[i]:
-                    if dist == 0.0:
-                        ok = 1
-                    elif (
-                        velocity[i] > 0.0
-                        and depart + dist / velocity[i] <= tdeadline[j]
-                    ):
-                        ok = 1
-            mask.append(ok)
+    for i, j in pairs:
+        if not (wskills[i * words + tword[j]] & tbit[j]):
+            continue
+        if manhattan:
+            dist = abs(wx[i] - tx[j]) + abs(wy[i] - ty[j])
+        else:
+            dist = hypot(wx[i] - tx[j], wy[i] - ty[j])
+        widx.append(i)
+        tidx.append(j)
+        dists.append(dist)
+        ok = 0
+        if dist <= reach[i]:
+            depart = wstart[i]
+            if tstart[j] > depart:
+                depart = tstart[j]
+            if now > depart:
+                depart = now
+            if depart <= tdeadline[j] and depart <= wdeadline[i]:
+                if dist == 0.0:
+                    ok = 1
+                elif (
+                    velocity[i] > 0.0
+                    and depart + dist / velocity[i] <= tdeadline[j]
+                ):
+                    ok = 1
+        mask.append(ok)
     return widx, tidx, dists, bytes(mask)
 
 
@@ -469,46 +546,8 @@ def _rejection_reasons_numpy(
     np = _np
     wi = np.asarray(widx, dtype=np.intp)
     ti = np.asarray(tidx, dtype=np.intp)
-    words = batch.n_skill_words
-    wskills = np.frombuffer(batch.wskills, dtype=np.uint64).reshape(
-        batch.n_workers, words
-    )
-    tword = np.frombuffer(batch.tskill_word, dtype=np.int64)
-    tbit = np.frombuffer(batch.tskill_bitmask, dtype=np.uint64)
-    skill = (wskills[wi, tword[ti]] & tbit[ti]) != 0
-
-    wx = np.frombuffer(batch.wx, dtype=np.float64)[wi]
-    wy = np.frombuffer(batch.wy, dtype=np.float64)[wi]
-    tx = np.frombuffer(batch.tx, dtype=np.float64)[ti]
-    ty = np.frombuffer(batch.ty, dtype=np.float64)[ti]
-    dx = wx - tx
-    dy = wy - ty
-    if code == "manhattan":
-        dist = np.abs(dx) + np.abs(dy)
-    else:
-        dist = np.fromiter(
-            map(math.hypot, dx.tolist(), dy.tolist()),
-            dtype=np.float64,
-            count=len(widx),
-        )
-
-    wstart = np.frombuffer(batch.wstart, dtype=np.float64)[wi]
-    wdeadline = np.frombuffer(batch.wdeadline, dtype=np.float64)[wi]
-    velocity = np.frombuffer(batch.wvelocity, dtype=np.float64)[wi]
-    reach = np.frombuffer(batch.wmax_distance, dtype=np.float64)[wi]
-    tstart = np.frombuffer(batch.tstart, dtype=np.float64)[ti]
-    tdeadline = np.frombuffer(batch.tdeadline, dtype=np.float64)[ti]
-
-    depart = np.maximum(wstart, tstart)
-    if now != -math.inf:
-        depart = np.maximum(depart, now)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arrival_ok = depart + dist / velocity <= tdeadline
-    time_ok = (
-        (depart <= tdeadline) & (depart <= wdeadline) & ((dist == 0.0) | arrival_ok)
-    )
-    reach_ok = dist <= reach
-
+    skill = _skill_numpy(batch, wi, ti)
+    _, reach_ok, time_ok = _verdicts_numpy(batch, wi, ti, now, code)
     codes = np.zeros(len(widx), dtype=np.uint8)
     codes[~skill] = REASON_SKILL
     codes[skill & ~reach_ok] = REASON_REACH
@@ -567,18 +606,15 @@ def rejection_reasons_dense(
     now: float,
     code: str,
     backend: Optional[str] = None,
+    task_major: bool = False,
 ) -> bytes:
     """Verdict codes over the full worker x task cross product.
 
-    Row-major (worker-then-task) order, matching :func:`feasible_dense`:
-    ``codes[i * n_tasks + j]`` is :data:`REASON_FEASIBLE` exactly when
+    In the tile order of :func:`dense_pair_columns` — row-major by default,
+    so ``codes[i * n_tasks + j]`` is :data:`REASON_FEASIBLE` exactly when
     ``(i, j)`` appears in the dense feasible-pair list.
     """
-    n_w, n_t = batch.n_workers, batch.n_tasks
-    if n_w == 0 or n_t == 0:
-        return b""
-    widx = [i for i in range(n_w) for _ in range(n_t)]
-    tidx = list(range(n_t)) * n_w
+    widx, tidx = dense_pair_columns(batch.n_workers, batch.n_tasks, task_major)
     return rejection_reasons(batch, widx, tidx, now, code, backend=backend)
 
 
@@ -602,64 +638,8 @@ def feasible_dense(
 ) -> List[Tuple[int, int]]:
     """Feasible ``(worker_pos, task_pos)`` pairs over the full cross product.
 
-    The numpy backend broadcasts the whole ``n_workers x n_tasks``
-    rectangle without materialising index columns and extracts only the
-    surviving pairs; the fallback delegates to the flat kernel.  Pairs are
-    returned in row-major (worker-then-task) order.
+    Pairs are returned in row-major (worker-then-task) order: the verdicts
+    of :func:`skill_candidates_dense`'s survivors, filtered.
     """
-    n_w, n_t = batch.n_workers, batch.n_tasks
-    if n_w == 0 or n_t == 0:
-        _KERNEL_CALLS.inc()
-        return []
-    if resolve_backend(backend) == "numpy":
-        _KERNEL_CALLS.inc()
-        _KERNEL_PAIRS.inc(n_w * n_t)
-        np = _np
-        words = batch.n_skill_words
-        wskills = np.frombuffer(batch.wskills, dtype=np.uint64).reshape(n_w, words)
-        tword = np.frombuffer(batch.tskill_word, dtype=np.int64)
-        tbit = np.frombuffer(batch.tskill_bitmask, dtype=np.uint64)
-        skill = (wskills[:, tword] & tbit[None, :]) != 0
-
-        wx = np.frombuffer(batch.wx, dtype=np.float64)[:, None]
-        wy = np.frombuffer(batch.wy, dtype=np.float64)[:, None]
-        tx = np.frombuffer(batch.tx, dtype=np.float64)[None, :]
-        ty = np.frombuffer(batch.ty, dtype=np.float64)[None, :]
-        dx = (wx - tx).ravel()
-        dy = (wy - ty).ravel()
-        if code == "manhattan":
-            dist = (np.abs(dx) + np.abs(dy)).reshape(n_w, n_t)
-        else:
-            dist = np.fromiter(
-                map(math.hypot, dx.tolist(), dy.tolist()),
-                dtype=np.float64,
-                count=n_w * n_t,
-            ).reshape(n_w, n_t)
-
-        wstart = np.frombuffer(batch.wstart, dtype=np.float64)[:, None]
-        wdeadline = np.frombuffer(batch.wdeadline, dtype=np.float64)[:, None]
-        velocity = np.frombuffer(batch.wvelocity, dtype=np.float64)[:, None]
-        reach = np.frombuffer(batch.wmax_distance, dtype=np.float64)[:, None]
-        tstart = np.frombuffer(batch.tstart, dtype=np.float64)[None, :]
-        tdeadline = np.frombuffer(batch.tdeadline, dtype=np.float64)[None, :]
-
-        depart = np.maximum(wstart, tstart)
-        if now != -math.inf:
-            depart = np.maximum(depart, now)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arrival_ok = depart + dist / velocity <= tdeadline
-        mask = (
-            skill
-            & (dist <= reach)
-            & (depart <= tdeadline)
-            & (depart <= wdeadline)
-            & ((dist == 0.0) | arrival_ok)
-        )
-        rows, cols = np.nonzero(mask)
-        return list(zip(rows.tolist(), cols.tolist()))
-    widx = [i for i in range(n_w) for _ in range(n_t)]
-    tidx = list(range(n_t)) * n_w
-    mask, _, _ = feasible_pairs(batch, widx, tidx, now, code, backend="fallback")
-    return [
-        (widx[k], tidx[k]) for k in range(len(mask)) if mask[k]
-    ]
+    widx, tidx, _, mask = skill_candidates_dense(batch, now, code, backend=backend)
+    return [(widx[k], tidx[k]) for k in true_positions(mask, backend=backend)]

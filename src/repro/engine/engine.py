@@ -30,15 +30,17 @@ instead of a full ``|W| x |T|`` rebuild.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import chain, islice, repeat
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.columnar import (
     REASON_NAMES,
     ColumnarBatch,
+    dense_pair_columns,
     default_columnar,
-    feasible_pairs,
     rejection_reasons,
-    rejection_reasons_dense,
+    skill_candidates,
     skill_candidates_dense,
     true_positions,
 )
@@ -58,13 +60,19 @@ from repro.parallel.pool import resolve_jobs
 from repro.spatial.cache import CachedMetric
 from repro.spatial.index import GridIndex
 
-#: Minimum pair-block size before an incremental sync routes through the
-#: columnar kernels.  Small sync blocks lose twice over: the numpy batch
-#: set-up is a fixed per-call cost, and the scalar loops they replace hit
-#: the distance cache on repeat pairs while the kernels always recompute.
-#: The floor sits at full-build scale — where the kernels are measured to
-#: win — so syncs only vectorise on genuinely bulk waves (mass rejoin,
-#: arrival bursts).  The fallback is bit-identical; only the auxiliary
+#: Minimum pair count before an incremental sync routes through the
+#: columnar kernels.  A kernel sync pays a fixed cost per tile that the
+#: scalar loop does not: packing every worker and task of the tile into
+#: columns (one pass over their attributes and skill sets) plus the numpy
+#: call set-up.  A thin tile — a few arriving tasks against every worker —
+#: costs about as much to pack as to probe pair by pair.  The distance
+#: cache is no argument either way: both paths leave the same cache
+#: traffic, and hits are rare (hit ratio 0 on ``synth_default``, 0.007 on
+#: ``meetup_six``).  Measured on ``meetup_six`` (perfbench, seed 7, 2-core
+#: x86 host, times at nominal host speed), a floor of 256 routes 94% of the
+#: sync pairs through the kernels and is slower: traced
+#: ``engine.incremental_s`` 0.59 s vs 0.44 s, ``run_s`` 0.72-0.77 s vs
+#: 0.66-0.70 s at 4096.  The fallback is bit-identical; only the auxiliary
 #: path counters reveal which side ran.
 COLUMNAR_SYNC_MIN_PAIRS = 4096
 
@@ -96,17 +104,19 @@ class AllocationEngine:
             a full build fans out; below it the fork/pickle round-trip
             costs more than the evaluations.  None uses
             :data:`~repro.parallel.feasibility.DEFAULT_PAIR_THRESHOLD`.
-        use_columnar: route full builds through the vectorised columnar
-            kernels when the base metric advertises a
+        use_columnar: route full builds, and incremental syncs of at least
+            :data:`COLUMNAR_SYNC_MIN_PAIRS` pairs, through the skill-first
+            columnar kernels when the base metric advertises a
             :attr:`~repro.spatial.distance.DistanceMetric.columnar_code`.
             None (default) follows the process default
             (:func:`repro.columnar.default_columnar`).  The graph, the
             reported ``engine_stats`` and the cache trajectory are
-            bit-identical either way — the kernels share the scalar
-            oracle's exactness contract and the build replays the serial
-            metric-access sequence against the kernel's distances (same
-            :meth:`~repro.spatial.cache.CachedMetric.preload` mechanism as
-            the chunked kernel).  Only the auxiliary
+            bit-identical either way, and so is the journal's event stream
+            bar the ``columnar`` flag on ``feas_build`` events — the kernels
+            share the scalar oracle's exactness contract and each tile
+            replays the serial metric-access sequence against the kernel's
+            distances (:meth:`~repro.spatial.cache.CachedMetric.replay`).
+            Only the auxiliary
             :meth:`~repro.engine.counters.EngineCounters.aux_dict`
             telemetry distinguishes the modes.
         use_store: maintain the columnar snapshots in a process-lifetime
@@ -266,7 +276,7 @@ class AllocationEngine:
 
     @property
     def columnar_active(self) -> bool:
-        """Whether full builds route through the columnar kernels."""
+        """Whether builds and bulk syncs route through the columnar kernels."""
         return self._columnar_code is not None
 
     @property
@@ -323,7 +333,8 @@ class AllocationEngine:
         self._index = self._make_index(workers, tasks, now)
         latest = self._latest_deadline()
         if self._columnar_code is not None:
-            self._columnar_full_build(workers, latest, now)
+            self._columnar_rows(workers, latest, now)
+            self.counters.columnar_full_builds += 1
             return
         table_capable = getattr(self.metric.base, "supports_distance_table", False)
         if self.n_jobs <= 1 and not table_capable:
@@ -339,7 +350,9 @@ class AllocationEngine:
         rows: List[Tuple[Worker, List[int]]] = []
         for worker in workers:
             self._install_row(worker)
-            rows.append((worker, self._candidates_for(worker, latest, now)))
+            candidates = self._candidates_for(worker, latest, now)
+            self._journal_pruned(worker, candidates)
+            rows.append((worker, candidates))
         self._prefetch_distances(rows)
         try:
             for worker, candidates in rows:
@@ -348,103 +361,6 @@ class AllocationEngine:
                     self._link_check(worker, self._tasks[task_id], now)
         finally:
             self.metric.clear_preload()
-
-    def _columnar_full_build(
-        self, workers: Sequence[Worker], latest: float, now: float
-    ) -> None:
-        """Full build with pair decisions made by the columnar kernels.
-
-        Candidate pairs are gathered exactly as in the scalar paths — the
-        same index probes and pruning counters when a grid index exists,
-        the dense cross product otherwise — and decided in one kernel
-        sweep.  The distance cache then *replays* the scalar path's
-        metric-access sequence in bulk
-        (:meth:`~repro.spatial.cache.CachedMetric.replay` over the
-        skill-passing candidates, in row order, with the kernel's
-        distances), so hits, misses, contents and eviction order are
-        bit-identical to a scalar build.  The kernel verdicts agree with
-        ``_link_check`` by the kernels' exactness contract; only the
-        auxiliary columnar counters record which path ran.
-        """
-        tasks = list(self._tasks.values())
-        code = self._columnar_code
-        batch = self._make_batch(workers, tasks)
-        if self._index is None:
-            # Dense tile: the skill filter runs inside the kernel, so the
-            # bulk of the cross product is rejected without ever existing
-            # as per-pair python state.  Counter totals match the scalar
-            # ``_candidates_for`` loop exactly.
-            for worker in workers:
-                self._install_row(worker)
-            total = len(workers) * len(tasks)
-            self.counters.pairs_checked += total
-            cand_w, cand_t, dists, mask = skill_candidates_dense(batch, now, code)
-            self.counters.columnar_pairs += total
-            if self.journal.enabled:
-                # Reason side-channel: decisions stay with the kernel call
-                # above; the reason sweep touches no counters.
-                codes = rejection_reasons_dense(batch, now, code)
-                n_t = len(tasks)
-                for k, verdict in enumerate(codes):
-                    if verdict:
-                        self.journal.emit(
-                            "reject",
-                            worker=workers[k // n_t].id,
-                            task=tasks[k % n_t].id,
-                            reason=REASON_NAMES[verdict],
-                            phase="build",
-                        )
-        else:
-            tpos = {task.id: pos for pos, task in enumerate(tasks)}
-            rows: List[List[int]] = []
-            for worker in workers:
-                self._install_row(worker)
-                rows.append(self._candidates_for(worker, latest, now))
-            widx: List[int] = []
-            tidx: List[int] = []
-            for pos, candidates in enumerate(rows):
-                widx.extend(pos for _ in candidates)
-                tidx.extend(tpos[tid] for tid in candidates)
-            full_mask, skill_mask, all_dists = feasible_pairs(
-                batch, widx, tidx, now, code
-            )
-            self.counters.columnar_pairs += len(widx)
-            if self.journal.enabled:
-                codes = rejection_reasons(batch, widx, tidx, now, code)
-                for k, verdict in enumerate(codes):
-                    if verdict:
-                        self.journal.emit(
-                            "reject",
-                            worker=workers[widx[k]].id,
-                            task=tasks[tidx[k]].id,
-                            reason=REASON_NAMES[verdict],
-                            phase="build",
-                        )
-            keep = true_positions(skill_mask)
-            cand_w = [widx[k] for k in keep]
-            cand_t = [tidx[k] for k in keep]
-            dists = [all_dists[k] for k in keep]
-            mask = bytes(full_mask[k] for k in keep)
-        self.counters.columnar_full_builds += 1
-        # Cache replay: candidates are in row-major order — exactly the
-        # sequence the scalar build hands the metric — and the kernel's
-        # distances are bitwise what ``base`` would return, so the bulk
-        # replay leaves hits/misses/contents/evictions scalar-identical.
-        self.metric.replay(
-            (
-                (workers[cand_w[k]].location, tasks[cand_t[k]].location)
-                for k in range(len(cand_w))
-            ),
-            dists,
-        )
-        for k in true_positions(mask):
-            worker = workers[cand_w[k]]
-            task = tasks[cand_t[k]]
-            dist = dists[k]
-            # The kernel verdict held, so dist > 0 implies velocity > 0.
-            travel = dist / worker.velocity if dist > 0.0 else 0.0
-            self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
-            self._workers_of[task.id].add(worker.id)
 
     def _prefetch_distances(self, rows: Sequence[Tuple[Worker, List[int]]]) -> None:
         """Evaluate the build's unique uncached pair distances in bulk.
@@ -512,7 +428,7 @@ class AllocationEngine:
         self.counters.tasks_added += len(added_tasks)
         latest = self._latest_deadline()
         if self._columnar_code is not None and changed:
-            self._columnar_recompute_rows(changed, latest, now)
+            self._columnar_rows(changed, latest, now, floor=COLUMNAR_SYNC_MIN_PAIRS)
         else:
             for worker in changed:
                 self._recompute_row(worker, latest, now)
@@ -566,19 +482,20 @@ class AllocationEngine:
             span = reach_radius(worker, latest_deadline, now)
             candidates = list(self._index.query_radius(worker.location, span))
             self.counters.pruned_by_index += len(self._tasks) - len(candidates)
-            if self.journal.enabled and len(candidates) < len(self._tasks):
-                self._journal_pruned(worker, set(candidates))
         else:
             candidates = list(self._tasks)
         self.counters.pairs_checked += len(candidates)
         return candidates
 
-    def _journal_pruned(self, worker: Worker, candidate_ids: Set[int]) -> None:
+    def _journal_pruned(self, worker: Worker, candidates: List[int]) -> None:
         # An index-pruned pair provably fails reach or the arrival deadline:
         # its Euclidean lower bound exceeded min(d_w, v_w * Δt), and the
         # true metric distance is at least that bound (see
         # prune_rejection_reason for the case split).
         journal = self.journal
+        if not journal.enabled or len(candidates) == len(self._tasks):
+            return
+        candidate_ids = set(candidates)
         wx, wy = worker.location
         for task in self._tasks.values():
             if task.id in candidate_ids:
@@ -597,78 +514,53 @@ class AllocationEngine:
     ) -> None:
         self._install_row(worker)
         candidates = self._candidates_for(worker, latest_deadline, now)
+        self._journal_pruned(worker, candidates)
         self.counters.scalar_pair_evals += len(candidates)
         for task_id in candidates:
             self._link_check(worker, self._tasks[task_id], now)
 
-    def _columnar_recompute_rows(
-        self, changed: Sequence[Worker], latest_deadline: float, now: float
+    def _columnar_rows(
+        self,
+        workers: Sequence[Worker],
+        latest_deadline: float,
+        now: float,
+        floor: Optional[int] = None,
     ) -> None:
-        """Incremental row recompute through the columnar kernels.
+        """(Re)build the rows of ``workers`` through the columnar kernels.
 
-        The dirty workers' candidate rows are gathered exactly as in
-        :meth:`_recompute_row` (same index probes, same pruning counters)
-        and decided in one kernel sweep; the cache then replays the scalar
-        path's metric-access sequence — worker by worker, candidates in row
-        order, skill filter applied — with the kernel's distances, so the
-        graph, ``engine_stats`` and the cache trajectory are bit-identical
-        to the scalar loop.  Only the auxiliary columnar counters record
-        which path ran.
+        Candidates are gathered as in :meth:`_recompute_row` — the same
+        index probes and pruning counters when a grid index exists, every
+        task otherwise — and decided as one tile by :meth:`_link_tile`, so
+        the graph, ``engine_stats`` and the cache trajectory are
+        bit-identical to the scalar loop; only the auxiliary columnar
+        counters record which path ran.  With a ``floor`` (incremental
+        syncs), an empty tile or one under ``floor`` pairs is too small to
+        amortise the kernel set-up and finishes exactly as
+        ``_recompute_row`` would; full builds pass none.
         """
-        code = self._columnar_code
-        rows: List[List[int]] = []
-        for worker in changed:
-            self._install_row(worker)
-            rows.append(self._candidates_for(worker, latest_deadline, now))
-        total = sum(len(candidates) for candidates in rows)
-        if total < COLUMNAR_SYNC_MIN_PAIRS:
-            # Too small to amortise the numpy batch set-up: finish the rows
-            # exactly as _recompute_row would.
-            self.counters.scalar_pair_evals += total
-            for worker, candidates in zip(changed, rows):
-                for task_id in candidates:
-                    self._link_check(worker, self._tasks[task_id], now)
-            return
         tasks = list(self._tasks.values())
-        if not tasks:
+        rows: Optional[List[List[int]]] = None
+        for worker in workers:
+            self._install_row(worker)
+        if self._index is None:
+            total = len(workers) * len(tasks)
+            self.counters.pairs_checked += total
+        else:
+            rows = [self._candidates_for(w, latest_deadline, now) for w in workers]
+            total = sum(map(len, rows))
+        if floor is not None and total < max(floor, 1):
+            self.counters.scalar_pair_evals += total
+            for pos, worker in enumerate(workers):
+                if rows is None:
+                    row: Iterable[Task] = tasks
+                else:
+                    self._journal_pruned(worker, rows[pos])
+                    row = map(self._tasks.__getitem__, rows[pos])
+                for task in row:
+                    self._link_check(worker, task, now)
             return
-        tpos = {task.id: pos for pos, task in enumerate(tasks)}
-        widx: List[int] = []
-        tidx: List[int] = []
-        for pos, candidates in enumerate(rows):
-            widx.extend(pos for _ in candidates)
-            tidx.extend(tpos[tid] for tid in candidates)
-        self.counters.columnar_pairs += len(widx)
-        if not widx:
-            return
-        batch = self._make_batch(changed, tasks)
-        mask, skill_mask, dists = feasible_pairs(batch, widx, tidx, now, code)
-        if self.journal.enabled:
-            codes = rejection_reasons(batch, widx, tidx, now, code)
-            for k, verdict in enumerate(codes):
-                if verdict:
-                    self.journal.emit(
-                        "reject",
-                        worker=changed[widx[k]].id,
-                        task=tasks[tidx[k]].id,
-                        reason=REASON_NAMES[verdict],
-                        phase="build",
-                    )
-        keep = true_positions(skill_mask)
-        self.metric.replay(
-            (
-                (changed[widx[k]].location, tasks[tidx[k]].location)
-                for k in keep
-            ),
-            [dists[k] for k in keep],
-        )
-        for k in true_positions(mask):
-            worker = changed[widx[k]]
-            task = tasks[tidx[k]]
-            dist = dists[k]
-            travel = dist / worker.velocity if dist > 0.0 else 0.0
-            self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
-            self._workers_of[task.id].add(worker.id)
+        self.counters.columnar_pairs += total
+        self._link_tile(workers, tasks, now, rows)
 
     def _columnar_add_tasks(
         self, added: Sequence[Task], skip_workers: AbstractSet[int], now: float
@@ -676,10 +568,9 @@ class AllocationEngine:
         """Link newly-arrived tasks against current workers via the kernels.
 
         Mirrors the scalar :meth:`_add_task` loop: tasks register in batch
-        order (same dict and grid-bucket orders), every non-skipped engine
-        worker is checked against every new task, and the cache replays the
-        scalar access sequence — task-major, workers in registration order
-        — so stats and cache state stay bit-identical to the scalar path.
+        order (same dict and grid-bucket orders) and every non-skipped
+        engine worker is checked against every new task, task-major with
+        workers in registration order — the scalar access sequence.
         """
         for task in added:
             self._tasks[task.id] = task
@@ -690,36 +581,72 @@ class AllocationEngine:
         checked = len(workers) * len(added)
         self.counters.pairs_checked += checked
         self.counters.columnar_pairs += checked
-        if not workers:
-            return
+        if workers:
+            self._link_tile(workers, added, now, task_major=True)
+
+    def _link_tile(
+        self,
+        workers: Sequence[Worker],
+        tasks: Sequence[Task],
+        now: float,
+        rows: Optional[Sequence[List[int]]] = None,
+        task_major: bool = False,
+    ) -> None:
+        """Decide a tile skill-first, replay the cache, link feasible pairs.
+
+        With ``rows`` (one candidate task-id list per worker) the tile is
+        those pairs in row order; without, it is the dense cross product,
+        worker-major or, with ``task_major``, task-major.  Either way that
+        is the pair sequence the scalar loop hands :meth:`_link_check`, so
+        journal rejects come out in scalar order, and the cache *replays*
+        the scalar metric-access sequence — the skill-passing pairs in tile
+        order, with the kernel's bitwise-exact distances — leaving hits,
+        misses, contents and eviction order scalar-identical.  Only the
+        skill-passing pairs ever become python objects.
+        """
         code = self._columnar_code
-        batch = self._make_batch(workers, added)
-        widx: List[int] = []
-        tidx: List[int] = []
-        for task_pos in range(len(added)):
-            widx.extend(range(len(workers)))
-            tidx.extend(task_pos for _ in workers)
-        mask, skill_mask, dists = feasible_pairs(batch, widx, tidx, now, code)
+        batch = self._make_batch(workers, tasks)
+        if rows is None:
+            cand_w, cand_t, dists, mask = skill_candidates_dense(
+                batch, now, code, task_major=task_major
+            )
+        else:
+            tpos = {task.id: pos for pos, task in enumerate(tasks)}
+            widx = array("q", chain.from_iterable(
+                repeat(pos, len(row)) for pos, row in enumerate(rows)
+            ))
+            tidx = array("q", map(tpos.__getitem__, chain.from_iterable(rows)))
+            cand_w, cand_t, dists, mask = skill_candidates(batch, widx, tidx, now, code)
         if self.journal.enabled:
-            codes = rejection_reasons(batch, widx, tidx, now, code)
-            for k, verdict in enumerate(codes):
-                if verdict:
-                    self.journal.emit(
-                        "reject",
-                        worker=workers[widx[k]].id,
-                        task=added[tidx[k]].id,
-                        reason=REASON_NAMES[verdict],
-                        phase="build",
-                    )
-        keep = true_positions(skill_mask)
+            # Reason side-channel: decisions stay with the kernel call
+            # above; the reason sweep touches no counters.
+            if rows is None:
+                widx, tidx = dense_pair_columns(len(workers), len(tasks), task_major)
+            verdicts = zip(widx, tidx, rejection_reasons(batch, widx, tidx, now, code))
+            blocks = [len(widx)] if rows is None else [len(row) for row in rows]
+            for pos, size in enumerate(blocks):
+                if rows is not None:
+                    # Scalar order: a worker's index prunes precede its
+                    # checked pairs.
+                    self._journal_pruned(workers[pos], rows[pos])
+                for i, j, verdict in islice(verdicts, size):
+                    if verdict:
+                        self.journal.emit(
+                            "reject",
+                            worker=workers[i].id,
+                            task=tasks[j].id,
+                            reason=REASON_NAMES[verdict],
+                            phase="build",
+                        )
         self.metric.replay(
-            ((workers[widx[k]].location, added[tidx[k]].location) for k in keep),
-            [dists[k] for k in keep],
+            ((workers[i].location, tasks[j].location) for i, j in zip(cand_w, cand_t)),
+            dists,
         )
         for k in true_positions(mask):
-            worker = workers[widx[k]]
-            task = added[tidx[k]]
+            worker = workers[cand_w[k]]
+            task = tasks[cand_t[k]]
             dist = dists[k]
+            # The kernel verdict held, so dist > 0 implies velocity > 0.
             travel = dist / worker.velocity if dist > 0.0 else 0.0
             self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
             self._workers_of[task.id].add(worker.id)

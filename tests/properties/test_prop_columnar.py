@@ -10,17 +10,25 @@ every kernel against the scalar predicate float for float.
 
 import math
 import random
+import warnings
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.columnar.kernels as kernels
 from repro.columnar import (
     ColumnarBatch,
     available_backends,
+    dense_pair_columns,
     feasible_dense,
     feasible_pairs,
     pair_distances,
+    rejection_reasons,
+    rejection_reasons_dense,
+    skill_candidates,
     skill_candidates_dense,
     true_positions,
 )
@@ -165,3 +173,137 @@ def test_backends_agree_with_each_other(seed, code):
     a = feasible_pairs(batch, widx, tidx, now, code, backend="numpy")
     b = feasible_pairs(batch, widx, tidx, now, code, backend="fallback")
     assert a == b
+
+
+def _survivors(batch, widx, tidx, now, code, backend):
+    """The oracle: ``feasible_pairs`` over the whole tile, skill-filtered."""
+    mask, skill_mask, dists = feasible_pairs(
+        batch, list(widx), list(tidx), now, code, backend=backend
+    )
+    keep = [k for k in range(len(widx)) if skill_mask[k]]
+    return (
+        [widx[k] for k in keep],
+        [tidx[k] for k in keep],
+        [dists[k] for k in keep],
+        bytes(mask[k] for k in keep),
+    )
+
+
+def _sparse_columns(rng, n_w, n_t, as_array):
+    """Index-probe-shaped columns: per worker, a random task subset in
+    random order (possibly empty), workers in row order."""
+    widx, tidx = [], []
+    for i in range(n_w):
+        row = rng.sample(range(n_t), rng.randint(0, n_t))
+        widx.extend([i] * len(row))
+        tidx.extend(row)
+    if as_array:
+        return array("q", widx), array("q", tidx)
+    return widx, tidx
+
+
+@given(
+    st.integers(0, 10_000_000),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from(["euclidean", "manhattan"]),
+    st.sampled_from([2, 3, 70, 150]),  # 70/150 force multi-word skill masks
+    st.sampled_from([-math.inf, 0.0, 4.5]),
+    st.sampled_from(BACKENDS),
+    st.sampled_from(["row", "task", "sparse-list", "sparse-array"]),
+    st.sampled_from([1, 5, 17, kernels.TILE_BLOCK_PAIRS]),  # small blocks split the tile
+)
+@settings(max_examples=200, deadline=None)
+def test_skill_candidates_match_feasible_pairs(
+    seed, n_w, n_t, code, n_skills, now, backend, order, block
+):
+    rng = random.Random(seed)
+    workers, tasks = _population(rng, n_w, n_t, n_skills)
+    batch = ColumnarBatch(workers, tasks)
+    if order.startswith("sparse"):
+        widx, tidx = _sparse_columns(rng, n_w, n_t, order == "sparse-array")
+    else:
+        widx, tidx = dense_pair_columns(n_w, n_t, task_major=order == "task")
+    want = _survivors(batch, widx, tidx, now, code, backend)
+    with mock.patch.object(kernels, "TILE_BLOCK_PAIRS", block):
+        if order.startswith("sparse"):
+            got = skill_candidates(batch, widx, tidx, now, code, backend=backend)
+        else:
+            got = skill_candidates_dense(
+                batch, now, code, backend=backend, task_major=order == "task"
+            )
+    cw, ct, cdists, cmask = got
+    assert (cw, ct, bytes(cmask)) == (want[0], want[1], want[3])
+    # Bitwise distance equality, not approximate.
+    assert [d.hex() for d in cdists] == [d.hex() for d in want[2]]
+    if not order.startswith("sparse"):
+        # The dense tile's enumeration order is row- or task-major.
+        if order == "task":
+            pairs = [(i, j) for j in range(n_t) for i in range(n_w)]
+        else:
+            pairs = [(i, j) for i in range(n_w) for j in range(n_t)]
+        assert list(zip(widx, tidx)) == pairs
+        reasons = rejection_reasons_dense(
+            batch, now, code, backend=backend, task_major=order == "task"
+        )
+        assert reasons == rejection_reasons(
+            batch, list(widx), list(tidx), now, code, backend=backend
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("task_major", [False, True])
+def test_tile_larger_than_one_block(backend, task_major):
+    rng = random.Random(13)
+    n_w, n_t = 520, 260  # 135,200 pairs: more than one default block
+    assert n_w * n_t > kernels.TILE_BLOCK_PAIRS
+    workers, tasks = _population(rng, n_w, n_t, 9)
+    batch = ColumnarBatch(workers, tasks)
+    widx, tidx = dense_pair_columns(n_w, n_t, task_major=task_major)
+    want = _survivors(batch, widx, tidx, 0.0, "euclidean", backend)
+    got = skill_candidates_dense(
+        batch, 0.0, "euclidean", backend=backend, task_major=task_major
+    )
+    assert got == want
+    assert len(got[0]) > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("code", ["euclidean", "manhattan"])
+def test_kernels_silent_on_float_overflow(backend, code):
+    """``dist / velocity`` overflowing to inf is the scalar verdict too."""
+    far = (1e300, 1e300)
+    workers = [
+        Worker(id=0, location=(0.0, 0.0), start=0.0, wait=10.0,
+               velocity=1e-300, max_distance=1e308, skills=frozenset({0})),
+        Worker(id=1, location=(0.0, 0.0), start=0.0, wait=10.0,
+               velocity=5e-324, max_distance=math.inf, skills=frozenset({0})),
+        Worker(id=2, location=far, start=0.0, wait=10.0,
+               velocity=0.0, max_distance=1.0, skills=frozenset({0})),
+    ]
+    tasks = [
+        Task(id=0, location=(1e10, 0.0), start=0.0, wait=10.0, skill=0),
+        Task(id=1, location=far, start=0.0, wait=10.0, skill=0),
+    ]
+    metric = METRICS[code]
+    batch = ColumnarBatch(workers, tasks)
+    widx, tidx = dense_pair_columns(len(workers), len(tasks))
+    widx, tidx = list(widx), list(tidx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mask, _, _ = feasible_pairs(batch, widx, tidx, 0.0, code, backend=backend)
+        sparse = skill_candidates(batch, widx, tidx, 0.0, code, backend=backend)
+        dense = skill_candidates_dense(batch, 0.0, code, backend=backend)
+        task_major = skill_candidates_dense(
+            batch, 0.0, code, backend=backend, task_major=True
+        )
+        pairs = feasible_dense(batch, 0.0, code, backend=backend)
+        codes = rejection_reasons(batch, widx, tidx, 0.0, code, backend=backend)
+    expect = [
+        pair_feasible(workers[i], tasks[j], metric, 0.0) for i, j in zip(widx, tidx)
+    ]
+    assert [bool(bit) for bit in mask] == expect
+    assert list(sparse[3]) == list(dense[3]) == [int(ok) for ok in expect]
+    assert sorted(zip(task_major[0], task_major[1])) == sorted(zip(dense[0], dense[1]))
+    assert pairs == [(widx[k], tidx[k]) for k in range(len(expect)) if expect[k]]
+    assert [c == 0 for c in codes] == expect
