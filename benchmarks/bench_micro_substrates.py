@@ -208,33 +208,3 @@ def test_micro_grid_nearest(benchmark):
         return found
 
     benchmark(nearest_all)
-
-
-def test_micro_incremental_feasibility_churn(benchmark, batch_instance):
-    """Maintain pairs under churn vs rebuilding: the incremental cache's
-    reason to exist."""
-    from repro.core.incremental import IncrementalFeasibility
-
-    workers = batch_instance.workers
-    tasks = batch_instance.tasks
-
-    def churn():
-        cache = IncrementalFeasibility(cell_size=0.1)
-        for w in workers[:150]:
-            cache.add_worker(w)
-        for t in tasks[:150]:
-            cache.add_task(t)
-        # five batches of churn: 20 departures + 20 arrivals each
-        for round_index in range(5):
-            base = 150 + round_index * 20
-            for w in workers[base - 20 : base]:
-                cache.remove_worker(w.id)
-            for t in tasks[base - 20 : base]:
-                cache.remove_task(t.id)
-            for w in workers[base : base + 20]:
-                cache.add_worker(w)
-            for t in tasks[base : base + 20]:
-                cache.add_task(t)
-        return cache.pair_count(now=0.0)
-
-    benchmark(churn)

@@ -48,14 +48,7 @@ Two checks, one exit code:
    This pins the flight recorder's zero-cost-when-off contract: the
    ``if journal.enabled`` guards must never grow real work on the
    disabled path.
-7. **Game kernel scalar-eval gate** — runs the ``bench_game_kernels``
-   500x500 batch with the vectorised candidate-utility sweeps on and off,
-   asserts assignments, rounds and every ``engine_stats`` counter are
-   bit-identical (exactness precondition) and requires the scalar path to
-   perform at least 5x more interpreter-level per-candidate utility
-   evaluations (``game_scalar_evals`` counter) than the kernel path.
-   Counter arithmetic only — deterministic on 1-CPU hosts.
-8. **Store scale gate** — runs the ``bench_store`` 100k-entity wave
+7. **Store scale gate** — runs the ``bench_store`` 100k-entity wave
    workload with the persistent column store on and off, asserts the
    feasibility graphs, ``engine_stats`` and distance-cache trajectories
    are bit-identical (exactness precondition), and requires a per-batch
@@ -74,7 +67,7 @@ Usage::
     PYTHONPATH=src python benchmarks/check_perf_gate.py [--threshold 1.25]
         [--min-eval-ratio 5.0] [--min-settled-ratio 5.0]
         [--min-columnar-ratio 5.0] [--min-shard-ratio 4.0]
-        [--min-store-ratio 5.0] [--min-game-kernel-ratio 5.0]
+        [--min-store-ratio 5.0]
 """
 
 from __future__ import annotations
@@ -104,14 +97,12 @@ COLUMNAR_ENTRY = "columnar_pair_gate"
 EVENTS_ENTRY = "events_disabled_gate"
 SHARD_ENTRY = "shard_scaleout_gate"
 STORE_ENTRY = "store_scale_gate"
-GAME_KERNEL_ENTRY = "game_kernel_gate"
 ROUNDS = 3
 MIN_EVAL_RATIO = 5.0
 MIN_SETTLED_RATIO = 5.0
 MIN_COLUMNAR_RATIO = 5.0
 MIN_SHARD_RATIO = 4.0
 MIN_STORE_RATIO = 5.0
-MIN_GAME_KERNEL_RATIO = 5.0
 
 
 def _committed_baseline() -> float | None:
@@ -387,49 +378,6 @@ def check_store_row_ratio(min_ratio: float) -> bool:
     return ok
 
 
-def check_game_kernel_ratio(min_ratio: float) -> bool:
-    """Counter-only gate on the vectorised candidate-sweep savings."""
-    from bench_game_kernels import (
-        GAME_KERNEL_CONFIG,
-        assert_outcomes_identical,
-        make_kernel_instance,
-        run_game_kernels,
-        scalar_eval_ratio,
-    )
-
-    instance = make_kernel_instance()
-    off, off_stats, off_aux, _ = run_game_kernels(instance, enabled=False)
-    on, on_stats, on_aux, wall_ms = run_game_kernels(instance, enabled=True)
-
-    try:  # exactness is a precondition of the perf claim
-        assert_outcomes_identical(on, off, on_stats, off_stats)
-    except AssertionError:
-        print("FAIL: game kernels on/off outcomes diverge")
-        return False
-
-    ratio = scalar_eval_ratio(on_aux, off_aux)
-    record_bench_entry(
-        GAME_KERNEL_ENTRY,
-        dict(GAME_KERNEL_CONFIG, min_scalar_ratio=min_ratio),
-        wall_ms,
-        {
-            "kernel_sweeps": on_aux["game_kernel_sweeps"],
-            "kernel_candidates": on_aux["game_kernel_candidates"],
-            "kernel_path_scalar_evals": on_aux["game_scalar_evals"],
-            "scalar_path_evals": off_aux["game_scalar_evals"],
-            "scalar_eval_ratio": round(ratio, 3),
-        },
-    )
-    ok = ratio >= min_ratio and on_aux["game_kernel_sweeps"] > 0
-    verdict = "PASS" if ok else "FAIL"
-    print(
-        f"{verdict}: game kernel scalar-eval ratio {ratio:.2f}x "
-        f"({off_aux['game_scalar_evals']:.0f} scalar-path evals vs "
-        f"{on_aux['game_scalar_evals']:.0f} kernel-path; floor x{min_ratio})"
-    )
-    return ok
-
-
 def check_events_disabled_overhead(
     instance, baseline_report, baseline_ms: float | None, threshold: float, rounds: int
 ) -> bool:
@@ -548,14 +496,6 @@ def main(argv: list[str] | None = None) -> int:
         "object->column rows relative to the persistent store's re-packs "
         f"(default {MIN_STORE_RATIO}; deterministic, no wall-clock)",
     )
-    parser.add_argument(
-        "--min-game-kernel-ratio",
-        type=float,
-        default=MIN_GAME_KERNEL_RATIO,
-        help="fail when the vectorised candidate sweeps save fewer than "
-        "THIS x interpreter-level per-candidate utility evaluations "
-        f"(default {MIN_GAME_KERNEL_RATIO}; deterministic, no wall-clock)",
-    )
     args = parser.parse_args(argv)
 
     baseline_ms = _committed_baseline()
@@ -581,7 +521,6 @@ def main(argv: list[str] | None = None) -> int:
     columnar_ok = check_columnar_pair_ratio(args.min_columnar_ratio)
     shard_ok = check_shard_scaleout(args.min_shard_ratio)
     store_ok = check_store_row_ratio(args.min_store_ratio)
-    game_kernel_ok = check_game_kernel_ratio(args.min_game_kernel_ratio)
     events_ok = check_events_disabled_overhead(
         instance, report, baseline_ms, args.threshold, args.rounds
     )
@@ -591,7 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         and columnar_ok
         and shard_ok
         and store_ok
-        and game_kernel_ok
         and events_ok
     )
     if baseline_ms is None:

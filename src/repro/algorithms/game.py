@@ -48,11 +48,6 @@ from typing import AbstractSet, Dict, FrozenSet, List, Literal, Optional, Set, T
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.algorithms.greedy import DASCGreedy
 from repro.algorithms.utility import GameState, ReferenceGameState
-from repro.columnar.game_kernels import (
-    GAME_KERNEL_MIN_PAIRS,
-    GameSweeper,
-    default_game_kernels,
-)
 from repro.core.assignment import Assignment
 from repro.core.instance import ProblemInstance
 from repro.engine.context import BatchContext
@@ -67,11 +62,6 @@ InitMode = Literal["random", "greedy"]
 _EPS = 1e-12
 
 _EMPTY: FrozenSet[int] = frozenset()
-
-#: Power-of-two ladder for the per-sweep candidate-count histogram
-#: (``game.sweep_candidates``): sweep sizes, not latencies, so the bounds
-#: bracket the kernel engagement floor rather than wall time.
-_SWEEP_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 
 class DASCGame(BatchAllocator):
@@ -95,16 +85,6 @@ class DASCGame(BatchAllocator):
             full-rescan loop over :class:`ReferenceGameState`; outputs are
             bit-identical either way (pinned by the equivalence tests), only
             the work counters differ.
-        use_game_kernels: evaluate dirty workers' candidate rows through
-            the vectorised :mod:`repro.columnar.game_kernels` sweeps when
-            the workload clears the engagement floor.  None (default)
-            follows the process default
-            (:func:`~repro.columnar.game_kernels.set_default_game_kernels`,
-            auto = on when numpy imports); moves, rounds, scores and
-            ``engine_game_*`` stats are bit-identical either way — only the
-            auxiliary ``engine_game_kernel_*`` counters reveal the mode.
-            Ignored by the naive loop (``incremental=False``), which stays
-            the pinned scalar oracle.
     """
 
     name = "Game"
@@ -118,7 +98,6 @@ class DASCGame(BatchAllocator):
         max_rounds: int = 200,
         reassign_losers: bool = False,
         incremental: bool = True,
-        use_game_kernels: Optional[bool] = None,
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -131,7 +110,6 @@ class DASCGame(BatchAllocator):
         self.max_rounds = max_rounds
         self.reassign_losers = reassign_losers
         self.incremental = incremental
-        self.use_game_kernels = use_game_kernels
 
     # -- main entry ---------------------------------------------------------------------
 
@@ -153,11 +131,8 @@ class DASCGame(BatchAllocator):
             instance, tasks, strategies, previously_assigned, alpha=self.alpha
         )
         self._initialise(state, strategies, context, rng)
-        sweeper = None
         if self.incremental:
-            rounds, skipped, sweeper = self._best_response(
-                state, strategies, context
-            )
+            rounds, skipped = self._best_response(state, strategies, context)
         else:
             rounds = self._best_response_naive(state, strategies, context.journal)
             skipped = 0
@@ -183,20 +158,6 @@ class DASCGame(BatchAllocator):
                 cache_hits=state.cache_hits,
                 skipped=skipped,
             )
-            # Aux split (kept out of engine_stats): how many of those
-            # evaluations stayed interpreter-level vs went vectorised.
-            if sweeper is not None:
-                context.counters.add_game_kernel_work(
-                    sweeps=sweeper.kernel_sweeps,
-                    candidates=sweeper.kernel_candidates,
-                    scalar_evals=state.evaluations
-                    - sweeper.kernel_candidates
-                    + sweeper.scalar_evals,
-                )
-            else:
-                context.counters.add_game_kernel_work(
-                    sweeps=0, candidates=0, scalar_evals=state.evaluations
-                )
         return AllocationOutcome(assignment, stats=stats)
 
     # -- phases --------------------------------------------------------------------------
@@ -229,36 +190,13 @@ class DASCGame(BatchAllocator):
         state: GameState,
         strategies: Dict[int, List[int]],
         context: Optional[BatchContext] = None,
-    ) -> Tuple[int, int, Optional[GameSweeper]]:
-        """Dirty-set best-response dynamics; returns (rounds, skipped, sweeper).
-
-        The returned sweeper (None when the kernels stayed disengaged)
-        carries the vectorised-vs-scalar work split for the aux counters.
-        """
+    ) -> Tuple[int, int]:
+        """Dirty-set best-response dynamics; returns (rounds, skipped)."""
         player_order = sorted(strategies)
         n_players = len(player_order)
         graph = state.graph
         prev = state.prev
         nw = state.nw
-        use_kernels = self.use_game_kernels
-        if use_kernels is None:
-            use_kernels = default_game_kernels()
-        sweeper: Optional[GameSweeper] = None
-        if use_kernels and sum(map(len, strategies.values())) >= GAME_KERNEL_MIN_PAIRS:
-            sweeper = GameSweeper(state, strategies)
-        counters = context.counters if context is not None else None
-        # The sharded coordinator's counters façade aggregates dicts only
-        # (no registry of its own) — histogram observation is per-engine.
-        registry = getattr(counters, "registry", None)
-        sweep_hist = (
-            registry.histogram(
-                "game.sweep_candidates",
-                "candidate-row sizes per dirty-worker best-response sweep",
-                buckets=_SWEEP_BUCKETS,
-            )
-            if registry is not None
-            else None
-        )
         # Reverse index: task -> workers able to choose it.  Drives both the
         # contention marking (rule 1) and the indicator-flip marking (rule 2).
         strategy_index: Dict[int, Set[int]] = {}
@@ -284,42 +222,20 @@ class DASCGame(BatchAllocator):
                     if worker_id not in dirty:
                         round_skipped += 1
                         continue
-                    row = strategies[worker_id]
-                    if sweep_hist is not None:
-                        sweep_hist.observe(len(row))
                     current = state.choice[worker_id]
-                    swept = (
-                        sweeper.sweep(worker_id, row, current)
-                        if sweeper is not None and current is not None
-                        else None
-                    )
                     best_task = current
-                    if swept is not None:
-                        # The whole utility vector came from one vectorised
-                        # sweep; the _EPS fold replays the scalar scan's
-                        # stateful accept order over the same floats.
-                        utilities, cur_off = swept
-                        best_utility = utilities[cur_off]
-                        for offset, candidate in enumerate(row):
-                            if candidate == current:
-                                continue
-                            utility = utilities[offset]
-                            if utility > best_utility + _EPS:
-                                best_utility = utility
-                                best_task = candidate
-                    else:
-                        best_utility = (
-                            state.candidate_utility(worker_id, current)
-                            if current is not None
-                            else 0.0
-                        )
-                        for candidate in row:
-                            if candidate == current:
-                                continue
-                            utility = state.candidate_utility(worker_id, candidate)
-                            if utility > best_utility + _EPS:
-                                best_utility = utility
-                                best_task = candidate
+                    best_utility = (
+                        state.candidate_utility(worker_id, current)
+                        if current is not None
+                        else 0.0
+                    )
+                    for candidate in strategies[worker_id]:
+                        if candidate == current:
+                            continue
+                        utility = state.candidate_utility(worker_id, candidate)
+                        if utility > best_utility + _EPS:
+                            best_utility = utility
+                            best_task = candidate
                     if best_task == current:
                         # Argmax confirmed the committed strategy: the worker
                         # stays clean until something it can see changes.
@@ -373,9 +289,7 @@ class DASCGame(BatchAllocator):
             total_skipped += round_skipped
             if changed == 0 or changed / n_players <= self.threshold:
                 break
-        if sweeper is not None:
-            sweeper.detach()
-        return rounds, total_skipped, sweeper
+        return rounds, total_skipped
 
     def _best_response_naive(
         self,

@@ -27,14 +27,9 @@ equivalence test).
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Set
+from typing import AbstractSet, Dict, List, Set
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
-from repro.columnar.game_kernels import (
-    GAME_KERNEL_MIN_PAIRS,
-    SearchColumns,
-    default_game_kernels,
-)
 from repro.core.assignment import Assignment
 from repro.core.constraints import FeasibilityChecker
 from repro.core.instance import ProblemInstance
@@ -47,24 +42,13 @@ class LocalSearchImprover(BatchAllocator):
     Args:
         base: the allocator whose output gets polished.
         max_passes: cap on fill+relocate sweeps (each sweep is O(pairs)).
-        use_game_kernels: drive the fill/relocate candidate scans through
-            the vectorised :class:`SearchColumns` masks when the batch
-            clears the engagement floor; None follows the process default.
-            Move sequences and final assignments are bit-identical either
-            way (pinned by the equivalence tests).
     """
 
-    def __init__(
-        self,
-        base: BatchAllocator,
-        max_passes: int = 10,
-        use_game_kernels: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, base: BatchAllocator, max_passes: int = 10) -> None:
         if max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
         self.base = base
         self.max_passes = max_passes
-        self.use_game_kernels = use_game_kernels
         self.name = f"{base.name}+LS"
 
     def _allocate(self, context: BatchContext) -> AllocationOutcome:
@@ -75,20 +59,13 @@ class LocalSearchImprover(BatchAllocator):
             return outcome
         checker = context.checker
         assignment = outcome.assignment.copy()
-        improved, columns = _improve_with_columns(
+        improved = improve_assignment(
             assignment,
             checker,
             context.instance,
             context.previously_assigned,
             max_passes=self.max_passes,
-            use_game_kernels=self.use_game_kernels,
         )
-        if columns is not None and context.counters is not None:
-            context.counters.add_game_kernel_work(
-                sweeps=columns.sweeps,
-                candidates=columns.candidates,
-                scalar_evals=0,
-            )
         stats = dict(outcome.stats)
         stats["ls_gain"] = float(improved.score - outcome.assignment.score)
         return AllocationOutcome(improved, stats=stats)
@@ -155,59 +132,26 @@ def improve_assignment(
     instance: ProblemInstance,
     previously_assigned: AbstractSet[int] = frozenset(),
     max_passes: int = 10,
-    use_game_kernels: Optional[bool] = None,
 ) -> Assignment:
     """Apply fill/relocate moves to a valid assignment until no move helps.
 
     The input assignment is mutated and returned (callers pass a copy when
-    they need the original).  ``use_game_kernels`` routes the candidate
-    scans through the vectorised masks above the engagement floor; the
-    move sequence is bit-identical either way.
+    they need the original).
     """
-    improved, _ = _improve_with_columns(
-        assignment,
-        checker,
-        instance,
-        previously_assigned,
-        max_passes=max_passes,
-        use_game_kernels=use_game_kernels,
-    )
-    return improved
-
-
-def _improve_with_columns(
-    assignment: Assignment,
-    checker: FeasibilityChecker,
-    instance: ProblemInstance,
-    previously_assigned: AbstractSet[int] = frozenset(),
-    max_passes: int = 10,
-    use_game_kernels: Optional[bool] = None,
-):
-    """The improve loop plus its (possibly engaged) column scanner."""
     graph = instance.dependency_graph
     state = _SearchState(assignment, checker, graph, previously_assigned)
-    if use_game_kernels is None:
-        use_game_kernels = default_game_kernels()
-    columns = (
-        SearchColumns(checker, state)
-        if use_game_kernels and checker.pair_count() >= GAME_KERNEL_MIN_PAIRS
-        else None
-    )
-
     for _ in range(max_passes):
-        changed = _fill_pass(assignment, checker, state, graph, columns)
-        changed |= _relocate_pass(assignment, checker, state, graph, columns)
+        changed = _fill_pass(assignment, checker, state)
+        changed |= _relocate_pass(assignment, checker, state)
         if not changed:
             break
-    return assignment, columns
+    return assignment
 
 
 def _fill_pass(
     assignment: Assignment,
     checker: FeasibilityChecker,
     state: _SearchState,
-    graph,
-    columns: Optional[SearchColumns] = None,
 ) -> bool:
     changed = False
     progress = True
@@ -216,19 +160,6 @@ def _fill_pass(
         readiness = state.readiness
         open_tasks = state.open_tasks
         for worker_id in state.idle_workers():
-            if columns is not None:
-                # One masked row scan finds the same first open-and-ready
-                # candidate the set probes below would (both ascend by id).
-                task_id = columns.first_fill(checker, worker_id)
-                if task_id is None:
-                    continue
-                assignment.add(worker_id, task_id)
-                state.apply_fill(worker_id, task_id)
-                columns.take_task(graph, readiness, task_id)
-                columns.set_busy(worker_id)
-                progress = True
-                changed = True
-                continue
             for task_id in checker.tasks_of(worker_id):
                 if task_id not in open_tasks:
                     continue
@@ -246,8 +177,6 @@ def _relocate_pass(
     assignment: Assignment,
     checker: FeasibilityChecker,
     state: _SearchState,
-    graph,
-    columns: Optional[SearchColumns] = None,
 ) -> bool:
     changed = False
     progress = True
@@ -258,36 +187,22 @@ def _relocate_pass(
         if not idle or not open_ready:
             break
         idle_set = set(idle)
-        if columns is not None:
-            # The scalar pass iterates a list snapshotted here and only
-            # ever .remove()d from — mirror it as a stale mask overlay.
-            columns.snapshot_open_ready()
         for worker_id, task_id in list(assignment.pairs()):
             # an idle substitute who can also serve task_id
-            if columns is not None:
-                substitute = columns.first_substitute(checker, task_id)
-            else:
-                substitute = next(
-                    (w for w in checker.workers_of(task_id) if w in idle_set), None
-                )
+            substitute = next(
+                (w for w in checker.workers_of(task_id) if w in idle_set), None
+            )
             if substitute is None:
                 continue
             # a ready open task the busy worker could take instead
-            if columns is not None:
-                extra = columns.first_extra(checker, worker_id)
-            else:
-                feasible = state.feasible_of(checker, worker_id)
-                extra = next((t for t in open_ready if t in feasible), None)
+            feasible = state.feasible_of(checker, worker_id)
+            extra = next((t for t in open_ready if t in feasible), None)
             if extra is None:
                 continue
             assignment.remove_task(task_id)
             assignment.add(substitute, task_id)
             assignment.add(worker_id, extra)
             state.apply_relocate(substitute, extra)
-            if columns is not None:
-                columns.set_busy(substitute)
-                columns.take_task(graph, state.readiness, extra)
-                columns.snapshot_discard(extra)
             idle_set.discard(substitute)
             open_ready.remove(extra)
             progress = True

@@ -117,24 +117,9 @@ class GameState:
         self._unassigned_deps: Dict[int, int] = {}
         #: task -> memoised hypothetical value ``q(t | a_t = 1)``.
         self._value_cache: Dict[int, float] = {}
-        #: optional :class:`repro.columnar.game_kernels.GameColumns` mirror
-        #: kept in sync by ``set_choice`` / ``_flip`` (the kernels' dirty
-        #: delta); None leaves the scalar hot path untouched.
-        self._columns = None
         self.evaluations = 0
         self.value_recomputes = 0
         self.cache_hits = 0
-
-    def attach_columns(self, columns) -> None:
-        """Install (or with None remove) a column mirror of this profile.
-
-        The mirror's valid-bit overlay must start all-clear: the invariant
-        maintained here is *one-directional* (a set bit implies the memo
-        holds that task's value, bit-equal) — scalar evaluations may fill
-        the memo without setting bits, which sweeps later repair through
-        :meth:`_hypothetical_value`'s own hit classification.
-        """
-        self._columns = columns
 
     # -- profile mutation -----------------------------------------------------------
 
@@ -162,12 +147,6 @@ class GameState:
             if count == 0 and task_id not in self.prev:
                 self._flip(task_id, became_assigned=True)
         self.choice[worker_id] = task_id
-        columns = self._columns
-        if columns is not None:
-            if old is not None:
-                columns.sync_count(old, self.nw.get(old, 0))
-            if task_id is not None:
-                columns.sync_count(task_id, self.nw[task_id])
 
     def _flip(self, task_id: int, became_assigned: bool) -> None:
         """Indicator ``a_task_id`` flipped: patch counts, drop stale values.
@@ -184,19 +163,9 @@ class GameState:
             if dependent in counts:
                 counts[dependent] += delta
         cache = self._value_cache
-        columns = self._columns
-        if columns is None:
-            for affected in graph.influence_set(task_id):
-                if affected in cache:
-                    del cache[affected]
-        else:
-            # A cleared valid bit must accompany every memo eviction; tasks
-            # outside the cache cannot carry a set bit (the overlay
-            # invariant), so the same membership test gates both.
-            for affected in graph.influence_set(task_id):
-                if affected in cache:
-                    del cache[affected]
-                    columns.invalidate(affected)
+        for affected in graph.influence_set(task_id):
+            if affected in cache:
+                del cache[affected]
 
     # -- indicators -------------------------------------------------------------------
 

@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_roadnet_arguments(run)
     _add_columnar_arguments(run)
     _add_store_arguments(run)
-    _add_game_kernel_arguments(run)
     _add_obs_arguments(run)
     _add_events_arguments(run)
 
@@ -108,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_roadnet_arguments(solve)
     _add_columnar_arguments(solve)
     _add_store_arguments(solve)
-    _add_game_kernel_arguments(solve)
     _add_obs_arguments(solve)
     _add_events_arguments(solve)
 
@@ -259,33 +257,6 @@ def _apply_store(args: argparse.Namespace) -> None:
         set_default_store(args.store)
 
 
-def _add_game_kernel_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--game-kernels",
-        dest="game_kernels",
-        action="store_true",
-        default=None,
-        help="force the vectorised candidate-utility sweeps in the "
-        "best-response and local-search loops (bit-identical assignments, "
-        "rounds and engine stats; uses the pure-python backend when numpy "
-        "is absent)",
-    )
-    parser.add_argument(
-        "--no-game-kernels",
-        dest="game_kernels",
-        action="store_false",
-        help="force the scalar per-candidate utility loop (bit-identical — "
-        "for measuring the game kernels' savings)",
-    )
-
-
-def _apply_game_kernels(args: argparse.Namespace) -> None:
-    if getattr(args, "game_kernels", None) is not None:
-        from repro.columnar import set_default_game_kernels
-
-        set_default_game_kernels(args.game_kernels)
-
-
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
@@ -373,7 +344,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _apply_roadnet_acceleration(args)
     _apply_columnar(args)
     _apply_store(args)
-    _apply_game_kernels(args)
     kwargs = {"seed": args.seed, "n_jobs": args.jobs}
     if args.scale is not None:
         kwargs["scale"] = args.scale
@@ -471,7 +441,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _apply_roadnet_acceleration(args)
     _apply_columnar(args)
     _apply_store(args)
-    _apply_game_kernels(args)
     instance = load_instance(args.instance)
     allocator = make_allocator(
         args.approach, seed=args.seed, game_incremental=not args.naive_game

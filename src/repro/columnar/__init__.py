@@ -18,13 +18,6 @@ top: a process-lifetime :class:`ColumnStore` arena with stable skill
 interning whose :meth:`~ColumnStore.view` slices kernel-compatible batches
 without re-converting unchanged entities (opt-in via
 :func:`set_default_store` / the CLI ``--store`` flag).
-
-:mod:`repro.columnar.game_kernels` extends the same seam to the
-best-response and local-search hot loops: :class:`GameSweeper` computes a
-dirty worker's whole candidate-utility vector in one columnar sweep and
-:class:`SearchColumns` drives the fill/relocate scans through dense masks —
-bit-identical to the scalar loops on both backends, toggled by
-:func:`set_default_game_kernels` / the CLI ``--game-kernels`` flags.
 """
 
 from repro.columnar.batch import (
@@ -36,19 +29,9 @@ from repro.columnar.batch import (
 from repro.columnar.store import (
     ColumnStore,
     InterningCache,
-    RowArena,
     SkillInterner,
     default_store,
     set_default_store,
-)
-from repro.columnar.game_kernels import (
-    GAME_KERNEL_MIN_CANDIDATES,
-    GAME_KERNEL_MIN_PAIRS,
-    GameColumns,
-    GameSweeper,
-    SearchColumns,
-    default_game_kernels,
-    set_default_game_kernels,
 )
 from repro.columnar.kernels import (
     CODES,
@@ -77,22 +60,15 @@ __all__ = [
     "CODES",
     "ColumnStore",
     "ColumnarBatch",
-    "GAME_KERNEL_MIN_CANDIDATES",
-    "GAME_KERNEL_MIN_PAIRS",
-    "GameColumns",
-    "GameSweeper",
     "InterningCache",
     "REASON_DEADLINE",
     "REASON_FEASIBLE",
     "REASON_NAMES",
     "REASON_REACH",
     "REASON_SKILL",
-    "RowArena",
-    "SearchColumns",
     "SkillInterner",
     "available_backends",
     "default_columnar",
-    "default_game_kernels",
     "default_store",
     "dense_pair_columns",
     "feasible_dense",
@@ -106,7 +82,6 @@ __all__ = [
     "rejection_reasons_dense",
     "resolve_backend",
     "set_default_columnar",
-    "set_default_game_kernels",
     "set_default_store",
     "skill_candidates",
     "skill_candidates_dense",

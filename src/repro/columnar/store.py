@@ -136,39 +136,6 @@ class InterningCache:
         return self._table
 
 
-class RowArena:
-    """Append-only CSR rows over one flat ``array`` buffer.
-
-    The variable-length-row sibling of the store's fixed-width columns:
-    callers :meth:`append` a row of integers and get back a slot whose
-    :meth:`bounds` index the shared :attr:`data` buffer.  Rows are packed
-    contiguously in append order and never moved or re-packed afterwards,
-    so backend views (``numpy.frombuffer``) and scalar slices both read
-    the same memory for the arena's lifetime.  The game kernels keep each
-    worker's candidate positions here (packed once per allocation); the
-    local-search columns pack rows lazily on first touch.
-    """
-
-    __slots__ = ("data", "_bounds")
-
-    def __init__(self, typecode: str = "q") -> None:
-        self.data = array(typecode)
-        self._bounds: List[int] = [0]
-
-    def append(self, values) -> int:
-        """Pack one row; returns its slot for later :meth:`bounds` lookups."""
-        self.data.extend(values)
-        self._bounds.append(len(self.data))
-        return len(self._bounds) - 2
-
-    def bounds(self, slot: int) -> Tuple[int, int]:
-        """``(start, end)`` of the slot's row within :attr:`data`."""
-        return self._bounds[slot], self._bounds[slot + 1]
-
-    def __len__(self) -> int:
-        return len(self._bounds) - 1
-
-
 def _gather_scalar(column: array, slots: List[int], typecode: str, dtype: str) -> array:
     if _np is not None and slots:
         src = _np.frombuffer(column, dtype=dtype)

@@ -25,7 +25,6 @@ from repro.core.constraints import (
 )
 from repro.core.dependency import CyclicDependencyError, DependencyGraph
 from repro.core.exceptions import DascError, InvalidInstanceError
-from repro.core.incremental import IncrementalFeasibility
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
 from repro.core.task import Task
@@ -40,7 +39,6 @@ __all__ = [
     "DascError",
     "DependencyGraph",
     "FeasibilityChecker",
-    "IncrementalFeasibility",
     "InvalidInstanceError",
     "LintFinding",
     "ProblemInstance",

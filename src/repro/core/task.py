@@ -9,7 +9,10 @@ its dependency set ``D_t`` is assigned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import FrozenSet, Tuple
+
+from repro.core.worker import negative_field_error
 
 Point = Tuple[float, float]
 
@@ -42,14 +45,21 @@ class Task:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.wait < 0:
-            raise ValueError(f"task {self.id}: negative waiting time {self.wait}")
-        if self.duration < 0:
-            raise ValueError(f"task {self.id}: negative duration {self.duration}")
+        location = (float(self.location[0]), float(self.location[1]))
+        # ``not x >= 0`` also catches NaN, which every ordered comparison
+        # answers False; +inf wait stays valid ("never expires").
+        if not (isfinite(location[0]) and isfinite(location[1])):
+            raise ValueError(f"task {self.id}: non-finite location {location}")
+        if not isfinite(self.start):
+            raise ValueError(f"task {self.id}: non-finite start {self.start}")
+        if not self.wait >= 0:
+            raise negative_field_error(f"task {self.id}", "waiting time", self.wait)
+        if not self.duration >= 0:
+            raise negative_field_error(f"task {self.id}", "duration", self.duration)
         if self.id in self.dependencies:
             raise ValueError(f"task {self.id} depends on itself")
         object.__setattr__(self, "dependencies", frozenset(self.dependencies))
-        object.__setattr__(self, "location", (float(self.location[0]), float(self.location[1])))
+        object.__setattr__(self, "location", location)
 
     @property
     def deadline(self) -> float:

@@ -9,9 +9,17 @@ skill set ``WS_w``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import FrozenSet, Iterable, Tuple
 
 Point = Tuple[float, float]
+
+
+def negative_field_error(owner: str, name: str, value: float) -> ValueError:
+    """The error for a field that must be ``>= 0`` but is negative or NaN."""
+    if value != value:
+        return ValueError(f"{owner}: {name} is NaN")
+    return ValueError(f"{owner}: negative {name} {value}")
 
 
 @dataclass(frozen=True)
@@ -38,16 +46,23 @@ class Worker:
     skills: FrozenSet[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.wait < 0:
-            raise ValueError(f"worker {self.id}: negative waiting time {self.wait}")
-        if self.velocity < 0:
-            raise ValueError(f"worker {self.id}: negative velocity {self.velocity}")
-        if self.max_distance < 0:
-            raise ValueError(
-                f"worker {self.id}: negative max moving distance {self.max_distance}"
+        location = (float(self.location[0]), float(self.location[1]))
+        # ``not x >= 0`` also catches NaN, which every ordered comparison
+        # answers False; +inf wait / max_distance stay valid ("unbounded").
+        if not (isfinite(location[0]) and isfinite(location[1])):
+            raise ValueError(f"worker {self.id}: non-finite location {location}")
+        if not isfinite(self.start):
+            raise ValueError(f"worker {self.id}: non-finite start {self.start}")
+        if not self.wait >= 0:
+            raise negative_field_error(f"worker {self.id}", "waiting time", self.wait)
+        if not self.velocity >= 0:
+            raise negative_field_error(f"worker {self.id}", "velocity", self.velocity)
+        if not self.max_distance >= 0:
+            raise negative_field_error(
+                f"worker {self.id}", "max moving distance", self.max_distance
             )
         object.__setattr__(self, "skills", frozenset(self.skills))
-        object.__setattr__(self, "location", (float(self.location[0]), float(self.location[1])))
+        object.__setattr__(self, "location", location)
 
     @property
     def deadline(self) -> float:

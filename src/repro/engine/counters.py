@@ -83,17 +83,13 @@ _AUX_COUNTER_FIELDS = (
     ),
     (
         "game_kernel_sweeps",
-        "candidate rows evaluated vectorised by the columnar game kernels",
-    ),
-    (
-        "game_kernel_candidates",
-        "candidate utilities computed inside vectorised game sweeps",
+        "vectorised best-response sweeps (always 0: best response runs "
+        "scalar only; kept for the benchmark's per-layer split)",
     ),
     (
         "game_scalar_evals",
         "candidate utilities computed by interpreter-level per-candidate "
-        "evaluation (scalar sweeps plus the masked withdrawn-view "
-        "evaluations left inside vectorised sweeps)",
+        "evaluation (equals game_evaluations)",
     ),
 )
 
@@ -158,23 +154,7 @@ class EngineCounters:
         counters["game_value_recomputes"].value += value_recomputes
         counters["game_cache_hits"].value += cache_hits
         counters["game_skipped_workers"].value += skipped
-
-    def add_game_kernel_work(
-        self, sweeps: int, candidates: int, scalar_evals: int
-    ) -> None:
-        """Bulk-add one run's vectorised-vs-scalar sweep split (aux group).
-
-        ``scalar_evals`` is the gate's denominator: with the kernels off it
-        equals ``game_evaluations``; engaged runs report only the
-        interpreter-level remainder (sub-floor rows plus masked
-        withdrawn-view evaluations).  Kept out of ``as_dict`` so
-        engine_stats stay bit-identical across modes, per the aux-group
-        convention.
-        """
-        counters = self._counters
-        counters["game_kernel_sweeps"].value += sweeps
-        counters["game_kernel_candidates"].value += candidates
-        counters["game_scalar_evals"].value += scalar_evals
+        counters["game_scalar_evals"].value += evaluations
 
     def delta_since(
         self, snapshot: Dict[str, float], prefix: str = "engine_"

@@ -221,9 +221,6 @@ class _AggregateCounters:
     def add_game_work(self, *args: int, **kwargs: int) -> None:
         self._engine.counters.add_game_work(*args, **kwargs)
 
-    def add_game_kernel_work(self, *args: int, **kwargs: int) -> None:
-        self._engine.counters.add_game_kernel_work(*args, **kwargs)
-
     @property
     def cache_hits(self) -> float:
         return float(sum(e.metric.hits for e in self._engine.engines))

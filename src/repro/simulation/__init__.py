@@ -8,15 +8,11 @@ travel + service execution, workers re-entering the pool at their task's
 location, and cross-batch dependency unlocking.
 """
 
-from repro.simulation.events import Event, EventKind, EventLog
 from repro.simulation.platform import Platform, RejoinPolicy, run_single_batch
 from repro.simulation.stats import BatchRecord, SimulationReport
 
 __all__ = [
     "BatchRecord",
-    "Event",
-    "EventKind",
-    "EventLog",
     "Platform",
     "RejoinPolicy",
     "SimulationReport",

@@ -29,7 +29,6 @@ from repro.obs.trace import Tracer, get_tracer
 from repro.shard.engine import MODES as SHARD_MODES
 from repro.shard.engine import ShardedEngine
 from repro.shard.partition import SCHEMES as SHARD_SCHEMES
-from repro.simulation.events import Event, EventKind, EventLog
 from repro.simulation.stats import BatchRecord, SimulationReport
 
 
@@ -65,8 +64,6 @@ class Platform:
         allocator: any batch allocator.
         batch_interval: the constant interval between batch processes.
         rejoin: worker rejoin policy after completing a task.
-        event_log: optional trace recorder receiving ASSIGN / COMPLETE /
-            EXPIRE events.
         use_engine: build batch contexts through a shared
             :class:`~repro.engine.engine.AllocationEngine` (incremental
             feasibility + distance caching).  Disabling it falls back to the
@@ -124,7 +121,6 @@ class Platform:
         allocator: BatchAllocator,
         batch_interval: float = 5.0,
         rejoin: RejoinPolicy = RejoinPolicy.REMAINING,
-        event_log: Optional[EventLog] = None,
         use_engine: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -155,7 +151,6 @@ class Platform:
         self.allocator = allocator
         self.batch_interval = batch_interval
         self.rejoin = rejoin
-        self.event_log = event_log
         self.use_engine = use_engine
         self.tracer = tracer
         self.metrics = metrics
@@ -336,7 +331,7 @@ class Platform:
                     with tracer.span("platform.commit"):
                         self._execute(
                             outcome, pool, busy, assigned_tasks, open_task_ids, now,
-                            report, batch_index=index, journal=journal,
+                            report, journal=journal,
                         )
                     record = BatchRecord(
                         index=index,
@@ -356,16 +351,6 @@ class Platform:
                     tid for tid in open_task_ids if instance.task(tid).deadline > now
                 }
                 expired_now = open_task_ids - still_open
-                if self.event_log is not None:
-                    for tid in expired_now:
-                        self.event_log.record(
-                            Event(
-                                time=instance.task(tid).deadline,
-                                kind=EventKind.EXPIRE,
-                                task_id=tid,
-                                batch_index=index,
-                            )
-                        )
                 if journal.enabled:
                     for tid in sorted(expired_now):
                         journal.emit(
@@ -381,15 +366,6 @@ class Platform:
                     batch_span.set("score", record.score)
             if now >= horizon:
                 break
-        if self.event_log is not None:
-            for tid in sorted(open_task_ids):
-                self.event_log.record(
-                    Event(
-                        time=instance.task(tid).deadline,
-                        kind=EventKind.EXPIRE,
-                        task_id=tid,
-                    )
-                )
         report.expired_tasks = sorted(
             tid for tid in instance.task_ids if tid not in assigned_tasks
         )
@@ -447,7 +423,6 @@ class Platform:
         open_task_ids: Set[int],
         now: float,
         report: SimulationReport,
-        batch_index: Optional[int] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         instance = self.instance
@@ -465,13 +440,6 @@ class Platform:
             open_task_ids.discard(task_id)
             report.assignments[task_id] = worker_id
             report.completion_times[task_id] = finish
-            if self.event_log is not None:
-                self.event_log.record(
-                    Event(now, EventKind.ASSIGN, task_id, worker_id, batch_index)
-                )
-                self.event_log.record(
-                    Event(finish, EventKind.COMPLETE, task_id, worker_id, batch_index)
-                )
             if journal is not None and journal.enabled:
                 journal.emit("assign", t=now, worker=worker_id, task=task_id)
                 journal.emit("complete", t=finish, worker=worker_id, task=task_id)

@@ -15,7 +15,10 @@ from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine.context import BatchContext
 from repro.simulation.platform import Platform
 
-SEEDS = [0, 1, 2]
+#: seed -> instance scale.  Seed 7 at 0.1 is one 500 x 500 batch whose
+#: strategy lists hold more than 2048 pairs, the largest game run here.
+SCALES = {0: 0.02, 1: 0.02, 2: 0.02, 7: 0.1}
+SEEDS = sorted(SCALES)
 
 CONFIGS = {
     "game": dict(threshold=0.0, init="random"),
@@ -26,7 +29,7 @@ CONFIGS = {
 
 
 def _instance(seed):
-    return generate_synthetic(SyntheticConfig(seed=seed).scaled(0.02))
+    return generate_synthetic(SyntheticConfig(seed=seed).scaled(SCALES[seed]))
 
 
 def _context(instance):
@@ -70,6 +73,12 @@ class TestSingleBatchBitIdentity:
         # The incremental loop never does *more* of either kind of work.
         assert fast.stats["evaluations"] <= slow.stats["evaluations"]
         assert fast.stats["value_recomputes"] < slow.stats["value_recomputes"]
+
+
+def test_largest_case_exceeds_2048_strategy_pairs():
+    instance = _instance(7)
+    checker = _context(instance).checker
+    assert sum(len(checker.tasks_of(w.id)) for w in instance.workers) > 2048
 
 
 class TestLocalSearchWrapper:

@@ -10,12 +10,19 @@ story (funnel conservation, assignment/expiry completeness).
 
 import pytest
 
+from repro.algorithms.greedy import DASCGreedy
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
+from repro.core.instance import ProblemInstance
+from repro.core.skills import SkillUniverse
+from repro.core.task import Task
+from repro.core.worker import Worker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.obs.events import (
     EVENTS_SCHEMA,
+    NULL_JOURNAL,
     EventJournal,
     events_records,
+    get_journal,
     validate_events_records,
 )
 from repro.simulation.platform import Platform
@@ -194,3 +201,76 @@ class TestGreedyEvents:
         assert len(staffed) > 0
         assert all(e["size"] >= 1 for e in sets)
         assert len(report.assignments) >= len(staffed)
+
+
+def _journaled_greedy(instance, interval):
+    journal = EventJournal()
+    report = Platform(
+        instance, DASCGreedy(), batch_interval=interval, journal=journal
+    ).run()
+    return report, journal
+
+
+def _two_task_instance():
+    workers = [
+        Worker(id=1, location=(0.0, 0.0), start=0.0, wait=100.0, velocity=1.0,
+               max_distance=100.0, skills=frozenset({0})),
+    ]
+    tasks = [
+        Task(id=1, location=(1.0, 0.0), start=0.0, wait=50.0, skill=0, duration=2.0),
+        Task(id=2, location=(9.0, 0.0), start=0.0, wait=1.0, skill=0),  # expires
+    ]
+    return ProblemInstance(workers=workers, tasks=tasks, skills=SkillUniverse(1))
+
+
+class TestJournalTimeline:
+    """The journal's assign / complete / task_expire records tell the run's
+    timeline: what happened, to which task, and when."""
+
+    def test_assign_complete_and_expire_recorded(self):
+        _, journal = _journaled_greedy(_two_task_instance(), 5.0)
+        assigns = journal.of_type("assign")
+        completes = journal.of_type("complete")
+        assert [e["task"] for e in assigns] == [1]
+        assert [e["task"] for e in completes] == [1]
+        assert [e["task"] for e in journal.of_type("task_expire")] == [2]
+        # completion = assign time + travel (1.0) + duration (2.0)
+        assert completes[0]["t"] == pytest.approx(assigns[0]["t"] + 3.0)
+
+    def test_expire_time_is_task_deadline(self):
+        instance = _two_task_instance()
+        _, journal = _journaled_greedy(instance, 5.0)
+        expire = journal.of_type("task_expire")[0]
+        assert expire["t"] == pytest.approx(instance.task(2).deadline)
+
+    def test_no_journal_by_default(self, example1):
+        report = Platform(example1, DASCGreedy(), batch_interval=10000.0).run()
+        assert report.total_score >= 3  # runs without a recorder
+        assert get_journal() is NULL_JOURNAL
+        assert len(NULL_JOURNAL) == 0
+
+    def test_trace_consistent_with_report(self, example1):
+        report, journal = _journaled_greedy(example1, 10000.0)
+        assert {e["task"] for e in journal.of_type("assign")} == set(report.assignments)
+        assert {e["task"] for e in journal.of_type("task_expire")} == set(
+            report.expired_tasks
+        )
+
+    def test_completions_follow_assignments_and_expiries_are_due(self, instance):
+        report, journal = _journaled_greedy(instance, 5.0)
+        assert report.assignments
+        position = {id(e): i for i, e in enumerate(journal.events)}
+        completes = {e["task"]: e for e in journal.of_type("complete")}
+        for assign in journal.of_type("assign"):
+            complete = completes[assign["task"]]
+            assert complete["worker"] == assign["worker"]
+            assert position[id(complete)] > position[id(assign)]
+            assert complete["t"] >= assign["t"]
+        batch_time = {e["batch"]: e["t"] for e in journal.of_type("batch_close")}
+        expiries = journal.of_type("task_expire")
+        assert expiries
+        for expire in expiries:
+            assert expire["t"] == instance.task(expire["task"]).deadline
+            if "batch" in expire:
+                # Expired in the first batch at or after its deadline.
+                assert expire["t"] <= batch_time[expire["batch"]]
