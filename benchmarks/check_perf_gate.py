@@ -48,17 +48,12 @@ Two checks, one exit code:
    This pins the flight recorder's zero-cost-when-off contract: the
    ``if journal.enabled`` guards must never grow real work on the
    disabled path.
-7. **Store scale gate** — runs the ``bench_store`` 100k-entity wave
-   workload with the persistent column store on and off, asserts the
-   feasibility graphs, ``engine_stats`` and distance-cache trajectories
-   are bit-identical (exactness precondition), and requires a per-batch
-   rebuild to convert at least 5x more object->column rows than the store
-   actually re-packed (``store_rows_touched`` /
-   ``store_rebuild_rows_avoided`` counters).  The warm-start matching
-   workload rides along: the memo must replay repeated staffing queries
-   (``matching_warm_starts`` > 0) with identical solutions and strictly
-   fewer ``matching_augment_rounds`` than the cold solver.  Counter
-   arithmetic only — deterministic on 1-CPU hosts.
+7. **Warm-matching gate** — runs the ``bench_warm_matching``
+   repeated-staffing workload with the match memo on and off: the memo
+   must replay repeated staffing queries (``matching_warm_starts`` > 0)
+   with identical solutions and strictly fewer ``matching_augment_rounds``
+   than the cold solver.  Counter arithmetic only — deterministic on
+   1-CPU hosts.
 
 Exit codes: 0 all pass (or no baseline yet for the wall gate), 1 any fail.
 
@@ -67,7 +62,6 @@ Usage::
     PYTHONPATH=src python benchmarks/check_perf_gate.py [--threshold 1.25]
         [--min-eval-ratio 5.0] [--min-settled-ratio 5.0]
         [--min-columnar-ratio 5.0] [--min-shard-ratio 4.0]
-        [--min-store-ratio 5.0]
 """
 
 from __future__ import annotations
@@ -96,13 +90,14 @@ ROADNET_ENTRY = "roadnet_settled_gate"
 COLUMNAR_ENTRY = "columnar_pair_gate"
 EVENTS_ENTRY = "events_disabled_gate"
 SHARD_ENTRY = "shard_scaleout_gate"
-STORE_ENTRY = "store_scale_gate"
+#: The warm-matching gate keeps the entry name it had when it rode along
+#: with the removed column-store gate, so its history stays one series.
+MATCHING_ENTRY = "store_scale_gate"
 ROUNDS = 3
 MIN_EVAL_RATIO = 5.0
 MIN_SETTLED_RATIO = 5.0
 MIN_COLUMNAR_RATIO = 5.0
 MIN_SHARD_RATIO = 4.0
-MIN_STORE_RATIO = 5.0
 
 
 def _committed_baseline() -> float | None:
@@ -317,30 +312,14 @@ def check_shard_scaleout(min_ratio: float) -> bool:
     return ok
 
 
-def check_store_row_ratio(min_ratio: float) -> bool:
-    """Counter-only gate on the persistent store's conversion savings."""
-    from bench_store import (
-        SCALE_ENTITIES,
-        STORE_CONFIG,
-        assert_engines_identical,
-        make_scale_workload,
-        run_matching_workload,
-        run_scale_workload,
-        store_row_ratio,
-    )
+def check_warm_matching() -> bool:
+    """Counter-only gate on the match memo's warm-start parity and savings."""
+    from bench_warm_matching import run_matching_workload
 
-    workload = make_scale_workload(SCALE_ENTITIES, seed=STORE_CONFIG["seed"])
-    on_engine, on_aux, wall_ms = run_scale_workload(workload, True)
-    off_engine, _, _ = run_scale_workload(workload, False)
-    try:  # exactness is a precondition of the perf claim
-        assert_engines_identical(on_engine, off_engine)
-    except AssertionError as exc:
-        print(f"FAIL: store on/off engines diverge ({exc})")
-        return False
-
-    ratio = store_row_ratio(on_aux)
+    started = time.perf_counter()
     warm_results, warm = run_matching_workload(True)
     cold_results, cold = run_matching_workload(False)
+    wall_ms = (time.perf_counter() - started) * 1000.0
     if warm_results != cold_results:
         print("FAIL: warm-start matching solutions diverge from cold solves")
         return False
@@ -349,31 +328,22 @@ def check_store_row_ratio(min_ratio: float) -> bool:
     round_ratio = cold_rounds / max(warm_rounds, 1)
 
     record_bench_entry(
-        STORE_ENTRY,
-        dict(STORE_CONFIG, min_row_ratio=min_ratio),
+        MATCHING_ENTRY,
+        {"workload": "hall+feasible sets x 25 rounds", "method": "hungarian"},
         wall_ms,
         {
-            "store_rows_touched": on_aux["store_rows_touched"],
-            "store_rebuild_rows_avoided": on_aux["store_rebuild_rows_avoided"],
-            "row_ratio": round(ratio, 3),
             "matching_warm_starts": warm["matching_warm_starts"],
             "warm_augment_rounds": warm_rounds,
             "cold_augment_rounds": cold_rounds,
             "augment_round_ratio": round(round_ratio, 3),
         },
     )
-    ok = (
-        ratio >= min_ratio
-        and warm["matching_warm_starts"] > 0
-        and warm_rounds < cold_rounds
-    )
+    ok = warm["matching_warm_starts"] > 0 and warm_rounds < cold_rounds
     verdict = "PASS" if ok else "FAIL"
     print(
-        f"{verdict}: store row ratio {ratio:.2f}x "
-        f"({on_aux['store_rebuild_rows_avoided']:.0f} rebuild rows avoided vs "
-        f"{on_aux['store_rows_touched']:.0f} packed; floor x{min_ratio}), "
-        f"warm matching {warm_rounds:.0f} augment rounds vs {cold_rounds:.0f} "
-        f"cold (x{round_ratio:.1f}, {warm['matching_warm_starts']:.0f} replays)"
+        f"{verdict}: warm matching {warm_rounds:.0f} augment rounds vs "
+        f"{cold_rounds:.0f} cold (x{round_ratio:.1f}, "
+        f"{warm['matching_warm_starts']:.0f} replays)"
     )
     return ok
 
@@ -488,14 +458,6 @@ def main(argv: list[str] | None = None) -> int:
         f"feasibility work (default {MIN_SHARD_RATIO}; deterministic, "
         "no wall-clock)",
     )
-    parser.add_argument(
-        "--min-store-ratio",
-        type=float,
-        default=MIN_STORE_RATIO,
-        help="fail when a per-batch rebuild converts fewer than THIS x "
-        "object->column rows relative to the persistent store's re-packs "
-        f"(default {MIN_STORE_RATIO}; deterministic, no wall-clock)",
-    )
     args = parser.parse_args(argv)
 
     baseline_ms = _committed_baseline()
@@ -520,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     game_ok = check_game_eval_ratio(args.min_eval_ratio)
     columnar_ok = check_columnar_pair_ratio(args.min_columnar_ratio)
     shard_ok = check_shard_scaleout(args.min_shard_ratio)
-    store_ok = check_store_row_ratio(args.min_store_ratio)
+    matching_ok = check_warm_matching()
     events_ok = check_events_disabled_overhead(
         instance, report, baseline_ms, args.threshold, args.rounds
     )
@@ -529,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         and game_ok
         and columnar_ok
         and shard_ok
-        and store_ok
+        and matching_ok
         and events_ok
     )
     if baseline_ms is None:

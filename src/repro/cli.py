@@ -13,15 +13,18 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
+from repro.core.exceptions import DascError
 from repro.datagen.meetup import MeetupLikeConfig, generate_meetup_like
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.experiments.report import format_sweep
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.io.serialize import load_instance, save_instance
 from repro.simulation.platform import Platform, run_single_batch
+
+T = TypeVar("T")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_roadnet_arguments(run)
     _add_columnar_arguments(run)
-    _add_store_arguments(run)
     _add_obs_arguments(run)
     _add_events_arguments(run)
 
@@ -106,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shard_arguments(solve)
     _add_roadnet_arguments(solve)
     _add_columnar_arguments(solve)
-    _add_store_arguments(solve)
     _add_obs_arguments(solve)
     _add_events_arguments(solve)
 
@@ -230,33 +231,6 @@ def _apply_columnar(args: argparse.Namespace) -> None:
         set_default_columnar(args.columnar)
 
 
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        dest="store",
-        action="store_true",
-        default=None,
-        help="maintain the columnar snapshots in a persistent delta-synced "
-        "column store instead of rebuilding them every batch (bit-identical "
-        "reports and engine stats; pays off on large populations; requires "
-        "the columnar path)",
-    )
-    parser.add_argument(
-        "--no-store",
-        dest="store",
-        action="store_false",
-        help="force per-batch snapshot rebuilds (bit-identical — for "
-        "measuring the store's conversion savings)",
-    )
-
-
-def _apply_store(args: argparse.Namespace) -> None:
-    if getattr(args, "store", None) is not None:
-        from repro.columnar import set_default_store
-
-        set_default_store(args.store)
-
-
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
@@ -343,7 +317,6 @@ def _obs_report(args: argparse.Namespace, tracer, *registries, journal=None) -> 
 def _cmd_run(args: argparse.Namespace) -> int:
     _apply_roadnet_acceleration(args)
     _apply_columnar(args)
-    _apply_store(args)
     kwargs = {"seed": args.seed, "n_jobs": args.jobs}
     if args.scale is not None:
         kwargs["scale"] = args.scale
@@ -417,13 +390,24 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_or_report(load: Callable[[str], T], path: str) -> Optional[T]:
+    """``load(path)``, or None after printing why the file cannot be used."""
+    try:
+        return load(path)
+    except (DascError, ValueError) as exc:
+        print(f"error: {path}: {exc}")
+        return None
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.core.validation import lint_instance, lint_summary
     from repro.obs.trace import NULL_TRACER
 
     tracer = _obs_tracer(args) or NULL_TRACER
     with tracer.span("lint.load"):
-        instance = load_instance(args.instance)
+        instance = _load_or_report(load_instance, args.instance)
+    if instance is None:
+        return 2
     with tracer.span("lint.check") as span:
         findings = lint_instance(instance)
         if tracer.enabled:
@@ -440,8 +424,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     _apply_roadnet_acceleration(args)
     _apply_columnar(args)
-    _apply_store(args)
-    instance = load_instance(args.instance)
+    instance = _load_or_report(load_instance, args.instance)
+    if instance is None:
+        return 2
     allocator = make_allocator(
         args.approach, seed=args.seed, game_incremental=not args.naive_game
     )
@@ -518,7 +503,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.explain import ExplainIndex, replay_report
     from repro.obs import read_jsonl, validate_events_records
 
-    records = read_jsonl(args.events)
+    records = _load_or_report(read_jsonl, args.events)
+    if records is None:
+        return 2
     try:
         validate_events_records(records)
         index = ExplainIndex(records, run=args.run)

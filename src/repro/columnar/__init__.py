@@ -13,25 +13,16 @@ The process-wide toggle (:func:`set_default_columnar`, surfaced as the CLI
 ``--columnar/--no-columnar`` flags) defaults to *auto*: on exactly when
 numpy is importable.
 
-:mod:`repro.columnar.store` adds the persistent, delta-maintained layer on
-top: a process-lifetime :class:`ColumnStore` arena with stable skill
-interning whose :meth:`~ColumnStore.view` slices kernel-compatible batches
-without re-converting unchanged entities (opt-in via
-:func:`set_default_store` / the CLI ``--store`` flag).
+:class:`InterningCache` lets a long-lived caller (the engine) rebuild each
+batch's snapshot without re-sorting the skill universe until it grows.
 """
 
 from repro.columnar.batch import (
     ColumnarBatch,
+    InterningCache,
     flatten_rows,
     intern_skills,
     pack_pair_columns,
-)
-from repro.columnar.store import (
-    ColumnStore,
-    InterningCache,
-    SkillInterner,
-    default_store,
-    set_default_store,
 )
 from repro.columnar.kernels import (
     CODES,
@@ -58,7 +49,6 @@ from repro.columnar.kernels import (
 
 __all__ = [
     "CODES",
-    "ColumnStore",
     "ColumnarBatch",
     "InterningCache",
     "REASON_DEADLINE",
@@ -66,10 +56,8 @@ __all__ = [
     "REASON_NAMES",
     "REASON_REACH",
     "REASON_SKILL",
-    "SkillInterner",
     "available_backends",
     "default_columnar",
-    "default_store",
     "dense_pair_columns",
     "feasible_dense",
     "feasible_pairs",
@@ -82,7 +70,6 @@ __all__ = [
     "rejection_reasons_dense",
     "resolve_backend",
     "set_default_columnar",
-    "set_default_store",
     "skill_candidates",
     "skill_candidates_dense",
     "true_positions",

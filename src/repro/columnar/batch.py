@@ -20,7 +20,7 @@ on the object records at the edges of the system.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Bits per packed skill word.
 WORD_BITS = 64
@@ -47,6 +47,39 @@ def intern_skills(
         skill: divmod(position, WORD_BITS)
         for position, skill in enumerate(sorted(universe))
     }
+
+
+class InterningCache:
+    """Cached sorted interning table for the per-batch rebuild.
+
+    :func:`intern_skills` re-sorts the whole skill universe every batch;
+    consecutive batch populations overlap almost entirely, so the sort is
+    repeated work.  This cache accumulates the union of every skill seen
+    and re-sorts only when the universe actually grows.  The produced
+    table is a *superset* of the per-batch one — harmless, because kernel
+    decisions test mask membership and never depend on bit order or table
+    width.
+    """
+
+    __slots__ = ("_universe", "_table")
+
+    def __init__(self) -> None:
+        self._universe: Set = set()
+        self._table: Dict[int, Tuple[int, int]] = {}
+
+    def table_for(self, workers: Sequence, tasks: Sequence) -> Dict[int, Tuple[int, int]]:
+        universe = self._universe
+        before = len(universe)
+        for worker in workers:
+            universe.update(worker.skills)
+        for task in tasks:
+            universe.add(task.skill)
+        if len(universe) != before:
+            self._table = {
+                skill: divmod(position, WORD_BITS)
+                for position, skill in enumerate(sorted(universe))
+            }
+        return self._table
 
 
 class ColumnarBatch:
@@ -98,7 +131,7 @@ class ColumnarBatch:
         table: Optional[Dict[int, Tuple[int, int]]] = None,
     ) -> None:
         # A caller-provided table (e.g. the engine's cached interning
-        # table, see repro.columnar.store.InterningCache) must cover every
+        # table, see :class:`InterningCache`) must cover every
         # skill present — a missing skill raises KeyError below rather
         # than packing a wrong mask.  Supersets are fine: kernels test
         # mask membership only, never bit order or table width.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import FrozenSet, Tuple
 
-from repro.core.worker import negative_field_error
+from repro.core.worker import negative_field_error, planar_location
 
 Point = Tuple[float, float]
 
@@ -45,11 +45,9 @@ class Task:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        location = (float(self.location[0]), float(self.location[1]))
+        location = planar_location(f"task {self.id}", self.location)
         # ``not x >= 0`` also catches NaN, which every ordered comparison
         # answers False; +inf wait stays valid ("never expires").
-        if not (isfinite(location[0]) and isfinite(location[1])):
-            raise ValueError(f"task {self.id}: non-finite location {location}")
         if not isfinite(self.start):
             raise ValueError(f"task {self.id}: non-finite start {self.start}")
         if not self.wait >= 0:

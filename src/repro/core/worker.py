@@ -22,6 +22,18 @@ def negative_field_error(owner: str, name: str, value: float) -> ValueError:
     return ValueError(f"{owner}: negative {name} {value}")
 
 
+def planar_location(owner: str, location) -> Point:
+    """``location`` as a float pair; rejects other lengths and non-finite values."""
+    if len(location) != 2:
+        raise ValueError(
+            f"{owner}: location needs exactly two coordinates, got {tuple(location)}"
+        )
+    point = (float(location[0]), float(location[1]))
+    if not (isfinite(point[0]) and isfinite(point[1])):
+        raise ValueError(f"{owner}: non-finite location {point}")
+    return point
+
+
 @dataclass(frozen=True)
 class Worker:
     """An immutable worker record.
@@ -46,11 +58,9 @@ class Worker:
     skills: FrozenSet[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        location = (float(self.location[0]), float(self.location[1]))
+        location = planar_location(f"worker {self.id}", self.location)
         # ``not x >= 0`` also catches NaN, which every ordered comparison
         # answers False; +inf wait / max_distance stay valid ("unbounded").
-        if not (isfinite(location[0]) and isfinite(location[1])):
-            raise ValueError(f"worker {self.id}: non-finite location {location}")
         if not isfinite(self.start):
             raise ValueError(f"worker {self.id}: non-finite start {self.start}")
         if not self.wait >= 0:

@@ -72,16 +72,6 @@ _AUX_COUNTER_FIELDS = (
         "candidate pairs decided by interpreter-level per-pair evaluation",
     ),
     (
-        "store_rows_touched",
-        "entity rows actually (re)packed object->column by the persistent "
-        "column store",
-    ),
-    (
-        "store_rebuild_rows_avoided",
-        "entity rows a per-batch rebuild would have converted but the "
-        "persistent store served unchanged",
-    ),
-    (
         "game_kernel_sweeps",
         "vectorised best-response sweeps (always 0: best response runs "
         "scalar only; kept for the benchmark's per-layer split)",

@@ -37,6 +37,7 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, T
 from repro.columnar import (
     REASON_NAMES,
     ColumnarBatch,
+    InterningCache,
     dense_pair_columns,
     default_columnar,
     rejection_reasons,
@@ -45,7 +46,6 @@ from repro.columnar import (
     true_positions,
 )
 from repro.columnar.kernels import CODES as COLUMNAR_CODES
-from repro.columnar.store import ColumnStore, InterningCache, default_store
 from repro.core.constraints import deadline_ok, prune_rejection_reason, reach_radius
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
@@ -119,21 +119,6 @@ class AllocationEngine:
             Only the auxiliary
             :meth:`~repro.engine.counters.EngineCounters.aux_dict`
             telemetry distinguishes the modes.
-        use_store: maintain the columnar snapshots in a process-lifetime
-            :class:`~repro.columnar.store.ColumnStore` instead of
-            rebuilding them from entity objects every batch — only rows
-            whose records changed since the last sync are re-packed, and
-            kernel batches are sliced out of the persistent arena.
-            Requires the columnar path (ignored when it is off).  None
-            (default) follows the process default
-            (:func:`repro.columnar.default_store`, itself off by
-            default).  Decisions, ``engine_stats`` and the cache
-            trajectory are bit-identical either way — views carry the
-            same packed columns a fresh batch would (stable interning
-            changes bit *positions* only, which the kernels never read) —
-            while the auxiliary ``store_rows_touched`` /
-            ``store_rebuild_rows_avoided`` counters record the conversion
-            work saved.
     """
 
     def __init__(
@@ -147,7 +132,6 @@ class AllocationEngine:
         n_jobs: int = 1,
         parallel_threshold: Optional[int] = None,
         use_columnar: Optional[bool] = None,
-        use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         self.instance = instance
@@ -157,14 +141,8 @@ class AllocationEngine:
         self._columnar_code: Optional[str] = (
             columnar_code if enabled and columnar_code in COLUMNAR_CODES else None
         )
-        store_enabled = default_store() if use_store is None else use_store
-        self._store: Optional[ColumnStore] = (
-            ColumnStore()
-            if store_enabled and self._columnar_code is not None
-            else None
-        )
-        # Legacy rebuild path: cache the sorted interning table across
-        # batches, re-sorting only when the skill universe grows.
+        # Cache the sorted interning table across batches, re-sorting only
+        # when the skill universe grows.
         self._interning = InterningCache()
         self.n_jobs = resolve_jobs(n_jobs)
         self.parallel_threshold = (
@@ -271,7 +249,7 @@ class AllocationEngine:
         return self.counters.as_dict()
 
     def aux_stats(self) -> Dict[str, float]:
-        """The mode-dependent auxiliary telemetry (columnar/store counters)."""
+        """The mode-dependent auxiliary telemetry (columnar counters)."""
         return self.counters.aux_dict()
 
     @property
@@ -281,8 +259,8 @@ class AllocationEngine:
 
     @property
     def store_active(self) -> bool:
-        """Whether kernel batches are served by the persistent column store."""
-        return self._store is not None
+        # Always False: the column store is gone; perfbench's path stamp reads it.
+        return False
 
     @property
     def num_workers(self) -> int:
@@ -295,9 +273,6 @@ class AllocationEngine:
     # -- build / update ----------------------------------------------------------
 
     def _reset(self) -> None:
-        # The column store deliberately survives a reset: its records are
-        # diffed on every sync, so stale rows cost a dict probe and rows
-        # for still-identical entities keep their conversion savings.
         self._workers.clear()
         self._tasks.clear()
         self._tasks_of.clear()
@@ -308,21 +283,12 @@ class AllocationEngine:
     def _make_batch(self, workers: Sequence[Worker], tasks: Sequence[Task]) -> ColumnarBatch:
         """Kernel-ready columnar snapshot of the given populations.
 
-        Without the store this is a per-batch rebuild (with the engine's
-        cached interning table, so the skill universe is only re-sorted
-        when it grows); with it, unchanged rows are served straight from
-        the persistent arena and only the delta is re-packed.
+        A per-batch rebuild with the engine's cached interning table, so
+        the skill universe is only re-sorted when it grows.
         """
-        if self._store is None:
-            return ColumnarBatch(
-                workers, tasks, table=self._interning.table_for(workers, tasks)
-            )
-        touched = self._store.sync(workers, tasks)
-        self.counters.store_rows_touched += touched
-        self.counters.store_rebuild_rows_avoided += (
-            len(workers) + len(tasks) - touched
+        return ColumnarBatch(
+            workers, tasks, table=self._interning.table_for(workers, tasks)
         )
-        return self._store.view(workers, tasks)
 
     def _full_build(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
@@ -452,8 +418,6 @@ class AllocationEngine:
 
     def _remove_task(self, task_id: int) -> None:
         del self._tasks[task_id]
-        if self._store is not None:
-            self._store.remove_task(task_id)
         if self._index is not None and task_id in self._index:
             self._index.remove(task_id)
         for worker_id in self._workers_of.pop(task_id):
@@ -461,10 +425,6 @@ class AllocationEngine:
 
     def _remove_worker(self, worker_id: int) -> None:
         del self._workers[worker_id]
-        if self._store is not None:
-            # Departure or refresh either way: a refreshed record re-packs
-            # on the next sync, which is exactly the dirty-row accounting.
-            self._store.remove_worker(worker_id)
         for task_id in self._tasks_of.pop(worker_id):
             self._workers_of[task_id].discard(worker_id)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, List, Union
 
 from repro.core.assignment import Assignment
 from repro.core.instance import ProblemInstance
@@ -57,43 +57,72 @@ def instance_to_dict(instance: ProblemInstance) -> Dict[str, Any]:
     }
 
 
+def _worker_from_dict(entry: Dict[str, Any]) -> Worker:
+    return Worker(
+        id=entry["id"],
+        location=tuple(entry["location"]),
+        start=entry["start"],
+        wait=entry["wait"],
+        velocity=entry["velocity"],
+        max_distance=entry["max_distance"],
+        skills=frozenset(entry["skills"]),
+    )
+
+
+def _task_from_dict(entry: Dict[str, Any]) -> Task:
+    return Task(
+        id=entry["id"],
+        location=tuple(entry["location"]),
+        start=entry["start"],
+        wait=entry["wait"],
+        skill=entry["skill"],
+        dependencies=frozenset(entry["dependencies"]),
+        duration=entry.get("duration", 0.0),
+    )
+
+
+def _missing_key(where: str, exc: KeyError) -> ValueError:
+    return ValueError(f"{where}: missing required key {exc.args[0]!r}")
+
+
+def _decode_entries(
+    kind: str, decode: Callable[[Dict[str, Any]], Any], entries: List[Dict[str, Any]]
+) -> List[Any]:
+    decoded = []
+    for index, entry in enumerate(entries):
+        try:
+            decoded.append(decode(entry))
+        except KeyError as exc:
+            raise _missing_key(f"{kind}[{index}]", exc) from None
+    return decoded
+
+
 def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
-    """Decode an instance; raises ValueError on schema mismatch."""
+    """Decode an instance.
+
+    Raises ValueError on a schema mismatch (a missing key names the entity
+    index) and :class:`~repro.core.exceptions.DascError` when the task
+    dependencies reference unknown tasks or form a cycle.
+    """
     version = data.get("format")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported instance format {version!r}")
-    skills = SkillUniverse(size=data["skills"]["size"], names=data["skills"]["names"])
-    workers = [
-        Worker(
-            id=entry["id"],
-            location=tuple(entry["location"]),
-            start=entry["start"],
-            wait=entry["wait"],
-            velocity=entry["velocity"],
-            max_distance=entry["max_distance"],
-            skills=frozenset(entry["skills"]),
-        )
-        for entry in data["workers"]
-    ]
-    tasks = [
-        Task(
-            id=entry["id"],
-            location=tuple(entry["location"]),
-            start=entry["start"],
-            wait=entry["wait"],
-            skill=entry["skill"],
-            dependencies=frozenset(entry["dependencies"]),
-            duration=entry.get("duration", 0.0),
-        )
-        for entry in data["tasks"]
-    ]
-    return ProblemInstance(
-        workers=workers,
-        tasks=tasks,
+    try:
+        skills = SkillUniverse(size=data["skills"]["size"], names=data["skills"]["names"])
+        worker_entries, task_entries = data["workers"], data["tasks"]
+    except KeyError as exc:
+        raise _missing_key("instance", exc) from None
+    instance = ProblemInstance(
+        workers=_decode_entries("workers", _worker_from_dict, worker_entries),
+        tasks=_decode_entries("tasks", _task_from_dict, task_entries),
         skills=skills,
         metric=get_metric(data.get("metric", "euclidean")),
         name=data.get("name", "instance"),
     )
+    # Build (and cache) the DAG now, so a cycle fails the load rather than
+    # the first allocator or lint pass that reads the graph.
+    instance.dependency_graph
+    return instance
 
 
 def save_instance(instance: ProblemInstance, path: PathLike) -> None:

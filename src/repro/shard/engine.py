@@ -393,10 +393,8 @@ class ShardedEngine:
             per-shard allocators + border reconcile; quality measured, not
             pinned).  See the module docstring.
         use_index / cache_maxsize / n_jobs / parallel_threshold /
-        use_columnar / use_store: forwarded to every shard engine
-            (``n_jobs`` also drives the phase-1 fan-out in partitioned
-            mode; ``use_store`` gives each shard its own persistent
-            column store over its slice of the populations).
+        use_columnar: forwarded to every shard engine (``n_jobs`` also
+            drives the phase-1 fan-out in partitioned mode).
         tracer / registry / journal: observability hooks.  The registry
             receives the coordinator's counters and shard gauges; each
             shard engine keeps its own private registry (per-shard detail
@@ -417,7 +415,6 @@ class ShardedEngine:
         n_jobs: int = 1,
         parallel_threshold: Optional[int] = None,
         use_columnar: Optional[bool] = None,
-        use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         if n_shards < 2:
@@ -446,7 +443,6 @@ class ShardedEngine:
                 n_jobs=n_jobs,
                 parallel_threshold=parallel_threshold,
                 use_columnar=use_columnar,
-                use_store=use_store,
                 journal=self.journal,
             )
             for sid in range(n_shards)
@@ -640,8 +636,8 @@ class ShardedEngine:
 
     @property
     def store_active(self) -> bool:
-        """Whether any shard serves kernel batches from a persistent store."""
-        return any(e.store_active for e in self.engines)
+        # Always False: the column store is gone; perfbench's path stamp reads it.
+        return False
 
     def __repr__(self) -> str:
         return (

@@ -86,12 +86,6 @@ class Platform:
             follows the process default
             (:func:`repro.columnar.default_columnar`); reports and
             ``engine_stats`` are bit-identical either way.
-        use_store: serve the engine's columnar snapshots from a persistent
-            delta-maintained :class:`~repro.columnar.store.ColumnStore`
-            instead of rebuilding them every batch (pays off at scale;
-            requires the columnar path).  None follows the process default
-            (:func:`repro.columnar.default_store`, off by default);
-            reports and ``engine_stats`` are bit-identical either way.
         journal: structured event journal (the allocation flight recorder)
             receiving the run/batch lifecycle, worker arrivals/departures,
             task submissions/expiries, reason-coded feasibility rejections
@@ -127,7 +121,6 @@ class Platform:
         n_jobs: int = 1,
         parallel_threshold: Optional[int] = None,
         use_columnar: Optional[bool] = None,
-        use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
         shards: int = 1,
         shard_scheme: str = "grid",
@@ -157,7 +150,6 @@ class Platform:
         self.n_jobs = n_jobs
         self.parallel_threshold = parallel_threshold
         self.use_columnar = use_columnar
-        self.use_store = use_store
         self.journal = journal
         self.shards = shards
         self.shard_scheme = shard_scheme
@@ -227,7 +219,6 @@ class Platform:
                     n_jobs=self.n_jobs,
                     parallel_threshold=self.parallel_threshold,
                     use_columnar=self.use_columnar,
-                    use_store=self.use_store,
                     journal=journal,
                 )
             else:
@@ -238,7 +229,6 @@ class Platform:
                     n_jobs=self.n_jobs,
                     parallel_threshold=self.parallel_threshold,
                     use_columnar=self.use_columnar,
-                    use_store=self.use_store,
                     journal=journal,
                 )
         if engine is not None:

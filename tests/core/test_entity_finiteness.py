@@ -1,4 +1,4 @@
-"""Workers and tasks reject NaN and non-finite coordinates at construction.
+"""Workers and tasks reject NaN, non-finite and non-planar coordinates at construction.
 
 Every ordered comparison with NaN is False, so a NaN field would otherwise
 slip past the ``< 0`` checks and silently read as "infeasible" downstream.
@@ -41,6 +41,8 @@ def _task(**overrides):
         ({"wait": NAN}, "waiting time"),
         ({"velocity": NAN}, "velocity"),
         ({"max_distance": NAN}, "max moving distance"),
+        ({"location": (0, 0, 7)}, "location"),
+        ({"location": (3,)}, "location"),
     ],
 )
 def test_worker_rejects_non_finite(overrides, field):
@@ -59,6 +61,8 @@ def test_worker_rejects_non_finite(overrides, field):
         ({"start": -INF}, "start"),
         ({"wait": NAN}, "waiting time"),
         ({"duration": NAN}, "duration"),
+        ({"location": (0, 0, 7)}, "location"),
+        ({"location": (3,)}, "location"),
     ],
 )
 def test_task_rejects_non_finite(overrides, field):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.assignment import Assignment
+from repro.core.dependency import CyclicDependencyError
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.io.serialize import (
     assignment_from_dict,
@@ -56,6 +57,32 @@ class TestInstanceRoundTrip:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError, match="unsupported instance format"):
             instance_from_dict({"format": 99})
+
+    def test_dependency_cycle_rejected_at_load(self, example1):
+        data = instance_to_dict(example1)
+        first, second = data["tasks"][0], data["tasks"][1]
+        first["dependencies"] = [second["id"]]
+        second["dependencies"] = [first["id"]]
+        with pytest.raises(CyclicDependencyError, match="dependency cycle"):
+            instance_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "kind, index, key",
+        [("workers", 1, "skills"), ("tasks", 2, "location"), ("tasks", 0, "id")],
+    )
+    def test_missing_entity_key_names_key_and_index(self, example1, kind, index, key):
+        data = instance_to_dict(example1)
+        del data[kind][index][key]
+        with pytest.raises(
+            ValueError, match=rf"^{kind}\[{index}\]: missing required key '{key}'$"
+        ):
+            instance_from_dict(data)
+
+    def test_missing_top_level_key(self, example1):
+        data = instance_to_dict(example1)
+        del data["skills"]
+        with pytest.raises(ValueError, match="^instance: missing required key 'skills'$"):
+            instance_from_dict(data)
 
     def test_duration_default(self, example1):
         data = instance_to_dict(example1)

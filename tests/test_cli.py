@@ -157,66 +157,48 @@ class TestColumnarFlags:
             set_default_columnar(initial)
 
 
-class TestStoreFlags:
-    def _solve(self, tmp_path, *flags):
+class TestLoadErrors:
+    """Unloadable inputs print one ``error: <path>: <message>`` line, exit 2."""
+
+    def _instance(self, tmp_path, capsys, edit):
         path = tmp_path / "inst.json"
         main(["generate", "synthetic", "--out", str(path),
-              "--workers", "10", "--tasks", "12", "--seed", "3"])
-        return main(["solve", str(path), "--approach", "Greedy", *flags])
+              "--workers", "4", "--tasks", "3", "--seed", "3"])
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        return path
 
-    def test_flags_toggle_the_process_default(self, tmp_path):
-        from repro.columnar import default_store, set_default_store
+    @staticmethod
+    def _cycle(data):
+        first, second = data["tasks"][0], data["tasks"][1]
+        first["dependencies"] = [second["id"]]
+        second["dependencies"] = [first["id"]]
 
-        initial = default_store()
-        try:
-            assert self._solve(tmp_path, "--store") == 0
-            assert default_store() is True
-            assert self._solve(tmp_path, "--no-store") == 0
-            assert default_store() is False
-        finally:
-            set_default_store(initial)
+    @pytest.mark.parametrize("command", ["lint", "solve"])
+    def test_dependency_cycle(self, tmp_path, capsys, command):
+        path = self._instance(tmp_path, capsys, self._cycle)
+        assert main([command, str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {path}: dependency cycle detected: ")
+        assert out.count("\n") == 1
 
-    def test_no_flag_leaves_default_alone(self, tmp_path):
-        from repro.columnar import default_store, set_default_store
+    @pytest.mark.parametrize("command", ["lint", "solve"])
+    def test_missing_key(self, tmp_path, capsys, command):
+        path = self._instance(
+            tmp_path, capsys, lambda data: data["workers"][2].pop("skills")
+        )
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().out == (
+            f"error: {path}: workers[2]: missing required key 'skills'\n"
+        )
 
-        initial = default_store()
-        previous = set_default_store(True)
-        try:
-            assert self._solve(tmp_path) == 0
-            assert default_store() is True
-        finally:
-            set_default_store(previous)
-        assert default_store() == initial
-
-    def test_store_and_rebuild_reports_match(self, tmp_path, capsys):
-        import re
-
-        from repro.columnar import default_store, set_default_store
-
-        def _strip_timing(text):
-            return re.sub(r"in \d+(\.\d+)? ms", "in _ ms", text)
-
-        initial = default_store()
-        try:
-            assert self._solve(tmp_path, "--store") == 0
-            stored = capsys.readouterr().out
-            assert self._solve(tmp_path, "--no-store") == 0
-            rebuilt = capsys.readouterr().out
-            assert _strip_timing(stored) == _strip_timing(rebuilt)
-        finally:
-            set_default_store(initial)
-
-    def test_run_accepts_store_flags(self, tmp_path):
-        from repro.columnar import default_store, set_default_store
-
-        initial = default_store()
-        out_file = tmp_path / "t.txt"
-        try:
-            assert main(["run", "table6", "--scale", "0.3", "--seed", "3",
-                         "--store", "--out", str(out_file)]) == 0
-            assert default_store() is True
-        finally:
-            set_default_store(initial)
+    def test_explain_malformed_events(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        path.write_text("{not json\n")
+        assert main(["explain", str(path)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {path}: ")
 
 
 class TestFlightRecorder:
