@@ -1,15 +1,18 @@
 """Columnar feasibility core: wall-clock and per-pair counter benchmarks.
 
-Runs the feasibility-dominated platform workload with the columnar kernels
-on and off, asserts the two runs are bit-identical (the exactness contract
-of :mod:`repro.columnar`), records both measurements into
-``BENCH_engine.json`` and pins the headline win: the columnar path performs
-at least ``MIN_PAIR_RATIO`` times fewer interpreter-level per-pair
-feasibility evaluations.  ``check_perf_gate.py`` reruns the identical
-workload as a CI gate.
+Runs the feasibility-dominated platform workload on the columnar path and,
+for the "off" side, on the same instance under :class:`ScalarEuclidean` (a
+Euclidean metric with no kernel code, so every build stays scalar).  It
+asserts the two runs are bit-identical (the exactness contract of
+:mod:`repro.columnar`), records both measurements into ``BENCH_engine.json``
+and pins the headline win: the columnar path performs at least
+``MIN_PAIR_RATIO`` times fewer interpreter-level per-pair feasibility
+evaluations.  ``check_perf_gate.py`` reruns the identical workload as a CI
+gate.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +20,7 @@ from bench_micro_substrates import make_feasibility_instance
 from repro.algorithms.baselines import ClosestBaseline
 from repro.columnar import numpy_available
 from repro.simulation.platform import Platform
+from repro.spatial.distance import EuclideanDistance
 
 #: Interpreter-level per-pair evaluation ratio the columnar path must beat.
 MIN_PAIR_RATIO = 5.0
@@ -28,7 +32,6 @@ COLUMNAR_CONFIG = {
     "instance": "synthetic seed=3 scale=0.12 waiting_time=25-35",
     "allocator": "Closest",
     "batch_interval": 50.0,
-    "n_jobs": 1,
 }
 
 AUX = ("columnar_full_builds", "columnar_pairs", "scalar_pair_evals")
@@ -39,13 +42,23 @@ def columnar_instance():
     return make_feasibility_instance()
 
 
+class ScalarEuclidean(EuclideanDistance):
+    """Euclidean distance that never selects the columnar kernels."""
+
+    columnar_code = None
+
+
 def run_columnar_workload(instance, use_columnar):
-    """One measured platform run; returns (report, aux counters, wall_ms)."""
+    """One measured platform run; returns (report, aux counters, wall_ms).
+
+    ``use_columnar=False`` runs the instance under :class:`ScalarEuclidean`.
+    """
+    if not use_columnar:
+        instance = replace(instance, metric=ScalarEuclidean())
     platform = Platform(
         instance,
         ClosestBaseline(),
         batch_interval=COLUMNAR_CONFIG["batch_interval"],
-        use_columnar=use_columnar,
     )
     started = time.perf_counter()
     report = platform.run()

@@ -103,18 +103,12 @@ def test_micro_game_single_batch(benchmark, batch_instance):
     )
 
 
-def _platform_report(instance, use_engine, batch_interval=1.0, n_jobs=1):
-    return Platform(
-        instance,
-        ClosestBaseline(),
-        batch_interval=batch_interval,
-        use_engine=use_engine,
-        n_jobs=n_jobs,
-    ).run()
+def _platform_report(instance, batch_interval=1.0):
+    return Platform(instance, ClosestBaseline(), batch_interval=batch_interval).run()
 
 
-def _platform_run(instance, use_engine, batch_interval=1.0):
-    return _platform_report(instance, use_engine, batch_interval).total_score
+def _platform_run(instance, batch_interval=1.0):
+    return _platform_report(instance, batch_interval).total_score
 
 
 #: Knobs behind ``feasibility_dominated_instance``, recorded verbatim into
@@ -123,21 +117,15 @@ _FEASIBILITY_CONFIG = {
     "instance": "synthetic seed=3 scale=0.12 waiting_time=25-35",
     "allocator": "Closest",
     "batch_interval": 1.0,
-    "n_jobs": 1,
 }
 
 
-def _record_platform_entry(record_bench_json, instance, use_engine, name, n_jobs=1):
+def _record_platform_entry(record_bench_json, instance, name):
     """One extra measured run feeding the machine-readable perf trajectory."""
     started = time.perf_counter()
-    report = _platform_report(instance, use_engine, n_jobs=n_jobs)
+    report = _platform_report(instance)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    record_bench_json(
-        name,
-        dict(_FEASIBILITY_CONFIG, use_engine=use_engine, n_jobs=n_jobs),
-        wall_ms,
-        report.engine_stats,
-    )
+    record_bench_json(name, _FEASIBILITY_CONFIG, wall_ms, report.engine_stats)
 
 
 def test_micro_platform_engine(
@@ -146,23 +134,9 @@ def test_micro_platform_engine(
     """Multi-batch simulation on the engine path (incremental feasibility +
     distance cache).  Feasibility-dominated: a cheap allocator over a small
     batch interval, so per-batch graph construction is the bottleneck."""
-    benchmark(_platform_run, feasibility_dominated_instance, True)
+    benchmark(_platform_run, feasibility_dominated_instance)
     _record_platform_entry(
-        record_bench_json, feasibility_dominated_instance, True,
-        "micro_platform_engine",
-    )
-
-
-def test_micro_platform_legacy(
-    benchmark, feasibility_dominated_instance, record_bench_json
-):
-    """The same simulation on the legacy fresh-rebuild-per-batch path.
-    Compare against ``test_micro_platform_engine``: the engine path is the
-    same run bit for bit, just faster."""
-    benchmark(_platform_run, feasibility_dominated_instance, False)
-    _record_platform_entry(
-        record_bench_json, feasibility_dominated_instance, False,
-        "micro_platform_legacy",
+        record_bench_json, feasibility_dominated_instance, "micro_platform_engine"
     )
 
 

@@ -21,8 +21,6 @@ Three pinned claims, all counter arithmetic (deterministic on 1-CPU hosts):
   re-offers tasks the single-pass unsharded allocator abandons after a
   dependency prune frees their worker.)
 
-The shared-memory column handoff's pipe savings for this workload's
-batch-0 pair block are recorded alongside (``handoff_bytes_saved``).
 ``check_perf_gate.py`` reruns the identical workloads as a CI gate.
 """
 
@@ -131,19 +129,6 @@ def per_shard_settled(platform):
     return [settled_work(shard.stats()) for shard in platform.last_engine.engines]
 
 
-def measure_handoff_savings(instance, n_chunks=N_SHARDS):
-    """Pipe bytes the shm handoff saves for this workload's batch-0 block."""
-    from repro.columnar.batch import pack_pair_columns
-    from repro.parallel.shm import handoff_bytes_saved, shm_available
-
-    if not shm_available():  # pragma: no cover - POSIX-only fallback
-        return 0
-    pairs = [
-        (w.location, t.location) for w in instance.workers for t in instance.tasks
-    ]
-    return handoff_bytes_saved(pack_pair_columns(pairs), n_chunks)
-
-
 def _assert_reports_identical(sharded, unsharded):
     # Allocation outputs must match exactly; engine counters differ by
     # design (shards skip cross-cluster arrival work — the measurement).
@@ -178,7 +163,6 @@ def test_bench_shard_settled_ratio(benchmark, shard_instance, record_bench_json)
     shard_loads = per_shard_settled(platform)
     flat_settled = settled_work(flat_report.engine_stats)
     ratio = flat_settled / max(max(shard_loads), 1)
-    saved = measure_handoff_savings(shard_instance)
 
     record_bench_json(
         "shard_platform_exact",
@@ -188,7 +172,6 @@ def test_bench_shard_settled_ratio(benchmark, shard_instance, record_bench_json)
             sharded_report.engine_stats,
             densest_shard_settled=max(shard_loads),
             settled_ratio=round(ratio, 3),
-            handoff_bytes_saved=saved,
         ),
     )
     record_bench_json(
@@ -198,7 +181,6 @@ def test_bench_shard_settled_ratio(benchmark, shard_instance, record_bench_json)
         dict(flat_report.engine_stats, total_settled=flat_settled),
     )
 
-    assert saved > 0, "shm handoff should beat pickled columns on this block"
     assert ratio >= MIN_SETTLED_RATIO, (
         f"settled-work ratio {ratio:.2f} < {MIN_SETTLED_RATIO} "
         f"(unsharded={flat_settled:.0f}, densest shard={max(shard_loads):.0f})"

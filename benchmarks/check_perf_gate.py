@@ -27,7 +27,8 @@ Two checks, one exit code:
    the dirty-set scheduler or the value cache fails CI regardless of
    machine speed or load.
 4. **Columnar pair-ratio gate** — runs the ``bench_columnar`` platform
-   workload with the columnar kernels on and off, asserts the two reports
+   workload on the columnar path and, for the "off" side, under a
+   Euclidean metric with no kernel code; asserts the two reports
    are bit-identical (exactness precondition) and requires the scalar path
    to perform at least 5x more interpreter-level per-pair feasibility
    evaluations (``scalar_pair_evals`` counter) than the columnar path.
@@ -372,7 +373,6 @@ def check_events_disabled_overhead(
             instance,
             ClosestBaseline(),
             batch_interval=1.0,
-            use_engine=True,
             journal=journal,
         ).run()
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -397,7 +397,7 @@ def check_events_disabled_overhead(
 
     record_bench_entry(
         EVENTS_ENTRY,
-        dict(_FEASIBILITY_CONFIG, use_engine=True, journal="disabled"),
+        dict(_FEASIBILITY_CONFIG, journal="disabled"),
         best_ms,
         {"events_recorded": 0.0},
     )
@@ -468,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     report = None
     for round_index in range(max(1, args.rounds)):
         started = time.perf_counter()
-        report = _platform_report(instance, use_engine=True)
+        report = _platform_report(instance)
         wall_ms = (time.perf_counter() - started) * 1000.0
         print(f"round {round_index + 1}: {wall_ms:.1f} ms")
         if wall_ms < best_ms:
@@ -476,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
             counters = report.engine_stats
 
     record_bench_entry(
-        ENTRY, dict(_FEASIBILITY_CONFIG, use_engine=True), best_ms, counters
+        ENTRY, _FEASIBILITY_CONFIG, best_ms, counters
     )
     roadnet_ok = check_roadnet_settled_ratio(args.min_settled_ratio)
     game_ok = check_game_eval_ratio(args.min_eval_ratio)

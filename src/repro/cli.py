@@ -51,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sweep grid (1 = serial, -1 = all "
         "CPUs); results are bit-identical to serial",
     )
-    _add_roadnet_arguments(run)
-    _add_columnar_arguments(run)
     _add_obs_arguments(run)
     _add_events_arguments(run)
 
@@ -71,10 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="allocate an instance JSON")
     solve.add_argument("instance")
-    solve.add_argument("--approach", default="Greedy", help=f"one of {APPROACH_NAMES + ['DFS']}")
+    # argparse %-formats help strings; "Game-5%" needs its percent escaped.
+    approaches = ", ".join(APPROACH_NAMES + ["DFS"]).replace("%", "%%")
+    solve.add_argument("--approach", default="Greedy", help=f"one of {approaches}")
     solve.add_argument("--seed", type=int, default=7)
     solve.add_argument("--batch-interval", type=float, default=None, help="run the dynamic platform with this interval instead of a single batch")
-    solve.add_argument("--no-engine", action="store_true", help="disable the shared allocation engine (fresh feasibility rebuild per batch)")
     solve.add_argument(
         "--naive-game",
         action="store_true",
@@ -88,16 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the engine's chunked feasibility kernel "
-        "(platform runs only; 1 = serial, -1 = all CPUs)",
-    )
-    solve.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=None,
-        metavar="PAIRS",
-        help="minimum uncached pair count before a full build fans out "
-        "(default: engine heuristic; 0 forces the parallel kernel)",
+        help="worker processes for the per-shard solves of a "
+        "--shard-mode partitioned run (1 = serial, -1 = all CPUs)",
     )
     solve.add_argument(
         "--replay-check",
@@ -106,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "report and assert bit-identity (implies event recording)",
     )
     _add_shard_arguments(solve)
-    _add_roadnet_arguments(solve)
-    _add_columnar_arguments(solve)
     _add_obs_arguments(solve)
     _add_events_arguments(solve)
 
@@ -178,57 +167,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         "(bit-identical reports); 'partitioned' runs the allocator per "
         "shard and reconciles border workers (default: exact)",
     )
-
-
-def _add_roadnet_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--roadnet-accel",
-        dest="roadnet_accel",
-        action="store_true",
-        default=None,
-        help="force contraction-hierarchy acceleration for road-network "
-        "metrics (bit-identical distances, fewer settled nodes)",
-    )
-    parser.add_argument(
-        "--no-roadnet-accel",
-        dest="roadnet_accel",
-        action="store_false",
-        help="force plain Dijkstra for road-network metrics (bit-identical "
-        "distances — for measuring the hierarchy's savings)",
-    )
-
-
-def _apply_roadnet_acceleration(args: argparse.Namespace) -> None:
-    if getattr(args, "roadnet_accel", None) is not None:
-        from repro.spatial.roadnet import set_default_acceleration
-
-        set_default_acceleration(args.roadnet_accel)
-
-
-def _add_columnar_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--columnar",
-        dest="columnar",
-        action="store_true",
-        default=None,
-        help="force the vectorised columnar feasibility kernels for planar "
-        "metrics (bit-identical reports and engine stats; uses the "
-        "pure-python backend when numpy is absent)",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        dest="columnar",
-        action="store_false",
-        help="force the scalar per-pair feasibility path (bit-identical — "
-        "for measuring the columnar kernels' savings)",
-    )
-
-
-def _apply_columnar(args: argparse.Namespace) -> None:
-    if getattr(args, "columnar", None) is not None:
-        from repro.columnar import set_default_columnar
-
-        set_default_columnar(args.columnar)
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -315,8 +253,6 @@ def _obs_report(args: argparse.Namespace, tracer, *registries, journal=None) -> 
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_roadnet_acceleration(args)
-    _apply_columnar(args)
     kwargs = {"seed": args.seed, "n_jobs": args.jobs}
     if args.scale is not None:
         kwargs["scale"] = args.scale
@@ -394,9 +330,11 @@ def _load_or_report(load: Callable[[str], T], path: str) -> Optional[T]:
     """``load(path)``, or None after printing why the file cannot be used."""
     try:
         return load(path)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}")
     except (DascError, ValueError) as exc:
         print(f"error: {path}: {exc}")
-        return None
+    return None
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -422,8 +360,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    _apply_roadnet_acceleration(args)
-    _apply_columnar(args)
     instance = _load_or_report(load_instance, args.instance)
     if instance is None:
         return 2
@@ -436,18 +372,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.shards > 1 and not args.batch_interval:
         print("error: --shards needs a platform run (--batch-interval)")
         return 2
-    if args.shards > 1 and args.no_engine:
-        print("error: --shards needs the engine path (drop --no-engine)")
-        return 2
     if args.batch_interval:
         platform = Platform(
             instance,
             allocator,
             batch_interval=args.batch_interval,
-            use_engine=not args.no_engine,
             tracer=tracer,
             n_jobs=args.jobs,
-            parallel_threshold=args.parallel_threshold,
             journal=journal,
             shards=args.shards,
             shard_scheme=args.shard_scheme,
@@ -463,12 +394,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             validate_replay(events_records(journal), report)
             print(f"replay check: OK ({len(journal)} events reproduce the report)")
         if args.engine_stats:
-            if report.engine_stats:
-                print("engine counters:")
-                for key, value in sorted(report.engine_stats.items()):
-                    print(f"  {key}: {value:.0f}")
-            else:
-                print("engine counters: none (engine disabled)")
+            print("engine counters:")
+            for key, value in sorted(report.engine_stats.items()):
+                print(f"  {key}: {value:.0f}")
     else:
         if args.replay_check:
             print("error: --replay-check needs a platform run (--batch-interval)")
@@ -558,7 +486,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.explain import run_report_html, run_report_text
     from repro.obs import read_jsonl, validate_events_records
 
-    events = read_jsonl(args.events)
+    events = _load_or_report(read_jsonl, args.events)
+    if events is None:
+        return 2
     try:
         validate_events_records(events)
     except ValueError as exc:

@@ -9,9 +9,9 @@ and distances are bit-identical to the scalar
 :func:`repro.core.constraints.pair_feasible` oracle on both backends; see
 :mod:`repro.columnar.kernels` for the exactness contract.
 
-The process-wide toggle (:func:`set_default_columnar`, surfaced as the CLI
-``--columnar/--no-columnar`` flags) defaults to *auto*: on exactly when
-numpy is importable.
+Feasibility builds take the kernels exactly when numpy is importable and
+the metric advertises a kernel code (:func:`columnar_code_for`); there is
+no switch.
 
 :class:`InterningCache` lets a long-lived caller (the engine) rebuild each
 batch's snapshot without re-sorting the skill universe until it grows.
@@ -22,7 +22,6 @@ from repro.columnar.batch import (
     InterningCache,
     flatten_rows,
     intern_skills,
-    pack_pair_columns,
 )
 from repro.columnar.kernels import (
     CODES,
@@ -32,16 +31,14 @@ from repro.columnar.kernels import (
     REASON_REACH,
     REASON_SKILL,
     available_backends,
-    default_columnar,
+    columnar_code_for,
     dense_pair_columns,
     feasible_dense,
     feasible_pairs,
     numpy_available,
-    pair_distances,
     rejection_reasons,
     rejection_reasons_dense,
     resolve_backend,
-    set_default_columnar,
     skill_candidates,
     skill_candidates_dense,
     true_positions,
@@ -57,19 +54,16 @@ __all__ = [
     "REASON_REACH",
     "REASON_SKILL",
     "available_backends",
-    "default_columnar",
+    "columnar_code_for",
     "dense_pair_columns",
     "feasible_dense",
     "feasible_pairs",
     "flatten_rows",
     "intern_skills",
     "numpy_available",
-    "pack_pair_columns",
-    "pair_distances",
     "rejection_reasons",
     "rejection_reasons_dense",
     "resolve_backend",
-    "set_default_columnar",
     "skill_candidates",
     "skill_candidates_dense",
     "true_positions",

@@ -203,27 +203,6 @@ class ColumnarBatch:
         )
 
 
-def pack_pair_columns(
-    pairs: Sequence[Tuple[Tuple[float, float], Tuple[float, float]]],
-) -> Tuple[array, array, array, array]:
-    """Point pairs -> four ``array('d')`` coordinate columns.
-
-    The transport format :func:`repro.parallel.feasibility.evaluate_pairs`
-    ships to fork workers for planar metrics: four contiguous double
-    buffers pickle far smaller (and faster) than a list of nested tuples.
-    """
-    ax = array("d", bytes(8 * len(pairs)))
-    ay = array("d", bytes(8 * len(pairs)))
-    bx = array("d", bytes(8 * len(pairs)))
-    by = array("d", bytes(8 * len(pairs)))
-    for index, (a, b) in enumerate(pairs):
-        ax[index] = a[0]
-        ay[index] = a[1]
-        bx[index] = b[0]
-        by[index] = b[1]
-    return ax, ay, bx, by
-
-
 def flatten_rows(
     rows: Sequence[Tuple[int, Sequence[int]]],
 ) -> Tuple[List[int], List[int]]:

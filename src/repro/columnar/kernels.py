@@ -70,29 +70,25 @@ _KERNEL_CALLS = REGISTRY.counter(
     "columnar_kernel_calls", "columnar kernel invocations (tiles evaluated)"
 )
 
-#: Process-default columnar toggle: True / False, or None for *auto*
-#: (enabled exactly when numpy is importable — the fallback backend is
-#: decision-identical but has no speed advantage over the scalar path).
-_DEFAULT_COLUMNAR: Optional[bool] = None
+def columnar_code_for(metric: object) -> Optional[str]:
+    """The kernel code feasibility over ``metric`` runs under, or None.
 
+    Feasibility builds (the engine, each shard engine and a standalone
+    :class:`~repro.core.constraints.FeasibilityChecker`) take the columnar
+    kernels exactly when numpy is importable and the metric advertises a
+    :attr:`~repro.spatial.distance.DistanceMetric.columnar_code` in
+    :data:`CODES`; otherwise they keep the scalar per-pair path.  A
+    :class:`~repro.spatial.cache.CachedMetric` advertises no code, so a
+    wrapped metric always stays scalar.
 
-def set_default_columnar(enabled: Optional[bool]) -> Optional[bool]:
-    """Set the process-wide columnar default; returns the previous value.
-
-    ``None`` restores *auto* (on when numpy is available).  Mirrors
-    :func:`repro.spatial.roadnet.set_default_acceleration`.
+    Why numpy is part of the rule: on a numpy-less host
+    (``tests/stubs/nonumpy``, seed 7, identical reports and
+    ``engine_stats``) forcing the pure-python kernels on made
+    ``synth_default`` slower — ``run_s`` 1.44/1.93 s against 1.89/2.78 s —
+    and left ``meetup_six`` flat, so without numpy the scalar path wins.
     """
-    global _DEFAULT_COLUMNAR
-    previous = _DEFAULT_COLUMNAR
-    _DEFAULT_COLUMNAR = enabled
-    return previous
-
-
-def default_columnar() -> bool:
-    """The resolved process default (auto -> numpy availability)."""
-    if _DEFAULT_COLUMNAR is None:
-        return _np is not None
-    return _DEFAULT_COLUMNAR
+    code = getattr(metric, "columnar_code", None)
+    return code if numpy_available() and code in CODES else None
 
 
 def numpy_available() -> bool:
@@ -112,55 +108,6 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     if backend == "numpy" and _np is None:
         raise RuntimeError("numpy backend requested but numpy is not importable")
     return backend
-
-
-# -- distance columns --------------------------------------------------------------
-
-
-def pair_distances(
-    code: str,
-    ax: Sequence[float],
-    ay: Sequence[float],
-    bx: Sequence[float],
-    by: Sequence[float],
-    backend: Optional[str] = None,
-) -> array:
-    """Metric distances over four parallel coordinate columns.
-
-    Returns an ``array('d')`` whose entries are bitwise-equal to the scalar
-    metric (``math.hypot`` / ``abs``-sum) applied pairwise — on either
-    backend.
-    """
-    if code not in CODES:
-        raise ValueError(f"unknown columnar metric code {code!r}")
-    if resolve_backend(backend) == "numpy" and len(ax) > 0:
-        a_x = _np.frombuffer(ax, dtype=_np.float64) if isinstance(ax, array) else _np.asarray(ax, dtype=_np.float64)
-        a_y = _np.frombuffer(ay, dtype=_np.float64) if isinstance(ay, array) else _np.asarray(ay, dtype=_np.float64)
-        b_x = _np.frombuffer(bx, dtype=_np.float64) if isinstance(bx, array) else _np.asarray(bx, dtype=_np.float64)
-        b_y = _np.frombuffer(by, dtype=_np.float64) if isinstance(by, array) else _np.asarray(by, dtype=_np.float64)
-        dx = a_x - b_x
-        dy = a_y - b_y
-        if code == "manhattan":
-            return array("d", (_np.abs(dx) + _np.abs(dy)).tolist())
-        # Euclidean: deltas vectorise; the hypot itself must match
-        # math.hypot bit-for-bit, which numpy.hypot does not guarantee.
-        return array("d", map(math.hypot, dx.tolist(), dy.tolist()))
-    if code == "manhattan":
-        return array(
-            "d",
-            (
-                abs(ax[k] - bx[k]) + abs(ay[k] - by[k])
-                for k in range(len(ax))
-            ),
-        )
-    return array(
-        "d",
-        map(
-            math.hypot,
-            (ax[k] - bx[k] for k in range(len(ax))),
-            (ay[k] - by[k] for k in range(len(ay))),
-        ),
-    )
 
 
 # -- tile kernels ------------------------------------------------------------------

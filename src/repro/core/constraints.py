@@ -207,20 +207,20 @@ class FeasibilityChecker:
             ``euclidean_lower_bound`` (Euclidean, Manhattan, road-network).
             Other metrics fall back to exhaustive checking, which is always
             correct.
-        use_columnar: evaluate candidate tiles through the vectorised
-            :mod:`repro.columnar` kernels instead of per-pair
-            ``pair_feasible`` calls.  None follows the process default
-            (:func:`repro.columnar.default_columnar`).  Only metrics
-            declaring a ``columnar_code`` are eligible — a
-            :class:`~repro.spatial.cache.CachedMetric` never is, because
-            its hit/miss trajectory is observable state the scalar path
-            must keep populating.  Pair sets are bit-identical either way.
         journal: event journal receiving reason-coded per-pair rejections
             (``phase="checker"`` for exact checks, ``phase="prune"`` for
             index-pruned pairs) and one ``feas_build`` summary.  None
             follows the process default (:func:`repro.obs.events.
             get_journal`); recording is observational only — the feasible
             pair sets are bit-identical with journaling on or off.
+
+    Candidate tiles run through the vectorised :mod:`repro.columnar`
+    kernels instead of per-pair ``pair_feasible`` calls whenever
+    :func:`repro.columnar.columnar_code_for` selects them for the metric;
+    pair sets are bit-identical either way.  A
+    :class:`~repro.spatial.cache.CachedMetric` is never selected, because
+    its hit/miss trajectory is observable state the scalar path must keep
+    populating.
 
     The per-worker pruning radius is ``min(d_w, v_w * (latest task deadline -
     earliest departure))`` — no feasible task can lie outside it (for
@@ -235,10 +235,9 @@ class FeasibilityChecker:
         metric: Optional[DistanceMetric] = None,
         now: float = -math.inf,
         use_index: bool = True,
-        use_columnar: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
-        from repro.columnar import CODES, default_columnar
+        from repro.columnar.kernels import columnar_code_for
 
         self.workers = list(workers)
         self.tasks = list(tasks)
@@ -246,10 +245,7 @@ class FeasibilityChecker:
         self.now = now
         self._bounded = resolve_bounded(self.metric)
         self.journal = journal if journal is not None else get_journal()
-        if use_columnar is None:
-            use_columnar = default_columnar()
-        code = getattr(self.metric, "columnar_code", None)
-        self._columnar_code = code if (use_columnar and code in CODES) else None
+        self._columnar_code = columnar_code_for(self.metric)
         self._worker_by_id = {w.id: w for w in self.workers}
         self._task_by_id = {t.id: t for t in self.tasks}
         use_grid = use_index and self.metric.euclidean_lower_bound and self.tasks

@@ -193,8 +193,7 @@ class BatchContext:
     def engine_stats(self) -> Dict[str, float]:
         """Engine counter deltas since this context was created.
 
-        Empty for standalone contexts, so the legacy path's outcome stats
-        are unchanged.
+        Empty for standalone contexts, which have no engine.
         """
         if self.counters is None:
             return {}

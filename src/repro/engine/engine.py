@@ -38,14 +38,13 @@ from repro.columnar import (
     REASON_NAMES,
     ColumnarBatch,
     InterningCache,
+    columnar_code_for,
     dense_pair_columns,
-    default_columnar,
     rejection_reasons,
     skill_candidates,
     skill_candidates_dense,
     true_positions,
 )
-from repro.columnar.kernels import CODES as COLUMNAR_CODES
 from repro.core.constraints import deadline_ok, prune_rejection_reason, reach_radius
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
@@ -55,8 +54,6 @@ from repro.engine.counters import EngineCounters
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.parallel.feasibility import DEFAULT_PAIR_THRESHOLD, evaluate_pairs
-from repro.parallel.pool import resolve_jobs
 from repro.spatial.cache import CachedMetric
 from repro.spatial.index import GridIndex
 
@@ -94,31 +91,24 @@ class AllocationEngine:
             ``engine_stats`` can never merge across engines.
         cache_maxsize: optional bound on the distance cache (FIFO eviction);
             None keeps it unbounded.
-        n_jobs: worker processes for the chunked feasibility kernel used by
-            full builds (1 = serial, negative = all CPUs).  The graph, the
-            counters and the cache trajectory are bit-identical either way:
-            workers evaluate only pure pair distances, and the parent
-            replays the serial link sequence against the prefetched values
-            (see :meth:`~repro.spatial.cache.CachedMetric.preload`).
-        parallel_threshold: minimum number of unique uncached pairs before
-            a full build fans out; below it the fork/pickle round-trip
-            costs more than the evaluations.  None uses
-            :data:`~repro.parallel.feasibility.DEFAULT_PAIR_THRESHOLD`.
-        use_columnar: route full builds, and incremental syncs of at least
-            :data:`COLUMNAR_SYNC_MIN_PAIRS` pairs, through the skill-first
-            columnar kernels when the base metric advertises a
-            :attr:`~repro.spatial.distance.DistanceMetric.columnar_code`.
-            None (default) follows the process default
-            (:func:`repro.columnar.default_columnar`).  The graph, the
-            reported ``engine_stats`` and the cache trajectory are
-            bit-identical either way, and so is the journal's event stream
-            bar the ``columnar`` flag on ``feas_build`` events — the kernels
-            share the scalar oracle's exactness contract and each tile
-            replays the serial metric-access sequence against the kernel's
-            distances (:meth:`~repro.spatial.cache.CachedMetric.replay`).
-            Only the auxiliary
-            :meth:`~repro.engine.counters.EngineCounters.aux_dict`
-            telemetry distinguishes the modes.
+        journal: event journal receiving reason-coded rejections and one
+            ``feas_build`` summary per build or update.  None follows the
+            process default (:func:`repro.obs.events.get_journal`).
+
+    Full builds, and incremental syncs of at least
+    :data:`COLUMNAR_SYNC_MIN_PAIRS` pairs, run through the skill-first
+    columnar kernels whenever :func:`repro.columnar.columnar_code_for`
+    selects them for the instance's metric: numpy importable and a planar
+    metric, the rule a standalone checker applies too (so an instance whose
+    metric is already a :class:`~repro.spatial.cache.CachedMetric` stays
+    scalar).  The graph, the reported ``engine_stats`` and the cache
+    trajectory are the scalar path's bit for bit, and so is the journal's
+    event stream bar the ``columnar`` flag on ``feas_build`` events — the
+    kernels share the scalar oracle's exactness contract and each tile
+    replays the serial metric-access sequence against the kernel's
+    distances (:meth:`~repro.spatial.cache.CachedMetric.replay`).  Only the
+    auxiliary :meth:`~repro.engine.counters.EngineCounters.aux_dict`
+    telemetry tells the paths apart.
     """
 
     def __init__(
@@ -129,25 +119,14 @@ class AllocationEngine:
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         cache_maxsize: Optional[int] = None,
-        n_jobs: int = 1,
-        parallel_threshold: Optional[int] = None,
-        use_columnar: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         self.instance = instance
         self.metric = CachedMetric(instance.metric, maxsize=cache_maxsize)
-        columnar_code = getattr(self.metric.base, "columnar_code", None)
-        enabled = default_columnar() if use_columnar is None else use_columnar
-        self._columnar_code: Optional[str] = (
-            columnar_code if enabled and columnar_code in COLUMNAR_CODES else None
-        )
+        self._columnar_code = columnar_code_for(instance.metric)
         # Cache the sorted interning table across batches, re-sorting only
         # when the skill universe grows.
         self._interning = InterningCache()
-        self.n_jobs = resolve_jobs(n_jobs)
-        self.parallel_threshold = (
-            DEFAULT_PAIR_THRESHOLD if parallel_threshold is None else parallel_threshold
-        )
         self.registry = registry if registry is not None else MetricsRegistry()
         self.counters = EngineCounters(self.registry)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -302,17 +281,16 @@ class AllocationEngine:
             self._columnar_rows(workers, latest, now)
             self.counters.columnar_full_builds += 1
             return
-        table_capable = getattr(self.metric.base, "supports_distance_table", False)
-        if self.n_jobs <= 1 and not table_capable:
+        if not getattr(self.metric.base, "supports_distance_table", False):
             for worker in workers:
                 self._recompute_row(worker, latest, now)
             return
-        # Chunked kernel: gather every candidate row first (index probes and
-        # pruning counters run exactly as in the serial path), fan the
-        # uncached pair distances across the pool — or hand them to the
-        # metric's many-to-many table kernel in one call — then replay the
-        # serial link sequence against the prefetched values — same graph,
-        # same edge order, same cache trajectory.
+        # Table-capable metric (the road network): gather every candidate
+        # row first (index probes and pruning counters run exactly as in
+        # the serial path), answer the uncached pair distances with one
+        # many-to-many table call, then replay the serial link sequence
+        # against the prefetched values — same graph, same edge order, same
+        # cache trajectory.
         rows: List[Tuple[Worker, List[int]]] = []
         for worker in workers:
             self._install_row(worker)
@@ -329,14 +307,13 @@ class AllocationEngine:
             self.metric.clear_preload()
 
     def _prefetch_distances(self, rows: Sequence[Tuple[Worker, List[int]]]) -> None:
-        """Evaluate the build's unique uncached pair distances in bulk.
+        """Answer the build's unique uncached pair distances in one table call.
 
         Only pairs the serial link loop would actually hand to the metric
-        (skill filter applied, cache probed) are shipped.  Table-capable
-        metrics get every batch (the table kernel amortises per-endpoint
-        work, so there is no fork/pickle cost to threshold against); others
-        fan out across the process pool, and below the threshold the serial
-        path wins and nothing is prefetched.
+        (skill filter applied, cache probed) are asked for.  The table
+        kernel shares one search per distinct endpoint across the whole
+        build — strictly less work than per-pair queries — and its values
+        equal the per-pair metric's.
         """
         pairs: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
         seen: Set[Tuple[Tuple[float, float], Tuple[float, float]]] = set()
@@ -354,12 +331,10 @@ class AllocationEngine:
                 pairs.append(key)
         if not pairs:
             return
-        table_capable = getattr(self.metric.base, "supports_distance_table", False)
-        if not table_capable and len(pairs) < self.parallel_threshold:
-            return
-        self.metric.preload(
-            evaluate_pairs(self.metric.base, pairs, self.n_jobs, self.tracer)
-        )
+        with self.tracer.span("engine.distance_table") as span:
+            self.metric.preload(self.metric.base.distance_table(pairs=pairs))
+            if self.tracer.enabled:
+                span.set("pairs", len(pairs))
 
     def _incremental_update(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float

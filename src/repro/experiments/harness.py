@@ -93,7 +93,6 @@ def _evaluate_one(
     batch_interval: float,
     seed: int,
     single_batch: bool,
-    use_engine: bool,
     tracer: Tracer,
 ) -> Tuple[int, float, Optional[MetricsRegistry]]:
     """One (instance, approach) measurement — the unit both the serial loop
@@ -115,7 +114,6 @@ def _evaluate_one(
                 instance,
                 allocator,
                 batch_interval=batch_interval,
-                use_engine=use_engine,
                 tracer=tracer,
             )
             report = platform.run()
@@ -134,7 +132,6 @@ def evaluate_approaches(
     seed: int = 0,
     single_batch: bool = False,
     allocators: Optional[Dict[str, BatchAllocator]] = None,
-    use_engine: bool = True,
     tracer: Optional[Tracer] = None,
     n_jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
@@ -152,9 +149,6 @@ def evaluate_approaches(
         single_batch: run the offline single-batch setting (Table VI) instead
             of the dynamic platform.
         allocators: optional pre-built allocators overriding the registry.
-        use_engine: platform-run batches share an
-            :class:`~repro.engine.engine.AllocationEngine` (scores are
-            identical either way; this only affects running time).
         tracer: span tracer wrapping each approach's run (and, through the
             platform, every batch phase).  None uses the process default.
         n_jobs: fan the approaches across a process pool (1 = serial,
@@ -177,7 +171,6 @@ def evaluate_approaches(
             seed,
             single_batch,
             allocators,
-            use_engine,
             tracer,
             n_jobs,
             metrics,
@@ -191,7 +184,6 @@ def evaluate_approaches(
             batch_interval,
             seed,
             single_batch,
-            use_engine,
             tracer,
         )
         results[name] = (score, elapsed)
@@ -209,7 +201,6 @@ def run_sweep(
     batch_interval: float = 5.0,
     seed: int = 0,
     single_batch: bool = False,
-    use_engine: bool = True,
     tracer: Optional[Tracer] = None,
     n_jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
@@ -233,7 +224,6 @@ def run_sweep(
             batch_interval=batch_interval,
             base_seed=seed,
             single_batch=single_batch,
-            use_engine=use_engine,
             n_jobs=n_jobs,
             tracer=tracer,
             metrics=metrics,
@@ -248,7 +238,6 @@ def run_sweep(
                 batch_interval=batch_interval,
                 seed=seed,
                 single_batch=single_batch,
-                use_engine=use_engine,
                 tracer=tracer,
                 metrics=metrics,
             )

@@ -1,7 +1,7 @@
 """Process-pool lifecycle for the parallel layer.
 
 One module owns every executor the library spawns, so fan-out call sites
-(`repro.parallel.sweep`, the engine's chunked feasibility kernel) share
+(`repro.parallel.sweep`, the partitioned shard engine's phase-1 solves) share
 pools instead of paying a fork per call.  Executors are cached by worker
 count and live until :func:`shutdown_executors` (or interpreter exit).
 

@@ -52,7 +52,6 @@ class _Cell:
     seed: int
     batch_interval: float
     single_batch: bool
-    use_engine: bool
     trace: bool
     instance: ProblemInstance
     allocator: Optional[BatchAllocator]
@@ -80,7 +79,6 @@ def _run_cell(cell: _Cell) -> _CellResult:
         cell.batch_interval,
         cell.seed,
         cell.single_batch,
-        cell.use_engine,
         tracer,
     )
     return _CellResult(
@@ -110,7 +108,6 @@ def evaluate_approaches_parallel(
     seed: int,
     single_batch: bool,
     allocators: Optional[Dict[str, BatchAllocator]],
-    use_engine: bool,
     tracer: Optional[Tracer],
     n_jobs: int,
     metrics: Optional[MetricsRegistry] = None,
@@ -126,7 +123,6 @@ def evaluate_approaches_parallel(
             seed=seed,
             batch_interval=batch_interval,
             single_batch=single_batch,
-            use_engine=use_engine,
             trace=tracer.enabled,
             instance=instance,
             allocator=(allocators or {}).get(name),
@@ -158,7 +154,6 @@ def sweep_cells(
     repetitions: int = 1,
     seeds: Optional[Sequence[int]] = None,
     single_batch: bool = False,
-    use_engine: bool = True,
     allocators: Optional[Dict[str, BatchAllocator]] = None,
     n_jobs: int = -1,
     tracer: Optional[Tracer] = None,
@@ -196,7 +191,6 @@ def sweep_cells(
                 seed=rep_seed,
                 batch_interval=batch_interval,
                 single_batch=single_batch,
-                use_engine=use_engine,
                 trace=tracer.enabled,
                 instance=instances[value_index],
                 allocator=(allocators or {}).get(approach),

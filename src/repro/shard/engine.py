@@ -392,9 +392,10 @@ class ShardedEngine:
             run, bit-identical reports) or ``"partitioned"`` (two-phase
             per-shard allocators + border reconcile; quality measured, not
             pinned).  See the module docstring.
-        use_index / cache_maxsize / n_jobs / parallel_threshold /
-        use_columnar: forwarded to every shard engine (``n_jobs`` also
-            drives the phase-1 fan-out in partitioned mode).
+        use_index / cache_maxsize: forwarded to every shard engine.
+        n_jobs: worker processes for the phase-1 shard solves in
+            partitioned mode (1 = serial, negative = all CPUs); outcomes
+            are identical either way.  Exact mode never fans out.
         tracer / registry / journal: observability hooks.  The registry
             receives the coordinator's counters and shard gauges; each
             shard engine keeps its own private registry (per-shard detail
@@ -413,8 +414,6 @@ class ShardedEngine:
         registry: Optional[MetricsRegistry] = None,
         cache_maxsize: Optional[int] = None,
         n_jobs: int = 1,
-        parallel_threshold: Optional[int] = None,
-        use_columnar: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         if n_shards < 2:
@@ -440,9 +439,6 @@ class ShardedEngine:
                 use_index=use_index,
                 tracer=self.tracer,
                 cache_maxsize=cache_maxsize,
-                n_jobs=n_jobs,
-                parallel_threshold=parallel_threshold,
-                use_columnar=use_columnar,
                 journal=self.journal,
             )
             for sid in range(n_shards)

@@ -21,7 +21,6 @@ from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.core.assignment import Assignment
 from repro.core.instance import ProblemInstance
 from repro.core.worker import Worker
-from repro.engine.context import BatchContext
 from repro.engine.engine import AllocationEngine
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
@@ -64,11 +63,6 @@ class Platform:
         allocator: any batch allocator.
         batch_interval: the constant interval between batch processes.
         rejoin: worker rejoin policy after completing a task.
-        use_engine: build batch contexts through a shared
-            :class:`~repro.engine.engine.AllocationEngine` (incremental
-            feasibility + distance caching).  Disabling it falls back to the
-            historic fresh-rebuild-per-batch path; both produce bit-identical
-            reports.
         tracer: span tracer profiling each batch's phases (snapshot →
             feasibility → match → commit).  None uses the process default
             (:func:`repro.obs.trace.get_tracer`), a no-op unless installed.
@@ -76,16 +70,10 @@ class Platform:
             engine's counters/gauges.  None keeps the engine's metrics in a
             private registry, exposed after the run as
             :attr:`metrics_registry`.
-        n_jobs: worker processes for the engine's chunked feasibility
-            kernel on full builds (1 = serial, negative = all CPUs).
-            Reports are bit-identical for every value.
-        parallel_threshold: minimum uncached pair count before a full
-            build fans out; None uses the engine default.
-        use_columnar: route the engine's full feasibility builds through
-            the vectorised columnar kernels (planar metrics only).  None
-            follows the process default
-            (:func:`repro.columnar.default_columnar`); reports and
-            ``engine_stats`` are bit-identical either way.
+        n_jobs: worker processes for the phase-1 shard solves of a
+            ``shard_mode="partitioned"`` run (1 = serial, negative = all
+            CPUs); reports are identical for every value.  Other runs never
+            fan out.
         journal: structured event journal (the allocation flight recorder)
             receiving the run/batch lifecycle, worker arrivals/departures,
             task submissions/expiries, reason-coded feasibility rejections
@@ -94,9 +82,8 @@ class Platform:
             installed.
         shards: spatial shards for the engine (1 = the plain unsharded
             engine).  ``shards >= 2`` builds batch contexts through a
-            :class:`~repro.shard.engine.ShardedEngine` — requires
-            ``use_engine`` — whose ``exact`` mode produces bit-identical
-            reports for every allocator.
+            :class:`~repro.shard.engine.ShardedEngine`, whose ``exact``
+            mode produces bit-identical reports for every allocator.
         shard_scheme: partition build scheme, ``"grid"`` or ``"kd"``.
         shard_mode: ``"exact"`` (sharded feasibility, one global allocator
             run) or ``"partitioned"`` (per-shard allocators plus a border
@@ -115,12 +102,9 @@ class Platform:
         allocator: BatchAllocator,
         batch_interval: float = 5.0,
         rejoin: RejoinPolicy = RejoinPolicy.REMAINING,
-        use_engine: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         n_jobs: int = 1,
-        parallel_threshold: Optional[int] = None,
-        use_columnar: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
         shards: int = 1,
         shard_scheme: str = "grid",
@@ -130,8 +114,6 @@ class Platform:
             raise ValueError(f"batch interval must be positive, got {batch_interval}")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and not use_engine:
-            raise ValueError("shards > 1 requires the engine path (use_engine=True)")
         if shard_scheme not in SHARD_SCHEMES:
             raise ValueError(
                 f"unknown shard scheme {shard_scheme!r} (expected one of {SHARD_SCHEMES})"
@@ -144,18 +126,15 @@ class Platform:
         self.allocator = allocator
         self.batch_interval = batch_interval
         self.rejoin = rejoin
-        self.use_engine = use_engine
         self.tracer = tracer
         self.metrics = metrics
         self.n_jobs = n_jobs
-        self.parallel_threshold = parallel_threshold
-        self.use_columnar = use_columnar
         self.journal = journal
         self.shards = shards
         self.shard_scheme = shard_scheme
         self.shard_mode = shard_mode
         self._metrics_registry: Optional[MetricsRegistry] = metrics
-        #: The engine of the most recent :meth:`run` (None before / engineless).
+        #: The engine of the most recent :meth:`run` (None before any run).
         self.last_engine: Optional[AllocationEngine | ShardedEngine] = None
 
     @property
@@ -163,8 +142,7 @@ class Platform:
         """Where this platform's metrics ended up.
 
         The ``metrics`` constructor argument when given; otherwise the
-        engine's private registry after a :meth:`run` on the engine path,
-        else None.
+        engine's private registry after a :meth:`run`, else None.
         """
         return self._metrics_registry
 
@@ -206,33 +184,22 @@ class Platform:
         busy: Dict[int, _BusyWorker] = {}
         assigned_tasks: Set[int] = set()
         open_task_ids = {t.id for t in instance.tasks}
-        engine = None
-        if self.use_engine:
-            if self.shards > 1:
-                engine = ShardedEngine(
-                    instance,
-                    self.shards,
-                    scheme=self.shard_scheme,
-                    mode=self.shard_mode,
-                    tracer=tracer,
-                    registry=self.metrics,
-                    n_jobs=self.n_jobs,
-                    parallel_threshold=self.parallel_threshold,
-                    use_columnar=self.use_columnar,
-                    journal=journal,
-                )
-            else:
-                engine = AllocationEngine(
-                    instance,
-                    tracer=tracer,
-                    registry=self.metrics,
-                    n_jobs=self.n_jobs,
-                    parallel_threshold=self.parallel_threshold,
-                    use_columnar=self.use_columnar,
-                    journal=journal,
-                )
-        if engine is not None:
-            self._metrics_registry = engine.registry
+        if self.shards > 1:
+            engine = ShardedEngine(
+                instance,
+                self.shards,
+                scheme=self.shard_scheme,
+                mode=self.shard_mode,
+                tracer=tracer,
+                registry=self.metrics,
+                n_jobs=self.n_jobs,
+                journal=journal,
+            )
+        else:
+            engine = AllocationEngine(
+                instance, tracer=tracer, registry=self.metrics, journal=journal
+            )
+        self._metrics_registry = engine.registry
         # Post-run inspection handle (benchmarks read per-shard counters).
         self.last_engine = engine
         batch_seconds = (
@@ -299,24 +266,12 @@ class Platform:
                                 self.allocator, workers, tasks, now,
                                 frozenset(assigned_tasks),
                             )
-                    elif engine is not None:
+                    else:
                         with tracer.span("platform.feasibility"):
                             context = engine.begin_batch(
                                 workers, tasks, now, frozenset(assigned_tasks)
                             )
                         with tracer.span("platform.match"):
-                            outcome = self.allocator.allocate(context)
-                    else:
-                        with tracer.span("platform.match"):
-                            # The explicit standalone context (rather than
-                            # the 5-arg shim) threads this run's journal and
-                            # tracer into the legacy rebuild path; the
-                            # allocation itself is unchanged.
-                            context = BatchContext.standalone(
-                                workers, tasks, instance, now,
-                                frozenset(assigned_tasks),
-                                tracer=tracer, journal=journal,
-                            )
                             outcome = self.allocator.allocate(context)
                     with tracer.span("platform.commit"):
                         self._execute(
@@ -359,8 +314,7 @@ class Platform:
         report.expired_tasks = sorted(
             tid for tid in instance.task_ids if tid not in assigned_tasks
         )
-        if engine is not None:
-            report.engine_stats = engine.stats()
+        report.engine_stats = engine.stats()
         if journal.enabled:
             journal.set_batch(None)
             # Whatever is still open at the horizon expires unassigned; the

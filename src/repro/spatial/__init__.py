@@ -25,9 +25,7 @@ from repro.spatial.region import BoundingBox
 from repro.spatial.roadnet import (
     RoadNetwork,
     RoadNetworkDistance,
-    default_acceleration,
     grid_road_network,
-    set_default_acceleration,
 )
 
 __all__ = [
@@ -41,12 +39,10 @@ __all__ = [
     "ManhattanDistance",
     "RoadNetwork",
     "RoadNetworkDistance",
-    "default_acceleration",
     "euclidean",
     "get_metric",
     "grid_road_network",
     "haversine_km",
     "manhattan",
-    "set_default_acceleration",
     "travel_time",
 ]

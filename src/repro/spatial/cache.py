@@ -69,8 +69,9 @@ class CachedMetric(DistanceMetric):
         # ``columnar_code`` is deliberately NOT forwarded: a cached metric's
         # hit/miss trajectory is observable state (engine_stats), so generic
         # consumers (FeasibilityChecker) must keep the per-pair scalar path
-        # that populates it.  The engine opts in explicitly by unwrapping
-        # ``.base`` and replaying the access sequence against a preload.
+        # that populates it.  The engine selects the kernels on the
+        # instance's own metric and replays each tile's access sequence into
+        # its private cache (:meth:`replay`).
         self.maxsize = maxsize
         self.policy = policy
         self.hits = 0
@@ -111,10 +112,10 @@ class CachedMetric(DistanceMetric):
         A prefetched pair still *counts* as a miss and is inserted into the
         cache exactly as if ``base`` had been called — same counters, same
         insertion (and therefore eviction) order — the base evaluation is
-        simply skipped.  This is the replay half of the engine's chunked
-        feasibility kernel: worker processes evaluate distances, the parent
-        replays the serial access sequence against the prefetched values,
-        and the resulting cache state is bit-identical to a serial build.
+        simply skipped.  The engine's full build over a table-capable
+        metric uses it: one table call evaluates the distances, then the
+        serial access sequence replays against the prefetched values, so
+        the resulting cache state is bit-identical to a per-pair build.
         """
         self._prefetched = prefetched
 

@@ -24,18 +24,16 @@ place of the Euclidean default.  This module provides that substrate:
 * :class:`RoadNetworkDistance` — a :class:`~repro.spatial.distance.DistanceMetric`
   over free points: snap both endpoints to the network, walk the network
   between them.  Declares ``supports_distance_table`` so the allocation
-  engine and the parallel feasibility kernel route whole batches through
-  one table call;
+  engine routes a full build's distances through one table call;
 * :func:`grid_road_network` — a synthetic city grid (optional diagonals,
   random street closures, per-street length jitter) that stays connected by
   construction.
 
-Acceleration defaults to on for networks of at least :data:`MIN_CH_NODES`
-nodes and can be forced either way per network (``accelerate=``) or process
-wide (:func:`set_default_acceleration`, the ``--roadnet-accel /
---no-roadnet-accel`` CLI flags).  Because accelerated answers are bit-equal
-to plain Dijkstra, toggling acceleration can never change a simulation
-report — only the ``roadnet_*`` observability counters.
+Acceleration is on for networks of at least :data:`MIN_CH_NODES` nodes and
+can be forced either way per network (``accelerate=``).  Because
+accelerated answers are bit-equal to plain Dijkstra, forcing acceleration
+can never change a simulation report — only the ``roadnet_*``
+observability counters.
 
 Network distance lower-bounds to the straight line (`snap + path + snap >=
 euclidean` by the triangle inequality), so the grid-index feasibility
@@ -60,8 +58,6 @@ from repro.spatial.region import BoundingBox
 #: in above it.  ``accelerate=True`` overrides the floor (tests do).
 MIN_CH_NODES = 128
 
-_DEFAULT_ACCELERATION = True
-
 _SETTLED = REGISTRY.counter(
     "roadnet_settled_nodes", "nodes settled by road-network shortest-path searches"
 )
@@ -74,26 +70,6 @@ _TABLE_QUERIES = REGISTRY.counter(
 _BOUNDED_QUERIES = REGISTRY.counter(
     "roadnet_bounded_queries", "goal-bounded road-network point queries"
 )
-
-
-def set_default_acceleration(enabled: bool) -> bool:
-    """Set the process-wide acceleration default; returns the previous value.
-
-    Networks constructed with ``accelerate=None`` (the default) consult this
-    flag lazily at query time, so flipping it affects existing networks that
-    have not yet built a hierarchy.  Toggling can never change a distance —
-    accelerated and plain kernels are bit-identical — only how much work the
-    ``roadnet_*`` counters record.
-    """
-    global _DEFAULT_ACCELERATION
-    previous = _DEFAULT_ACCELERATION
-    _DEFAULT_ACCELERATION = bool(enabled)
-    return previous
-
-
-def default_acceleration() -> bool:
-    """The current process-wide acceleration default."""
-    return _DEFAULT_ACCELERATION
 
 
 class _SearchState:
@@ -121,8 +97,8 @@ class RoadNetwork:
             ``"fifo"`` (default) evicts the oldest state, ``"lru"`` the
             least recently queried one.
         accelerate: build a contraction hierarchy for queries.  ``None``
-            (default) defers to :func:`default_acceleration` and the
-            :data:`MIN_CH_NODES` size floor; ``True``/``False`` force it.
+            (default) accelerates networks of at least
+            :data:`MIN_CH_NODES` nodes; ``True``/``False`` force it.
             Either way every query returns the same floats.
 
     Raises:
@@ -201,7 +177,7 @@ class RoadNetwork:
         """Whether queries route through the contraction hierarchy."""
         if self._accelerate is not None:
             return self._accelerate
-        return _DEFAULT_ACCELERATION and len(self._coords) >= MIN_CH_NODES
+        return len(self._coords) >= MIN_CH_NODES
 
     @property
     def hierarchy(self) -> ContractionHierarchy:
@@ -469,9 +445,9 @@ class RoadNetworkDistance(DistanceMetric):
 
     Network distance dominates the straight line, so the Euclidean pruning
     used by the feasibility index stays sound (never prunes a feasible
-    pair).  Declares ``supports_distance_table`` so batch consumers (the
-    allocation engine, the parallel feasibility kernel) hand a whole pair
-    list to :meth:`distance_table` in one call.
+    pair).  Declares ``supports_distance_table`` so the allocation engine's
+    full build hands a whole pair list to :meth:`distance_table` in one
+    call.
     """
 
     name = "roadnet"

@@ -1,6 +1,5 @@
 """Unit tests for the struct-of-arrays batch snapshot."""
 
-import math
 import pickle
 
 import pytest
@@ -11,7 +10,6 @@ from repro.columnar import (
     feasible_pairs,
     flatten_rows,
     intern_skills,
-    pack_pair_columns,
 )
 from repro.columnar.batch import WORD_BITS
 from repro.core.task import Task
@@ -137,17 +135,6 @@ class TestBatchPickling:
 
 
 class TestPairTransport:
-    def test_pack_pair_columns_roundtrip(self):
-        pairs = [((1.0, 2.0), (3.0, 4.0)), ((-0.5, 0.0), (math.pi, -1.0))]
-        ax, ay, bx, by = pack_pair_columns(pairs)
-        for k, (a, b) in enumerate(pairs):
-            assert (ax[k], ay[k]) == a
-            assert (bx[k], by[k]) == b
-
-    def test_pack_empty(self):
-        ax, ay, bx, by = pack_pair_columns([])
-        assert len(ax) == len(ay) == len(bx) == len(by) == 0
-
     def test_flatten_rows(self):
         widx, tidx = flatten_rows([(0, [2, 1]), (1, []), (2, [0])])
         assert widx == [0, 0, 2]

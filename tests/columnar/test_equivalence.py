@@ -1,26 +1,38 @@
-"""Acceptance: columnar on vs off is bit-identical end to end.
+"""Acceptance: the columnar and scalar paths are bit-identical end to end.
 
-The ISSUE's contract: ``SimulationReport`` AND ``engine_stats`` must be
-byte-for-byte equal with the columnar kernels on or off, for every
-registered approach, on both backends.  The distance-cache trajectory
-(hits, misses, contents, insertion/eviction order) is part of that state
-and is pinned directly.
+``SimulationReport`` AND ``engine_stats`` must be byte-for-byte equal
+whether feasibility runs through the columnar kernels (a planar metric) or
+the scalar per-pair path (the same instance under a metric with no kernel
+code), for every registered approach, on both backends.  The
+distance-cache trajectory (hits, misses, contents, insertion/eviction
+order) is part of that state and is pinned directly.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
-from repro.columnar import available_backends
+from repro.columnar import numpy_available
 from repro.core.constraints import FeasibilityChecker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine.engine import AllocationEngine
 from repro.simulation.platform import Platform, RejoinPolicy
 from repro.spatial.cache import CachedMetric
 from repro.spatial.distance import EuclideanDistance, ManhattanDistance
+from tests.reference import (
+    ScalarEuclidean,
+    ScalarManhattan,
+    use_fallback_kernels,
+)
 
 AUX = ("columnar_full_builds", "columnar_pairs", "scalar_pair_evals")
+
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="columnar path needs numpy"
+)
 
 
 @pytest.fixture(scope="module")
@@ -28,20 +40,17 @@ def instance():
     return generate_synthetic(SyntheticConfig(seed=5).scaled(0.05))
 
 
-def _fallback_only(monkeypatch):
-    """Force the pure-python backend by hiding numpy from the kernels."""
-    import repro.columnar.kernels as kernels
-
-    monkeypatch.setattr(kernels, "_np", None)
+def _scalar(instance):
+    """The same instance under a metric the kernels never select."""
+    return replace(instance, metric=ScalarEuclidean())
 
 
-def _run(instance, name, use_columnar, rejoin=RejoinPolicy.REMAINING):
+def _run(instance, name, columnar, rejoin=RejoinPolicy.REMAINING):
     platform = Platform(
-        instance,
+        instance if columnar else _scalar(instance),
         make_allocator(name, seed=11),
         batch_interval=5.0,
         rejoin=rejoin,
-        use_columnar=use_columnar,
     )
     report = platform.run()
     registry = platform.metrics_registry
@@ -61,6 +70,7 @@ def _assert_identical(on_report, off_report):
 
 
 class TestPlatformEquivalence:
+    @needs_numpy
     @pytest.mark.parametrize("name", APPROACH_NAMES)
     def test_every_approach_numpy_backend(self, instance, name):
         on_report, on_aux = _run(instance, name, True)
@@ -73,11 +83,13 @@ class TestPlatformEquivalence:
 
     @pytest.mark.parametrize("name", APPROACH_NAMES)
     def test_every_approach_fallback_backend(self, instance, name, monkeypatch):
-        _fallback_only(monkeypatch)
-        on_report, _ = _run(instance, name, True)
+        use_fallback_kernels(monkeypatch)
+        on_report, on_aux = _run(instance, name, True)
         off_report, _ = _run(instance, name, False)
         _assert_identical(on_report, off_report)
+        assert on_aux["columnar_full_builds"] >= 1
 
+    @needs_numpy
     @pytest.mark.parametrize("rejoin", list(RejoinPolicy))
     def test_every_rejoin_policy(self, instance, rejoin):
         on_report, _ = _run(instance, "Greedy", True, rejoin)
@@ -86,12 +98,13 @@ class TestPlatformEquivalence:
 
 
 class TestEngineGraphAndCache:
+    @needs_numpy
     @pytest.mark.parametrize("use_index", [True, False])
     def test_graph_counters_and_cache_trajectory(self, instance, use_index):
         engines = {}
         for columnar in (True, False):
             engine = AllocationEngine(
-                instance, use_index=use_index, use_columnar=columnar
+                instance if columnar else _scalar(instance), use_index=use_index
             )
             engine.begin_batch(
                 instance.workers, instance.tasks, instance.earliest_start
@@ -107,22 +120,23 @@ class TestEngineGraphAndCache:
         assert on.columnar_active and not off.columnar_active
 
     def test_fallback_backend_engine(self, instance, monkeypatch):
-        _fallback_only(monkeypatch)
+        use_fallback_kernels(monkeypatch)
         results = {}
         for columnar in (True, False):
-            engine = AllocationEngine(instance, use_columnar=columnar)
+            engine = AllocationEngine(instance if columnar else _scalar(instance))
             engine.begin_batch(
                 instance.workers, instance.tasks, instance.earliest_start
             )
             results[columnar] = (engine._tasks_of, engine.stats())
         assert results[True] == results[False]
 
+    @needs_numpy
     def test_bounded_cache_eviction_order(self, instance):
         """FIFO eviction depends on insertion order — pinned across modes."""
         caches = {}
         for columnar in (True, False):
             engine = AllocationEngine(
-                instance, cache_maxsize=50, use_columnar=columnar
+                instance if columnar else _scalar(instance), cache_maxsize=50
             )
             engine.begin_batch(
                 instance.workers, instance.tasks, instance.earliest_start
@@ -133,7 +147,7 @@ class TestEngineGraphAndCache:
         assert caches[True].evictions == caches[False].evictions
 
     def test_road_network_metric_is_ineligible(self):
-        """No ``columnar_code`` -> the scalar path runs even when forced on."""
+        """No ``columnar_code`` -> the scalar path runs even with numpy."""
         from repro.spatial.region import BoundingBox
         from repro.spatial.roadnet import RoadNetworkDistance, grid_road_network
         import random
@@ -151,7 +165,7 @@ class TestEngineGraphAndCache:
             skills=SkillUniverse(size=base.skills.size),
             metric=RoadNetworkDistance(net),
         )
-        engine = AllocationEngine(instance, use_columnar=True)
+        engine = AllocationEngine(instance)
         assert not engine.columnar_active
 
 
@@ -183,54 +197,31 @@ class TestCachedMetricReplay:
 
 
 class TestFeasibilityChecker:
-    @pytest.mark.parametrize("metric", [EuclideanDistance(), ManhattanDistance()])
+    @pytest.mark.parametrize(
+        "metric,scalar",
+        [(EuclideanDistance(), ScalarEuclidean()), (ManhattanDistance(), ScalarManhattan())],
+        ids=["metric0", "metric1"],
+    )
     @pytest.mark.parametrize("use_index", [True, False])
     @pytest.mark.parametrize("now", [-math.inf, 0.0, 9.0])
-    def test_checker_columnar_equivalence(self, instance, metric, use_index, now):
+    def test_checker_columnar_equivalence(
+        self, instance, metric, scalar, use_index, now, monkeypatch
+    ):
+        if not numpy_available():
+            use_fallback_kernels(monkeypatch)
         on = FeasibilityChecker(
-            instance.workers, instance.tasks, metric, now,
-            use_index=use_index, use_columnar=True,
+            instance.workers, instance.tasks, metric, now, use_index=use_index
         )
         off = FeasibilityChecker(
-            instance.workers, instance.tasks, metric, now,
-            use_index=use_index, use_columnar=False,
+            instance.workers, instance.tasks, scalar, now, use_index=use_index
         )
+        assert on._columnar_code is not None and off._columnar_code is None
         assert on._tasks_of == off._tasks_of
         assert on._workers_of == off._workers_of
 
     def test_cached_metric_never_columnar(self, instance):
         """CachedMetric hides ``columnar_code`` -> scalar path populates it."""
         cached = CachedMetric(EuclideanDistance())
-        checker = FeasibilityChecker(
-            instance.workers, instance.tasks, cached, 0.0, use_columnar=True
-        )
+        checker = FeasibilityChecker(instance.workers, instance.tasks, cached, 0.0)
         assert checker._columnar_code is None
         assert cached.misses > 0  # the scalar path actually ran
-
-
-class TestParallelTransport:
-    def test_columnar_blocks_match_per_pair(self, instance):
-        from repro.parallel.feasibility import evaluate_pairs
-
-        pairs = [
-            (w.location, t.location)
-            for w in instance.workers[:25]
-            for t in instance.tasks[:25]
-        ]
-        for metric in (EuclideanDistance(), ManhattanDistance()):
-            shipped = evaluate_pairs(metric, pairs, n_jobs=2)
-            assert shipped == {pair: metric(*pair) for pair in pairs}
-
-    def test_engine_parallel_build_identical(self, instance):
-        reports = {}
-        for columnar in (True, False):
-            platform = Platform(
-                instance,
-                make_allocator("Closest", seed=11),
-                batch_interval=5.0,
-                n_jobs=2,
-                parallel_threshold=0,
-                use_columnar=columnar,
-            )
-            reports[columnar] = platform.run()
-        _assert_identical(reports[True], reports[False])

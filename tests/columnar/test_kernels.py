@@ -8,13 +8,11 @@ from repro.columnar import (
     CODES,
     ColumnarBatch,
     available_backends,
-    default_columnar,
+    columnar_code_for,
     feasible_dense,
     feasible_pairs,
     numpy_available,
-    pair_distances,
     resolve_backend,
-    set_default_columnar,
     skill_candidates_dense,
     true_positions,
 )
@@ -52,24 +50,15 @@ class TestBackendPlumbing:
         with pytest.raises(ValueError):
             resolve_backend("cuda")
 
-    def test_default_columnar_toggle_roundtrip(self):
-        previous = set_default_columnar(False)
-        try:
-            assert default_columnar() is False
-            set_default_columnar(True)
-            assert default_columnar() is True
-            set_default_columnar(None)  # auto
-            assert default_columnar() == numpy_available()
-        finally:
-            set_default_columnar(previous)
-
     def test_codes_cover_planar_metrics(self):
         assert EuclideanDistance().columnar_code in CODES
         assert ManhattanDistance().columnar_code in CODES
 
     def test_unknown_code_rejected(self):
-        with pytest.raises(ValueError):
-            pair_distances("chebyshev", [], [], [], [])
+        class Chebyshev(EuclideanDistance):
+            columnar_code = "chebyshev"
+
+        assert columnar_code_for(Chebyshev()) is None
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -182,11 +171,15 @@ def test_pair_distances_matches_scalar_metrics(backend):
     ay = [a[1] for a in points]
     bx = list(reversed(ax))
     by = list(reversed(ay))
+    workers = [_worker(k, location=(ax[k], ay[k])) for k in range(len(points))]
+    tasks = [_task(k, location=(bx[k], by[k])) for k in range(len(points))]
+    batch = ColumnarBatch(workers, tasks)
+    diagonal = list(range(len(points)))
     for code, metric in (
         ("euclidean", EuclideanDistance()),
         ("manhattan", ManhattanDistance()),
     ):
-        got = list(pair_distances(code, ax, ay, bx, by, backend=backend))
+        _, _, got = feasible_pairs(batch, diagonal, diagonal, 0.0, code, backend=backend)
         exact = [
             metric((ax[k], ay[k]), (bx[k], by[k])) for k in range(len(points))
         ]

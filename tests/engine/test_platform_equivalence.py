@@ -1,29 +1,33 @@
-"""Acceptance: the engine path reproduces the legacy path bit for bit.
+"""Acceptance: the engine path reproduces the rebuild reference bit for bit.
 
-``Platform.run()`` with ``use_engine=True`` must produce exactly the same
-``SimulationReport`` — assignments, completion times, per-batch scores —
-as the historic fresh-``FeasibilityChecker``-per-batch path, for every
-approach and every rejoin policy.  Feasibility rows are canonically sorted
-on both paths and every distance is bit-identical (the cache memoizes exact
-values), so even tie-breaking and RNG-driven choices coincide.
+``Platform.run()`` must produce exactly the same ``SimulationReport`` —
+assignments, completion times, per-batch scores — as the reference that
+builds a fresh ``FeasibilityChecker`` per batch
+(:class:`~tests.reference.RebuildEngine`), for every approach and every
+rejoin policy.  Feasibility rows are canonically sorted on both paths and
+every distance is bit-identical (the cache memoizes exact values), so even
+tie-breaking and RNG-driven choices coincide.
 """
+
+import contextlib
 
 import pytest
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.simulation.platform import Platform, RejoinPolicy
+from tests.reference import without_engine
 
 
 def _run(instance, name, rejoin, use_engine, batch_interval=5.0):
-    platform = Platform(
-        instance,
-        make_allocator(name, seed=11),
-        batch_interval=batch_interval,
-        rejoin=rejoin,
-        use_engine=use_engine,
-    )
-    return platform.run()
+    with contextlib.nullcontext() if use_engine else without_engine():
+        platform = Platform(
+            instance,
+            make_allocator(name, seed=11),
+            batch_interval=batch_interval,
+            rejoin=rejoin,
+        )
+        return platform.run()
 
 
 def _assert_reports_identical(engine_report, legacy_report):

@@ -12,7 +12,9 @@ import random
 import pytest
 
 from repro.algorithms.registry import make_allocator
+from repro.core.constraints import FeasibilityChecker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
+from repro.engine.engine import AllocationEngine
 from repro.simulation.platform import Platform
 from repro.spatial.region import BoundingBox
 from repro.spatial.roadnet import RoadNetworkDistance, grid_road_network
@@ -29,13 +31,9 @@ def _roadnet_instance(seed, accelerate):
     return instance
 
 
-def _run(instance, name, n_jobs=1):
+def _run(instance, name):
     platform = Platform(
-        instance,
-        make_allocator(name, seed=11),
-        batch_interval=5.0,
-        use_engine=True,
-        n_jobs=n_jobs,
+        instance, make_allocator(name, seed=11), batch_interval=5.0
     )
     return platform.run()
 
@@ -65,32 +63,21 @@ class TestAccelerationEquivalence:
         assert instance.metric.network.hierarchy_builds == 0
 
 
-class TestEvaluatePairsTableRouting:
-    def test_table_capable_metric_routed_in_process(self):
-        from repro.parallel.feasibility import evaluate_pairs
-
-        metric = RoadNetworkDistance(
-            grid_road_network(
-                BoundingBox(0.0, 0.0, 1.0, 1.0), 6, 6, rng=random.Random(3),
-                jitter=0.1, accelerate=True,
-            )
+class TestTableRouting:
+    def test_full_build_routes_through_the_table(self):
+        instance = _roadnet_instance(7, True)
+        network = instance.metric.network
+        engine = AllocationEngine(instance)
+        before = network.table_queries
+        context = engine.begin_batch(
+            instance.workers, instance.tasks, instance.earliest_start
         )
-        rng = random.Random(4)
-        pairs = [
-            ((rng.random(), rng.random()), (rng.random(), rng.random()))
-            for _ in range(25)
-        ]
-        before = metric.network.table_queries
-        out = evaluate_pairs(metric, pairs, n_jobs=4)
-        # Answered by one in-process table call, not the fork pool.
-        assert metric.network.table_queries > before
-        assert out == {pair: metric(*pair) for pair in pairs}
-
-    def test_planar_metric_still_fans_out(self):
-        from repro.parallel.feasibility import evaluate_pairs
-        from repro.spatial.distance import EuclideanDistance
-
-        metric = EuclideanDistance()
-        pairs = [((0.0, 0.0), (float(i), 1.0)) for i in range(10)]
-        out = evaluate_pairs(metric, pairs, n_jobs=2)
-        assert out == {pair: metric(*pair) for pair in pairs}
+        # One table call answered the build's distances ...
+        assert network.table_queries > before
+        # ... and the graph is the per-pair checker's, pair for pair.
+        checker = FeasibilityChecker(
+            instance.workers, instance.tasks, instance.metric,
+            instance.earliest_start,
+        )
+        assert list(context.checker.pairs()) == list(checker.pairs())
+        assert context.checker.pair_count() > 0

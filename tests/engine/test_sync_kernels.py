@@ -1,9 +1,10 @@
-"""Skill-first incremental syncs: columnar on vs off is bit-identical.
+"""Skill-first incremental syncs: columnar and scalar are bit-identical.
 
 Bulk task arrivals and a mass rejoin push the engine's incremental syncs
 over :data:`~repro.engine.engine.COLUMNAR_SYNC_MIN_PAIRS`, so they run as
 kernel tiles (arrivals task-major, row recomputes worker-major or over
-index-probed candidate columns).  Against the scalar loops they replace,
+index-probed candidate columns).  Against the scalar loops they replace
+(the same instance under a metric with no kernel code),
 the feasible-pair graph, every batch view, ``engine_stats``, the
 distance-cache contents and insertion order, and the journal's event
 stream must all match exactly — on both kernel backends, with and without
@@ -24,6 +25,7 @@ from repro.core.worker import Worker
 from repro.engine.engine import COLUMNAR_SYNC_MIN_PAIRS, AllocationEngine
 from repro.obs.events import EventJournal, events_records
 from repro.simulation.platform import Platform, RejoinPolicy
+from tests.reference import ScalarEuclidean, use_fallback_kernels
 
 N_SKILLS = 12
 N_WORKERS = 160
@@ -91,12 +93,15 @@ def _script(instance, region):
     yield 4.0, workers[:-3], tasks[12:]
 
 
-def _drive(instance, region, *, use_columnar, use_index, cache_maxsize=None):
+def _scalar(instance):
+    return replace(instance, metric=ScalarEuclidean())
+
+
+def _drive(instance, region, *, columnar, use_index, cache_maxsize=None):
     journal = EventJournal()
     engine = AllocationEngine(
-        instance,
+        instance if columnar else _scalar(instance),
         use_index=use_index,
-        use_columnar=use_columnar,
         cache_maxsize=cache_maxsize,
         journal=journal,
     )
@@ -123,9 +128,7 @@ def _drive(instance, region, *, use_columnar, use_index, cache_maxsize=None):
 @pytest.fixture(params=available_backends())
 def backend(request, monkeypatch):
     if request.param == "fallback":
-        import repro.columnar.kernels as kernels
-
-        monkeypatch.setattr(kernels, "_np", None)
+        use_fallback_kernels(monkeypatch)
     return request.param
 
 
@@ -135,11 +138,11 @@ def test_bulk_syncs_match_scalar(backend, use_index, cache_maxsize):
     region = 4.0 if use_index else 1.0
     instance = _instance(region)
     on, engine = _drive(
-        instance, region, use_columnar=True, use_index=use_index,
+        instance, region, columnar=True, use_index=use_index,
         cache_maxsize=cache_maxsize,
     )
     off, _ = _drive(
-        instance, region, use_columnar=False, use_index=use_index,
+        instance, region, columnar=False, use_index=use_index,
         cache_maxsize=cache_maxsize,
     )
     assert on == off
@@ -157,13 +160,12 @@ def test_bulk_syncs_match_scalar(backend, use_index, cache_maxsize):
         assert any(e.get("phase") == "prune" for e in on["events"])
 
 
-def _platform_run(instance, use_columnar, shards, journal):
+def _platform_run(instance, columnar, shards, journal):
     platform = Platform(
-        instance,
+        instance if columnar else _scalar(instance),
         make_allocator("Greedy", seed=5),
         batch_interval=1.0,
         rejoin=RejoinPolicy.FRESH,
-        use_columnar=use_columnar,
         shards=shards,
         shard_mode="exact",
         journal=journal,
@@ -177,16 +179,16 @@ def test_platform_rejoin_runs_match_scalar(backend, shards):
     # Each of two shards still sees ~200 workers x ~60 arriving tasks.
     instance = _instance(4.0, n_workers=400, waves=(100, 120, 120, 100))
     results = {}
-    for use_columnar in (True, False):
+    for columnar in (True, False):
         journal = EventJournal()
-        report, engine = _platform_run(instance, use_columnar, shards, journal)
+        report, engine = _platform_run(instance, columnar, shards, journal)
         events = [
             {k: v for k, v in record.items() if k != "columnar"}
             for record in events_records(journal)
         ]
         engines = getattr(engine, "engines", [engine])
         caches = [list(e.metric._cache.items()) for e in engines]
-        results[use_columnar] = (report, events, caches, engine.aux_stats())
+        results[columnar] = (report, events, caches, engine.aux_stats())
     (on, on_events, on_caches, on_aux), (off, off_events, off_caches, _) = (
         results[True], results[False],
     )

@@ -7,6 +7,8 @@ returned (minus wall-clock ``elapsed`` and ``engine_stats``, which are
 measurements rather than allocation facts).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
@@ -14,6 +16,7 @@ from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.explain import replay_report, split_runs, strip_header, validate_replay
 from repro.obs.events import EVENTS_SCHEMA, EventJournal, events_records
 from repro.simulation.platform import Platform
+from tests.reference import ScalarEuclidean, without_engine
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +40,17 @@ class TestReplayBitIdentity:
     @pytest.mark.parametrize("name", APPROACH_NAMES)
     @pytest.mark.parametrize("columnar", [False, True])
     def test_every_approach_replays(self, instance, name, columnar):
-        records, report = _record(instance, name, use_columnar=columnar)
+        if not columnar:
+            instance = replace(instance, metric=ScalarEuclidean())
+        records, report = _record(instance, name)
         replayed = validate_replay(records, report)  # raises on any divergence
         assert replayed.total_score == report.total_score
         assert all(b.elapsed == 0.0 for b in replayed.batches)
         assert replayed.engine_stats == {}
 
     def test_legacy_path_replays(self, instance):
-        records, report = _record(instance, "Greedy", use_engine=False)
+        with without_engine():
+            records, report = _record(instance, "Greedy")
         validate_replay(records, report)
 
     def test_header_is_tolerated(self, instance):

@@ -3,10 +3,14 @@
 Mirrors ``test_platform_tracing.py``: with the journal on, every approach's
 ``SimulationReport`` — assignments, completion times, per-batch records and
 the ``engine_stats`` keys *and values* — must be bit-identical to the
-journal-off run, on both the columnar and scalar feasibility paths.  The
+journal-off run, on both the columnar and scalar feasibility paths (the
+scalar side runs the same instance under a metric with no kernel code).  The
 recorded stream itself must pass the schema validator and tell a coherent
 story (funnel conservation, assignment/expiry completeness).
 """
+
+import contextlib
+from dataclasses import replace
 
 import pytest
 
@@ -26,17 +30,19 @@ from repro.obs.events import (
     validate_events_records,
 )
 from repro.simulation.platform import Platform
+from tests.reference import ScalarEuclidean, without_engine
 
 
-def _run(instance, name, *, journal=None, use_engine=True, use_columnar=None):
-    return Platform(
-        instance,
-        make_allocator(name, seed=11),
-        batch_interval=5.0,
-        use_engine=use_engine,
-        use_columnar=use_columnar,
-        journal=journal,
-    ).run()
+def _run(instance, name, *, journal=None, use_engine=True, columnar=True):
+    if not columnar:
+        instance = replace(instance, metric=ScalarEuclidean())
+    with contextlib.nullcontext() if use_engine else without_engine():
+        return Platform(
+            instance,
+            make_allocator(name, seed=11),
+            batch_interval=5.0,
+            journal=journal,
+        ).run()
 
 
 def _assert_identical(a, b):
@@ -65,8 +71,8 @@ class TestReportsBitIdentical:
     @pytest.mark.parametrize("columnar", [False, True])
     def test_journaled_equals_plain(self, instance, name, columnar):
         journal = EventJournal()
-        recorded = _run(instance, name, journal=journal, use_columnar=columnar)
-        plain = _run(instance, name, use_columnar=columnar)
+        recorded = _run(instance, name, journal=journal, columnar=columnar)
+        plain = _run(instance, name, columnar=columnar)
         _assert_identical(recorded, plain)
         records = [{"type": "header", "schema": EVENTS_SCHEMA}]
         records += events_records(journal)
@@ -78,7 +84,7 @@ class TestReportsBitIdentical:
         plain = _run(instance, "Greedy", use_engine=False)
         _assert_identical(recorded, plain)
         assert recorded.engine_stats == {}
-        # The legacy path journals through the standalone checker.
+        # The rebuild reference journals through the standalone checker.
         modes = {e["mode"] for e in journal.of_type("feas_build")}
         assert modes <= {"checker"}
         assert journal.of_type("assign")

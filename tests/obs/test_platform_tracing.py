@@ -3,8 +3,10 @@
 ``--profile`` style instrumentation records wall-clock timings only; the
 ``SimulationReport`` — assignments, completion times, per-batch scores and
 the ``engine_stats`` keys *and values* — must be bit-identical with tracing
-on or off, on both the engine and legacy paths.
+on or off, on both the engine path and the rebuild reference.
 """
+
+import contextlib
 
 import pytest
 
@@ -13,17 +15,18 @@ from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.simulation.platform import Platform
+from tests.reference import without_engine
 
 
 def _run(instance, name, *, tracer=None, use_engine=True, metrics=None):
-    return Platform(
-        instance,
-        make_allocator(name, seed=11),
-        batch_interval=5.0,
-        use_engine=use_engine,
-        tracer=tracer,
-        metrics=metrics,
-    ).run()
+    with contextlib.nullcontext() if use_engine else without_engine():
+        return Platform(
+            instance,
+            make_allocator(name, seed=11),
+            batch_interval=5.0,
+            tracer=tracer,
+            metrics=metrics,
+        ).run()
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,14 @@
 
 The whole parallel layer rests on one promise — ``n_jobs`` changes the
 wall-clock and nothing else.  These tests pin it at every level: the
-chunked feasibility kernel (same report, same ``engine_stats``), the
 approach fan-out, the sweep-grid fan-out (same ``SweepResult``), and the
-merged metrics registries.
+merged metrics registries.  The partitioned shard engine's phase-1 pool is
+pinned in ``tests/shard/test_partitioned.py``.
 """
 
 import pytest
 
-from repro.algorithms.registry import APPROACH_NAMES, make_allocator
+from repro.algorithms.registry import APPROACH_NAMES
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.experiments.harness import evaluate_approaches, run_sweep
 from repro.obs.export import metrics_records
@@ -27,52 +27,6 @@ def _make(value):
 
 def _points(sweep):
     return [(p.label, p.approach, p.score) for p in sweep.points]
-
-
-class TestChunkedFeasibilityKernel:
-    """Platform runs through the engine's parallel full build."""
-
-    @pytest.mark.parametrize("name", APPROACH_NAMES)
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_report_and_stats_identical(self, name, n_jobs):
-        from repro.simulation.platform import Platform
-
-        instance = _instance(3)
-        serial = Platform(
-            instance, make_allocator(name, seed=0), batch_interval=5.0
-        ).run()
-        # threshold 0 forces the kernel even for small pair counts, so the
-        # fan-out/prefetch/replay path actually executes.
-        parallel = Platform(
-            instance,
-            make_allocator(name, seed=0),
-            batch_interval=5.0,
-            n_jobs=n_jobs,
-            parallel_threshold=0,
-        ).run()
-        assert parallel.assignments == serial.assignments
-        assert parallel.completion_times == serial.completion_times
-        assert parallel.expired_tasks == serial.expired_tasks
-        assert [b.score for b in parallel.batches] == [b.score for b in serial.batches]
-        # The hard part: cache hits/misses, pruning and recompute counters
-        # must match exactly, not just the allocation outcome.
-        assert parallel.engine_stats == serial.engine_stats
-
-    def test_below_threshold_stays_serial_and_identical(self):
-        from repro.simulation.platform import Platform
-
-        instance = _instance(5)
-        serial = Platform(
-            instance, make_allocator("Greedy", seed=0), batch_interval=5.0
-        ).run()
-        gated = Platform(
-            instance,
-            make_allocator("Greedy", seed=0),
-            batch_interval=5.0,
-            n_jobs=4,  # threshold left at the default, far above this size
-        ).run()
-        assert gated.assignments == serial.assignments
-        assert gated.engine_stats == serial.engine_stats
 
 
 class TestApproachFanout:

@@ -25,7 +25,6 @@ from repro.columnar import (
     dense_pair_columns,
     feasible_dense,
     feasible_pairs,
-    pair_distances,
     rejection_reasons,
     rejection_reasons_dense,
     skill_candidates,
@@ -154,8 +153,20 @@ def test_pair_distances_bitwise_across_backends(seed, count, code):
     by = [a if rng.random() < 0.2 else rng.uniform(-50, 50) for a in ay]
     metric = METRICS[code]
     exact = [metric((ax[k], ay[k]), (bx[k], by[k])) for k in range(count)]
+    batch = ColumnarBatch(
+        [
+            Worker(id=k, location=(ax[k], ay[k]), start=0.0, wait=1.0,
+                   velocity=1.0, max_distance=1.0, skills=frozenset())
+            for k in range(count)
+        ],
+        [
+            Task(id=k, location=(bx[k], by[k]), start=0.0, wait=1.0, skill=0)
+            for k in range(count)
+        ],
+    )
+    diagonal = list(range(count))
     for backend in BACKENDS:
-        got = list(pair_distances(code, ax, ay, bx, by, backend=backend))
+        _, _, got = feasible_pairs(batch, diagonal, diagonal, 0.0, code, backend=backend)
         assert got == exact  # float == float: bitwise for finite doubles
 
 

@@ -10,24 +10,25 @@ shard only checks its own residents — that asymmetry is the scale-out win,
 so it is excluded from the identity pin rather than papered over.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
 from repro.shard.engine import ShardedEngine
 from repro.shard.partition import SCHEMES
 from repro.simulation.platform import Platform, RejoinPolicy
+from tests.reference import ScalarEuclidean
 
 
-def _run(instance, name, shards=1, scheme="grid", use_columnar=True, n_jobs=1):
+def _run(instance, name, shards=1, scheme="grid", columnar=True):
     platform = Platform(
-        instance,
+        instance if columnar else replace(instance, metric=ScalarEuclidean()),
         make_allocator(name, seed=11),
         batch_interval=5.0,
         rejoin=RejoinPolicy.REMAINING,
         shards=shards,
         shard_scheme=scheme,
-        use_columnar=use_columnar,
-        n_jobs=n_jobs,
     )
     return platform.run()
 
@@ -54,10 +55,8 @@ class TestExactEquivalence:
         _assert_identical(sharded, unsharded)
 
     def test_scalar_engines_identical_too(self, boundary_free_instance):
-        sharded = _run(
-            boundary_free_instance, "Greedy", shards=4, use_columnar=False
-        )
-        unsharded = _run(boundary_free_instance, "Greedy", use_columnar=False)
+        sharded = _run(boundary_free_instance, "Greedy", shards=4, columnar=False)
+        unsharded = _run(boundary_free_instance, "Greedy", columnar=False)
         _assert_identical(sharded, unsharded)
 
     def test_shard_count_not_dividing_clusters(self, boundary_free_instance):
@@ -130,16 +129,6 @@ class TestExactEngineDirect:
 
 
 class TestPlatformValidation:
-    def test_shards_require_engine(self, boundary_free_instance):
-        with pytest.raises(ValueError, match="use_engine"):
-            Platform(
-                boundary_free_instance,
-                make_allocator("Greedy", seed=11),
-                batch_interval=5.0,
-                use_engine=False,
-                shards=2,
-            )
-
     def test_bad_scheme_rejected(self, boundary_free_instance):
         with pytest.raises(ValueError, match="shard scheme"):
             Platform(

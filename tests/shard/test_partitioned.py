@@ -244,9 +244,7 @@ class TestCrossShardDependencies:
 class TestParallelPhase1:
     def test_fanout_identical_to_serial(self, bordered_instance):
         serial_engine, serial, _ = _allocate_once(bordered_instance, n_jobs=1)
-        fanned_engine, fanned, _ = _allocate_once(
-            bordered_instance, n_jobs=2, parallel_threshold=0
-        )
+        fanned_engine, fanned, _ = _allocate_once(bordered_instance, n_jobs=2)
         assert list(fanned.assignment.pairs()) == list(serial.assignment.pairs())
         assert fanned.stats["shard_reconcile_assigned"] == (
             serial.stats["shard_reconcile_assigned"]
@@ -262,7 +260,6 @@ class TestParallelPhase1:
             shards=4,
             shard_mode="partitioned",
             n_jobs=2,
-            parallel_threshold=0,
         )
         assert fanned.assignments == serial.assignments
         assert fanned.completion_times == serial.completion_times

@@ -210,22 +210,14 @@ class TestAcceleration:
         return plain, accel
 
     def test_flag_and_default(self):
-        from repro.spatial.roadnet import (
-            default_acceleration,
-            set_default_acceleration,
-        )
+        from repro.spatial.roadnet import MIN_CH_NODES
 
         net = square_network()
         assert not net.accelerated  # tiny network: heuristic says no
         assert RoadNetwork({0: (0, 0)}, accelerate=True).accelerated
-        previous = set_default_acceleration(False)
-        try:
-            assert not default_acceleration()
-            big = grid_road_network(UNIT, 12, 12)
-            assert not big.accelerated
-        finally:
-            set_default_acceleration(previous)
-        assert default_acceleration() == previous
+        big = grid_road_network(UNIT, 12, 12)
+        assert big.num_nodes >= MIN_CH_NODES and big.accelerated
+        assert not grid_road_network(UNIT, 12, 12, accelerate=False).accelerated
 
     def test_queries_bit_identical(self):
         plain, accel = self._twin_grids(11, closure_prob=0.2,

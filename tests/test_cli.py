@@ -81,80 +81,20 @@ class TestRun:
         assert "DFS" in text
 
 
-class TestRoadnetFlags:
-    def _solve(self, tmp_path, *flags):
-        path = tmp_path / "inst.json"
-        main(["generate", "synthetic", "--out", str(path),
-              "--workers", "10", "--tasks", "12", "--seed", "3"])
-        return main(["solve", str(path), "--approach", "Greedy", *flags])
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command", ["list", "run", "generate", "lint", "solve", "explain", "report"]
+    )
+    def test_every_subcommand_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: dasc" in capsys.readouterr().out
 
-    def test_flags_toggle_the_process_default(self, tmp_path):
-        from repro.spatial.roadnet import default_acceleration, set_default_acceleration
-
-        initial = default_acceleration()
-        try:
-            assert self._solve(tmp_path, "--no-roadnet-accel") == 0
-            assert default_acceleration() is False
-            assert self._solve(tmp_path, "--roadnet-accel") == 0
-            assert default_acceleration() is True
-        finally:
-            set_default_acceleration(initial)
-
-    def test_no_flag_leaves_default_alone(self, tmp_path):
-        from repro.spatial.roadnet import default_acceleration, set_default_acceleration
-
-        initial = default_acceleration()
-        previous = set_default_acceleration(False)
-        try:
-            assert self._solve(tmp_path) == 0
-            assert default_acceleration() is False
-        finally:
-            set_default_acceleration(previous)
-        assert default_acceleration() == initial
-
-
-class TestColumnarFlags:
-    def _solve(self, tmp_path, *flags):
-        path = tmp_path / "inst.json"
-        main(["generate", "synthetic", "--out", str(path),
-              "--workers", "10", "--tasks", "12", "--seed", "3"])
-        return main(["solve", str(path), "--approach", "Greedy", *flags])
-
-    def test_flags_toggle_the_process_default(self, tmp_path):
-        from repro.columnar import default_columnar, set_default_columnar
-
-        initial = default_columnar()
-        try:
-            assert self._solve(tmp_path, "--no-columnar") == 0
-            assert default_columnar() is False
-            assert self._solve(tmp_path, "--columnar") == 0
-            assert default_columnar() is True
-        finally:
-            set_default_columnar(initial)
-
-    def test_no_flag_leaves_default_alone(self, tmp_path):
-        from repro.columnar import default_columnar, set_default_columnar
-
-        initial = default_columnar()
-        previous = set_default_columnar(False)
-        try:
-            assert self._solve(tmp_path) == 0
-            assert default_columnar() is False
-        finally:
-            set_default_columnar(previous)
-        assert default_columnar() == initial
-
-    def test_run_accepts_columnar_flags(self, tmp_path):
-        from repro.columnar import default_columnar, set_default_columnar
-
-        initial = default_columnar()
-        out_file = tmp_path / "t.txt"
-        try:
-            assert main(["run", "table6", "--scale", "0.3", "--seed", "3",
-                         "--no-columnar", "--out", str(out_file)]) == 0
-            assert default_columnar() is False
-        finally:
-            set_default_columnar(initial)
+    def test_approach_help_lists_game_percent(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        assert "Game-5%" in capsys.readouterr().out
 
 
 class TestLoadErrors:
@@ -192,6 +132,14 @@ class TestLoadErrors:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().out == (
             f"error: {path}: workers[2]: missing required key 'skills'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["lint", "solve"])
+    def test_missing_file(self, tmp_path, capsys, command):
+        path = tmp_path / "missing.json"
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().out == (
+            f"error: {path}: No such file or directory\n"
         )
 
     def test_explain_malformed_events(self, tmp_path, capsys):
@@ -237,7 +185,9 @@ class TestFlightRecorder:
                      "--events-out", str(events)]) == 0
         records = read_jsonl(str(events))
         validate_events_records(records)
-        assert any(r.get("type") == "feas_build" for r in records)
+        # A standalone single batch journals through the fresh checker.
+        builds = [r for r in records if r.get("type") == "feas_build"]
+        assert builds and all(r["mode"] == "checker" for r in builds)
 
     def test_explain_summary_and_queries(self, tmp_path, capsys):
         inst = self._instance(tmp_path)
