@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the per-shard solves of a "
-        "--shard-mode partitioned run (1 = serial, -1 = all CPUs)",
+        help="worker processes for the per-shard solves of a --shards run "
+        "(1 = serial, -1 = all CPUs)",
     )
     solve.add_argument(
         "--replay-check",
@@ -141,16 +141,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.shard import MODES as SHARD_MODES, SCHEMES as SHARD_SCHEMES
+    from repro.shard import SCHEMES as SHARD_SCHEMES
 
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
-        help="split the plane into N spatial shards, each with its own "
-        "incremental engine (platform runs only; 1 = unsharded)",
+        help="split the plane into N spatial shards, each allocating its own "
+        "workers before a border reconcile (platform runs only; 1 = "
+        "unsharded; sharded reports may differ from the unsharded run's)",
     )
     parser.add_argument(
         "--shard-scheme",
@@ -158,14 +169,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         default="grid",
         help="how to cut the plane: a uniform grid of the bounding box, or "
         "a density-balanced KD split of the population (default: grid)",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=SHARD_MODES,
-        default="exact",
-        help="'exact' merges per-shard feasibility into one batch view "
-        "(bit-identical reports); 'partitioned' runs the allocator per "
-        "shard and reconciles border workers (default: exact)",
     )
 
 
@@ -382,7 +385,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             journal=journal,
             shards=args.shards,
             shard_scheme=args.shard_scheme,
-            shard_mode=args.shard_mode,
         )
         report = platform.run()
         metrics_registry = platform.metrics_registry

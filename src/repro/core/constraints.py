@@ -413,12 +413,12 @@ class FeasibilityChecker:
             tpos_of = {t.id: pos for pos, t in enumerate(self.tasks)}
             widx: List[int] = []
             tidx: List[int] = []
+            ends: List[int] = []
             for wpos, (worker, span) in enumerate(zip(self.workers, spans)):
                 candidates = index.query_radius(worker.location, span)
-                if journal.enabled:
-                    self._journal_pruned(worker, set(candidates))
                 widx.extend(wpos for _ in candidates)
                 tidx.extend(tpos_of[tid] for tid in candidates)
+                ends.append(len(widx))
             mask, _, _ = feasible_pairs(
                 batch, widx, tidx, self.now, self._columnar_code
             )
@@ -434,15 +434,23 @@ class FeasibilityChecker:
                 codes = rejection_reasons(
                     batch, widx, tidx, self.now, self._columnar_code
                 )
-                for k, verdict in enumerate(codes):
-                    if verdict:
-                        journal.emit(
-                            "reject",
-                            worker=worker_ids[widx[k]],
-                            task=task_ids[tidx[k]],
-                            reason=REASON_NAMES[verdict],
-                            phase="checker",
-                        )
+                # Each worker's prunes, then its exact-check rejects: the
+                # scalar loop's order, so the stream is path-independent.
+                start = 0
+                for worker, end in zip(self.workers, ends):
+                    self._journal_pruned(
+                        worker, {task_ids[tidx[k]] for k in range(start, end)}
+                    )
+                    for k in range(start, end):
+                        if codes[k]:
+                            journal.emit(
+                                "reject",
+                                worker=worker.id,
+                                task=task_ids[tidx[k]],
+                                reason=REASON_NAMES[codes[k]],
+                                phase="checker",
+                            )
+                    start = end
         else:
             bounded = self._bounded
             for worker, span in zip(self.workers, spans):

@@ -4,14 +4,13 @@
   density-balanced KD) with unique point containment and reach-disc
   overlap queries.
 * :mod:`repro.shard.engine` — the :class:`ShardedEngine` coordinator: one
-  incremental :class:`~repro.engine.engine.AllocationEngine` per shard,
-  an ``exact`` protocol whose merged batch views are bit-identical to the
-  unsharded engine's, and a ``partitioned`` two-phase protocol (per-shard
-  allocators + border reconcile) whose quality is measured and gated by
+  incremental :class:`~repro.engine.engine.AllocationEngine` per shard
+  and a two-phase protocol (per-shard allocators + border reconcile +
+  cross-shard dependency retry) whose quality is measured and gated by
   ``benchmarks/bench_shard.py``.
 """
 
-from repro.shard.engine import MODES, ShardedEngine
+from repro.shard.engine import ShardedEngine
 from repro.shard.partition import (
     SCHEMES,
     Box,
@@ -23,7 +22,6 @@ from repro.shard.partition import (
 
 __all__ = [
     "Box",
-    "MODES",
     "SCHEMES",
     "ShardedEngine",
     "SpatialPartition",

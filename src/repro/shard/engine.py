@@ -1,65 +1,47 @@
-"""The geo-sharded allocation engine: per-shard incremental feasibility.
+"""The geo-sharded allocation engine: per-shard feasibility and allocation.
 
 A :class:`ShardedEngine` owns one incremental
 :class:`~repro.engine.engine.AllocationEngine` per shard of a frozen
 :class:`~repro.shard.partition.SpatialPartition` built over the instance's
 worker and task positions.  Tasks route to the unique shard containing
-their location; workers register in **every** shard their reachability
-disc (:func:`~repro.core.constraints.reach_radius`, a sound Euclidean
-over-approximation for any ``euclidean_lower_bound`` metric) overlaps —
-workers whose disc crosses a boundary are the *border* set.  Each shard
-then syncs its own graph incrementally, so per-batch feasibility work
-settles against a shard-sized population instead of the global one.
+their location; a worker's reachability disc
+(:func:`~repro.core.constraints.reach_radius`, a sound Euclidean
+over-approximation for any ``euclidean_lower_bound`` metric) decides where
+it goes: a disc inside one shard makes it a *core* worker of that shard,
+a disc crossing a boundary puts it in the *border* set.  Each shard syncs
+its own graph incrementally over its core workers and home tasks, so
+per-batch feasibility work settles against a shard-sized population
+instead of the global one.
 
-Two allocation protocols:
+Each batch runs the two-phase protocol:
 
-* ``exact`` (the default) shards the **feasibility work only**: border
-  workers register in every overlapped shard, the per-shard batch views
-  are merged into one global view and a single allocator run decides the
-  batch.  Reports are bit-identical to the unsharded engine for every
-  approach — the merged view contains exactly the global pair set in the
-  global order, and the allocator sees the same context.  On
-  boundary-free instances (no disc crosses a boundary) with every task
-  visible at the first batch, the aggregated ``engine_stats`` are
-  bit-identical too (pinned by ``tests/shard/test_equivalence.py``); see
-  *Counter compensation* below for how.
-* ``partitioned`` runs phase 1 of the two-phase protocol — each shard's
-  allocator independently over its core (non-border) workers, optionally
-  fanned across the process pool — then phase 2 collects the border
-  workers and every still-open task within any border disc into one small
-  reconcile instance re-solved exactly.  The merge never double-assigns a
-  worker or overstaffs a task (core worker sets and shard task sets are
-  disjoint; the reconcile context's taken-task credit excludes phase-1
-  picks, with a defensive conflict counter besides).  Quality relative to
-  the unsharded run is *measured*, reported and gated by the benchmark —
-  not pinned.
+1. every shard's allocator runs independently over its core workers and
+   home tasks, optionally fanned across the process pool;
+2. the border workers and every still-open task within any border disc
+   form one small reconcile instance, re-solved exactly.
 
-Counter compensation (exact mode)
----------------------------------
-A shard engine probing its local index prunes against ``|T_shard|``
-tasks, not ``|T_batch|``; the coordinator adds the shortfall
-``|T_batch| - sum(|T_shard|)`` per recomputed worker row to its own
-``pruned_by_index``, so the aggregate matches the global engine's count.
-``full_builds`` / ``incremental_updates`` are coordinator-level (one per
-batch, as the global engine counts them); every other counter sums
-exactly because boundary-free rows partition by task shard.  The shard
-indexes reuse the *global* engine's cell-size decision (``forced_cell``)
-and latest-deadline horizon (``shared_latest``) so index geometry — and
-with it ``pairs_checked`` / ``pruned_by_index`` / cache traffic — lines
-up shard by shard.  Aggregate ``cache_hits``/``cache_misses`` match
-because every directed key deterministically routes to one shard's
-(unbounded) cache: per-key accesses and the distinct-key total are both
-preserved (a bounded ``cache_maxsize`` breaks this argument — evictions
-depend on per-cache interleaving — so stats identity is only claimed for
-unbounded caches, the default).
+A dependency-retry pass then re-offers tasks whose prerequisites another
+shard assigned in the same batch.  The merge never double-assigns a worker
+or overstaffs a task (core worker sets and shard task sets are disjoint;
+the reconcile context's taken-task credit excludes phase-1 picks, with a
+defensive conflict counter besides).  Quality relative to the unsharded
+run is *measured*, reported and gated by ``benchmarks/bench_shard.py`` —
+not pinned.  Even on a boundary-free instance, where the per-shard
+subproblems are independent, an allocator that breaks ties or draws
+random numbers across the whole batch can pair differently.
 
-Observability: every per-shard graph build, view materialisation and
-reason-coded rejection is stamped with its shard id
+The shard indexes reuse the cell-size decision the unsharded engine would
+make for the whole batch (``forced_cell``): sized per shard, the index
+heuristics skip it on every shard and the shards check more pairs.
+
+Observability: every per-shard graph build, view materialisation, phase-1
+solve and reason-coded rejection is stamped with its shard id
 (:meth:`~repro.obs.events.EventJournal.set_shard`); run/batch/assign
 framing stays shard-free, so ``repro explain --replay-check`` replays a
-sharded journal unchanged.  Cross-shard index prunes compensated by the
-coordinator emit no per-pair reject events (the pairs never reach a shard
-engine) — ``why_not`` answers for them fall back to the checker phase.
+sharded journal unchanged.  Pairs between a worker and a task of a shard
+it does not belong to never reach a shard engine and emit no per-pair
+reject events — ``why_not`` answers for them fall back to the checker
+phase.
 """
 
 from __future__ import annotations
@@ -92,39 +74,27 @@ from repro.parallel.pool import ordered_map, resolve_jobs
 from repro.shard.partition import SpatialPartition, make_partition
 from repro.spatial.index import GridIndex
 
-#: Recognised allocation protocols.
-MODES = ("exact", "partitioned")
-
 
 class _ShardEngine(AllocationEngine):
     """One shard's incremental engine, steered by the coordinator.
 
-    Differs from a free-standing engine in three ways: the graph sync is
+    Differs from a free-standing engine in two ways: the graph sync is
     driven by :meth:`sync` (no per-batch mode counters or ``feas_build``
-    emission — the coordinator owns both), the task index mirrors the
-    *global* engine's cell-size decision (``forced_cell``), and the
-    pruning horizon is the *global* latest deadline (``shared_latest``) —
-    all three keep the shard's counters summable to the unsharded run's.
+    emission — the coordinator owns both), and the task index uses the
+    cell size the coordinator decided for the whole batch
+    (``forced_cell``).
     """
 
     def __init__(self, instance: ProblemInstance, shard_id: int, **kwargs) -> None:
         super().__init__(instance, **kwargs)
         self.shard_id = shard_id
         self.forced_cell: Optional[float] = None
-        self.shared_latest: Optional[float] = None
-
-    def _latest_deadline(self) -> float:
-        if self.shared_latest is not None:
-            return self.shared_latest
-        return super()._latest_deadline()
 
     def _make_index(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> Optional[GridIndex[int]]:
-        # The per-shard extent heuristics would pick a different cell (or
-        # skip the index) per shard, skewing pairs_checked/pruned_by_index
-        # away from the global engine's; mirroring its decision keeps the
-        # candidate sets — hence the counters — summable.
+        # The extent heuristics, run on one shard's tasks, would skip the
+        # index on every shard; the whole batch's decision keeps pruning.
         if self.forced_cell is None or not tasks:
             return None
         index: GridIndex[int] = GridIndex(cell_size=self.forced_cell)
@@ -146,174 +116,6 @@ class _ShardEngine(AllocationEngine):
         self._now = now
         self._sync_cache_counters()
         return mode
-
-
-class _ShardRoutedMetric:
-    """Routes metric calls to the destination shard's distance cache.
-
-    Every directed key ``(a, b)`` lands in the shard containing ``b`` —
-    the same cache the build-time evaluation for a task in that shard
-    used — so allocator-side lookups (Closest, utilities) hit exactly as
-    they would against the unsharded engine's single cache, and the
-    aggregate hit/miss totals match it key for key.
-    """
-
-    __slots__ = ("_engine", "base")
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self._engine = engine
-        self.base = engine.instance.metric
-
-    @property
-    def euclidean_lower_bound(self) -> bool:
-        return bool(getattr(self.base, "euclidean_lower_bound", False))
-
-    @property
-    def hits(self) -> int:
-        return sum(e.metric.hits for e in self._engine.engines)
-
-    @property
-    def misses(self) -> int:
-        return sum(e.metric.misses for e in self._engine.engines)
-
-    def __call__(self, a, b) -> float:
-        engines = self._engine.engines
-        return engines[self._engine.partition.shard_of(b)].metric(a, b)
-
-    def __repr__(self) -> str:
-        return f"_ShardRoutedMetric(shards={self._engine.partition.n_shards})"
-
-
-class _AggregateCounters:
-    """The coordinator's :class:`EngineCounters`-shaped façade.
-
-    ``as_dict`` / ``aux_dict`` / ``delta_since`` see coordinator-owned
-    totals plus the sum over shard engines, so a
-    :meth:`~repro.engine.context.BatchContext.engine_stats` delta over a
-    sharded batch reads exactly like an unsharded one.  Game-work bulk
-    adds land on the coordinator; the cache fields are live aggregate
-    properties (their setters are no-ops — ``engine_stats`` folds cache
-    traffic in by assignment, but shard syncs already keep the shard
-    counters current).
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self._engine = engine
-
-    def as_dict(self, prefix: str = "engine_") -> Dict[str, float]:
-        return self._engine._aggregate_dict(prefix)
-
-    def aux_dict(self, prefix: str = "engine_") -> Dict[str, float]:
-        return self._engine._aggregate_aux(prefix)
-
-    def delta_since(
-        self, snapshot: Dict[str, float], prefix: str = "engine_"
-    ) -> Dict[str, float]:
-        current = self.as_dict(prefix)
-        delta = {key: current[key] - snapshot.get(key, 0.0) for key in current}
-        for key, value in snapshot.items():
-            if key not in delta:
-                delta[key] = -value
-        return delta
-
-    def add_game_work(self, *args: int, **kwargs: int) -> None:
-        self._engine.counters.add_game_work(*args, **kwargs)
-
-    @property
-    def cache_hits(self) -> float:
-        return float(sum(e.metric.hits for e in self._engine.engines))
-
-    @cache_hits.setter
-    def cache_hits(self, value: float) -> None:
-        pass
-
-    @property
-    def cache_misses(self) -> float:
-        return float(sum(e.metric.misses for e in self._engine.engines))
-
-    @cache_misses.setter
-    def cache_misses(self, value: float) -> None:
-        pass
-
-
-class _MergedView:
-    """The global batch view assembled from per-shard views (exact mode).
-
-    Each shard materialises its own :class:`BatchFeasibilityView` (journal
-    events stamped with the shard id); a worker's global row is the sorted
-    union of its per-shard rows.  Tasks live in exactly one shard, so the
-    union is disjoint and the merged rows equal — content and order — the
-    rows a single global view would produce.
-    """
-
-    def __init__(
-        self,
-        engine: "ShardedEngine",
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        shard_workers: Sequence[Sequence[Worker]],
-        shard_tasks: Sequence[Sequence[Task]],
-    ) -> None:
-        self.workers = list(workers)
-        self.tasks = list(tasks)
-        self.metric = engine.metric
-        self.now = now
-        journal = engine.journal
-        before = sum(e.counters.time_filtered for e in engine.engines)
-        rows_by_wid: Dict[int, List[List[int]]] = {}
-        workers_of: Dict[int, List[int]] = {}
-        for sid, shard_engine in enumerate(engine.engines):
-            if journal.enabled:
-                journal.set_shard(sid)
-            view = BatchFeasibilityView(
-                shard_engine, shard_workers[sid], shard_tasks[sid], now
-            )
-            for wid, row in view._tasks_of.items():
-                if row:
-                    rows_by_wid.setdefault(wid, []).append(row)
-            workers_of.update(view._workers_of)
-        if journal.enabled:
-            journal.set_shard(None)
-        tasks_of: Dict[int, List[int]] = {}
-        for worker in self.workers:
-            parts = rows_by_wid.get(worker.id)
-            if not parts:
-                tasks_of[worker.id] = []
-            elif len(parts) == 1:
-                tasks_of[worker.id] = parts[0]
-            else:
-                tasks_of[worker.id] = sorted(tid for part in parts for tid in part)
-        self._tasks_of = tasks_of
-        self._workers_of = workers_of
-        self._task_sets = {wid: frozenset(row) for wid, row in tasks_of.items()}
-        if journal.enabled:
-            checked = sum(e.counters.time_filtered for e in engine.engines) - before
-            # The batch's global funnel record; the per-shard views above
-            # each emitted their own (shard-stamped) feas_view.
-            journal.emit("feas_view", links=int(checked), feasible=self.pair_count())
-
-    # -- FeasibilityChecker API -------------------------------------------------
-
-    def tasks_of(self, worker_id: int) -> List[int]:
-        return self._tasks_of.get(worker_id, [])
-
-    def workers_of(self, task_id: int) -> List[int]:
-        return self._workers_of.get(task_id, [])
-
-    def feasible(self, worker_id: int, task_id: int) -> bool:
-        row = self._task_sets.get(worker_id)
-        return row is not None and task_id in row
-
-    def pairs(self) -> Iterable[Tuple[int, int]]:
-        for wid, tids in self._tasks_of.items():
-            for tid in tids:
-                yield (wid, tid)
-
-    def pair_count(self) -> int:
-        return sum(len(tids) for tids in self._tasks_of.values())
 
 
 class _PrebuiltView:
@@ -388,14 +190,9 @@ class ShardedEngine:
             :class:`AllocationEngine` for 1).
         scheme: partition build scheme — ``"grid"`` or ``"kd"`` (see
             :mod:`repro.shard.partition`).
-        mode: ``"exact"`` (sharded feasibility, single global allocator
-            run, bit-identical reports) or ``"partitioned"`` (two-phase
-            per-shard allocators + border reconcile; quality measured, not
-            pinned).  See the module docstring.
         use_index / cache_maxsize: forwarded to every shard engine.
-        n_jobs: worker processes for the phase-1 shard solves in
-            partitioned mode (1 = serial, negative = all CPUs); outcomes
-            are identical either way.  Exact mode never fans out.
+        n_jobs: worker processes for the phase-1 shard solves (1 = serial,
+            negative = all CPUs); outcomes are identical either way.
         tracer / registry / journal: observability hooks.  The registry
             receives the coordinator's counters and shard gauges; each
             shard engine keeps its own private registry (per-shard detail
@@ -408,7 +205,6 @@ class ShardedEngine:
         n_shards: int,
         *,
         scheme: str = "grid",
-        mode: str = "exact",
         use_index: bool = True,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -418,11 +214,9 @@ class ShardedEngine:
     ) -> None:
         if n_shards < 2:
             raise ValueError(f"n_shards must be >= 2, got {n_shards}")
-        if mode not in MODES:
-            raise ValueError(f"unknown shard mode {mode!r} (expected one of {MODES})")
         self.instance = instance
-        self.mode = mode
         self.use_index = use_index
+        self._euclid = bool(getattr(instance.metric, "euclidean_lower_bound", False))
         self.n_jobs = resolve_jobs(n_jobs)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal if journal is not None else get_journal()
@@ -443,11 +237,9 @@ class ShardedEngine:
             )
             for sid in range(n_shards)
         ]
-        self.metric = _ShardRoutedMetric(self)
-        self._agg = _AggregateCounters(self)
         self._border_counter = self.registry.counter(
             "shard_border_workers",
-            "worker registrations whose reach disc crossed a shard boundary",
+            "batch workers whose reach disc crossed a shard boundary",
         )
         self._reconcile_pairs_counter = self.registry.counter(
             "shard_reconcile_pairs",
@@ -472,45 +264,10 @@ class ShardedEngine:
         self.registry.gauge("shard_count", "number of spatial shards").value = float(
             n_shards
         )
-        self._cell: Optional[float] = None
         self._synced = False
         self._now = -math.inf
 
     # -- public API ---------------------------------------------------------------
-
-    def begin_batch(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        previously_assigned: AbstractSet[int] = frozenset(),
-    ) -> BatchContext:
-        """Exact protocol: sync every shard, hand back one merged context."""
-        workers = list(workers)
-        tasks = list(tasks)
-        snapshot = self._aggregate_dict()
-        shard_workers, shard_tasks, border, latest, registrations = self._route(
-            workers, tasks, now, exclude_border=False
-        )
-        self._sync_shards(
-            workers, tasks, shard_workers, shard_tasks, now, latest, registrations
-        )
-        self._border_counter.inc(len(border))
-        return BatchContext(
-            workers,
-            tasks,
-            self.instance,
-            now,
-            previously_assigned,
-            metric=self.metric,
-            counters=self._agg,
-            checker_factory=lambda: _MergedView(
-                self, workers, tasks, now, shard_workers, shard_tasks
-            ),
-            stats_snapshot=snapshot,
-            tracer=self.tracer,
-            journal=self.journal,
-        )
 
     def allocate(
         self,
@@ -520,17 +277,13 @@ class ShardedEngine:
         now: float,
         previously_assigned: AbstractSet[int] = frozenset(),
     ) -> AllocationOutcome:
-        """Partitioned protocol: per-shard phase 1, then border reconcile."""
+        """Decide one batch: per-shard phase 1, border reconcile, retry."""
         started = time.perf_counter()
         workers = list(workers)
         tasks = list(tasks)
         snapshot = self._aggregate_dict()
-        shard_workers, shard_tasks, border, latest, registrations = self._route(
-            workers, tasks, now, exclude_border=True
-        )
-        self._sync_shards(
-            workers, tasks, shard_workers, shard_tasks, now, latest, registrations
-        )
+        shard_workers, shard_tasks, border, latest = self._route(workers, tasks, now)
+        self._sync_shards(workers, tasks, shard_workers, shard_tasks, now)
         self._border_counter.inc(len(border))
         journal = self.journal
         payloads: List[Tuple[int, List[Worker], List[Task], Dict[int, List[int]]]] = []
@@ -606,7 +359,8 @@ class ShardedEngine:
             payloads, merged, used_workers, taken, stats,
         )
 
-        stats.update(self._agg.delta_since(snapshot))
+        current = self._aggregate_dict()
+        stats.update({key: value - snapshot[key] for key, value in current.items()})
         stats["shard_phase1_shards"] = float(len(payloads))
         stats["shard_border_workers"] = float(len(border))
         stats["shard_reconcile_pairs"] = float(reconcile_pairs)
@@ -630,69 +384,45 @@ class ShardedEngine:
     def columnar_active(self) -> bool:
         return any(e.columnar_active for e in self.engines)
 
-    @property
-    def store_active(self) -> bool:
-        # Always False: the column store is gone; perfbench's path stamp reads it.
-        return False
-
     def __repr__(self) -> str:
         return (
             f"ShardedEngine(shards={self.partition.n_shards}, "
-            f"scheme={self.partition.scheme!r}, mode={self.mode!r})"
+            f"scheme={self.partition.scheme!r})"
         )
 
     # -- internals ----------------------------------------------------------------
 
-    def _route(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        exclude_border: bool,
-    ):
-        """Assign tasks to home shards and workers to overlapped shards.
+    def _route(self, workers: Sequence[Worker], tasks: Sequence[Task], now: float):
+        """Split a batch into per-shard core workers and home tasks.
 
-        Without a Euclidean lower bound on the metric the reach disc is
-        not a sound over-approximation, so every worker registers in every
-        shard (feasibility work still shards by task; border handling
-        degenerates safely).
+        A worker whose reach disc overlaps more than one shard is a border
+        worker and joins no shard.  Without a Euclidean lower bound on the
+        metric the disc is not a sound over-approximation, so every worker
+        is a border worker and the reconcile phase solves the whole batch.
         """
         latest = max((t.deadline for t in tasks), default=0.0)
         part = self.partition
-        n = part.n_shards
-        shard_tasks: List[List[Task]] = [[] for _ in range(n)]
+        shard_tasks: List[List[Task]] = [[] for _ in range(part.n_shards)]
         for task in tasks:
             shard_tasks[part.shard_of(task.location)].append(task)
-        euclid = bool(getattr(self.instance.metric, "euclidean_lower_bound", False))
-        all_sids = list(range(n))
-        shard_workers: List[List[Worker]] = [[] for _ in range(n)]
+        shard_workers: List[List[Worker]] = [[] for _ in range(part.n_shards)]
         border: List[Worker] = []
-        registrations: List[Tuple[Worker, List[int]]] = []
         for worker in workers:
-            if euclid:
+            if self._euclid:
                 sids = part.shards_overlapping_disc(
                     worker.location, reach_radius(worker, latest, now)
                 )
-            else:
-                sids = all_sids
-            if len(sids) > 1:
-                border.append(worker)
-                if exclude_border:
+                if len(sids) == 1:
+                    shard_workers[sids[0]].append(worker)
                     continue
-            registrations.append((worker, sids))
-            for sid in sids:
-                shard_workers[sid].append(worker)
-        return shard_workers, shard_tasks, border, latest, registrations
+            border.append(worker)
+        return shard_workers, shard_tasks, border, latest
 
     def _global_index_cell(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> Optional[float]:
         """Replicate ``AllocationEngine._make_index``'s sizing decision."""
-        if (
-            not self.use_index
-            or not self.metric.euclidean_lower_bound
-            or not tasks
-        ):
+        if not self.use_index or not self._euclid or not tasks:
             return None
         latest = max(t.deadline for t in tasks)
         spans = [reach_radius(w, latest, now) for w in workers]
@@ -713,8 +443,6 @@ class ShardedEngine:
         shard_workers: Sequence[Sequence[Worker]],
         shard_tasks: Sequence[Sequence[Task]],
         now: float,
-        latest: float,
-        registrations: Sequence[Tuple[Worker, List[int]]],
     ) -> None:
         if self._synced and now < self._now:
             # Time went backwards: the shard engines will reset and rebuild;
@@ -722,30 +450,11 @@ class ShardedEngine:
             self._synced = False
         first = not self._synced
         if first:
-            self._cell = self._global_index_cell(workers, tasks, now)
-        if self._cell is not None:
-            # Pruning compensation: a recomputed row prunes against its
-            # registered shards' tasks only; the global engine would also
-            # have pruned the other shards' tasks.
-            n_total = len(tasks)
-            counts = [len(ts) for ts in shard_tasks]
-            engines = self.engines
-            adjust = 0
-            for worker, sids in registrations:
-                dirty = any(
-                    not engines[sid]._built
-                    or engines[sid]._workers.get(worker.id) != worker
-                    for sid in sids
-                )
-                if dirty:
-                    adjust += n_total - sum(counts[sid] for sid in sids)
-            if adjust:
-                self.counters.pruned_by_index += adjust
+            cell = self._global_index_cell(workers, tasks, now)
         journal = self.journal
         for sid, shard_engine in enumerate(self.engines):
-            shard_engine.shared_latest = latest
             if first:
-                shard_engine.forced_cell = self._cell
+                shard_engine.forced_cell = cell
             if journal.enabled:
                 journal.set_shard(sid)
                 before = (
@@ -847,7 +556,7 @@ class ShardedEngine:
     ) -> List[Task]:
         """Open tasks within any border worker's reach disc, batch order."""
         open_tasks = [t for t in tasks if t.id not in taken]
-        if not bool(getattr(self.instance.metric, "euclidean_lower_bound", False)):
+        if not self._euclid:
             return open_tasks
         keep: List[Task] = []
         for task in open_tasks:

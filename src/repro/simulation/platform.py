@@ -25,7 +25,6 @@ from repro.engine.engine import AllocationEngine
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer
-from repro.shard.engine import MODES as SHARD_MODES
 from repro.shard.engine import ShardedEngine
 from repro.shard.partition import SCHEMES as SHARD_SCHEMES
 from repro.simulation.stats import BatchRecord, SimulationReport
@@ -70,25 +69,22 @@ class Platform:
             engine's counters/gauges.  None keeps the engine's metrics in a
             private registry, exposed after the run as
             :attr:`metrics_registry`.
-        n_jobs: worker processes for the phase-1 shard solves of a
-            ``shard_mode="partitioned"`` run (1 = serial, negative = all
-            CPUs); reports are identical for every value.  Other runs never
-            fan out.
+        n_jobs: worker processes for the phase-1 shard solves of a sharded
+            run (1 = serial, negative = all CPUs); reports are identical for
+            every value.  Unsharded runs never fan out.
         journal: structured event journal (the allocation flight recorder)
             receiving the run/batch lifecycle, worker arrivals/departures,
             task submissions/expiries, reason-coded feasibility rejections
             and assignment commits.  None uses the process default
             (:func:`repro.obs.events.get_journal`), a no-op unless
             installed.
-        shards: spatial shards for the engine (1 = the plain unsharded
-            engine).  ``shards >= 2`` builds batch contexts through a
-            :class:`~repro.shard.engine.ShardedEngine`, whose ``exact``
-            mode produces bit-identical reports for every allocator.
+        shards: spatial shards (1 = the plain unsharded engine).
+            ``shards >= 2`` decides each batch through a
+            :class:`~repro.shard.engine.ShardedEngine`: per-shard
+            allocators plus a border reconcile phase, whose quality is
+            measured rather than pinned (reports may differ from the
+            unsharded run's).
         shard_scheme: partition build scheme, ``"grid"`` or ``"kd"``.
-        shard_mode: ``"exact"`` (sharded feasibility, one global allocator
-            run) or ``"partitioned"`` (per-shard allocators plus a border
-            reconcile phase; faster at scale, quality measured rather than
-            pinned — see :mod:`repro.shard.engine`).
 
     The simulation is deterministic given a deterministic allocator; the
     tracer, metrics and journal record observations only and never feed
@@ -108,7 +104,6 @@ class Platform:
         journal: Optional[EventJournal] = None,
         shards: int = 1,
         shard_scheme: str = "grid",
-        shard_mode: str = "exact",
     ) -> None:
         if batch_interval <= 0.0:
             raise ValueError(f"batch interval must be positive, got {batch_interval}")
@@ -117,10 +112,6 @@ class Platform:
         if shard_scheme not in SHARD_SCHEMES:
             raise ValueError(
                 f"unknown shard scheme {shard_scheme!r} (expected one of {SHARD_SCHEMES})"
-            )
-        if shard_mode not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard mode {shard_mode!r} (expected one of {SHARD_MODES})"
             )
         self.instance = instance
         self.allocator = allocator
@@ -132,7 +123,6 @@ class Platform:
         self.journal = journal
         self.shards = shards
         self.shard_scheme = shard_scheme
-        self.shard_mode = shard_mode
         self._metrics_registry: Optional[MetricsRegistry] = metrics
         #: The engine of the most recent :meth:`run` (None before any run).
         self.last_engine: Optional[AllocationEngine | ShardedEngine] = None
@@ -189,7 +179,6 @@ class Platform:
                 instance,
                 self.shards,
                 scheme=self.shard_scheme,
-                mode=self.shard_mode,
                 tracer=tracer,
                 registry=self.metrics,
                 n_jobs=self.n_jobs,
@@ -258,7 +247,7 @@ class Platform:
                     prev_worker_ids = cur_worker_ids
                     prev_task_ids = cur_task_ids
                 if workers and tasks:
-                    if isinstance(engine, ShardedEngine) and engine.mode == "partitioned":
+                    if isinstance(engine, ShardedEngine):
                         # The two-phase protocol owns its own feasibility
                         # sync and per-shard allocator runs.
                         with tracer.span("platform.match"):

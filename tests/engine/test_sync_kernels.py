@@ -8,7 +8,7 @@ index-probed candidate columns).  Against the scalar loops they replace
 the feasible-pair graph, every batch view, ``engine_stats``, the
 distance-cache contents and insertion order, and the journal's event
 stream must all match exactly — on both kernel backends, with and without
-a grid index, with a bounded cache, and in a 2-shard exact run.
+a grid index, with a bounded cache, and in a 2-shard run.
 """
 
 import random
@@ -167,7 +167,6 @@ def _platform_run(instance, columnar, shards, journal):
         batch_interval=1.0,
         rejoin=RejoinPolicy.FRESH,
         shards=shards,
-        shard_mode="exact",
         journal=journal,
     )
     report = platform.run()
@@ -202,11 +201,3 @@ def test_platform_rejoin_runs_match_scalar(backend, shards):
     assert on_aux["engine_columnar_pairs"] > COLUMNAR_SYNC_MIN_PAIRS
     assert on.total_score > 0
 
-
-def test_sharded_exact_decisions_match_unsharded():
-    instance = _instance(4.0, n_workers=400, waves=(100, 120, 120, 100))
-    sharded, _ = _platform_run(instance, True, 2, None)
-    single, _ = _platform_run(instance, True, 1, None)
-    assert sharded.assignments == single.assignments
-    assert sharded.completion_times == single.completion_times
-    assert sharded.expired_tasks == single.expired_tasks

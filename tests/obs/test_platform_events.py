@@ -195,6 +195,36 @@ class TestStreamCoherence:
         assert build["pairs"] == len(workers) * len(tasks)
         assert build["pairs"] == rejects + checker.pair_count()
 
+    @pytest.mark.parametrize("use_index", [False, True])
+    def test_checker_stream_path_independent(self, instance, use_index):
+        """The columnar and scalar checkers journal the same stream."""
+        from repro.core.constraints import FeasibilityChecker
+
+        def spread(entity):
+            # Ten times the region at the same reach: the index engages.
+            x, y = entity.location
+            return replace(entity, location=(10.0 * x, 10.0 * y))
+
+        now = 40.0
+        workers = [spread(w) for w in instance.workers if w.active_at(now)]
+        tasks = [spread(t) for t in instance.tasks if t.active_at(now)]
+        streams = []
+        for metric in (instance.metric, ScalarEuclidean()):
+            journal = EventJournal()
+            FeasibilityChecker(
+                workers, tasks, metric=metric, now=now,
+                use_index=use_index, journal=journal,
+            )
+            streams.append(
+                [
+                    {k: v for k, v in r.items() if k != "columnar"}
+                    for r in events_records(journal)
+                ]
+            )
+        assert streams[0] == streams[1]
+        phases = {r.get("phase") for r in streams[0] if r["type"] == "reject"}
+        assert ("prune" in phases) == use_index
+
 
 class TestGreedyEvents:
     def test_match_set_events(self, instance):

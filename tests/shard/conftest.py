@@ -3,10 +3,10 @@
 ``clustered_instance`` drops the synthetic population into ``n_clusters``
 well-separated copies of the Table-V region.  With the default ``gap`` the
 clusters sit far beyond any worker's reach disc, so a 4-shard partition is
-*boundary-free*: no disc crosses a shard boundary, which is the setting
-where exact-mode ``engine_stats`` are pinned bit-identical.  A small gap
-(``gap <= 1.0``) pushes clusters within reach of each other and
-manufactures real border workers for the reconcile tests.
+*boundary-free*: no disc crosses a shard boundary and the per-shard
+subproblems are independent.  A small gap (``gap <= 1.0``) pushes clusters
+within reach of each other and manufactures real border workers for the
+reconcile tests.
 """
 
 from dataclasses import replace
@@ -16,9 +16,7 @@ import pytest
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 
 
-def clustered_instance(
-    n_clusters=4, factor=0.04, seed=5, gap=10.0, tasks_at_start=True
-):
+def clustered_instance(n_clusters=4, factor=0.04, seed=5, gap=10.0):
     base = generate_synthetic(SyntheticConfig(seed=seed).scaled(factor))
     offsets = [((i % 2) * gap, (i // 2) * gap) for i in range(n_clusters)]
 
@@ -27,19 +25,11 @@ def clustered_instance(
         return (entity.location[0] + ox, entity.location[1] + oy)
 
     workers = [replace(w, location=moved(w)) for w in base.workers]
-    tasks = []
-    for task in base.tasks:
-        if tasks_at_start:
-            # Visible from batch 0 with the original deadline: stats
-            # identity requires no incremental task arrivals (the
-            # unsharded engine links an arriving task against *all*
-            # workers; a shard only against its own — that asymmetry is
-            # the perf win, not a stats-identical path).
-            tasks.append(
-                replace(task, location=moved(task), start=0.0, wait=task.start + task.wait)
-            )
-        else:
-            tasks.append(replace(task, location=moved(task)))
+    # Every task visible from batch 0 with its original deadline.
+    tasks = [
+        replace(t, location=moved(t), start=0.0, wait=t.start + t.wait)
+        for t in base.tasks
+    ]
     return replace(base, workers=workers, tasks=tasks)
 
 

@@ -4,7 +4,7 @@ Sharded engines bracket per-shard work with ``journal.set_shard(sid)``, so
 feasibility events carry the shard that produced them while run-level
 events stay unstamped.  The stream must still pass the schema validator
 and — the strong pin — ``replay_report`` must reconstruct the platform's
-own report from the events alone, in both engine modes.
+own report from the events alone.
 """
 
 import pytest
@@ -24,7 +24,7 @@ def _with_header(records):
     return [{"type": "header", "schema": EVENTS_SCHEMA}] + records
 
 
-def _run_journaled(instance, mode, shards=4):
+def _run_journaled(instance, shards=4):
     journal = EventJournal()
     report = Platform(
         instance,
@@ -32,7 +32,6 @@ def _run_journaled(instance, mode, shards=4):
         batch_interval=5.0,
         rejoin=RejoinPolicy.REMAINING,
         shards=shards,
-        shard_mode=mode,
         journal=journal,
     ).run()
     return report, events_records(journal)
@@ -71,10 +70,9 @@ class TestShardStamping:
             validate_events_records(records)
 
 
-@pytest.mark.parametrize("mode", ["exact", "partitioned"])
 class TestShardedStreams:
-    def test_stream_validates_and_carries_shards(self, boundary_free_instance, mode):
-        _, records = _run_journaled(boundary_free_instance, mode)
+    def test_stream_validates_and_carries_shards(self, boundary_free_instance):
+        _, records = _run_journaled(boundary_free_instance)
         validate_events_records(_with_header(records))
         stamped = [r for r in records if "shard" in r]
         assert stamped, "per-shard feasibility events should be stamped"
@@ -84,8 +82,8 @@ class TestShardedStreams:
             if record["type"].startswith("run_"):
                 assert "shard" not in record
 
-    def test_replay_reconstructs_report(self, boundary_free_instance, mode):
-        report, records = _run_journaled(boundary_free_instance, mode)
+    def test_replay_reconstructs_report(self, boundary_free_instance):
+        report, records = _run_journaled(boundary_free_instance)
         replayed = replay_report(records)
         assert replayed.assignments == report.assignments
         assert replayed.completion_times == report.completion_times
@@ -94,15 +92,14 @@ class TestShardedStreams:
             b.score for b in report.batches
         ]
 
-    def test_journal_never_changes_the_run(self, boundary_free_instance, mode):
-        journaled, _ = _run_journaled(boundary_free_instance, mode)
+    def test_journal_never_changes_the_run(self, boundary_free_instance):
+        journaled, _ = _run_journaled(boundary_free_instance)
         plain = Platform(
             boundary_free_instance,
             make_allocator("Greedy", seed=11),
             batch_interval=5.0,
             rejoin=RejoinPolicy.REMAINING,
             shards=4,
-            shard_mode=mode,
         ).run()
         assert journaled.assignments == plain.assignments
         assert journaled.engine_stats == plain.engine_stats

@@ -1,11 +1,12 @@
-"""The partitioned two-phase protocol: validity, reconcile, and quality.
+"""The sharded two-phase protocol: validity, reconcile, and quality.
 
-Partitioned mode trades exactness for per-shard parallelism, so the pins
-here are structural rather than bit-level: every emitted pair is feasible
-under the *global* checker, no worker or task is ever double-assigned
-across shards or the reconcile phase, border/reconcile telemetry is
-reported, and measured quality on a genuinely bordered workload stays
-within the gated ratio of the unsharded solution.
+Sharding trades exactness for per-shard parallelism, so the pins here are
+structural rather than bit-level: every emitted pair is feasible under the
+*global* checker, every committed batch of a full run satisfies the four
+Definition-3 constraints, no worker or task is ever double-assigned across
+shards or the reconcile phase, border/reconcile telemetry is reported, and
+measured quality on a genuinely bordered workload stays within the gated
+ratio of the unsharded solution.
 """
 
 import pytest
@@ -24,7 +25,7 @@ QUALITY_FLOOR = 0.9
 
 
 def _allocate_once(instance, name="Greedy", **kwargs):
-    engine = ShardedEngine(instance, 4, mode="partitioned", **kwargs)
+    engine = ShardedEngine(instance, 4, **kwargs)
     allocator = make_allocator(name, seed=11)
     now = instance.earliest_start
     outcome = engine.allocate(
@@ -47,6 +48,56 @@ def _platform_report(instance, name, shards=1, **kwargs):
 
 def _total_score(report):
     return sum(batch.score for batch in report.batches)
+
+
+class TestCoordinator:
+    def test_incremental_second_batch_is_incremental(self, boundary_free_instance):
+        instance = boundary_free_instance
+        now = instance.earliest_start
+        engine, _, _ = _allocate_once(instance)
+        first = engine.stats()["engine_full_builds"]
+        engine.allocate(
+            make_allocator("Greedy", seed=11),
+            instance.workers, instance.tasks, now + 5.0, frozenset(),
+        )
+        stats = engine.stats()
+        assert stats["engine_full_builds"] == first
+        assert stats["engine_incremental_updates"] >= 1
+
+    def test_time_backwards_resets(self, boundary_free_instance):
+        instance = boundary_free_instance
+        engine = ShardedEngine(instance, 4)
+        for now in (10.0, 0.0):
+            engine.allocate(
+                make_allocator("Greedy", seed=11),
+                instance.workers, instance.tasks, now, frozenset(),
+            )
+        assert engine.stats()["engine_full_builds"] >= 2
+
+    def test_needs_at_least_two_shards(self, boundary_free_instance):
+        with pytest.raises(ValueError, match="n_shards"):
+            ShardedEngine(boundary_free_instance, 1)
+
+
+class TestPlatformValidation:
+    def test_bad_scheme_rejected(self, boundary_free_instance):
+        with pytest.raises(ValueError, match="shard scheme"):
+            Platform(
+                boundary_free_instance,
+                make_allocator("Greedy", seed=11),
+                batch_interval=5.0,
+                shards=2,
+                shard_scheme="voronoi",
+            )
+
+    def test_shards_below_one_rejected(self, boundary_free_instance):
+        with pytest.raises(ValueError, match="shards"):
+            Platform(
+                boundary_free_instance,
+                make_allocator("Greedy", seed=11),
+                batch_interval=5.0,
+                shards=0,
+            )
 
 
 class TestStructuralValidity:
@@ -72,7 +123,7 @@ class TestStructuralValidity:
 
     def test_previously_assigned_tasks_untouched(self, bordered_instance):
         instance = bordered_instance
-        engine = ShardedEngine(instance, 4, mode="partitioned")
+        engine = ShardedEngine(instance, 4)
         allocator = make_allocator("Greedy", seed=11)
         now = instance.earliest_start
         blocked = frozenset(t.id for t in instance.tasks[: len(instance.tasks) // 2])
@@ -118,18 +169,14 @@ class TestQuality:
         # worker-task pairing — and hence per-batch timing — may differ:
         # the allocator's tie-breaking sees shards one at a time instead
         # of interleaved.)
-        sharded = _platform_report(
-            boundary_free_instance, "Greedy", shards=4, shard_mode="partitioned"
-        )
+        sharded = _platform_report(boundary_free_instance, "Greedy", shards=4)
         unsharded = _platform_report(boundary_free_instance, "Greedy")
         assert _total_score(sharded) == _total_score(unsharded)
         assert sharded.expired_tasks == unsharded.expired_tasks
 
     @pytest.mark.parametrize("name", ["Greedy", "Closest"])
     def test_bordered_quality_ratio(self, bordered_instance, name):
-        sharded = _platform_report(
-            bordered_instance, name, shards=4, shard_mode="partitioned"
-        )
+        sharded = _platform_report(bordered_instance, name, shards=4)
         unsharded = _platform_report(bordered_instance, name)
         assert _total_score(unsharded) > 0
         ratio = _total_score(sharded) / _total_score(unsharded)
@@ -189,7 +236,7 @@ class TestCrossShardDependencies:
         # An even link count keeps the clusters population-balanced so the
         # KD cut lands in the 100-wide gap, not inside a cluster.
         instance = _cross_shard_chain_instance(n_links=4)
-        engine = ShardedEngine(instance, 2, mode="partitioned", scheme="kd")
+        engine = ShardedEngine(instance, 2, scheme="kd")
         allocator = make_allocator(name, seed=11)
         outcome = engine.allocate(
             allocator, instance.workers, instance.tasks, 0.0, frozenset()
@@ -207,7 +254,7 @@ class TestCrossShardDependencies:
                 instance.workers, instance.tasks, instance, 0.0, frozenset()
             )
         )
-        engine = ShardedEngine(instance, 2, mode="partitioned", scheme="kd")
+        engine = ShardedEngine(instance, 2, scheme="kd")
         sharded = engine.allocate(
             make_allocator("Greedy", seed=11),
             instance.workers,
@@ -219,7 +266,7 @@ class TestCrossShardDependencies:
 
     def test_retry_counter_mirrors_registry(self):
         instance = _cross_shard_chain_instance(n_links=4)
-        engine = ShardedEngine(instance, 2, mode="partitioned", scheme="kd")
+        engine = ShardedEngine(instance, 2, scheme="kd")
         outcome = engine.allocate(
             make_allocator("Closest", seed=11),
             instance.workers,
@@ -251,16 +298,70 @@ class TestParallelPhase1:
         )
 
     def test_platform_fanout_identical(self, bordered_instance):
-        serial = _platform_report(
-            bordered_instance, "Greedy", shards=4, shard_mode="partitioned"
-        )
-        fanned = _platform_report(
-            bordered_instance,
-            "Greedy",
-            shards=4,
-            shard_mode="partitioned",
-            n_jobs=2,
-        )
+        serial = _platform_report(bordered_instance, "Greedy", shards=4)
+        fanned = _platform_report(bordered_instance, "Greedy", shards=4, n_jobs=2)
         assert fanned.assignments == serial.assignments
         assert fanned.completion_times == serial.completion_times
         assert fanned.expired_tasks == serial.expired_tasks
+
+
+class _BatchView:
+    """The instance as one batch saw it: the batch's own worker records.
+
+    Rejoined workers are relocated copies, so a batch's assignment is
+    checked against the records it was decided on, not the originals.
+    """
+
+    def __init__(self, instance, workers):
+        self._instance = instance
+        self._workers = {w.id: w for w in workers}
+        self.worker_ids = frozenset(self._workers)
+        self.task_ids = instance.task_ids
+        self.metric = instance.metric
+        self.dependency_graph = instance.dependency_graph
+
+    def worker(self, worker_id):
+        return self._workers[worker_id]
+
+    def task(self, task_id):
+        return self._instance.task(task_id)
+
+
+class TestCheckedRuns:
+    """Every batch a sharded platform run commits satisfies Definition 3.
+
+    Skill, deadline, reach and dependency (the latter under the retry
+    pass) per batch, plus exclusivity across batches.
+    """
+
+    @pytest.mark.parametrize("workload", ["bordered", "chain"])
+    @pytest.mark.parametrize("name", APPROACH_NAMES)
+    def test_every_batch_valid(self, bordered_instance, monkeypatch, name, workload):
+        if workload == "bordered":
+            instance, shards, scheme = bordered_instance, 4, "grid"
+        else:
+            instance, shards, scheme = _cross_shard_chain_instance(n_links=4), 2, "kd"
+        batches = []
+        allocate = ShardedEngine.allocate
+
+        def checked(self, allocator, workers, tasks, now, previously_assigned):
+            outcome = allocate(self, allocator, workers, tasks, now, previously_assigned)
+            batches.append(
+                (list(workers), {t.id for t in tasks}, now, previously_assigned, outcome)
+            )
+            return outcome
+
+        monkeypatch.setattr(ShardedEngine, "allocate", checked)
+        report = _platform_report(instance, name, shards=shards, shard_scheme=scheme)
+        assert report.total_score > 0
+        committed = set()
+        for workers, open_ids, now, before, outcome in batches:
+            view = _BatchView(instance, workers)
+            assert outcome.assignment.violations(view, now, before) == []
+            tids = [tid for _, tid in outcome.assignment.pairs()]
+            assert set(tids) <= open_ids
+            assert not set(tids) & committed
+            committed.update(tids)
+        assert committed == set(report.assignments)
+        if workload == "chain":
+            assert sum(o.stats["shard_dep_retry_assigned"] for *_, o in batches) > 0

@@ -149,6 +149,25 @@ class TestLoadErrors:
         assert capsys.readouterr().out.startswith(f"error: {path}: ")
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [["--batch-interval", "5", "--shards", "0"], ["--shards", "-2"]],
+        ids=["zero", "negative-without-platform"],
+    )
+    def test_shards_must_be_positive(self, capsys, args):
+        # Rejected while parsing, before the instance file is opened.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "instance.json"] + args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"dasc solve: error: argument --shards: must be >= 1, got {args[-1]}"
+        ]
+
+
 class TestFlightRecorder:
     def _instance(self, tmp_path):
         path = tmp_path / "inst.json"
