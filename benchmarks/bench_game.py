@@ -1,26 +1,36 @@
 """Incremental best-response engine: same equilibrium, a fraction of the work.
 
-One 500-worker / 500-task synthetic batch runs through ``DASC_Game`` twice:
-with the naive full-rescan loop (every worker re-evaluated every round,
-every utility a fresh dependency-graph walk) and with the dirty-set /
-cached engine.  The assignment, score and round count must match exactly —
-the engine's bit-identity contract — while the counters must show at least
-a 5x drop in ``task_value`` computations.  The counter assertion is
+One 500-worker / 500-task synthetic batch runs through ``DASC_Game`` and
+through the test suite's naive full-rescan loop (``tests/reference.py``:
+every worker re-evaluated every round, every utility a fresh
+dependency-graph walk).  The assignment, score and round count must match
+exactly — the engine's bit-identity contract — while the counters must show
+at least a 5x drop in ``task_value`` computations.  The counter assertion is
 host-independent (no wall-clock in the pass/fail), so it gates identically
-on 1-CPU CI runners and laptops; wall times are recorded alongside for the
+on 1-CPU CI runners and laptops; the wall-time speedup (best of
+``_WALL_REPEATS`` alternating runs each) is recorded next to it for the
 trajectory file.
 """
 
+import sys
 import time
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+for _entry in (str(_ROOT), str(_ROOT / "src")):
+    if _entry not in sys.path:
+        sys.path.insert(0, _entry)
 
 from repro.algorithms.game import DASCGame
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine.context import BatchContext
+from tests.reference import NaiveDASCGame
 
 #: 500x500 at default density (the acceptance workload).
 _SCALE = 0.1
 _SEED = 7
 _MIN_VALUE_RATIO = 5.0
+_WALL_REPEATS = 3
 
 GAME_CONFIG = {
     "instance": f"synthetic seed={_SEED} scale={_SCALE} (500x500)",
@@ -48,12 +58,12 @@ def strategy_size(instance) -> int:
     )
 
 
-def run_game(instance, incremental: bool):
+def run_game(instance, game_type=DASCGame, **kwargs):
     """One standalone-batch Game allocation; returns (outcome, wall_ms)."""
     context = BatchContext.standalone(
         instance.workers, instance.tasks, instance, instance.earliest_start
     )
-    game = DASCGame(seed=_SEED, incremental=incremental)
+    game = game_type(seed=_SEED, **kwargs)
     started = time.perf_counter()
     outcome = game.allocate(context)
     return outcome, (time.perf_counter() - started) * 1000.0
@@ -61,8 +71,12 @@ def run_game(instance, incremental: bool):
 
 def test_game_incremental_500(record_bench_json):
     instance = make_game_instance()
-    slow, naive_ms = run_game(instance, incremental=False)
-    fast, incremental_ms = run_game(instance, incremental=True)
+    naive_ms = incremental_ms = float("inf")
+    for _ in range(_WALL_REPEATS):
+        slow, wall_ms = run_game(instance, NaiveDASCGame)
+        naive_ms = min(naive_ms, wall_ms)
+        fast, wall_ms = run_game(instance)
+        incremental_ms = min(incremental_ms, wall_ms)
 
     # Bit-identity first: the speedup is worthless if the answer moved.
     assert sorted(fast.assignment.pairs()) == sorted(slow.assignment.pairs())
@@ -79,7 +93,7 @@ def test_game_incremental_500(record_bench_json):
     )
     eval_ratio = slow.stats["evaluations"] / max(fast.stats["evaluations"], 1.0)
     hit_rate = fast.stats["cache_hits"] / max(fast.stats["evaluations"], 1.0)
-    speedup = naive_ms / incremental_ms if incremental_ms > 0.0 else 0.0
+    wall_speedup = naive_ms / incremental_ms if incremental_ms > 0.0 else 0.0
 
     record_bench_json(
         "game_incremental_500",
@@ -96,7 +110,7 @@ def test_game_incremental_500(record_bench_json):
             "naive_wall_ms": round(naive_ms, 3),
             "eval_ratio": round(eval_ratio, 3),
             "value_ratio": round(value_ratio, 3),
-            "speedup": round(speedup, 3),
+            "wall_speedup": round(wall_speedup, 3),
         },
     )
 
@@ -116,14 +130,8 @@ def test_game_variants_bit_identical_at_bench_scale():
         dict(threshold=0.05, init="random"),
         dict(threshold=0.0, init="greedy"),
     ):
-        outcomes = []
-        for incremental in (False, True):
-            context = BatchContext.standalone(
-                instance.workers, instance.tasks, instance, instance.earliest_start
-            )
-            game = DASCGame(seed=_SEED, incremental=incremental, **kwargs)
-            outcomes.append(game.allocate(context))
-        slow, fast = outcomes
+        slow, _ = run_game(instance, NaiveDASCGame, **kwargs)
+        fast, _ = run_game(instance, **kwargs)
         assert sorted(fast.assignment.pairs()) == sorted(slow.assignment.pairs())
         assert fast.stats["rounds"] == slow.stats["rounds"]
         assert fast.stats["value_recomputes"] < slow.stats["value_recomputes"]

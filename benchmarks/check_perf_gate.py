@@ -168,7 +168,7 @@ def check_game_eval_ratio(min_ratio: float) -> bool:
     from bench_game import GAME_CONFIG, make_game_instance, run_game, strategy_size
 
     instance = make_game_instance()
-    outcome, wall_ms = run_game(instance, incremental=True)
+    outcome, wall_ms = run_game(instance)
     # The naive loop evaluates (and walks the graph for) every strategy of
     # every worker each round — derived exactly, no need to run it.
     naive_evals = outcome.stats["rounds"] * strategy_size(instance)

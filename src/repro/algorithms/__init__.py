@@ -21,7 +21,7 @@ from repro.algorithms.game import DASCGame
 from repro.algorithms.greedy import DASCGreedy
 from repro.algorithms.local_search import LocalSearchImprover, improve_assignment
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
-from repro.algorithms.utility import GameState, ReferenceGameState
+from repro.algorithms.utility import GameState
 
 __all__ = [
     "APPROACH_NAMES",
@@ -34,7 +34,6 @@ __all__ = [
     "GameState",
     "LocalSearchImprover",
     "RandomBaseline",
-    "ReferenceGameState",
     "improve_assignment",
     "make_allocator",
 ]

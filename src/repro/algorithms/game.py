@@ -15,7 +15,7 @@ Three named configurations from the evaluation:
 
 Incremental best response
 -------------------------
-The default (``incremental=True``) loop is a *dirty-set scheduler*: after
+The best-response loop is a *dirty-set scheduler*: after
 each move only the workers whose utility landscape actually changed are
 re-evaluated.  A move of worker ``w`` from task ``old`` to task ``new``
 changes another worker ``x``'s candidate utilities only through
@@ -31,13 +31,10 @@ A worker outside both sets sees bit-for-bit the same candidate utilities it
 saw when it last held its argmax, so under the strict ``_EPS`` improvement
 margin it provably repeats "no move" — skipping it leaves the move sequence,
 the per-round ``changed`` counts and therefore the termination round exactly
-identical to the naive loop.  Candidates are evaluated through
+identical to a naive withdraw-and-rescan loop (kept as the test suite's
+reference, ``tests/reference.py``).  Candidates are evaluated through
 ``GameState.candidate_utility`` (read-only, no withdraw/re-add), so the
 value memo is only ever invalidated by real moves.
-
-``incremental=False`` runs the original withdraw-and-rescan loop over
-:class:`~repro.algorithms.utility.ReferenceGameState` — the honest baseline
-for the evaluation-count speedups reported by the counters.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import AbstractSet, Dict, FrozenSet, List, Literal, Optional, Set, T
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.algorithms.greedy import DASCGreedy
-from repro.algorithms.utility import GameState, ReferenceGameState
+from repro.algorithms.utility import GameState
 from repro.core.assignment import Assignment
 from repro.core.instance import ProblemInstance
 from repro.engine.context import BatchContext
@@ -80,11 +77,6 @@ class DASCGame(BatchAllocator):
             is reached far earlier in practice — Lemma IV.1).
         reassign_losers: extension beyond the paper — workers that lose a
             contention tie take a final greedy pass over still-open tasks.
-        incremental: run the dirty-set scheduler over the cached
-            :class:`GameState` (default).  ``False`` replays the original
-            full-rescan loop over :class:`ReferenceGameState`; outputs are
-            bit-identical either way (pinned by the equivalence tests), only
-            the work counters differ.
     """
 
     name = "Game"
@@ -97,7 +89,6 @@ class DASCGame(BatchAllocator):
         seed: int = 0,
         max_rounds: int = 200,
         reassign_losers: bool = False,
-        incremental: bool = True,
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -109,7 +100,6 @@ class DASCGame(BatchAllocator):
         self.seed = seed
         self.max_rounds = max_rounds
         self.reassign_losers = reassign_losers
-        self.incremental = incremental
 
     # -- main entry ---------------------------------------------------------------------
 
@@ -126,16 +116,7 @@ class DASCGame(BatchAllocator):
         if not strategies:
             return AllocationOutcome(Assignment())
 
-        state_cls = GameState if self.incremental else ReferenceGameState
-        state = state_cls(
-            instance, tasks, strategies, previously_assigned, alpha=self.alpha
-        )
-        self._initialise(state, strategies, context, rng)
-        if self.incremental:
-            rounds, skipped = self._best_response(state, strategies, context)
-        else:
-            rounds = self._best_response_naive(state, strategies, context.journal)
-            skipped = 0
+        state, rounds, skipped = self._play(strategies, context, rng)
         assignment = self._extract(
             state, previously_assigned, instance, rng, context.journal
         )
@@ -161,6 +142,24 @@ class DASCGame(BatchAllocator):
         return AllocationOutcome(assignment, stats=stats)
 
     # -- phases --------------------------------------------------------------------------
+
+    def _play(
+        self,
+        strategies: Dict[int, List[int]],
+        context: BatchContext,
+        rng: random.Random,
+    ) -> Tuple[GameState, int, int]:
+        """Initialise a profile and run best response; (state, rounds, skipped)."""
+        state = GameState(
+            context.instance,
+            context.tasks,
+            strategies,
+            context.previously_assigned,
+            alpha=self.alpha,
+        )
+        self._initialise(state, strategies, context, rng)
+        rounds, skipped = self._best_response(state, strategies, context)
+        return state, rounds, skipped
 
     def _initialise(
         self,
@@ -290,57 +289,6 @@ class DASCGame(BatchAllocator):
             if changed == 0 or changed / n_players <= self.threshold:
                 break
         return rounds, total_skipped
-
-    def _best_response_naive(
-        self,
-        state: ReferenceGameState,
-        strategies: Dict[int, List[int]],
-        journal: Optional[EventJournal] = None,
-    ) -> int:
-        """The original full-rescan loop, kept verbatim as the baseline."""
-        journal = journal if journal is not None else get_journal()
-        player_order = sorted(strategies)
-        n_players = len(player_order)
-        rounds = 0
-        while rounds < self.max_rounds:
-            rounds += 1
-            changed = 0
-            for worker_id in player_order:
-                current = state.choice[worker_id]
-                state.set_choice(worker_id, None)
-                best_task = current
-                best_utility = (
-                    state.utility_of_choice(worker_id, current) if current is not None else 0.0
-                )
-                for candidate in strategies[worker_id]:
-                    if candidate == current:
-                        continue
-                    utility = state.utility_of_choice(worker_id, candidate)
-                    if utility > best_utility + _EPS:
-                        best_utility = utility
-                        best_task = candidate
-                state.set_choice(worker_id, best_task)
-                if best_task != current:
-                    changed += 1
-                    if journal.enabled:
-                        journal.emit(
-                            "game_move",
-                            round=rounds,
-                            worker=worker_id,
-                            frm=current,
-                            to=best_task,
-                        )
-            if journal.enabled:
-                journal.emit(
-                    "game_round",
-                    round=rounds,
-                    changed=changed,
-                    evaluated=n_players,
-                    skipped=0,
-                )
-            if changed == 0 or changed / n_players <= self.threshold:
-                break
-        return rounds
 
     def _extract(
         self,

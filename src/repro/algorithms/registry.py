@@ -14,9 +14,7 @@ from repro.algorithms.greedy import DASCGreedy
 APPROACH_NAMES: List[str] = ["Greedy", "Game", "Game-5%", "G-G", "Closest", "Random"]
 
 
-def make_allocator(
-    name: str, seed: int = 0, alpha: float = 10.0, game_incremental: bool = True
-) -> BatchAllocator:
+def make_allocator(name: str, seed: int = 0, alpha: float = 10.0) -> BatchAllocator:
     """Build an allocator by its paper name.
 
     Args:
@@ -24,10 +22,6 @@ def make_allocator(
             ``Random``, ``DFS`` (case-insensitive).
         seed: RNG seed for the stochastic approaches.
         alpha: Eq. 3 normalisation parameter for the game variants.
-        game_incremental: run the game variants' dirty-set best-response
-            engine (default).  ``False`` replays the naive full-rescan loop
-            — bit-identical outputs, only work counters differ (the CLI's
-            ``--naive-game`` escape hatch and the benchmarks' baseline).
 
     Raises:
         KeyError: for an unknown name.
@@ -36,31 +30,13 @@ def make_allocator(
     if key == "greedy":
         allocator: BatchAllocator = DASCGreedy()
     elif key == "game":
-        allocator = DASCGame(
-            threshold=0.0,
-            alpha=alpha,
-            init="random",
-            seed=seed,
-            incremental=game_incremental,
-        )
+        allocator = DASCGame(threshold=0.0, alpha=alpha, init="random", seed=seed)
     elif key in {"game-5%", "game-5", "game5"}:
-        allocator = DASCGame(
-            threshold=0.05,
-            alpha=alpha,
-            init="random",
-            seed=seed,
-            incremental=game_incremental,
-        )
+        allocator = DASCGame(threshold=0.05, alpha=alpha, init="random", seed=seed)
         allocator.name = "Game-5%"
         return allocator
     elif key in {"g-g", "gg"}:
-        allocator = DASCGame(
-            threshold=0.0,
-            alpha=alpha,
-            init="greedy",
-            seed=seed,
-            incremental=game_incremental,
-        )
+        allocator = DASCGame(threshold=0.0, alpha=alpha, init="greedy", seed=seed)
         allocator.name = "G-G"
         return allocator
     elif key == "closest":

@@ -29,9 +29,9 @@ replay the exact addition order of the original frozenset iteration (the
 adjacency snapshots preserve it) and reuse the same expressions, so argmax
 decisions — and therefore whole game runs — cannot diverge.
 
-:class:`ReferenceGameState` keeps the original walk-everything
-implementation verbatim.  It is the oracle the randomized property suite
-compares against and the state behind ``DASCGame(incremental=False)``.
+The original walk-everything implementation lives on as the test suite's
+``ReferenceGameState`` oracle (``tests/reference.py``), which the randomized
+property suite pins this class against float-for-float.
 
 Potentials
 ----------
@@ -239,24 +239,7 @@ class GameState:
             self.cache_hits += 1
             return value
         self.value_recomputes += 1
-        graph = self.graph
-        deps = graph.dependency_tuple(task_id)
-        if deps:
-            value = self._self_share if self._pending_deps(task_id) == 0 else 0.0
-        else:
-            value = 1.0
-        alpha = self.alpha
-        own_unassigned = not self.assigned(task_id)
-        for dependent in graph.dependent_tuple(task_id):
-            if not self.assigned(dependent):
-                continue
-            pending = self._pending_deps(dependent)
-            # All of the dependent's dependencies except task_id itself are
-            # assigned: either none is pending, or the single pending one is
-            # task_id (which the hypothetical masks as assigned).
-            if pending == 0 or (pending == 1 and own_unassigned):
-                value += 1.0 / (alpha * len(graph.dependency_tuple(dependent)))
-        cache[task_id] = value
+        value = cache[task_id] = self._counted_value(task_id, None)
         return value
 
     def _masked_value(self, task_id: int, masked: int) -> float:
@@ -264,34 +247,44 @@ class GameState:
 
         Used when the evaluating worker is the sole chooser of ``masked``:
         its withdrawal flips that one indicator, so candidates whose value
-        reads it cannot come from the (global-view) memo.  Replays the
-        reference addition order exactly.
+        reads it cannot come from the (global-view) memo.
         """
         self.value_recomputes += 1
+        return self._counted_value(task_id, masked)
+
+    def _counted_value(self, task_id: int, masked: Optional[int]) -> float:
+        """``q(t | a_t = 1)`` read off the unassigned-dependency counts.
+
+        With ``a_t`` forced to 1, a dependent ``d`` pays its share iff it is
+        assigned and so is every other task in ``D_d``: its pending count is
+        exactly ``[t unassigned]``, since ``t`` is the one pending
+        dependency the hypothetical may cover.  ``masked`` (assigned in the
+        global view, 0 in the withdrawn one) also disqualifies ``d ==
+        masked`` and every ``d`` with ``masked`` in ``D_d``.  That test
+        reads ``D_d`` itself, not its closure: the graph keeps dependency
+        sets as given, and Eq. 3 gates on the direct ones.  Dependents are
+        visited in ``dependent_tuple`` order with the reference share
+        expression, so the sum is bit-identical to the full walk.
+        """
         graph = self.graph
-        deps = graph.dependency_tuple(task_id)
+        nw = self.nw
+        prev = self.prev
+        deps = graph.direct_dependencies(task_id)
         if deps:
-            satisfied = True
-            for dep in deps:
-                if dep == masked or not self.assigned(dep):
-                    satisfied = False
-                    break
+            satisfied = self._pending_deps(task_id) == 0 and masked not in deps
             value = self._self_share if satisfied else 0.0
         else:
             value = 1.0
         alpha = self.alpha
-        for dependent in graph.dependent_tuple(task_id):
-            if dependent == masked or not self.assigned(dependent):
+        counts = self._unassigned_deps
+        allowed = 0 if task_id in nw or task_id in prev else 1
+        for dependent, d_deps in graph.dependent_pairs(task_id):
+            if dependent not in nw and dependent not in prev:
                 continue
-            d_deps = graph.dependency_tuple(dependent)
-            satisfied = True
-            for dep in d_deps:
-                if dep == task_id:  # the hypothetical assignment
-                    continue
-                if dep == masked or not self.assigned(dep):
-                    satisfied = False
-                    break
-            if satisfied:
+            pending = counts.get(dependent)
+            if pending is None:
+                pending = self._pending_deps(dependent)
+            if pending == allowed and dependent != masked and masked not in d_deps:
                 value += 1.0 / (alpha * len(d_deps))
         return value
 
@@ -387,111 +380,3 @@ class GameState:
         """Workers whose strategy is ``task_id``, sorted for determinism."""
         return sorted(self._members.get(task_id, ()))
 
-
-class ReferenceGameState:
-    """The original walk-everything game state, kept verbatim as an oracle.
-
-    Every query recomputes from the dependency graph; nothing is cached and
-    nothing is maintained incrementally.  The randomized property suite
-    pins :class:`GameState` against this class float-for-float, and
-    ``DASCGame(incremental=False)`` runs its naive best-response loop on it
-    so the counter-based speedup of the incremental engine can be measured
-    against an honest baseline.
-    """
-
-    def __init__(
-        self,
-        instance: ProblemInstance,
-        tasks: Sequence[Task],
-        players: Iterable[int],
-        previously_assigned: AbstractSet[int] = frozenset(),
-        alpha: float = 10.0,
-    ) -> None:
-        if alpha <= 1.0:
-            raise ValueError(f"alpha must be > 1, got {alpha}")
-        self.alpha = alpha
-        self.graph = instance.dependency_graph
-        self.batch_task_ids = {t.id for t in tasks}
-        self.prev = frozenset(previously_assigned)
-        self.choice: Dict[int, Optional[int]] = {w: None for w in players}
-        self.nw: Dict[int, int] = {}
-        self.evaluations = 0
-        self.value_recomputes = 0
-        self.cache_hits = 0  # always 0: there is no cache to hit
-
-    def set_choice(self, worker_id: int, task_id: Optional[int]) -> None:
-        """Move ``worker_id`` to ``task_id`` (None = withdraw)."""
-        old = self.choice[worker_id]
-        if old == task_id:
-            return
-        if old is not None:
-            remaining = self.nw[old] - 1
-            if remaining:
-                self.nw[old] = remaining
-            else:
-                del self.nw[old]
-        if task_id is not None:
-            self.nw[task_id] = self.nw.get(task_id, 0) + 1
-        self.choice[worker_id] = task_id
-
-    def assigned(self, task_id: int) -> bool:
-        return self.nw.get(task_id, 0) > 0 or task_id in self.prev
-
-    def deps_satisfied(self, task_id: int, extra: Optional[int] = None) -> bool:
-        return all(
-            f == extra or self.assigned(f)
-            for f in self.graph.direct_dependencies(task_id)
-        )
-
-    def fully_realised(self, task_id: int, extra: Optional[int] = None) -> bool:
-        if not (task_id == extra or self.assigned(task_id)):
-            return False
-        return self.deps_satisfied(task_id, extra)
-
-    def task_value(self, task_id: int, extra: Optional[int] = None) -> float:
-        self.value_recomputes += 1
-        deps = self.graph.direct_dependencies(task_id)
-        if deps:
-            value = (self.alpha - 1.0) / self.alpha if self.deps_satisfied(task_id, extra) else 0.0
-        else:
-            value = 1.0
-        for dependent in self.graph.direct_dependents(task_id):
-            d_size = len(self.graph.direct_dependencies(dependent))
-            if self.fully_realised(dependent, extra):
-                value += 1.0 / (self.alpha * d_size)
-        return value
-
-    def utility_of_choice(self, worker_id: int, task_id: int) -> float:
-        if self.choice[worker_id] is not None:
-            raise ValueError(
-                f"worker {worker_id} must be withdrawn before evaluating candidates"
-            )
-        self.evaluations += 1
-        crowd = self.nw.get(task_id, 0) + 1
-        return self.task_value(task_id, extra=task_id) / crowd
-
-    def utility(self, worker_id: int) -> float:
-        task_id = self.choice[worker_id]
-        if task_id is None:
-            return 0.0
-        return self.task_value(task_id) / self.nw[task_id]
-
-    def total_utility(self) -> float:
-        return sum(self.utility(w) for w in self.choice)
-
-    def potential(self) -> float:
-        return sum(
-            self.task_value(tid) * harmonic(count) for tid, count in self.nw.items()
-        )
-
-    def potential_paper(self) -> float:
-        return -sum(
-            1.0 / (count + 1) if self.fully_realised(tid) else 0.0
-            for tid, count in self.nw.items()
-        )
-
-    def chosen_tasks(self) -> List[int]:
-        return sorted(self.nw)
-
-    def workers_on(self, task_id: int) -> List[int]:
-        return sorted(w for w, t in self.choice.items() if t == task_id)

@@ -74,13 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--approach", default="Greedy", help=f"one of {approaches}")
     solve.add_argument("--seed", type=int, default=7)
     solve.add_argument("--batch-interval", type=float, default=None, help="run the dynamic platform with this interval instead of a single batch")
-    solve.add_argument(
-        "--naive-game",
-        action="store_true",
-        help="run the game approaches with the naive full-rescan best-response "
-        "loop instead of the dirty-set engine (bit-identical output, more work "
-        "— for measuring the incremental engine's savings)",
-    )
     solve.add_argument("--engine-stats", action="store_true", help="print the engine's counters after a platform run")
     solve.add_argument(
         "--jobs",
@@ -366,9 +359,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_or_report(load_instance, args.instance)
     if instance is None:
         return 2
-    allocator = make_allocator(
-        args.approach, seed=args.seed, game_incremental=not args.naive_game
-    )
+    allocator = make_allocator(args.approach, seed=args.seed)
     tracer = _obs_tracer(args)
     journal = _obs_journal(args)
     metrics_registry = None

@@ -8,8 +8,8 @@ and offers:
 * the associative task sets ``tc_i = {t_i} ∪ closure(D_i)`` driving
   ``DASC_Greedy``;
 * dependency-satisfaction tests against a set of already-assigned ids;
-* adjacency *snapshots* (:meth:`dependency_tuple` / :meth:`dependent_tuple`)
-  and the Eq. 3 *influence set* (:meth:`influence_set`) backing the
+* adjacency *snapshots* (:meth:`dependency_tuple` / :meth:`dependent_tuple`
+  / :meth:`dependent_pairs`) and the Eq. 3 *influence set* (:meth:`influence_set`) backing the
   incremental best-response engine of :mod:`repro.algorithms.utility`.
 """
 
@@ -70,6 +70,7 @@ class DependencyGraph:
         # addition order of a direct frozenset walk) and influence sets.
         self._dep_tuples: Dict[int, tuple] = {}
         self._dependent_tuples: Dict[int, tuple] = {}
+        self._dependent_pairs: Dict[int, tuple] = {}
         self._influence: Dict[int, tuple] = {}
         self._influence_sets: Dict[int, FrozenSet[int]] = {}
 
@@ -121,6 +122,16 @@ class DependencyGraph:
         snap = self._dependent_tuples.get(tid)
         if snap is None:
             snap = self._dependent_tuples[tid] = tuple(self._dependents[tid])
+        return snap
+
+    def dependent_pairs(self, tid: int) -> tuple:
+        """``(d, D_d)`` for each direct dependent ``d``, in ``dependent_tuple`` order."""
+        snap = self._dependent_pairs.get(tid)
+        if snap is None:
+            direct = self._direct
+            snap = self._dependent_pairs[tid] = tuple(
+                (dependent, direct[dependent]) for dependent in self.dependent_tuple(tid)
+            )
         return snap
 
     def influence_set(self, tid: int) -> tuple:

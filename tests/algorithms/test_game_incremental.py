@@ -14,6 +14,7 @@ from repro.algorithms.registry import make_allocator
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine.context import BatchContext
 from repro.simulation.platform import Platform
+from tests.reference import NaiveDASCGame, naive_allocator
 
 #: seed -> instance scale.  Seed 7 at 0.1 is one 500 x 500 batch whose
 #: strategy lists hold more than 2048 pairs, the largest game run here.
@@ -40,8 +41,8 @@ def _context(instance):
 
 def _pair(instance, seed, **kwargs):
     """(incremental outcome, naive outcome) on fresh standalone contexts."""
-    incremental = DASCGame(seed=seed, incremental=True, **kwargs)
-    naive = DASCGame(seed=seed, incremental=False, **kwargs)
+    incremental = DASCGame(seed=seed, **kwargs)
+    naive = NaiveDASCGame(seed=seed, **kwargs)
     return (
         incremental.allocate(_context(instance)),
         naive.allocate(_context(instance)),
@@ -85,8 +86,8 @@ class TestLocalSearchWrapper:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_plus_ls_output_identical(self, seed):
         instance = _instance(seed)
-        fast = LocalSearchImprover(DASCGame(seed=seed, incremental=True))
-        slow = LocalSearchImprover(DASCGame(seed=seed, incremental=False))
+        fast = LocalSearchImprover(DASCGame(seed=seed))
+        slow = LocalSearchImprover(NaiveDASCGame(seed=seed))
         a = fast.allocate(_context(instance)).assignment
         b = slow.allocate(_context(instance)).assignment
         assert sorted(a.pairs()) == sorted(b.pairs())
@@ -97,8 +98,10 @@ class TestPlatformBitIdentity:
     def test_full_run_reports_match(self, approach):
         instance = generate_synthetic(SyntheticConfig(seed=5).scaled(0.015))
         reports = []
-        for incremental in (True, False):
-            allocator = make_allocator(approach, seed=5, game_incremental=incremental)
+        for allocator in (
+            make_allocator(approach, seed=5),
+            naive_allocator(approach, seed=5),
+        ):
             platform = Platform(instance, allocator, batch_interval=40.0)
             reports.append(platform.run())
         fast, slow = reports

@@ -2,7 +2,8 @@
 
 The incremental :class:`GameState` (value memo, unassigned-dependency
 counts, contention multimap) is additionally pinned float-for-float against
-:class:`ReferenceGameState` — the verbatim pre-cache implementation — under
+:class:`ReferenceGameState` — the verbatim pre-cache implementation, kept
+in ``tests/reference.py`` — under
 arbitrary move sequences, withdrawn-view candidate evaluations, and whole
 game runs.  Equality below is exact (``==`` on floats), because bit-identity
 is the engine's contract, not approximate agreement.
@@ -10,16 +11,17 @@ is the engine's contract, not approximate agreement.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.utility import GameState, ReferenceGameState
+from repro.algorithms.utility import GameState
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.datagen.dependencies import wire_dependencies
 from repro.datagen.distributions import IntRange
+from tests.reference import NaiveDASCGame, ReferenceGameState
 
 
 def build_instance(n_tasks, dep_seed, max_deps):
@@ -236,14 +238,81 @@ class TestIncrementalStateEquivalence:
         from repro.simulation.platform import run_single_batch
 
         _, _, _, instance = scenario
-        fast = run_single_batch(
-            instance, DASCGame(seed=seed, incremental=True), now=0.0
-        )
-        slow = run_single_batch(
-            instance, DASCGame(seed=seed, incremental=False), now=0.0
-        )
+        fast = run_single_batch(instance, DASCGame(seed=seed), now=0.0)
+        slow = run_single_batch(instance, NaiveDASCGame(seed=seed), now=0.0)
         assert sorted(fast.assignment.pairs()) == sorted(slow.assignment.pairs())
         assert fast.stats["rounds"] == slow.stats["rounds"]
+
+
+def build_open_instance(deps):
+    """Tasks ``0..n-1`` with the given dependency lists, taken as-is (unclosed)."""
+    skills = SkillUniverse(1)
+    tasks = [
+        Task(id=tid, location=(0.0, 0.0), start=0.0, wait=100.0, skill=0,
+             dependencies=frozenset(task_deps))
+        for tid, task_deps in enumerate(deps)
+    ]
+    workers = [
+        Worker(id=w, location=(0.0, 0.0), start=0.0, wait=100.0, velocity=1.0,
+               max_distance=10.0, skills=frozenset({0}))
+        for w in range(len(deps) + 2)
+    ]
+    return ProblemInstance(workers=workers, tasks=tasks, skills=skills)
+
+
+@st.composite
+def open_dag_scripts(draw):
+    """Arbitrary DAGs (each task picks earlier ids) plus a move script."""
+    n_tasks = draw(st.integers(3, 8))
+    deps = [
+        sorted(draw(st.sets(st.integers(0, tid - 1), max_size=3))) if tid else []
+        for tid in range(n_tasks)
+    ]
+    alpha = draw(st.floats(1.5, 20.0))
+    prev = sorted(draw(st.sets(st.integers(0, n_tasks - 1), max_size=2)))
+    moves = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_tasks + 1),
+                st.one_of(st.none(), st.integers(0, n_tasks - 1)),
+            ),
+            max_size=25,
+        )
+    )
+    return deps, alpha, prev, moves
+
+
+class TestUnclosedDependencySets:
+    """Eq. 3 gates on ``D_d`` as given, which need not be transitively closed.
+
+    The generators only emit closed sets (``wire_dependencies``), where
+    ``D_d`` equals ``ancestors(d)``.  Here a chain ``0 -> 1 -> 3`` with
+    ``D_3 = {1, 2}`` leaves ``0`` an ancestor of ``3`` but not in ``D_3``:
+    a worker alone on ``0`` who considers ``2`` must still collect ``3``'s
+    dependency share.
+    """
+
+    @given(open_dag_scripts())
+    @example(([[], [0], [], [1, 2]], 10.0, [], [(0, 0), (1, 1), (2, 3)]))
+    @settings(max_examples=120, deadline=None)
+    def test_candidate_utility_matches_withdrawn_reference(self, script):
+        deps, alpha, prev, moves = script
+        instance = build_open_instance(deps)
+        graph = instance.dependency_graph
+        assume(any(graph.ancestors(t) != graph.direct_dependencies(t) for t in graph))
+        players = list(range(len(deps) + 2))
+        fast = GameState(instance, instance.tasks, players, prev, alpha=alpha)
+        slow = ReferenceGameState(instance, instance.tasks, players, prev, alpha=alpha)
+        for worker_id, task_id in moves:
+            fast.set_choice(worker_id, task_id)
+            slow.set_choice(worker_id, task_id)
+            for w in players:
+                current = slow.choice[w]
+                slow.set_choice(w, None)
+                for candidate in range(len(deps)):
+                    expected = slow.utility_of_choice(w, candidate)
+                    assert fast.candidate_utility(w, candidate) == expected
+                slow.set_choice(w, current)
 
 
 class TestBestResponseConvergence:
