@@ -301,8 +301,9 @@ class AllocationEngine:
         try:
             for worker, candidates in rows:
                 self.counters.scalar_pair_evals += len(candidates)
-                for task_id in candidates:
-                    self._link_check(worker, self._tasks[task_id], now)
+                self._link_row(
+                    worker, map(self._tasks.__getitem__, candidates), now
+                )
         finally:
             self.metric.clear_preload()
 
@@ -350,7 +351,13 @@ class AllocationEngine:
         # forces a row recompute — so dropping its row now is safe.
         for wid in [w for w in self._workers if w not in batch_wids]:
             self._remove_worker(wid)
-        changed = [w for w in workers if self._workers.get(w.id) != w]
+        # The identity test skips the dataclass ``!=`` (two field tuples) for
+        # the common case: a worker handed over as the very record stored.
+        stored = self._workers
+        changed = [
+            w for w in workers
+            if (old := stored.get(w.id)) is not w and old != w
+        ]
         changed_ids = {w.id for w in changed}
         added_tasks = [task for task in tasks if task.id not in self._tasks]
         use_kernels = bool(
@@ -384,9 +391,13 @@ class AllocationEngine:
         # Workers about to be re-probed (skip_workers) pick the task up
         # during their own row recompute.
         checked = 0
+        skill = task.skill
         for worker in self._workers.values():
             if worker.id not in skip_workers:
-                self._link_check(worker, task, now)
+                if skill in worker.skills:
+                    self._link_check(worker, task, now)
+                elif self.journal.enabled:
+                    self._reject_skill(worker, task)
                 checked += 1
         self.counters.pairs_checked += checked
         self.counters.scalar_pair_evals += checked
@@ -451,8 +462,7 @@ class AllocationEngine:
         candidates = self._candidates_for(worker, latest_deadline, now)
         self._journal_pruned(worker, candidates)
         self.counters.scalar_pair_evals += len(candidates)
-        for task_id in candidates:
-            self._link_check(worker, self._tasks[task_id], now)
+        self._link_row(worker, map(self._tasks.__getitem__, candidates), now)
 
     def _columnar_rows(
         self,
@@ -491,8 +501,7 @@ class AllocationEngine:
                 else:
                     self._journal_pruned(worker, rows[pos])
                     row = map(self._tasks.__getitem__, rows[pos])
-                for task in row:
-                    self._link_check(worker, task, now)
+                self._link_row(worker, row, now)
             return
         self.counters.columnar_pairs += total
         self._link_tile(workers, tasks, now, rows)
@@ -532,7 +541,7 @@ class AllocationEngine:
         With ``rows`` (one candidate task-id list per worker) the tile is
         those pairs in row order; without, it is the dense cross product,
         worker-major or, with ``task_major``, task-major.  Either way that
-        is the pair sequence the scalar loop hands :meth:`_link_check`, so
+        is the pair sequence the scalar loop hands :meth:`_link_row`, so
         journal rejects come out in scalar order, and the cache *replays*
         the scalar metric-access sequence — the skill-passing pairs in tile
         order, with the kernel's bitwise-exact distances — leaving hits,
@@ -586,20 +595,29 @@ class AllocationEngine:
             self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
             self._workers_of[task.id].add(worker.id)
 
+    def _link_row(self, worker: Worker, tasks: Iterable[Task], now: float) -> None:
+        """Link-check ``worker`` against ``tasks`` in order, skill test inline.
+
+        Most scalar pairs fail the skill test (nine in ten on Meetup-like
+        inputs); testing it here spares them the call into
+        :meth:`_link_check`, and a miss journals the same ``skill`` reject
+        at the same stream position.
+        """
+        skills = worker.skills
+        for task in tasks:
+            if task.skill in skills:
+                self._link_check(worker, task, now)
+            elif self.journal.enabled:
+                self._reject_skill(worker, task)
+
     def _link_check(self, worker: Worker, task: Task, now: float) -> None:
+        # Callers have already passed the skill test (see _link_row).
         # Superset test at the batch timestamp: feasibility only shrinks as
         # time advances, so later batch views' deadline filter never misses
         # a pair.  The stored travel time is the same division
         # ``deadline_ok`` would perform, so the filters are bit-identical.
         # Callers count ``pairs_checked`` in bulk — a per-pair counter
         # increment here dominates the link check itself.
-        if task.skill not in worker.skills:
-            if self.journal.enabled:
-                self.journal.emit(
-                    "reject", worker=worker.id, task=task.id,
-                    reason="skill", phase="build",
-                )
-            return
         dist = self.metric(worker.location, task.location)
         if dist > worker.max_distance:
             if self.journal.enabled:
@@ -619,6 +637,11 @@ class AllocationEngine:
         travel = dist / worker.velocity if dist > 0.0 else 0.0
         self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
         self._workers_of[task.id].add(worker.id)
+
+    def _reject_skill(self, worker: Worker, task: Task) -> None:
+        self.journal.emit(
+            "reject", worker=worker.id, task=task.id, reason="skill", phase="build"
+        )
 
     # -- helpers -----------------------------------------------------------------
 

@@ -113,16 +113,8 @@ class OnlinePlatform:
         done = [wid for wid, (_, free_at, _, _) in busy.items() if free_at <= now]
         for wid in done:
             worker, free_at, location, travelled = busy.pop(wid)
-            if self.rejoin is RejoinPolicy.NEVER:
-                continue
-            rejoined = worker.relocated(location, free_at, travelled=travelled)
-            if self.rejoin is RejoinPolicy.FRESH:
-                rejoined = Worker(
-                    id=rejoined.id, location=rejoined.location, start=rejoined.start,
-                    wait=worker.wait, velocity=rejoined.velocity,
-                    max_distance=rejoined.max_distance, skills=rejoined.skills,
-                )
-            if rejoined.wait > 0.0 or self.rejoin is RejoinPolicy.FRESH:
+            rejoined = self.rejoin.rejoined(worker, location, free_at, travelled)
+            if rejoined is not None:
                 pool[wid] = rejoined
 
     def _nearest_feasible(

@@ -8,19 +8,30 @@ task's service duration.  Completed workers re-enter the pool at the task
 location (policy-dependent, see :class:`RejoinPolicy`) with their moving
 budget reduced by the distance travelled; tasks assigned in any earlier
 batch satisfy the dependency constraint of later ones.
+
+The loop is event-driven: workers and tasks wait in arrival lists sorted
+once by start time, active records sit in deadline min-heaps, and each
+snapshot is the previous one plus arrivals and rejoins minus departures
+and the last batch's commits — so a batch costs its churn, not a scan of
+the whole pool.  Snapshots list workers in pool order (instance order,
+then rejoins in release order) and tasks in ascending id; the journal's
+arrive / depart / submit / expire events come from the same queues.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
-from repro.core.assignment import Assignment
 from repro.core.instance import ProblemInstance
-from repro.core.worker import Worker
+from repro.core.task import Task
+from repro.core.worker import Point, Worker
 from repro.engine.engine import AllocationEngine
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
@@ -45,13 +56,175 @@ class RejoinPolicy(enum.Enum):
     FRESH = "fresh"
     NEVER = "never"
 
+    def rejoined(
+        self, worker: Worker, location: Point, free_at: float, travelled: float
+    ) -> Optional[Worker]:
+        """The record ``worker`` re-enters the pool with, or None if it leaves.
+
+        The worker finished its task at ``location`` at ``free_at`` after
+        moving ``travelled``.  Under ``REMAINING`` a worker whose window
+        lapsed while serving (zero wait left) does not return; a ``FRESH``
+        one always does, even with a zero original wait.
+        """
+        if self is RejoinPolicy.NEVER:
+            return None
+        back = worker.relocated(location, free_at, travelled=travelled)
+        if self is RejoinPolicy.FRESH:
+            return replace(back, wait=worker.wait)
+        return back if back.wait > 0.0 else None
+
 
 @dataclass
 class _BusyWorker:
     worker: Worker
     free_at: float
-    location: tuple
+    location: Point
     travelled: float
+
+
+class _WorkerQueue:
+    """The free-worker pool as an arrival list and a departure heap.
+
+    Records wait in the arrival list (sorted once by start) until a
+    snapshot reaches their start, are *active* while
+    ``start <= now <= deadline`` and leave when a commit takes them or a
+    snapshot passes their deadline.  Each record entering the pool takes
+    the next sequence number — instance workers their instance position,
+    rejoins the next number in release order — and snapshots list the
+    active workers by it, which is the order of a pool dict that
+    re-inserts a rejoined worker at its end.  The sequence number also
+    names the record in the departure heap: an entry whose record already
+    left (committed, perhaps rejoined as a new record) is stale and
+    skipped.
+    """
+
+    def __init__(self, workers: Sequence[Worker]) -> None:
+        self._arrivals = sorted(enumerate(workers), key=lambda item: item[1].start)
+        self._next = 0
+        self._seq = len(workers)
+        #: sequence number -> record, for every active worker.
+        self._active: Dict[int, Worker] = {}
+        #: worker id -> sequence number of its active record.
+        self._seq_of: Dict[int, int] = {}
+        #: (deadline, sequence number) of every record ever activated.
+        self._departures: List[Tuple[float, int]] = []
+        #: Ids that joined / left the active set since the last churn()
+        #: (only a journaling run asks; each set stays within the ids).
+        self._entered: Set[int] = set()
+        self._left: Set[int] = set()
+
+    def rejoin(self, worker: Worker, now: float) -> None:
+        """Admit a released worker, whose start is its finish time ``<= now``."""
+        self._seq += 1
+        self._admit(self._seq, worker, now)
+
+    def snapshot(self, now: float) -> List[Worker]:
+        """The active workers at ``now``, in pool order."""
+        arrivals = self._arrivals
+        while self._next < len(arrivals) and arrivals[self._next][1].start <= now:
+            seq, worker = arrivals[self._next]
+            self._next += 1
+            self._admit(seq, worker, now)
+        departures = self._departures
+        active = self._active
+        while departures and departures[0][0] < now:
+            worker = active.pop(heappop(departures)[1], None)
+            if worker is not None:
+                del self._seq_of[worker.id]
+                self._left.add(worker.id)
+        return [active[seq] for seq in sorted(active)]
+
+    def take(self, worker_id: int) -> Worker:
+        """Remove a committed worker from the pool and return its record."""
+        self._left.add(worker_id)
+        return self._active.pop(self._seq_of.pop(worker_id))
+
+    def churn(self) -> Tuple[List[int], List[int]]:
+        """Sorted ids that arrived and departed since the last call.
+
+        A worker that left and came back in between (committed, then
+        rejoined) did neither.
+        """
+        arrived = sorted(self._entered - self._left)
+        departed = sorted(self._left - self._entered)
+        self._entered.clear()
+        self._left.clear()
+        return arrived, departed
+
+    def _admit(self, seq: int, worker: Worker, now: float) -> None:
+        deadline = worker.deadline
+        if now <= deadline:
+            self._active[seq] = worker
+            self._seq_of[worker.id] = seq
+            heappush(self._departures, (deadline, seq))
+            self._entered.add(worker.id)
+
+
+class _TaskQueue:
+    """Open tasks as an arrival list and an expiry heap.
+
+    A task is active from the first snapshot at or after its start until
+    a commit assigns it or its deadline passes.  An unassigned task
+    expires at the first batch close at or after its deadline, also when
+    no snapshot ever saw it active.
+    """
+
+    def __init__(self, tasks: Sequence[Task]) -> None:
+        self._arrivals = sorted(tasks, key=lambda task: task.start)
+        self._next = 0
+        self._active: Dict[int, Task] = {}
+        self._expiries: List[Tuple[float, int]] = []
+        #: Ids due to expire at the next batch close.
+        self._lapsed: List[int] = []
+        #: Ids activated since the last churn() (at most every task id).
+        self._submitted: List[int] = []
+
+    def snapshot(self, now: float) -> List[Task]:
+        """The open tasks active at ``now``, in ascending id order."""
+        arrivals = self._arrivals
+        active = self._active
+        while self._next < len(arrivals) and arrivals[self._next].start <= now:
+            task = arrivals[self._next]
+            self._next += 1
+            if now <= task.deadline:
+                active[task.id] = task
+                heappush(self._expiries, (task.deadline, task.id))
+                self._submitted.append(task.id)
+            else:
+                self._lapsed.append(task.id)
+        self._expire(lambda deadline: deadline < now)
+        return [active[tid] for tid in sorted(active)]
+
+    def take(self, task_id: int) -> None:
+        """Close a task the batch assigned."""
+        del self._active[task_id]
+
+    def churn(self) -> List[int]:
+        """Sorted ids of the tasks activated since the last call."""
+        submitted = sorted(self._submitted)
+        self._submitted.clear()
+        return submitted
+
+    def close(self, now: float) -> List[int]:
+        """Expire every open task with deadline ``<= now``; their sorted ids."""
+        self._expire(lambda deadline: deadline <= now)
+        expired = sorted(self._lapsed)
+        self._lapsed.clear()
+        return expired
+
+    def remaining(self) -> List[int]:
+        """Ids of every task neither assigned nor expired yet, sorted."""
+        pending = [task.id for task in self._arrivals[self._next:]]
+        return sorted(chain(self._active, pending))
+
+    def _expire(self, due: Callable[[float], bool]) -> None:
+        """Close the active tasks whose deadline is ``due``."""
+        expiries = self._expiries
+        active = self._active
+        while expiries and due(expiries[0][0]):
+            task_id = heappop(expiries)[1]
+            if active.pop(task_id, None) is not None:
+                self._lapsed.append(task_id)
 
 
 class Platform:
@@ -168,12 +341,13 @@ class Platform:
             return report
 
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        # Pool state.  ``pool`` holds the *current* Worker records (a rejoined
-        # worker is a relocated copy); ``busy`` tracks in-flight service.
-        pool: Dict[int, Worker] = {w.id: w for w in instance.workers}
-        busy: Dict[int, _BusyWorker] = {}
+        # Pool state.  ``pool`` holds the current record of every free worker
+        # (a rejoined worker is a relocated copy); ``busy`` is a heap of
+        # in-flight services keyed by finish time and commit order.
+        pool = _WorkerQueue(instance.workers)
+        open_tasks = _TaskQueue(instance.tasks)
+        busy: List[Tuple[float, int, _BusyWorker]] = []
         assigned_tasks: Set[int] = set()
-        open_task_ids = {t.id for t in instance.tasks}
         if self.shards > 1:
             engine = ShardedEngine(
                 instance,
@@ -215,37 +389,29 @@ class Platform:
                 workers=len(instance.workers),
                 tasks=len(instance.tasks),
             )
-            prev_worker_ids: Set[int] = set()
-            prev_task_ids: Set[int] = set()
         for index in range(batches + 1):
             now = min(start + index * self.batch_interval, horizon)
             with tracer.span("platform.batch") as batch_span:
                 with tracer.span("platform.snapshot"):
                     self._release_finished(pool, busy, now)
-                    workers = [w for w in pool.values() if w.active_at(now)]
-                    tasks = [
-                        instance.task(tid)
-                        for tid in open_task_ids
-                        if instance.task(tid).active_at(now)
-                    ]
+                    workers = pool.snapshot(now)
+                    tasks = open_tasks.snapshot(now)
                 if journal.enabled:
                     journal.set_batch(index)
                     journal.emit(
                         "batch_open", t=now, workers=len(workers), tasks=len(tasks)
                     )
-                    # Population churn relative to the previous snapshot: an
+                    # Population churn since the previous snapshot: an
                     # assigned worker departs and (with a rejoin policy)
-                    # arrives again later as a relocated record.
-                    cur_worker_ids = {w.id for w in workers}
-                    cur_task_ids = {t.id for t in tasks}
-                    for wid in sorted(cur_worker_ids - prev_worker_ids):
+                    # arrives again later as a relocated record; one that
+                    # does both between two snapshots never left.
+                    arrived, departed = pool.churn()
+                    for wid in arrived:
                         journal.emit("worker_arrive", t=now, worker=wid)
-                    for wid in sorted(prev_worker_ids - cur_worker_ids):
+                    for wid in departed:
                         journal.emit("worker_depart", t=now, worker=wid)
-                    for tid in sorted(cur_task_ids - prev_task_ids):
+                    for tid in open_tasks.churn():
                         journal.emit("task_submit", t=now, task=tid)
-                    prev_worker_ids = cur_worker_ids
-                    prev_task_ids = cur_task_ids
                 if workers and tasks:
                     if isinstance(engine, ShardedEngine):
                         # The two-phase protocol owns its own feasibility
@@ -264,7 +430,7 @@ class Platform:
                             outcome = self.allocator.allocate(context)
                     with tracer.span("platform.commit"):
                         self._execute(
-                            outcome, pool, busy, assigned_tasks, open_task_ids, now,
+                            outcome, pool, open_tasks, busy, assigned_tasks, now,
                             report, journal=journal,
                         )
                     record = BatchRecord(
@@ -281,17 +447,13 @@ class Platform:
                     record = BatchRecord(index, now, len(workers), len(tasks), 0, 0.0)
                 report.batches.append(record)
                 # Expire tasks whose deadline has now passed.
-                still_open = {
-                    tid for tid in open_task_ids if instance.task(tid).deadline > now
-                }
-                expired_now = open_task_ids - still_open
+                expired_now = open_tasks.close(now)
                 if journal.enabled:
-                    for tid in sorted(expired_now):
+                    for tid in expired_now:
                         journal.emit(
                             "task_expire", t=instance.task(tid).deadline, task=tid
                         )
                     journal.emit("batch_close", t=now, score=record.score)
-                open_task_ids = still_open
                 if tracer.enabled:
                     batch_span.set("index", index)
                     batch_span.set("now", now)
@@ -309,7 +471,7 @@ class Platform:
             # Whatever is still open at the horizon expires unassigned; the
             # union of per-batch and end-of-run expiries is exactly
             # ``report.expired_tasks``.
-            for tid in sorted(open_task_ids):
+            for tid in open_tasks.remaining():
                 journal.emit("task_expire", t=instance.task(tid).deadline, task=tid)
             journal.emit(
                 "run_close",
@@ -323,54 +485,49 @@ class Platform:
     # -- internals --------------------------------------------------------------------
 
     def _release_finished(
-        self, pool: Dict[int, Worker], busy: Dict[int, _BusyWorker], now: float
+        self,
+        pool: _WorkerQueue,
+        busy: List[Tuple[float, int, _BusyWorker]],
+        now: float,
     ) -> None:
-        done = [wid for wid, record in busy.items() if record.free_at <= now]
-        for wid in done:
-            record = busy.pop(wid)
-            if self.rejoin is RejoinPolicy.NEVER:
-                continue
-            worker = record.worker
-            rejoined = worker.relocated(
-                record.location, record.free_at, travelled=record.travelled
+        done = []
+        while busy and busy[0][0] <= now:
+            done.append(heappop(busy))
+        # Workers released together rejoin in the commit order of their
+        # services, which is the old pool dict's re-insertion order.
+        done.sort(key=itemgetter(1))
+        for _, _, record in done:
+            rejoined = self.rejoin.rejoined(
+                record.worker, record.location, record.free_at, record.travelled
             )
-            if self.rejoin is RejoinPolicy.FRESH:
-                rejoined = Worker(
-                    id=rejoined.id,
-                    location=rejoined.location,
-                    start=rejoined.start,
-                    wait=worker.wait,
-                    velocity=rejoined.velocity,
-                    max_distance=rejoined.max_distance,
-                    skills=rejoined.skills,
-                )
-            if rejoined.wait > 0.0 or self.rejoin is RejoinPolicy.FRESH:
-                pool[wid] = rejoined
+            if rejoined is not None:
+                pool.rejoin(rejoined, now)
 
     def _execute(
         self,
         outcome: AllocationOutcome,
-        pool: Dict[int, Worker],
-        busy: Dict[int, _BusyWorker],
+        pool: _WorkerQueue,
+        open_tasks: _TaskQueue,
+        busy: List[Tuple[float, int, _BusyWorker]],
         assigned_tasks: Set[int],
-        open_task_ids: Set[int],
         now: float,
         report: SimulationReport,
         journal: Optional[EventJournal] = None,
     ) -> None:
         instance = self.instance
         for worker_id, task_id in outcome.assignment.pairs():
-            worker = pool.pop(worker_id)
+            worker = pool.take(worker_id)
             task = instance.task(task_id)
             depart = max(worker.start, task.start, now)
             dist = instance.metric(worker.location, task.location)
             travel = 0.0 if dist == 0.0 else dist / worker.velocity
             finish = depart + travel + task.duration
-            busy[worker_id] = _BusyWorker(
+            # ``len(assigned_tasks)`` numbers the commits of the run.
+            heappush(busy, (finish, len(assigned_tasks), _BusyWorker(
                 worker=worker, free_at=finish, location=task.location, travelled=dist
-            )
+            )))
             assigned_tasks.add(task_id)
-            open_task_ids.discard(task_id)
+            open_tasks.take(task_id)
             report.assignments[task_id] = worker_id
             report.completion_times[task_id] = finish
             if journal is not None and journal.enabled:

@@ -17,13 +17,17 @@ let tests pin the other paths against it without a switch in the library:
 * :class:`ReferenceGameState` / :class:`NaiveDASCGame` — the original
   walk-everything game state and the withdraw-and-rescan best-response loop
   over it, the oracle for :class:`~repro.algorithms.utility.GameState` and
-  the baseline of the game benchmark.
+  the baseline of the game benchmark;
+* :class:`RescanPlatform` — the batch loop that rebuilds every snapshot by
+  rescanning the whole pool and every open task, the oracle for
+  :class:`~repro.simulation.platform.Platform`'s event queues.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence
+import math
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set
 
 import pytest
 
@@ -32,8 +36,13 @@ from repro.algorithms.registry import make_allocator
 from repro.algorithms.utility import harmonic
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
+from repro.core.worker import Worker
 from repro.engine.context import BatchContext
+from repro.obs.events import get_journal
+from repro.obs.trace import get_tracer
+from repro.shard.engine import ShardedEngine
 from repro.simulation import platform as platform_module
+from repro.simulation.stats import BatchRecord, SimulationReport
 from repro.spatial.distance import EuclideanDistance, ManhattanDistance
 
 
@@ -272,3 +281,147 @@ def naive_allocator(name: str, seed: int = 0) -> NaiveDASCGame:
     )
     naive.name = game.name
     return naive
+
+
+class RescanPlatform(platform_module.Platform):
+    """:class:`~repro.simulation.platform.Platform` with the rescanning loop.
+
+    Every batch scans the whole pool (``Worker.active_at`` per record) and
+    every open task id for its snapshot, rebuilds the open set with a third
+    scan at batch close and derives the journal's arrive / depart / submit
+    events by diffing id sets against the previous snapshot.  Workers come
+    out in pool order and tasks in ``set`` iteration order.  Reports,
+    ``engine_stats``, batch records and journal streams (up to the order of
+    ``reject`` events within a batch, which follows task order) must equal
+    the event-driven loop's.  Engines are resolved through the platform
+    module at run time, so :func:`without_engine` applies here too.
+    """
+
+    def run(self) -> SimulationReport:
+        instance = self.instance
+        if not instance.workers or not instance.tasks:
+            return super().run()
+        report = SimulationReport(allocator=self.allocator.name)
+        journal = self.journal if self.journal is not None else get_journal()
+        tracer = self.tracer if self.tracer is not None else get_tracer()
+        pool: Dict[int, Worker] = {w.id: w for w in instance.workers}
+        busy: Dict[int, tuple] = {}
+        assigned_tasks: Set[int] = set()
+        open_task_ids = {t.id for t in instance.tasks}
+        if self.shards > 1:
+            engine = platform_module.ShardedEngine(
+                instance, self.shards, scheme=self.shard_scheme, tracer=tracer,
+                registry=self.metrics, n_jobs=self.n_jobs, journal=journal,
+            )
+        else:
+            engine = platform_module.AllocationEngine(
+                instance, tracer=tracer, registry=self.metrics, journal=journal
+            )
+        self._metrics_registry = engine.registry
+        self.last_engine = engine
+        start = instance.earliest_start
+        horizon = instance.horizon
+        batches = max(1, math.ceil((horizon - start) / self.batch_interval))
+        if journal.enabled:
+            journal.emit(
+                "run_open", allocator=self.allocator.name,
+                batch_interval=self.batch_interval, start=start, horizon=horizon,
+                workers=len(instance.workers), tasks=len(instance.tasks),
+            )
+            prev_worker_ids: Set[int] = set()
+            prev_task_ids: Set[int] = set()
+        for index in range(batches + 1):
+            now = min(start + index * self.batch_interval, horizon)
+            self._rescan_release(pool, busy, now)
+            workers = [w for w in pool.values() if w.active_at(now)]
+            tasks = [
+                instance.task(tid)
+                for tid in open_task_ids
+                if instance.task(tid).active_at(now)
+            ]
+            if journal.enabled:
+                journal.set_batch(index)
+                journal.emit("batch_open", t=now, workers=len(workers), tasks=len(tasks))
+                cur_worker_ids = {w.id for w in workers}
+                cur_task_ids = {t.id for t in tasks}
+                for wid in sorted(cur_worker_ids - prev_worker_ids):
+                    journal.emit("worker_arrive", t=now, worker=wid)
+                for wid in sorted(prev_worker_ids - cur_worker_ids):
+                    journal.emit("worker_depart", t=now, worker=wid)
+                for tid in sorted(cur_task_ids - prev_task_ids):
+                    journal.emit("task_submit", t=now, task=tid)
+                prev_worker_ids = cur_worker_ids
+                prev_task_ids = cur_task_ids
+            if workers and tasks:
+                if isinstance(engine, ShardedEngine):
+                    outcome = engine.allocate(
+                        self.allocator, workers, tasks, now, frozenset(assigned_tasks)
+                    )
+                else:
+                    context = engine.begin_batch(
+                        workers, tasks, now, frozenset(assigned_tasks)
+                    )
+                    outcome = self.allocator.allocate(context)
+                self._rescan_execute(
+                    outcome, pool, busy, assigned_tasks, open_task_ids, now, report,
+                    journal,
+                )
+                record = BatchRecord(
+                    index, now, len(workers), len(tasks), outcome.score, outcome.elapsed
+                )
+            else:
+                record = BatchRecord(index, now, len(workers), len(tasks), 0, 0.0)
+            report.batches.append(record)
+            still_open = {
+                tid for tid in open_task_ids if instance.task(tid).deadline > now
+            }
+            if journal.enabled:
+                for tid in sorted(open_task_ids - still_open):
+                    journal.emit("task_expire", t=instance.task(tid).deadline, task=tid)
+                journal.emit("batch_close", t=now, score=record.score)
+            open_task_ids = still_open
+            if now >= horizon:
+                break
+        report.expired_tasks = sorted(
+            tid for tid in instance.task_ids if tid not in assigned_tasks
+        )
+        report.engine_stats = engine.stats()
+        if journal.enabled:
+            journal.set_batch(None)
+            for tid in sorted(open_task_ids):
+                journal.emit("task_expire", t=instance.task(tid).deadline, task=tid)
+            journal.emit(
+                "run_close", score=report.total_score, batches=report.num_batches,
+                assigned=len(report.assignments), expired=len(report.expired_tasks),
+            )
+        return report
+
+    def _rescan_release(self, pool, busy, now) -> None:
+        # ``busy`` is in commit order, so rejoins re-enter the pool (and
+        # its iteration order) in release order.
+        done = [wid for wid, record in busy.items() if record[1] <= now]
+        for wid in done:
+            worker, free_at, location, travelled = busy.pop(wid)
+            rejoined = self.rejoin.rejoined(worker, location, free_at, travelled)
+            if rejoined is not None:
+                pool[wid] = rejoined
+
+    def _rescan_execute(
+        self, outcome, pool, busy, assigned_tasks, open_task_ids, now, report, journal
+    ) -> None:
+        instance = self.instance
+        for worker_id, task_id in outcome.assignment.pairs():
+            worker = pool.pop(worker_id)
+            task = instance.task(task_id)
+            depart = max(worker.start, task.start, now)
+            dist = instance.metric(worker.location, task.location)
+            travel = 0.0 if dist == 0.0 else dist / worker.velocity
+            finish = depart + travel + task.duration
+            busy[worker_id] = (worker, finish, task.location, dist)
+            assigned_tasks.add(task_id)
+            open_task_ids.discard(task_id)
+            report.assignments[task_id] = worker_id
+            report.completion_times[task_id] = finish
+            if journal.enabled:
+                journal.emit("assign", t=now, worker=worker_id, task=task_id)
+                journal.emit("complete", t=finish, worker=worker_id, task=task_id)
