@@ -1,14 +1,16 @@
 """Micro-benchmarks of the substrates (proper multi-round timings).
 
 These are conventional pytest-benchmark measurements of the inner building
-blocks: the Hungarian solver, Hopcroft-Karp, the grid-index feasibility
-builder and a single greedy/game batch.  Useful for tracking performance
-regressions; they reproduce no specific paper figure.
+blocks: instance load, the Hungarian solver, Hopcroft-Karp, the grid-index
+feasibility builder and a single greedy/game batch.  Useful for tracking
+performance regressions; they reproduce no specific paper figure.
 """
 
 import random
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,18 @@ from repro.algorithms.baselines import ClosestBaseline
 from repro.algorithms.game import DASCGame
 from repro.algorithms.greedy import DASCGreedy
 from repro.core.constraints import FeasibilityChecker
+from repro.core.instance import ProblemInstance
 from repro.datagen.distributions import Range
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.hungarian import INFEASIBLE, hungarian
 from repro.simulation.platform import Platform
+
+_ROOT = Path(__file__).resolve().parent.parent
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
+
+from perfbench.reference import reference_s, slowness  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +49,27 @@ def make_feasibility_instance():
 @pytest.fixture(scope="module")
 def feasibility_dominated_instance():
     return make_feasibility_instance()
+
+
+@pytest.fixture(scope="module")
+def table5_records():
+    """Table V defaults at 0.5 scale (2500 x 2500, ~88k closed dependency
+    edges), generated once so the timed body is load alone."""
+    instance = generate_synthetic(SyntheticConfig(seed=11).scaled(0.5))
+    return tuple(instance.workers), tuple(instance.tasks), instance.skills
+
+
+def _load_instance(workers, tasks, skills):
+    instance = ProblemInstance(list(workers), list(tasks), skills)
+    instance.dependency_graph
+    return instance
+
+
+def test_micro_instance_load(benchmark, table5_records):
+    """Record validation plus the dependency graph: the set-up every run
+    pays before its first batch."""
+    instance = benchmark(_load_instance, *table5_records)
+    assert len(instance.dependency_graph) == len(table5_records[1])
 
 
 def test_micro_hungarian_40x60(benchmark):
@@ -120,12 +150,26 @@ _FEASIBILITY_CONFIG = {
 }
 
 
-def _record_platform_entry(record_bench_json, instance, name):
-    """One extra measured run feeding the machine-readable perf trajectory."""
+def normalised_platform_run(instance):
+    """One platform run timed between two host-speed probes.
+
+    Returns ``(report, wall_ms, normalised_ms)``: ``normalised_ms`` is the
+    wall time divided by the host slowness perfbench's reference workload
+    measured right before and after the run, i.e. the time the run takes
+    on the host at slowness 1.0.
+    """
+    before = reference_s()
     started = time.perf_counter()
     report = _platform_report(instance)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    record_bench_json(name, _FEASIBILITY_CONFIG, wall_ms, report.engine_stats)
+    host = slowness(before, reference_s())
+    return report, wall_ms, wall_ms / host
+
+
+def record_platform_entry(record, name, report, wall_ms, normalised_ms):
+    """Record a platform run in host-normalised ms, raw wall time beside it."""
+    counters = dict(report.engine_stats, raw_wall_ms=round(wall_ms, 3))
+    record(name, dict(_FEASIBILITY_CONFIG, wall="host-normalised"), normalised_ms, counters)
 
 
 def test_micro_platform_engine(
@@ -135,8 +179,10 @@ def test_micro_platform_engine(
     distance cache).  Feasibility-dominated: a cheap allocator over a small
     batch interval, so per-batch graph construction is the bottleneck."""
     benchmark(_platform_run, feasibility_dominated_instance)
-    _record_platform_entry(
-        record_bench_json, feasibility_dominated_instance, "micro_platform_engine"
+    record_platform_entry(
+        record_bench_json,
+        "micro_platform_engine",
+        *normalised_platform_run(feasibility_dominated_instance),
     )
 
 

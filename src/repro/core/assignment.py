@@ -37,6 +37,14 @@ class AssignmentViolation:
     detail: str
 
 
+def _lookup(get, key):
+    """``get(key)``, or None when the id is unknown (a dict probe, no id set)."""
+    try:
+        return get(key)
+    except KeyError:
+        return None
+
+
 class Assignment:
     """A one-to-one matching between workers and tasks within one batch.
 
@@ -138,8 +146,8 @@ class Assignment:
         """
         out: List[AssignmentViolation] = []
         for worker_id, task_id in self.pairs():
-            worker = instance.worker(worker_id) if worker_id in instance.worker_ids else None
-            task = instance.task(task_id) if task_id in instance.task_ids else None
+            worker = _lookup(instance.worker, worker_id)
+            task = _lookup(instance.task, task_id)
             if worker is None or task is None:
                 out.append(
                     AssignmentViolation(

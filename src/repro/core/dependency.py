@@ -4,7 +4,8 @@
 and offers:
 
 * acyclicity validation and a topological order;
-* transitive closure (``ancestors``) and its dual (``descendants``);
+* transitive closure (``ancestors``) and its dual (``descendants``, built
+  on first call, as is ``depth``);
 * the associative task sets ``tc_i = {t_i} ∪ closure(D_i)`` driving
   ``DASC_Greedy``;
 * dependency-satisfaction tests against a set of already-assigned ids;
@@ -23,7 +24,9 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Set,
+    Tuple,
 )
 
 from repro.core.exceptions import DascError
@@ -54,17 +57,22 @@ class DependencyGraph:
         self._direct: Dict[int, FrozenSet[int]] = {
             tid: frozenset(deps) for tid, deps in direct.items()
         }
-        known = set(self._direct)
         for tid, deps in self._direct.items():
-            missing = deps - known
+            missing = deps.difference(self._direct)
             if missing:
                 raise DascError(
                     f"task {tid} depends on unknown task(s) {sorted(missing)}"
                 )
-        self._order = self._topological_order()
+        self._order, dependents = self._topological_order()
         self._ancestors = self._close()
-        self._dependents = self._invert(self._direct)
-        self._descendants = self._invert(self._ancestors)
+        # ``frozenset(set(lst))`` replays the ``set.add`` sequence of an
+        # inversion, so dependents iterate as the eager inversion left them.
+        self._dependents: Dict[int, FrozenSet[int]] = {
+            tid: frozenset(set(lst)) for tid, lst in dependents.items()
+        }
+        # Built on first call: no allocator reads them.
+        self._descendants: Optional[Dict[int, FrozenSet[int]]] = None
+        self._depths: Optional[Dict[int, int]] = None
         # Lazily-built adjacency snapshots (tuples preserving the frozenset
         # iteration order, so cached float summations replay the exact
         # addition order of a direct frozenset walk) and influence sets.
@@ -105,7 +113,9 @@ class DependencyGraph:
         return self._dependents[tid]
 
     def descendants(self, tid: int) -> FrozenSet[int]:
-        """Tasks transitively depending on ``tid``."""
+        """Tasks transitively depending on ``tid`` (map built on first call)."""
+        if self._descendants is None:
+            self._descendants = self._invert(self._ancestors)
         return self._descendants[tid]
 
     # -- adjacency snapshots ---------------------------------------------------
@@ -203,34 +213,40 @@ class DependencyGraph:
         ]
 
     def depth(self, tid: int) -> int:
-        """Length of the longest dependency chain below ``tid`` (roots = 0)."""
+        """Length of the longest dependency chain below ``tid`` (roots = 0).
+
+        The map is built on first call, in one pass over the topological
+        order.
+        """
+        if self._depths is None:
+            depths: Dict[int, int] = {}
+            for task in self._order:
+                deps = self._direct[task]
+                depths[task] = max(depths[dep] for dep in deps) + 1 if deps else 0
+            self._depths = depths
         return self._depths[tid]
 
     # -- internals --------------------------------------------------------------
 
-    def _topological_order(self) -> List[int]:
+    def _topological_order(self) -> Tuple[List[int], Dict[int, List[int]]]:
+        """Kahn's order plus each task's direct dependents, in edge order."""
         indegree: Dict[int, int] = {tid: len(deps) for tid, deps in self._direct.items()}
         dependents: Dict[int, List[int]] = {tid: [] for tid in self._direct}
         for tid, deps in self._direct.items():
             for dep in deps:
                 dependents[dep].append(tid)
         queue = sorted(tid for tid, deg in indegree.items() if deg == 0)
-        order: List[int] = []
-        depths: Dict[int, int] = {tid: 0 for tid in queue}
         head = 0
         while head < len(queue):
             tid = queue[head]
             head += 1
-            order.append(tid)
             for nxt in dependents[tid]:
                 indegree[nxt] -= 1
-                depths[nxt] = max(depths.get(nxt, 0), depths[tid] + 1)
                 if indegree[nxt] == 0:
                     queue.append(nxt)
-        if len(order) != len(self._direct):
+        if len(queue) != len(self._direct):
             raise CyclicDependencyError(self._find_cycle())
-        self._depths = depths
-        return order
+        return queue, dependents
 
     def _find_cycle(self) -> List[int]:
         WHITE, GRAY, BLACK = 0, 1, 2

@@ -56,7 +56,9 @@ class ProblemInstance:
                 raise InvalidInstanceError(
                     f"task {task.id} requires unknown skill {task.skill}"
                 )
-            unknown = task.dependencies - self._task_by_id.keys()
+            # ``difference`` probes the dict per dependency; ``frozenset -
+            # dict_keys`` would copy the set and walk every key instead.
+            unknown = task.dependencies.difference(self._task_by_id)
             if unknown:
                 raise InvalidInstanceError(
                     f"task {task.id} depends on unknown task(s) {sorted(unknown)}"

@@ -109,9 +109,16 @@ class TestValidation:
         assert a.is_valid(example1, previously_assigned={1})
 
     def test_unknown_ids_reported(self, example1):
-        a = Assignment([(99, 1)])
+        # Unknown workers and unknown tasks alike, in pair (worker-id) order.
+        a = Assignment([(99, 1), (1, 98), (3, 2)])
         violations = a.violations(example1)
-        assert violations[0].constraint == "unknown-id"
+        assert [(v.constraint, v.worker_id, v.task_id) for v in violations] == [
+            ("unknown-id", 1, 98),
+            ("unknown-id", 99, 1),
+        ]
+        assert violations[0].detail == (
+            "pair (1, 98) references ids absent from the instance"
+        )
 
     def test_distance_violation(self, example1):
         # Shrink w1's budget below its distance to t1 (2.0).

@@ -18,8 +18,9 @@ def diamond() -> DependencyGraph:
 
 class TestConstruction:
     def test_unknown_dependency_rejected(self):
-        with pytest.raises(DascError, match="unknown task"):
-            DependencyGraph({1: {99}})
+        with pytest.raises(DascError) as err:
+            DependencyGraph({1: {99, 2, 7}, 2: set()})
+        assert str(err.value) == "task 1 depends on unknown task(s) [7, 99]"
 
     def test_cycle_detected(self):
         with pytest.raises(CyclicDependencyError) as err:

@@ -26,38 +26,56 @@ def tiny_instance(**kwargs):
 
 
 class TestValidation:
+    """Load errors name the offending record; messages are pinned exactly."""
+
     def test_duplicate_worker_id(self):
         skills = SkillUniverse(1)
         w = Worker(id=1, location=(0, 0), start=0, wait=1, velocity=1,
                    max_distance=1, skills=frozenset({0}))
-        with pytest.raises(InvalidInstanceError, match="duplicate worker"):
+        with pytest.raises(InvalidInstanceError) as err:
             ProblemInstance(workers=[w, w], tasks=[], skills=skills)
+        assert str(err.value) == "duplicate worker id 1"
 
     def test_duplicate_task_id(self):
         skills = SkillUniverse(1)
         t = Task(id=1, location=(0, 0), start=0, wait=1, skill=0)
-        with pytest.raises(InvalidInstanceError, match="duplicate task"):
+        with pytest.raises(InvalidInstanceError) as err:
             ProblemInstance(workers=[], tasks=[t, t], skills=skills)
+        assert str(err.value) == "duplicate task id 1"
 
     def test_unknown_worker_skill(self):
         skills = SkillUniverse(1)
         w = Worker(id=1, location=(0, 0), start=0, wait=1, velocity=1,
                    max_distance=1, skills=frozenset({5}))
-        with pytest.raises(InvalidInstanceError, match="unknown skill"):
+        with pytest.raises(InvalidInstanceError) as err:
             ProblemInstance(workers=[w], tasks=[], skills=skills)
+        assert str(err.value) == "worker 1 practises unknown skill 5"
 
     def test_unknown_task_skill(self):
         skills = SkillUniverse(1)
         t = Task(id=1, location=(0, 0), start=0, wait=1, skill=7)
-        with pytest.raises(InvalidInstanceError, match="unknown skill"):
+        with pytest.raises(InvalidInstanceError) as err:
             ProblemInstance(workers=[], tasks=[t], skills=skills)
+        assert str(err.value) == "task 1 requires unknown skill 7"
 
     def test_unknown_dependency(self):
+        # Every unknown id is listed, sorted; known ones are not.
+        skills = SkillUniverse(1)
+        known = Task(id=2, location=(0, 0), start=0, wait=1, skill=0)
+        t = Task(id=1, location=(0, 0), start=0, wait=1, skill=0,
+                 dependencies=frozenset({2, 4100, 9, 17, 3}))
+        with pytest.raises(InvalidInstanceError) as err:
+            ProblemInstance(workers=[], tasks=[known, t], skills=skills)
+        assert str(err.value) == "task 1 depends on unknown task(s) [3, 9, 17, 4100]"
+
+    def test_dependency_checked_against_every_task(self):
+        # A dependency on a task listed later in the file is not unknown.
         skills = SkillUniverse(1)
         t = Task(id=1, location=(0, 0), start=0, wait=1, skill=0,
-                 dependencies=frozenset({9}))
-        with pytest.raises(InvalidInstanceError, match="unknown task"):
-            ProblemInstance(workers=[], tasks=[t], skills=skills)
+                 dependencies=frozenset({2}))
+        later = Task(id=2, location=(0, 0), start=0, wait=1, skill=0)
+        instance = ProblemInstance(workers=[], tasks=[t, later], skills=skills)
+        assert instance.dependency_graph.topological_order() == [2, 1]
 
 
 class TestQueries:

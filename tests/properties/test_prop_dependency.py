@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dependency import DependencyGraph
+from repro.core.dependency import CyclicDependencyError, DependencyGraph
 from repro.datagen.dependencies import wire_dependencies
 from repro.datagen.distributions import IntRange
+from tests.reference import EagerDependencyGraph
 
 
 @st.composite
@@ -87,3 +89,89 @@ class TestWireDependenciesProperties:
         graph = DependencyGraph(deps)  # raises on cycles
         for tid in graph:
             assert graph.direct_dependencies(tid) == graph.ancestors(tid)
+
+
+@st.composite
+def shaped_dags(draw):
+    """DAGs of several shapes over sparse ids, closed or not.
+
+    Ids come from a wide range and keys are inserted in shuffled order:
+    sets whose ids collide in small hash tables are what expose a change in
+    frozenset iteration order.
+    """
+    shape = draw(st.sampled_from(["random", "chain", "fan_out", "fan_in", "empty"]))
+    n = 0 if shape == "empty" else draw(st.integers(1, 80))
+    ids = draw(st.lists(st.integers(0, 5_000), min_size=n, max_size=n, unique=True))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    direct = {}
+    for i, tid in enumerate(ids):
+        if shape == "random":
+            density = 0.3 if i % 7 else 0.05
+            deps = {ids[j] for j in range(i) if rng.random() < density}
+        elif shape == "chain":
+            deps = set(ids[i - 1:i])
+        elif shape == "fan_out":
+            deps = {ids[0]} if i else set()
+            deps |= {ids[j] for j in range(1, i) if rng.random() < 0.05}
+        else:  # fan_in: the last id depends on every other one
+            deps = set(ids[:i]) if i == n - 1 else set()
+        direct[tid] = deps
+    if draw(st.booleans()):  # close every D_t transitively, as the generators do
+        for tid in ids:
+            for dep in list(direct[tid]):
+                direct[tid] |= direct[dep]
+    keys = list(direct)
+    rng.shuffle(keys)
+    return {tid: direct[tid] for tid in keys}
+
+
+def _assert_same_graph(graph, eager):
+    assert graph.topological_order() == eager.topological_order()
+    for tid in eager.topological_order():
+        assert tuple(graph.direct_dependents(tid)) == tuple(eager.direct_dependents(tid))
+        assert graph.dependent_tuple(tid) == eager.dependent_tuple(tid)
+        assert tuple(graph.ancestors(tid)) == tuple(eager.ancestors(tid))
+        assert tuple(graph.associative_set(tid)) == tuple(eager.associative_set(tid))
+        assert tuple(graph.descendants(tid)) == tuple(eager.descendants(tid))
+        assert graph.depth(tid) == eager.depth(tid)
+
+
+class TestEagerDifferential:
+    """The lazy graph reproduces the eager construction's orders exactly.
+
+    Cached float sums in the game replay ``dependent_tuple`` order, so an
+    equal *set* is not enough: every order is compared as a tuple.
+    """
+
+    @given(shaped_dags())
+    @settings(max_examples=150, deadline=None)
+    def test_orders_and_maps_match(self, direct):
+        _assert_same_graph(DependencyGraph(direct), EagerDependencyGraph(direct))
+
+    @given(shaped_dags())
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_maps_first(self, direct):
+        eager = EagerDependencyGraph(direct)
+        by_descendants = DependencyGraph(direct)
+        by_depth = DependencyGraph(direct)
+        for tid in direct:
+            assert tuple(by_descendants.descendants(tid)) == tuple(eager.descendants(tid))
+            assert by_depth.depth(tid) == eager.depth(tid)
+
+    @given(shaped_dags(), st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_cycles_report_the_same_cycle(self, direct, seed):
+        rng = random.Random(seed)
+        closed = EagerDependencyGraph(direct)
+        edges = [(tid, anc) for tid in direct for anc in sorted(closed.ancestors(tid))]
+        if not edges:
+            return
+        tid, ancestor = rng.choice(edges)
+        cyclic = dict(direct)
+        cyclic[ancestor] = set(direct[ancestor]) | {tid}
+        with pytest.raises(CyclicDependencyError) as expected:
+            EagerDependencyGraph(cyclic)
+        with pytest.raises(CyclicDependencyError) as got:
+            DependencyGraph(cyclic)
+        assert got.value.cycle == expected.value.cycle
+        assert str(got.value) == str(expected.value)

@@ -20,20 +20,35 @@ let tests pin the other paths against it without a switch in the library:
   the baseline of the game benchmark;
 * :class:`RescanPlatform` — the batch loop that rebuilds every snapshot by
   rescanning the whole pool and every open task, the oracle for
-  :class:`~repro.simulation.platform.Platform`'s event queues.
+  :class:`~repro.simulation.platform.Platform`'s event queues;
+* :class:`EagerDependencyGraph` — the dependency graph that builds every
+  map at construction, the oracle for
+  :class:`~repro.core.dependency.DependencyGraph`'s orders and lazy maps.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+)
 
 import pytest
 
 from repro.algorithms.game import _EPS, DASCGame
 from repro.algorithms.registry import make_allocator
 from repro.algorithms.utility import harmonic
+from repro.core.dependency import CyclicDependencyError
+from repro.core.exceptions import DascError
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -425,3 +440,118 @@ class RescanPlatform(platform_module.Platform):
             if journal.enabled:
                 journal.emit("assign", t=now, worker=worker_id, task=task_id)
                 journal.emit("complete", t=finish, worker=worker_id, task=task_id)
+
+
+class EagerDependencyGraph:
+    """The dependency graph as first written: every map built up front.
+
+    Construction validates the ids, runs Kahn's algorithm with per-edge
+    depth bookkeeping, closes ``D_t`` transitively and inverts both the
+    direct relation (dependents) and the closure (descendants) with
+    ``set.add`` loops.  Orders and frozenset iteration orders of
+    :class:`~repro.core.dependency.DependencyGraph` must equal these.
+    """
+
+    def __init__(self, direct: Mapping[int, Iterable[int]]) -> None:
+        self._direct: Dict[int, FrozenSet[int]] = {
+            tid: frozenset(deps) for tid, deps in direct.items()
+        }
+        known = set(self._direct)
+        for tid, deps in self._direct.items():
+            missing = deps - known
+            if missing:
+                raise DascError(
+                    f"task {tid} depends on unknown task(s) {sorted(missing)}"
+                )
+        self._order = self._topological_order()
+        self._ancestors = self._close()
+        self._dependents = self._invert(self._direct)
+        self._descendants = self._invert(self._ancestors)
+
+    def topological_order(self) -> List[int]:
+        return list(self._order)
+
+    def ancestors(self, tid: int) -> FrozenSet[int]:
+        return self._ancestors[tid]
+
+    def direct_dependents(self, tid: int) -> FrozenSet[int]:
+        return self._dependents[tid]
+
+    def dependent_tuple(self, tid: int) -> tuple:
+        return tuple(self._dependents[tid])
+
+    def descendants(self, tid: int) -> FrozenSet[int]:
+        return self._descendants[tid]
+
+    def associative_set(self, tid: int) -> FrozenSet[int]:
+        return self._ancestors[tid] | {tid}
+
+    def depth(self, tid: int) -> int:
+        return self._depths[tid]
+
+    def _topological_order(self) -> List[int]:
+        indegree: Dict[int, int] = {tid: len(deps) for tid, deps in self._direct.items()}
+        dependents: Dict[int, List[int]] = {tid: [] for tid in self._direct}
+        for tid, deps in self._direct.items():
+            for dep in deps:
+                dependents[dep].append(tid)
+        queue = sorted(tid for tid, deg in indegree.items() if deg == 0)
+        order: List[int] = []
+        depths: Dict[int, int] = {tid: 0 for tid in queue}
+        head = 0
+        while head < len(queue):
+            tid = queue[head]
+            head += 1
+            order.append(tid)
+            for nxt in dependents[tid]:
+                indegree[nxt] -= 1
+                depths[nxt] = max(depths.get(nxt, 0), depths[tid] + 1)
+                if indegree[nxt] == 0:
+                    queue.append(nxt)
+        if len(order) != len(self._direct):
+            raise CyclicDependencyError(self._find_cycle())
+        self._depths = depths
+        return order
+
+    def _find_cycle(self) -> List[int]:
+        WHITE, GRAY, BLACK = 0, 1, 2
+        color: Dict[int, int] = {tid: WHITE for tid in self._direct}
+        stack: List[int] = []
+
+        def visit(tid: int) -> Optional[List[int]]:
+            color[tid] = GRAY
+            stack.append(tid)
+            for dep in self._direct[tid]:
+                if color[dep] == GRAY:
+                    return stack[stack.index(dep):] + [dep]
+                if color[dep] == WHITE:
+                    found = visit(dep)
+                    if found is not None:
+                        return found
+            color[tid] = BLACK
+            stack.pop()
+            return None
+
+        for tid in self._direct:
+            if color[tid] == WHITE:
+                found = visit(tid)
+                if found is not None:
+                    return found
+        return []
+
+    def _close(self) -> Dict[int, FrozenSet[int]]:
+        closure: Dict[int, FrozenSet[int]] = {}
+        for tid in self._order:
+            acc: Set[int] = set(self._direct[tid])
+            for dep in self._direct[tid]:
+                acc |= closure[dep]
+            closure[tid] = frozenset(acc)
+        return closure
+
+    @staticmethod
+    def _invert(relation: Mapping[int, FrozenSet[int]]) -> Dict[int, FrozenSet[int]]:
+        out: Dict[int, Set[int]] = {tid: set() for tid in relation}
+        for tid, deps in relation.items():
+            for dep in deps:
+                out[dep].add(tid)
+        return {tid: frozenset(vals) for tid, vals in out.items()}
