@@ -175,8 +175,8 @@ def record_platform_entry(record, name, report, wall_ms, normalised_ms):
 def test_micro_platform_engine(
     benchmark, feasibility_dominated_instance, record_bench_json
 ):
-    """Multi-batch simulation on the engine path (incremental feasibility +
-    distance cache).  Feasibility-dominated: a cheap allocator over a small
+    """Multi-batch simulation on the engine path (incremental feasibility
+    over skill buckets).  Feasibility-dominated: a cheap allocator over a small
     batch interval, so per-batch graph construction is the bottleneck."""
     benchmark(_platform_run, feasibility_dominated_instance)
     record_platform_entry(

@@ -14,7 +14,7 @@ Counter-based gates are deterministic on 1-CPU hosts; wall-clock numbers
 are recorded for trend diffing only.  ``check_perf_gate.py`` reruns the
 repeated-staffing workload as a CI gate, and ``python
 benchmarks/bench_warm_matching.py`` runs it standalone (the
-``columnar-fallback`` CI job uses this as a pure-python smoke).
+``no-numpy`` CI job uses this as a pure-python smoke).
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ if pytest is not None:
         )
 
 
-# -- direct execution (fallback smoke) ----------------------------------------
+# -- direct execution (numpy-less smoke) --------------------------------------
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

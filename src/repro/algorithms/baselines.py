@@ -27,7 +27,7 @@ class ClosestBaseline(BatchAllocator):
         if not workers or not tasks:
             return AllocationOutcome(Assignment())
         checker = context.checker
-        metric = context.metric  # the engine's distance cache when available
+        metric = context.metric
         pairs: List[Tuple[float, int, int]] = []
         for worker in workers:
             for task_id in checker.tasks_of(worker.id):

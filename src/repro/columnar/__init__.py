@@ -3,11 +3,9 @@
 ``repro.columnar`` turns a batch's worker/task populations into contiguous
 columns (:class:`ColumnarBatch`) and evaluates the pair-feasibility
 predicate over whole tiles at once (:func:`feasible_pairs` /
-:func:`feasible_dense`) — numpy-backed when available, with a pure-python
-``array``-module fallback that keeps the core dependency-free.  Decisions
-and distances are bit-identical to the scalar
-:func:`repro.core.constraints.pair_feasible` oracle on both backends; see
-:mod:`repro.columnar.kernels` for the exactness contract.
+:func:`feasible_dense`) with numpy.  Decisions and distances are
+bit-identical to the scalar :func:`repro.core.constraints.pair_feasible`
+oracle; see :mod:`repro.columnar.kernels` for the exactness contract.
 
 Feasibility builds take the kernels exactly when numpy is importable and
 the metric advertises a kernel code (:func:`columnar_code_for`); there is
@@ -30,7 +28,6 @@ from repro.columnar.kernels import (
     REASON_NAMES,
     REASON_REACH,
     REASON_SKILL,
-    available_backends,
     columnar_code_for,
     dense_pair_columns,
     feasible_dense,
@@ -38,7 +35,6 @@ from repro.columnar.kernels import (
     numpy_available,
     rejection_reasons,
     rejection_reasons_dense,
-    resolve_backend,
     skill_candidates,
     skill_candidates_dense,
     true_positions,
@@ -53,7 +49,6 @@ __all__ = [
     "REASON_NAMES",
     "REASON_REACH",
     "REASON_SKILL",
-    "available_backends",
     "columnar_code_for",
     "dense_pair_columns",
     "feasible_dense",
@@ -63,7 +58,6 @@ __all__ = [
     "numpy_available",
     "rejection_reasons",
     "rejection_reasons_dense",
-    "resolve_backend",
     "skill_candidates",
     "skill_candidates_dense",
     "true_positions",

@@ -4,10 +4,9 @@ A :class:`ColumnarBatch` freezes one batch's worker and task populations
 into contiguous columns: ``array('d')`` floats for the spatial/temporal
 attributes and packed ``array('Q')`` uint64 words for skill membership,
 built from a per-batch *skill interning table* (skill id -> bit position).
-The layout is backend-neutral on purpose: the stdlib ``array`` buffers are
-picklable (cheap to ship to fork workers) and expose the buffer protocol,
-so the numpy backend views them zero-copy via ``frombuffer`` while the
-pure-python fallback indexes them directly — one snapshot, two kernels.
+The stdlib ``array`` buffers are picklable (cheap to ship to fork workers)
+and expose the buffer protocol, so the kernels view them zero-copy via
+``numpy.frombuffer``.
 
 Columns are *positional*: row ``i`` of the worker columns is
 ``workers[i]`` of the sequence the batch was built from, and

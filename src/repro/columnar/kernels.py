@@ -3,23 +3,21 @@
 The kernels evaluate the scalar predicate of
 :func:`repro.core.constraints.pair_feasible` — skill coverage, reach and
 the time-dependent deadline test — across whole worker x task tiles in one
-sweep.  Two interchangeable backends implement them:
-
-* ``numpy`` views the batch's ``array`` buffers zero-copy and computes the
-  masks with vectorised float64 arithmetic;
-* ``fallback`` is a pure-python loop over the same columns, keeping the
-  core dependency-free when numpy is absent.
+sweep.  They view the batch's ``array`` buffers zero-copy through numpy and
+compute the masks with vectorised float64 arithmetic.  Without numpy they
+are never selected (:func:`columnar_code_for`): feasibility keeps the
+scalar path, and calling a kernel directly raises ``RuntimeError``.
 
 Exactness contract
 ------------------
-Both backends return **bit-identical** decisions and distances to the
+The kernels return **bit-identical** decisions and distances to the
 scalar oracle.  Every operation in the predicate — subtraction, abs,
 addition, division, max, comparison — is exactly rounded under IEEE-754,
 so numpy float64 reproduces CPython float for float... with one exception:
 ``numpy.hypot`` is *not* correctly rounded and disagrees with
 ``math.hypot`` (the scalar Euclidean metric) in the last ulp on ~0.6% of
 inputs.  The Euclidean distance column is therefore filled by a C-level
-``map(math.hypot, ...)`` sweep on both backends — the deltas vectorise,
+``map(math.hypot, ...)`` sweep — the deltas vectorise,
 the final hypot matches libm-exactly — while Manhattan (abs/add only)
 vectorises end to end.  Scalar edge semantics carry over verbatim:
 ``dist == 0.0`` is feasible even at ``velocity <= 0`` (the division's
@@ -28,9 +26,8 @@ vectorises end to end.  Scalar edge semantics carry over verbatim:
 duplicate locations simply produce equal distance entries.
 
 ``feasible_pairs`` returns plain buffers (``bytes`` masks, float lists)
-rather than backend arrays so callers replaying per-pair sequences — the
-engine's distance-cache replay — index python ints/floats, not array
-scalars.
+rather than numpy arrays so callers walking the pairs index python
+ints/floats, not array scalars.
 
 Skill first
 -----------
@@ -47,8 +44,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain, product, repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import ColumnarBatch
 from repro.obs.metrics import REGISTRY
@@ -77,15 +74,14 @@ def columnar_code_for(metric: object) -> Optional[str]:
     :class:`~repro.core.constraints.FeasibilityChecker`) take the columnar
     kernels exactly when numpy is importable and the metric advertises a
     :attr:`~repro.spatial.distance.DistanceMetric.columnar_code` in
-    :data:`CODES`; otherwise they keep the scalar per-pair path.  A
-    :class:`~repro.spatial.cache.CachedMetric` advertises no code, so a
-    wrapped metric always stays scalar.
+    :data:`CODES`; otherwise they keep the scalar per-pair path.
 
     Why numpy is part of the rule: on a numpy-less host
     (``tests/stubs/nonumpy``, seed 7, identical reports and
-    ``engine_stats``) forcing the pure-python kernels on made
-    ``synth_default`` slower — ``run_s`` 1.44/1.93 s against 1.89/2.78 s —
-    and left ``meetup_six`` flat, so without numpy the scalar path wins.
+    ``engine_stats``) pure-python kernels over the same columns made
+    ``synth_default`` slower than the scalar path — ``run_s`` 1.44/1.93 s
+    against 1.89/2.78 s — and left ``meetup_six`` flat, so a host without
+    numpy runs scalar.
     """
     code = getattr(metric, "columnar_code", None)
     return code if numpy_available() and code in CODES else None
@@ -95,19 +91,10 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def available_backends() -> Tuple[str, ...]:
-    return ("numpy", "fallback") if _np is not None else ("fallback",)
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """``None`` -> the fastest available backend; names are validated."""
-    if backend is None:
-        return "numpy" if _np is not None else "fallback"
-    if backend not in ("numpy", "fallback"):
-        raise ValueError(f"backend must be 'numpy' or 'fallback', got {backend!r}")
-    if backend == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    return backend
+def _numpy():
+    if _np is None:
+        raise RuntimeError("the columnar kernels need numpy, which is not importable")
+    return _np
 
 
 # -- tile kernels ------------------------------------------------------------------
@@ -142,7 +129,6 @@ def feasible_pairs(
     tidx: Sequence[int],
     now: float,
     code: str,
-    backend: Optional[str] = None,
 ) -> Tuple[bytes, bytes, List[float]]:
     """Feasibility over a flattened tile of (worker, task) positions.
 
@@ -152,15 +138,13 @@ def feasible_pairs(
             ``tidx[k]``-th task).
         now: the batch timestamp (``-inf`` for the static setting).
         code: metric code (``euclidean`` / ``manhattan``).
-        backend: force ``numpy`` / ``fallback``; None picks automatically.
 
     Returns:
         ``(mask, skill_mask, dists)`` — per-pair full-predicate decisions,
-        per-pair skill-only decisions (callers replaying the scalar path's
-        metric-access sequence need to know which pairs the scalar code
-        would have evaluated a distance for), and the exact distances.
+        per-pair skill-only decisions, and the exact distances.
         Masks are ``bytes`` (0/1 per pair); distances a python-float list.
     """
+    np = _numpy()
     count = len(widx)
     if count != len(tidx):
         raise ValueError(f"widx/tidx length mismatch: {count} vs {len(tidx)}")
@@ -168,19 +152,16 @@ def feasible_pairs(
     _KERNEL_PAIRS.inc(count)
     if count == 0:
         return b"", b"", []
-    if resolve_backend(backend) == "numpy":
-        np = _np
-        wi = np.asarray(widx, dtype=np.intp)
-        ti = np.asarray(tidx, dtype=np.intp)
-        skill = _skill_numpy(batch, wi, ti)
-        dist_list, reach_ok, time_ok = _verdicts_numpy(batch, wi, ti, now, code)
-        mask = skill & reach_ok & time_ok
-        return (
-            mask.astype(np.uint8).tobytes(),
-            skill.astype(np.uint8).tobytes(),
-            dist_list,
-        )
-    return _feasible_pairs_fallback(batch, widx, tidx, now, code)
+    wi = np.asarray(widx, dtype=np.intp)
+    ti = np.asarray(tidx, dtype=np.intp)
+    skill = _skill_numpy(batch, wi, ti)
+    dist_list, reach_ok, time_ok = _verdicts_numpy(batch, wi, ti, now, code)
+    mask = skill & reach_ok & time_ok
+    return (
+        mask.astype(np.uint8).tobytes(),
+        skill.astype(np.uint8).tobytes(),
+        dist_list,
+    )
 
 
 def _skill_numpy(batch: ColumnarBatch, wi, ti):
@@ -238,55 +219,6 @@ def _verdicts_numpy(batch: ColumnarBatch, wi, ti, now: float, code: str):
     return dist_list, dist <= reach, time_ok
 
 
-def _feasible_pairs_fallback(
-    batch: ColumnarBatch,
-    widx: Sequence[int],
-    tidx: Sequence[int],
-    now: float,
-    code: str,
-) -> Tuple[bytes, bytes, List[float]]:
-    # Local bindings: the loop reads columns, never objects.
-    wx, wy = batch.wx, batch.wy
-    wstart, wdeadline = batch.wstart, batch.wdeadline
-    velocity, reach = batch.wvelocity, batch.wmax_distance
-    wskills, words = batch.wskills, batch.n_skill_words
-    tx, ty = batch.tx, batch.ty
-    tstart, tdeadline = batch.tstart, batch.tdeadline
-    tword, tbit = batch.tskill_word, batch.tskill_bitmask
-    hypot = math.hypot
-    manhattan = code == "manhattan"
-
-    count = len(widx)
-    mask = bytearray(count)
-    skill_mask = bytearray(count)
-    dists: List[float] = [0.0] * count
-    for k in range(count):
-        i = widx[k]
-        j = tidx[k]
-        skilled = wskills[i * words + tword[j]] & tbit[j]
-        if skilled:
-            skill_mask[k] = 1
-        if manhattan:
-            dist = abs(wx[i] - tx[j]) + abs(wy[i] - ty[j])
-        else:
-            dist = hypot(wx[i] - tx[j], wy[i] - ty[j])
-        dists[k] = dist
-        if not skilled or dist > reach[i]:
-            continue
-        depart = wstart[i]
-        if tstart[j] > depart:
-            depart = tstart[j]
-        if now > depart:
-            depart = now
-        if depart > tdeadline[j] or depart > wdeadline[i]:
-            continue
-        if dist == 0.0:
-            mask[k] = 1
-        elif velocity[i] > 0.0 and depart + dist / velocity[i] <= tdeadline[j]:
-            mask[k] = 1
-    return bytes(mask), bytes(skill_mask), dists
-
-
 _Candidates = Tuple[List[int], List[int], List[float], bytes]
 
 
@@ -296,20 +228,19 @@ def skill_candidates(
     tidx: Sequence[int],
     now: float,
     code: str,
-    backend: Optional[str] = None,
 ) -> _Candidates:
     """Skill-passing pairs of a flattened tile, with their verdicts.
 
-    The skill-first counterpart of :func:`feasible_pairs` for callers that
-    must *replay* the scalar path's metric-access sequence (the engine's
-    distance-cache replay): the skill test — which rejects the bulk of a
-    tile and costs the scalar path nothing but a set probe — runs first
+    The skill-first counterpart of :func:`feasible_pairs`: the skill test —
+    which rejects the bulk of a tile and costs the scalar path nothing but
+    a set probe — runs first
     over the packed columns, and distances and verdicts are computed for
     the survivors only.  ``widx`` / ``tidx`` may be any integer sequences
     (``array('q')`` columns avoid per-pair python ints).  Returns
     ``(widx, tidx, dists, mask)`` of the survivors in input order, where
     ``mask`` holds the full-predicate verdict of each *candidate*.
     """
+    np = _numpy()
     count = len(widx)
     if count != len(tidx):
         raise ValueError(f"widx/tidx length mismatch: {count} vs {len(tidx)}")
@@ -317,24 +248,20 @@ def skill_candidates(
     _KERNEL_PAIRS.inc(count)
     if count == 0:
         return [], [], [], b""
-    if resolve_backend(backend) == "numpy":
-        np = _np
-        wi = np.asarray(widx, dtype=np.intp)
-        ti = np.asarray(tidx, dtype=np.intp)
-        block = TILE_BLOCK_PAIRS
-        keep = np.concatenate([
-            np.flatnonzero(_skill_numpy(batch, wi[lo:lo + block], ti[lo:lo + block])) + lo
-            for lo in range(0, count, block)
-        ])
-        return _candidates_numpy(batch, wi[keep], ti[keep], now, code)
-    return _candidates_fallback(batch, zip(widx, tidx), now, code)
+    wi = np.asarray(widx, dtype=np.intp)
+    ti = np.asarray(tidx, dtype=np.intp)
+    block = TILE_BLOCK_PAIRS
+    keep = np.concatenate([
+        np.flatnonzero(_skill_numpy(batch, wi[lo:lo + block], ti[lo:lo + block])) + lo
+        for lo in range(0, count, block)
+    ])
+    return _candidates_numpy(batch, wi[keep], ti[keep], now, code)
 
 
 def skill_candidates_dense(
     batch: ColumnarBatch,
     now: float,
     code: str,
-    backend: Optional[str] = None,
     task_major: bool = False,
 ) -> _Candidates:
     """Skill-passing pairs of the full cross product, with their verdicts.
@@ -344,42 +271,36 @@ def skill_candidates_dense(
     (worker-then-task) order — the order a scalar row build evaluates the
     metric in — or, with ``task_major``, task-then-worker, the order of a
     scalar arrival sync linking each new task against every worker.  The
-    numpy skill test runs in blocks of :data:`TILE_BLOCK_PAIRS` pairs.
+    skill test runs in blocks of :data:`TILE_BLOCK_PAIRS` pairs.
     """
+    np = _numpy()
     n_w, n_t = batch.n_workers, batch.n_tasks
     _KERNEL_CALLS.inc()
     _KERNEL_PAIRS.inc(n_w * n_t)
     if n_w == 0 or n_t == 0:
         return [], [], [], b""
-    if resolve_backend(backend) == "numpy":
-        np = _np
-        wskills = np.frombuffer(batch.wskills, dtype=np.uint64).reshape(
-            n_w, batch.n_skill_words
-        )
-        tword = np.frombuffer(batch.tskill_word, dtype=np.int64)
-        tbit = np.frombuffer(batch.tskill_bitmask, dtype=np.uint64)
-        outer, inner = (n_t, n_w) if task_major else (n_w, n_t)
-        step = max(1, TILE_BLOCK_PAIRS // inner)
-        outer_pos, inner_pos = [], []
-        for lo in range(0, outer, step):
-            hi = min(outer, lo + step)
-            if task_major:
-                block = (wskills[:, tword[lo:hi]] & tbit[lo:hi]).T != 0
-            else:
-                block = (wskills[lo:hi][:, tword] & tbit) != 0
-            rows, cols = np.nonzero(block)
-            outer_pos.append(rows + lo)
-            inner_pos.append(cols)
-        outer_idx = np.concatenate(outer_pos)
-        inner_idx = np.concatenate(inner_pos)
+    wskills = np.frombuffer(batch.wskills, dtype=np.uint64).reshape(
+        n_w, batch.n_skill_words
+    )
+    tword = np.frombuffer(batch.tskill_word, dtype=np.int64)
+    tbit = np.frombuffer(batch.tskill_bitmask, dtype=np.uint64)
+    outer, inner = (n_t, n_w) if task_major else (n_w, n_t)
+    step = max(1, TILE_BLOCK_PAIRS // inner)
+    outer_pos, inner_pos = [], []
+    for lo in range(0, outer, step):
+        hi = min(outer, lo + step)
         if task_major:
-            return _candidates_numpy(batch, inner_idx, outer_idx, now, code)
-        return _candidates_numpy(batch, outer_idx, inner_idx, now, code)
+            block = (wskills[:, tword[lo:hi]] & tbit[lo:hi]).T != 0
+        else:
+            block = (wskills[lo:hi][:, tword] & tbit) != 0
+        rows, cols = np.nonzero(block)
+        outer_pos.append(rows + lo)
+        inner_pos.append(cols)
+    outer_idx = np.concatenate(outer_pos)
+    inner_idx = np.concatenate(inner_pos)
     if task_major:
-        pairs = ((i, j) for j in range(n_t) for i in range(n_w))
-    else:
-        pairs = product(range(n_w), range(n_t))
-    return _candidates_fallback(batch, pairs, now, code)
+        return _candidates_numpy(batch, inner_idx, outer_idx, now, code)
+    return _candidates_numpy(batch, outer_idx, inner_idx, now, code)
 
 
 def _candidates_numpy(
@@ -393,52 +314,6 @@ def _candidates_numpy(
         dist_list,
         (reach_ok & time_ok).astype(_np.uint8).tobytes(),
     )
-
-
-def _candidates_fallback(
-    batch: ColumnarBatch, pairs: Iterable[Tuple[int, int]], now: float, code: str
-) -> _Candidates:
-    """Pure-python skill-first sweep over ``(worker_pos, task_pos)`` pairs."""
-    wx, wy = batch.wx, batch.wy
-    wstart, wdeadline = batch.wstart, batch.wdeadline
-    velocity, reach = batch.wvelocity, batch.wmax_distance
-    wskills, words = batch.wskills, batch.n_skill_words
-    tx, ty = batch.tx, batch.ty
-    tstart, tdeadline = batch.tstart, batch.tdeadline
-    tword, tbit = batch.tskill_word, batch.tskill_bitmask
-    hypot = math.hypot
-    manhattan = code == "manhattan"
-    widx: List[int] = []
-    tidx: List[int] = []
-    dists: List[float] = []
-    mask = bytearray()
-    for i, j in pairs:
-        if not (wskills[i * words + tword[j]] & tbit[j]):
-            continue
-        if manhattan:
-            dist = abs(wx[i] - tx[j]) + abs(wy[i] - ty[j])
-        else:
-            dist = hypot(wx[i] - tx[j], wy[i] - ty[j])
-        widx.append(i)
-        tidx.append(j)
-        dists.append(dist)
-        ok = 0
-        if dist <= reach[i]:
-            depart = wstart[i]
-            if tstart[j] > depart:
-                depart = tstart[j]
-            if now > depart:
-                depart = now
-            if depart <= tdeadline[j] and depart <= wdeadline[i]:
-                if dist == 0.0:
-                    ok = 1
-                elif (
-                    velocity[i] > 0.0
-                    and depart + dist / velocity[i] <= tdeadline[j]
-                ):
-                    ok = 1
-        mask.append(ok)
-    return widx, tidx, dists, bytes(mask)
 
 
 #: Per-pair verdict codes produced by the reason kernels.  ``0`` means the
@@ -461,7 +336,6 @@ def rejection_reasons(
     tidx: Sequence[int],
     now: float,
     code: str,
-    backend: Optional[str] = None,
 ) -> bytes:
     """Per-pair verdict codes over a flattened tile of (worker, task) positions.
 
@@ -473,24 +347,12 @@ def rejection_reasons(
     touch the kernel counters, so engine_stats stay bit-identical with
     events on or off.
     """
+    np = _numpy()
     count = len(widx)
     if count != len(tidx):
         raise ValueError(f"widx/tidx length mismatch: {count} vs {len(tidx)}")
     if count == 0:
         return b""
-    if resolve_backend(backend) == "numpy":
-        return _rejection_reasons_numpy(batch, widx, tidx, now, code)
-    return _rejection_reasons_fallback(batch, widx, tidx, now, code)
-
-
-def _rejection_reasons_numpy(
-    batch: ColumnarBatch,
-    widx: Sequence[int],
-    tidx: Sequence[int],
-    now: float,
-    code: str,
-) -> bytes:
-    np = _np
     wi = np.asarray(widx, dtype=np.intp)
     ti = np.asarray(tidx, dtype=np.intp)
     skill = _skill_numpy(batch, wi, ti)
@@ -502,57 +364,10 @@ def _rejection_reasons_numpy(
     return codes.tobytes()
 
 
-def _rejection_reasons_fallback(
-    batch: ColumnarBatch,
-    widx: Sequence[int],
-    tidx: Sequence[int],
-    now: float,
-    code: str,
-) -> bytes:
-    wx, wy = batch.wx, batch.wy
-    wstart, wdeadline = batch.wstart, batch.wdeadline
-    velocity, reach = batch.wvelocity, batch.wmax_distance
-    wskills, words = batch.wskills, batch.n_skill_words
-    tx, ty = batch.tx, batch.ty
-    tstart, tdeadline = batch.tstart, batch.tdeadline
-    tword, tbit = batch.tskill_word, batch.tskill_bitmask
-    hypot = math.hypot
-    manhattan = code == "manhattan"
-
-    count = len(widx)
-    codes = bytearray(count)
-    for k in range(count):
-        i = widx[k]
-        j = tidx[k]
-        if not (wskills[i * words + tword[j]] & tbit[j]):
-            codes[k] = REASON_SKILL
-            continue
-        if manhattan:
-            dist = abs(wx[i] - tx[j]) + abs(wy[i] - ty[j])
-        else:
-            dist = hypot(wx[i] - tx[j], wy[i] - ty[j])
-        if dist > reach[i]:
-            codes[k] = REASON_REACH
-            continue
-        depart = wstart[i]
-        if tstart[j] > depart:
-            depart = tstart[j]
-        if now > depart:
-            depart = now
-        if depart > tdeadline[j] or depart > wdeadline[i]:
-            codes[k] = REASON_DEADLINE
-        elif dist == 0.0:
-            pass
-        elif velocity[i] <= 0.0 or depart + dist / velocity[i] > tdeadline[j]:
-            codes[k] = REASON_DEADLINE
-    return bytes(codes)
-
-
 def rejection_reasons_dense(
     batch: ColumnarBatch,
     now: float,
     code: str,
-    backend: Optional[str] = None,
     task_major: bool = False,
 ) -> bytes:
     """Verdict codes over the full worker x task cross product.
@@ -562,31 +377,28 @@ def rejection_reasons_dense(
     ``(i, j)`` appears in the dense feasible-pair list.
     """
     widx, tidx = dense_pair_columns(batch.n_workers, batch.n_tasks, task_major)
-    return rejection_reasons(batch, widx, tidx, now, code, backend=backend)
+    return rejection_reasons(batch, widx, tidx, now, code)
 
 
-def true_positions(mask: bytes, backend: Optional[str] = None) -> List[int]:
+def true_positions(mask: bytes) -> List[int]:
     """Indices of the set entries of a kernel mask.
 
-    Vectorised under numpy (``nonzero`` over a zero-copy view), a list
-    comprehension otherwise — callers building rows from a tile mask touch
-    only the surviving pairs either way.
+    Vectorised (``nonzero`` over a zero-copy view): callers building rows
+    from a tile mask touch only the surviving pairs.
     """
-    if resolve_backend(backend) == "numpy":
-        return _np.frombuffer(mask, dtype=_np.uint8).nonzero()[0].tolist()
-    return [k for k, bit in enumerate(mask) if bit]
+    np = _numpy()
+    return np.frombuffer(mask, dtype=np.uint8).nonzero()[0].tolist()
 
 
 def feasible_dense(
     batch: ColumnarBatch,
     now: float,
     code: str,
-    backend: Optional[str] = None,
 ) -> List[Tuple[int, int]]:
     """Feasible ``(worker_pos, task_pos)`` pairs over the full cross product.
 
     Pairs are returned in row-major (worker-then-task) order: the verdicts
     of :func:`skill_candidates_dense`'s survivors, filtered.
     """
-    widx, tidx, _, mask = skill_candidates_dense(batch, now, code, backend=backend)
-    return [(widx[k], tidx[k]) for k in true_positions(mask, backend=backend)]
+    widx, tidx, _, mask = skill_candidates_dense(batch, now, code)
+    return [(widx[k], tidx[k]) for k in true_positions(mask)]

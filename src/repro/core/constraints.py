@@ -64,7 +64,7 @@ def deadline_ok(
     paper's ``w_t - max(s_w - s_t, 0) - ct_w(l_w, l_t) >= 0``.
 
     ``dist`` may carry a precomputed ``metric(l_w, l_t)`` so callers that
-    already evaluated the metric (range check, distance cache) do not pay
+    already evaluated the metric (the range check) do not pay
     for it twice.
     """
     if task.start > worker.deadline or worker.start > task.deadline:
@@ -217,10 +217,7 @@ class FeasibilityChecker:
     Candidate tiles run through the vectorised :mod:`repro.columnar`
     kernels instead of per-pair ``pair_feasible`` calls whenever
     :func:`repro.columnar.columnar_code_for` selects them for the metric;
-    pair sets are bit-identical either way.  A
-    :class:`~repro.spatial.cache.CachedMetric` is never selected, because
-    its hit/miss trajectory is observable state the scalar path must keep
-    populating.
+    pair sets are bit-identical either way.
 
     The per-worker pruning radius is ``min(d_w, v_w * (latest task deadline -
     earliest departure))`` — no feasible task can lie outside it (for

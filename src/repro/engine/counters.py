@@ -35,8 +35,12 @@ _COUNTER_FIELDS = (
     ("pairs_checked", "exact feasibility evaluations performed"),
     ("pruned_by_index", "candidate pairs skipped thanks to grid-index probes"),
     ("time_filtered", "cheap per-batch deadline re-checks of cached pairs"),
-    ("cache_hits", "distance-cache hits"),
-    ("cache_misses", "distance-cache misses (actual metric evaluations)"),
+    (
+        "cache_hits",
+        "always 0: there is no distance cache (kept for the benchmark's "
+        "per-layer split)",
+    ),
+    ("cache_misses", "always 0: there is no distance cache"),
     ("game_rounds", "best-response rounds run by DASC_Game"),
     ("game_evaluations", "candidate utilities evaluated in best response"),
     (

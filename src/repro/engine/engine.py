@@ -1,8 +1,9 @@
 """The shared per-batch allocation engine.
 
 One :class:`AllocationEngine` lives for a whole platform run.  It owns the
-feasible-pair graph, a memoizing distance cache and the instrumentation
-counters, and hands each batch a :class:`~repro.engine.context.BatchContext`
+feasible-pair graph, the skill buckets that index it and the
+instrumentation counters, and hands each batch a
+:class:`~repro.engine.context.BatchContext`
 whose feasibility oracle is a cheap *view* over the persistent graph rather
 than a from-scratch rebuild.
 
@@ -25,6 +26,17 @@ are unlinked, departed workers dropped (a busy worker always returns as a
 tasks linked against the current workers, and only new or changed workers
 get their candidate row recomputed — a grid-index probe plus exact checks
 instead of a full ``|W| x |T|`` rebuild.
+
+Skill buckets
+-------------
+A worker can serve a task only if ``rs_t in WS_w`` (Section II-A), and on
+realistic inputs most pairs fail that test.  The engine therefore keeps the
+active tasks bucketed by required skill and the workers by skill, each
+bucket in registration order.  A scalar sync without a grid index visits
+only the bucket pairs; the skill rejects it skips are still counted in
+``pairs_checked`` (by arithmetic) and, with the journal on, emitted by a
+separate walk in the unbucketed pair order (:meth:`_journal_build`), so
+decisions never depend on whether the journal records them.
 """
 
 from __future__ import annotations
@@ -32,7 +44,17 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import chain, islice, repeat
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.columnar import (
     REASON_NAMES,
@@ -54,43 +76,41 @@ from repro.engine.counters import EngineCounters
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.spatial.cache import CachedMetric
+from repro.spatial.distance import Point
 from repro.spatial.index import GridIndex
 
 #: Minimum pair count before an incremental sync routes through the
 #: columnar kernels.  A kernel sync pays a fixed cost per tile that the
 #: scalar loop does not: packing every worker and task of the tile into
 #: columns (one pass over their attributes and skill sets) plus the numpy
-#: call set-up.  A thin tile — a few arriving tasks against every worker —
-#: costs about as much to pack as to probe pair by pair.  The distance
-#: cache is no argument either way: both paths leave the same cache
-#: traffic, and hits are rare (hit ratio 0 on ``synth_default``, 0.007 on
-#: ``meetup_six``).  Measured on ``meetup_six`` (perfbench, seed 7, 2-core
-#: x86 host, times at nominal host speed), a floor of 256 routes 94% of the
-#: sync pairs through the kernels and is slower: traced
-#: ``engine.incremental_s`` 0.59 s vs 0.44 s, ``run_s`` 0.72-0.77 s vs
-#: 0.66-0.70 s at 4096.  The fallback is bit-identical; only the auxiliary
+#: call set-up, while the bucketed scalar loop pays only for the pairs
+#: that pass the skill test.  A thin tile — a few arriving tasks against
+#: every worker — costs more to pack than to probe bucket by bucket.
+#: Measured with the bucketed loops (perfbench, ``--seconds 8``, seeds
+#: 101-104, 2-core x86 host, ``run_s`` at nominal host speed), 4096 against
+#: 16384: ``meetup_six`` medians 0.301 vs 0.303 s (16384 slower in 3 of 4
+#: pairs), ``synth_default`` 0.459 vs 0.465 s (slower in 2 of 4).  An
+#: earlier floor of 256 routed 94% of ``meetup_six``'s sync pairs through
+#: the kernels and was slower than 4096 (``run_s`` 0.72-0.77 s vs
+#: 0.66-0.70 s).  The scalar path is bit-identical; only the auxiliary
 #: path counters reveal which side ran.
 COLUMNAR_SYNC_MIN_PAIRS = 4096
 
 
 class AllocationEngine:
-    """Incremental feasibility + distance caching for a platform run.
+    """Incremental feasibility over skill buckets for a platform run.
 
     Args:
-        instance: the problem being simulated; supplies the base metric.
+        instance: the problem being simulated; supplies the metric.
         use_index: probe a task grid index when the metric declares
-            ``euclidean_lower_bound``; otherwise rows are computed by
-            exhaustive (but cached-distance) scans, which is always correct.
+            ``euclidean_lower_bound``; otherwise rows are computed from the
+            skill buckets, which is always correct.
         tracer: spans are recorded around graph builds and updates
             (``engine.full_build`` / ``engine.incremental_update``).
             Defaults to the shared no-op tracer.
-        registry: metrics registry receiving the engine's counters and the
-            ``engine_cache_size`` / ``engine_cache_evictions`` gauges.  A
+        registry: metrics registry receiving the engine's counters.  A
             private registry is created by default so per-run
             ``engine_stats`` can never merge across engines.
-        cache_maxsize: optional bound on the distance cache (FIFO eviction);
-            None keeps it unbounded.
         journal: event journal receiving reason-coded rejections and one
             ``feas_build`` summary per build or update.  None follows the
             process default (:func:`repro.obs.events.get_journal`).
@@ -99,16 +119,13 @@ class AllocationEngine:
     :data:`COLUMNAR_SYNC_MIN_PAIRS` pairs, run through the skill-first
     columnar kernels whenever :func:`repro.columnar.columnar_code_for`
     selects them for the instance's metric: numpy importable and a planar
-    metric, the rule a standalone checker applies too (so an instance whose
-    metric is already a :class:`~repro.spatial.cache.CachedMetric` stays
-    scalar).  The graph, the reported ``engine_stats`` and the cache
-    trajectory are the scalar path's bit for bit, and so is the journal's
-    event stream bar the ``columnar`` flag on ``feas_build`` events — the
-    kernels share the scalar oracle's exactness contract and each tile
-    replays the serial metric-access sequence against the kernel's
-    distances (:meth:`~repro.spatial.cache.CachedMetric.replay`).  Only the
-    auxiliary :meth:`~repro.engine.counters.EngineCounters.aux_dict`
-    telemetry tells the paths apart.
+    metric, the rule a standalone checker applies too.  The graph and the
+    reported ``engine_stats`` are the scalar path's bit for bit, and so is
+    the journal's event stream bar the ``columnar`` flag on ``feas_build``
+    events — the kernels share the scalar oracle's exactness contract.
+    Only the auxiliary
+    :meth:`~repro.engine.counters.EngineCounters.aux_dict` telemetry tells
+    the paths apart.
     """
 
     def __init__(
@@ -118,11 +135,10 @@ class AllocationEngine:
         *,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        cache_maxsize: Optional[int] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         self.instance = instance
-        self.metric = CachedMetric(instance.metric, maxsize=cache_maxsize)
+        self.metric = instance.metric
         self._columnar_code = columnar_code_for(instance.metric)
         # Cache the sorted interning table across batches, re-sorting only
         # when the skill universe grows.
@@ -133,18 +149,16 @@ class AllocationEngine:
         # Reason-coded rejections and feas_build summaries flow here; the
         # shared NULL_JOURNAL default keeps the disabled path to one branch.
         self.journal = journal if journal is not None else get_journal()
-        self._cache_size_gauge = self.registry.gauge(
-            "engine_cache_size", "entries currently memoized by the distance cache"
-        )
-        self._cache_evictions_gauge = self.registry.gauge(
-            "engine_cache_evictions", "distance-cache entries evicted (bounded caches)"
-        )
         self.use_index = use_index
         self._workers: Dict[int, Worker] = {}
         self._tasks: Dict[int, Task] = {}
+        # Required skill -> {task id: task} and skill -> {worker id: worker},
+        # in registration order; empty buckets are dropped.
+        self._tasks_by_skill: Dict[int, Dict[int, Task]] = {}
+        self._workers_by_skill: Dict[int, Dict[int, Worker]] = {}
         # Each link stores (task start, task deadline, exact travel time),
         # so per-batch deadline filtering is three float comparisons — no
-        # metric, cache or attribute traffic.
+        # metric or attribute traffic.
         self._tasks_of: Dict[int, Dict[int, Tuple[float, float, float]]] = {}
         self._workers_of: Dict[int, Set[int]] = {}
         self._index: Optional[GridIndex[int]] = None
@@ -168,7 +182,6 @@ class AllocationEngine:
         """
         workers = list(workers)
         tasks = list(tasks)
-        self._sync_cache_counters()
         snapshot = self.counters.as_dict()
         if self._built and now < self._now:
             # Time went backwards: stored rows are no longer supersets.
@@ -185,12 +198,9 @@ class AllocationEngine:
             self.counters.incremental_updates += 1
             mode = "incremental"
         self._now = now
-        self._sync_cache_counters()
         if self.tracer.enabled:
             span.set("workers", len(workers))
             span.set("tasks", len(tasks))
-            span.set("cache_hits", self.counters.cache_hits - snapshot["engine_cache_hits"])
-            span.set("cache_misses", self.counters.cache_misses - snapshot["engine_cache_misses"])
         if self.journal.enabled:
             after = self.counters.as_dict()
             # Pairs decided by this build/update: exact checks plus
@@ -214,7 +224,6 @@ class AllocationEngine:
             self.instance,
             now,
             previously_assigned,
-            metric=self.metric,
             counters=self.counters,
             checker_factory=lambda: BatchFeasibilityView(self, workers, tasks, now),
             stats_snapshot=snapshot,
@@ -223,8 +232,7 @@ class AllocationEngine:
         )
 
     def stats(self) -> Dict[str, float]:
-        """Cumulative counters (including distance-cache totals)."""
-        self._sync_cache_counters()
+        """Cumulative counters."""
         return self.counters.as_dict()
 
     def aux_stats(self) -> Dict[str, float]:
@@ -254,6 +262,8 @@ class AllocationEngine:
     def _reset(self) -> None:
         self._workers.clear()
         self._tasks.clear()
+        self._tasks_by_skill.clear()
+        self._workers_by_skill.clear()
         self._tasks_of.clear()
         self._workers_of.clear()
         self._index = None
@@ -273,69 +283,61 @@ class AllocationEngine:
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> None:
         for task in tasks:
-            self._tasks[task.id] = task
-            self._workers_of[task.id] = set()
+            self._register_task(task)
         self._index = self._make_index(workers, tasks, now)
         latest = self._latest_deadline()
         if self._columnar_code is not None:
             self._columnar_rows(workers, latest, now)
             self.counters.columnar_full_builds += 1
             return
-        if not getattr(self.metric.base, "supports_distance_table", False):
+        if not getattr(self.metric, "supports_distance_table", False):
             for worker in workers:
                 self._recompute_row(worker, latest, now)
             return
         # Table-capable metric (the road network): gather every candidate
         # row first (index probes and pruning counters run exactly as in
-        # the serial path), answer the uncached pair distances with one
-        # many-to-many table call, then replay the serial link sequence
-        # against the prefetched values — same graph, same edge order, same
-        # cache trajectory.
+        # the serial path), answer the skill-passing pair distances with one
+        # many-to-many table call, then link the rows in serial order
+        # against the table — same graph, same journal stream.
         rows: List[Tuple[Worker, List[int]]] = []
         for worker in workers:
             self._install_row(worker)
             candidates = self._candidates_for(worker, latest, now)
             self._journal_pruned(worker, candidates)
             rows.append((worker, candidates))
-        self._prefetch_distances(rows)
-        try:
-            for worker, candidates in rows:
-                self.counters.scalar_pair_evals += len(candidates)
-                self._link_row(
-                    worker, map(self._tasks.__getitem__, candidates), now
-                )
-        finally:
-            self.metric.clear_preload()
+        table = self._distance_table(rows)
 
-    def _prefetch_distances(self, rows: Sequence[Tuple[Worker, List[int]]]) -> None:
-        """Answer the build's unique uncached pair distances in one table call.
+        def distance(a: Point, b: Point) -> float:
+            return table[(a, b)]
 
-        Only pairs the serial link loop would actually hand to the metric
-        (skill filter applied, cache probed) are asked for.  The table
-        kernel shares one search per distinct endpoint across the whole
-        build — strictly less work than per-pair queries — and its values
-        equal the per-pair metric's.
-        """
-        pairs: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
-        seen: Set[Tuple[Tuple[float, float], Tuple[float, float]]] = set()
         for worker, candidates in rows:
-            skills = worker.skills
-            w_loc = worker.location
-            for task_id in candidates:
-                task = self._tasks[task_id]
-                if task.skill not in skills:
-                    continue
-                key = (w_loc, task.location)
-                if key in seen or key in self.metric:
-                    continue
-                seen.add(key)
-                pairs.append(key)
+            self.counters.scalar_pair_evals += len(candidates)
+            self._link_row(
+                worker, map(self._tasks.__getitem__, candidates), now, distance
+            )
+
+    def _distance_table(
+        self, rows: Sequence[Tuple[Worker, List[int]]]
+    ) -> Dict[Tuple[Point, Point], float]:
+        """The build's unique skill-passing pair distances, one table call.
+
+        The table kernel shares one search per distinct endpoint across the
+        whole build — strictly less work than per-pair queries — and its
+        values equal the per-pair metric's.
+        """
+        pairs = list(dict.fromkeys(
+            (worker.location, task.location)
+            for worker, candidates in rows
+            for task in map(self._tasks.__getitem__, candidates)
+            if task.skill in worker.skills
+        ))
         if not pairs:
-            return
+            return {}
         with self.tracer.span("engine.distance_table") as span:
-            self.metric.preload(self.metric.base.distance_table(pairs=pairs))
+            table = self.metric.distance_table(pairs=pairs)
             if self.tracer.enabled:
                 span.set("pairs", len(pairs))
+        return table
 
     def _incremental_update(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
@@ -360,19 +362,18 @@ class AllocationEngine:
         ]
         changed_ids = {w.id for w in changed}
         added_tasks = [task for task in tasks if task.id not in self._tasks]
-        use_kernels = bool(
-            self._columnar_code is not None and added_tasks and self._workers
-        )
-        if use_kernels:
-            arrival_pairs = len(added_tasks) * sum(
-                1 for wid in self._workers if wid not in changed_ids
-            )
-            use_kernels = arrival_pairs >= COLUMNAR_SYNC_MIN_PAIRS
-        if use_kernels:
-            self._columnar_add_tasks(added_tasks, changed_ids, now)
-        else:
-            for task in added_tasks:
-                self._add_task(task, changed_ids, now)
+        if added_tasks:
+            # Workers about to be re-probed (changed_ids) pick the new tasks
+            # up during their own row recompute.
+            kept = len(stored) - sum(1 for wid in changed_ids if wid in stored)
+            if (
+                self._columnar_code is not None
+                and len(added_tasks) * kept >= COLUMNAR_SYNC_MIN_PAIRS
+            ):
+                self._columnar_add_tasks(added_tasks, changed_ids, now)
+            else:
+                for task in added_tasks:
+                    self._add_task(task, changed_ids, kept, now)
         self.counters.tasks_added += len(added_tasks)
         latest = self._latest_deadline()
         if self._columnar_code is not None and changed:
@@ -381,44 +382,81 @@ class AllocationEngine:
             for worker in changed:
                 self._recompute_row(worker, latest, now)
 
-    def _add_task(
-        self, task: Task, skip_workers: AbstractSet[int], now: float
-    ) -> None:
+    def _register_task(self, task: Task) -> None:
         self._tasks[task.id] = task
         self._workers_of[task.id] = set()
+        by_skill = self._tasks_by_skill
+        if task.skill in by_skill:
+            by_skill[task.skill][task.id] = task
+        else:
+            by_skill[task.skill] = {task.id: task}
         if self._index is not None:
             self._index.insert(task.id, task.location)
-        # Workers about to be re-probed (skip_workers) pick the task up
-        # during their own row recompute.
-        checked = 0
-        skill = task.skill
-        for worker in self._workers.values():
-            if worker.id not in skip_workers:
-                if skill in worker.skills:
-                    self._link_check(worker, task, now)
-                elif self.journal.enabled:
-                    self._reject_skill(worker, task)
-                checked += 1
+
+    def _add_task(
+        self, task: Task, skip_workers: AbstractSet[int], checked: int, now: float
+    ) -> None:
+        """Link an arriving task against the workers of its skill bucket.
+
+        ``checked`` is the number of engine workers not in ``skip_workers``:
+        every one of them counts as a checked pair, skill rejects included.
+        """
+        self._register_task(task)
+        bucket = self._workers_by_skill.get(task.skill, {})
+        metric = self.metric
+        t_loc = task.location
+        link = self._link_check
+        if not self.journal.enabled:
+            for wid, worker in bucket.items():
+                if wid not in skip_workers:
+                    link(worker, task, now, metric(worker.location, t_loc))
+        else:
+            verdicts = {
+                (wid, task.id): link(worker, task, now, metric(worker.location, t_loc))
+                for wid, worker in bucket.items()
+                if wid not in skip_workers
+            }
+            self._journal_build(
+                ((w, task) for w in self._workers.values() if w.id not in skip_workers),
+                verdicts,
+            )
         self.counters.pairs_checked += checked
         self.counters.scalar_pair_evals += checked
 
     def _remove_task(self, task_id: int) -> None:
-        del self._tasks[task_id]
+        task = self._tasks.pop(task_id)
+        bucket = self._tasks_by_skill[task.skill]
+        del bucket[task_id]
+        if not bucket:
+            del self._tasks_by_skill[task.skill]
         if self._index is not None and task_id in self._index:
             self._index.remove(task_id)
         for worker_id in self._workers_of.pop(task_id):
             del self._tasks_of[worker_id][task_id]
 
     def _remove_worker(self, worker_id: int) -> None:
-        del self._workers[worker_id]
+        worker = self._workers.pop(worker_id)
+        by_skill = self._workers_by_skill
+        for skill in worker.skills:
+            bucket = by_skill[skill]
+            del bucket[worker_id]
+            if not bucket:
+                del by_skill[skill]
         for task_id in self._tasks_of.pop(worker_id):
             self._workers_of[task_id].discard(worker_id)
 
     def _install_row(self, worker: Worker) -> None:
-        if worker.id in self._workers:
-            self._remove_worker(worker.id)
-        self._workers[worker.id] = worker
-        self._tasks_of[worker.id] = {}
+        wid = worker.id
+        if wid in self._workers:
+            self._remove_worker(wid)
+        self._workers[wid] = worker
+        by_skill = self._workers_by_skill
+        for skill in worker.skills:
+            if skill in by_skill:
+                by_skill[skill][wid] = worker
+            else:
+                by_skill[skill] = {wid: worker}
+        self._tasks_of[wid] = {}
         self.counters.worker_rows_recomputed += 1
 
     def _candidates_for(
@@ -459,6 +497,12 @@ class AllocationEngine:
         self, worker: Worker, latest_deadline: float, now: float
     ) -> None:
         self._install_row(worker)
+        if self._index is None:
+            checked = len(self._tasks)
+            self.counters.pairs_checked += checked
+            self.counters.scalar_pair_evals += checked
+            self._link_skilled(worker, now)
+            return
         candidates = self._candidates_for(worker, latest_deadline, now)
         self._journal_pruned(worker, candidates)
         self.counters.scalar_pair_evals += len(candidates)
@@ -476,19 +520,17 @@ class AllocationEngine:
         Candidates are gathered as in :meth:`_recompute_row` — the same
         index probes and pruning counters when a grid index exists, every
         task otherwise — and decided as one tile by :meth:`_link_tile`, so
-        the graph, ``engine_stats`` and the cache trajectory are
-        bit-identical to the scalar loop; only the auxiliary columnar
-        counters record which path ran.  With a ``floor`` (incremental
-        syncs), an empty tile or one under ``floor`` pairs is too small to
-        amortise the kernel set-up and finishes exactly as
-        ``_recompute_row`` would; full builds pass none.
+        the graph and ``engine_stats`` are bit-identical to the scalar
+        loop; only the auxiliary columnar counters record which path ran.
+        With a ``floor`` (incremental syncs), an empty tile or one under
+        ``floor`` pairs is too small to amortise the kernel set-up and
+        finishes exactly as ``_recompute_row`` would; full builds pass none.
         """
-        tasks = list(self._tasks.values())
         rows: Optional[List[List[int]]] = None
         for worker in workers:
             self._install_row(worker)
         if self._index is None:
-            total = len(workers) * len(tasks)
+            total = len(workers) * len(self._tasks)
             self.counters.pairs_checked += total
         else:
             rows = [self._candidates_for(w, latest_deadline, now) for w in workers]
@@ -497,14 +539,13 @@ class AllocationEngine:
             self.counters.scalar_pair_evals += total
             for pos, worker in enumerate(workers):
                 if rows is None:
-                    row: Iterable[Task] = tasks
+                    self._link_skilled(worker, now)
                 else:
                     self._journal_pruned(worker, rows[pos])
-                    row = map(self._tasks.__getitem__, rows[pos])
-                self._link_row(worker, row, now)
+                    self._link_row(worker, map(self._tasks.__getitem__, rows[pos]), now)
             return
         self.counters.columnar_pairs += total
-        self._link_tile(workers, tasks, now, rows)
+        self._link_tile(workers, list(self._tasks.values()), now, rows)
 
     def _columnar_add_tasks(
         self, added: Sequence[Task], skip_workers: AbstractSet[int], now: float
@@ -512,15 +553,12 @@ class AllocationEngine:
         """Link newly-arrived tasks against current workers via the kernels.
 
         Mirrors the scalar :meth:`_add_task` loop: tasks register in batch
-        order (same dict and grid-bucket orders) and every non-skipped
+        order (same dict, bucket and grid-cell orders) and every non-skipped
         engine worker is checked against every new task, task-major with
-        workers in registration order — the scalar access sequence.
+        workers in registration order — the scalar journal order.
         """
         for task in added:
-            self._tasks[task.id] = task
-            self._workers_of[task.id] = set()
-            if self._index is not None:
-                self._index.insert(task.id, task.location)
+            self._register_task(task)
         workers = [w for w in self._workers.values() if w.id not in skip_workers]
         checked = len(workers) * len(added)
         self.counters.pairs_checked += checked
@@ -536,17 +574,14 @@ class AllocationEngine:
         rows: Optional[Sequence[List[int]]] = None,
         task_major: bool = False,
     ) -> None:
-        """Decide a tile skill-first, replay the cache, link feasible pairs.
+        """Decide a tile skill-first and link its feasible pairs.
 
         With ``rows`` (one candidate task-id list per worker) the tile is
         those pairs in row order; without, it is the dense cross product,
         worker-major or, with ``task_major``, task-major.  Either way that
-        is the pair sequence the scalar loop hands :meth:`_link_row`, so
-        journal rejects come out in scalar order, and the cache *replays*
-        the scalar metric-access sequence — the skill-passing pairs in tile
-        order, with the kernel's bitwise-exact distances — leaving hits,
-        misses, contents and eviction order scalar-identical.  Only the
-        skill-passing pairs ever become python objects.
+        is the pair order of the scalar journal walk, so journal rejects
+        come out in scalar order.  Only the skill-passing pairs ever become
+        python objects.
         """
         code = self._columnar_code
         batch = self._make_batch(workers, tasks)
@@ -582,10 +617,6 @@ class AllocationEngine:
                             reason=REASON_NAMES[verdict],
                             phase="build",
                         )
-        self.metric.replay(
-            ((workers[i].location, tasks[j].location) for i, j in zip(cand_w, cand_t)),
-            dists,
-        )
         for k in true_positions(mask):
             worker = workers[cand_w[k]]
             task = tasks[cand_t[k]]
@@ -595,52 +626,101 @@ class AllocationEngine:
             self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
             self._workers_of[task.id].add(worker.id)
 
-    def _link_row(self, worker: Worker, tasks: Iterable[Task], now: float) -> None:
+    def _link_skilled(self, worker: Worker, now: float) -> None:
+        """Link ``worker`` against the task buckets of its skills.
+
+        Only skill-passing pairs are visited; the caller counts the row's
+        full width.  With the journal on, every reject of the row is then
+        emitted in ``self._tasks`` order, as an unbucketed row walk would.
+        """
+        by_skill = self._tasks_by_skill
+        metric = self.metric
+        w_loc = worker.location
+        link = self._link_check
+        buckets = [by_skill[s] for s in worker.skills if s in by_skill]
+        if not self.journal.enabled:
+            for bucket in buckets:
+                for task in bucket.values():
+                    link(worker, task, now, metric(w_loc, task.location))
+            return
+        verdicts = {
+            (worker.id, tid): link(worker, task, now, metric(w_loc, task.location))
+            for bucket in buckets
+            for tid, task in bucket.items()
+        }
+        self._journal_build(((worker, task) for task in self._tasks.values()), verdicts)
+
+    def _link_row(
+        self,
+        worker: Worker,
+        tasks: Iterable[Task],
+        now: float,
+        distance: Optional[Callable[[Point, Point], float]] = None,
+    ) -> None:
         """Link-check ``worker`` against ``tasks`` in order, skill test inline.
 
-        Most scalar pairs fail the skill test (nine in ten on Meetup-like
-        inputs); testing it here spares them the call into
-        :meth:`_link_check`, and a miss journals the same ``skill`` reject
-        at the same stream position.
+        The path for grid-index candidate rows, which the index has already
+        pruned.  A skill miss journals its ``skill`` reject at its stream
+        position.  ``distance`` defaults to the instance metric.
         """
         skills = worker.skills
+        journal = self.journal
+        distance = distance if distance is not None else self.metric
+        w_loc = worker.location
         for task in tasks:
             if task.skill in skills:
-                self._link_check(worker, task, now)
-            elif self.journal.enabled:
-                self._reject_skill(worker, task)
+                dist = distance(w_loc, task.location)
+                reason = self._link_check(worker, task, now, dist)
+                if reason is not None and journal.enabled:
+                    self._reject(worker, task, reason)
+            elif journal.enabled:
+                self._reject(worker, task, "skill")
 
-    def _link_check(self, worker: Worker, task: Task, now: float) -> None:
-        # Callers have already passed the skill test (see _link_row).
-        # Superset test at the batch timestamp: feasibility only shrinks as
-        # time advances, so later batch views' deadline filter never misses
-        # a pair.  The stored travel time is the same division
-        # ``deadline_ok`` would perform, so the filters are bit-identical.
-        # Callers count ``pairs_checked`` in bulk — a per-pair counter
-        # increment here dominates the link check itself.
-        dist = self.metric(worker.location, task.location)
+    def _link_check(
+        self, worker: Worker, task: Task, now: float, dist: float
+    ) -> Optional[str]:
+        """Link a skill-passing pair, or return its reject reason.
+
+        Superset test at the batch timestamp: feasibility only shrinks as
+        time advances, so later batch views' deadline filter never misses a
+        pair.  The stored travel time is the same division ``deadline_ok``
+        would perform, so the filters are bit-identical.  Callers count
+        ``pairs_checked`` in bulk — a per-pair counter increment here
+        dominates the link check itself.
+        """
         if dist > worker.max_distance:
-            if self.journal.enabled:
-                self.journal.emit(
-                    "reject", worker=worker.id, task=task.id,
-                    reason="reach", phase="build",
-                )
-            return
+            return "reach"
         if not deadline_ok(worker, task, now=now, dist=dist):
-            if self.journal.enabled:
-                self.journal.emit(
-                    "reject", worker=worker.id, task=task.id,
-                    reason="deadline", phase="build",
-                )
-            return
+            return "deadline"
         # ``deadline_ok`` held, so dist > 0 implies velocity > 0 here.
         travel = dist / worker.velocity if dist > 0.0 else 0.0
         self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
         self._workers_of[task.id].add(worker.id)
+        return None
 
-    def _reject_skill(self, worker: Worker, task: Task) -> None:
+    def _journal_build(
+        self,
+        pairs: Iterable[Tuple[Worker, Task]],
+        verdicts: Dict[Tuple[int, int], Optional[str]],
+    ) -> None:
+        """Emit the build rejects of ``pairs`` in their order.
+
+        The journal side channel of the bucketed paths: a pair failing the
+        skill test gets a ``skill`` reject, a skill-passing pair the reason
+        :meth:`_link_check` recorded in ``verdicts``, a linked pair nothing.
+        """
+        for worker, task in pairs:
+            if task.skill not in worker.skills:
+                reason: Optional[str] = "skill"
+            else:
+                reason = verdicts[(worker.id, task.id)]
+                if reason is None:
+                    continue
+            self._reject(worker, task, reason)
+
+    def _reject(self, worker: Worker, task: Task, reason: str) -> None:
         self.journal.emit(
-            "reject", worker=worker.id, task=task.id, reason="skill", phase="build"
+            "reject", worker=worker.id, task=task.id, reason=reason, phase="build"
         )
 
     # -- helpers -----------------------------------------------------------------
@@ -670,12 +750,6 @@ class AllocationEngine:
         index.insert_many((t.id, t.location) for t in tasks)
         return index
 
-    def _sync_cache_counters(self) -> None:
-        self.counters.cache_hits = self.metric.hits
-        self.counters.cache_misses = self.metric.misses
-        self._cache_size_gauge.value = float(len(self.metric))
-        self._cache_evictions_gauge.value = float(self.metric.evictions)
-
     def __repr__(self) -> str:
         return (
             f"AllocationEngine(workers={len(self._workers)}, "
@@ -686,11 +760,13 @@ class AllocationEngine:
 class BatchFeasibilityView:
     """A :class:`FeasibilityChecker`-compatible view over the engine's graph.
 
-    Construction filters each batch worker's candidate row with the
+    Construction filters each batch worker's stored links with the
     time-dependent deadline predicate at the batch timestamp (each link's
     distance was stored when the link was made, so no metric evaluation
     happens here) and canonically sorts both row directions — the result is
     the exact pair set, in the exact order, a fresh checker would produce.
+    Workers without stored links get no row at all; the checker API answers
+    for them exactly as for an empty row.
     """
 
     def __init__(
@@ -705,12 +781,15 @@ class BatchFeasibilityView:
         self.metric = engine.metric
         self.now = now
         journal = engine.journal
+        stored = engine._tasks_of
         tasks_of: Dict[int, List[int]] = {}
         workers_of: Dict[int, List[int]] = {t.id: [] for t in self.tasks}
         checked = 0
         for worker in self.workers:
+            links = stored.get(worker.id)
+            if not links:
+                continue
             row: List[int] = []
-            links = engine._tasks_of.get(worker.id, {})
             checked += len(links)
             w_deadline = worker.deadline
             base = now if now > worker.start else worker.start
@@ -731,10 +810,10 @@ class BatchFeasibilityView:
                         reason="deadline", phase="view",
                     )
             tasks_of[worker.id] = row
-        for tid in workers_of:
-            workers_of[tid].sort()
+        for column in workers_of.values():
+            if len(column) > 1:
+                column.sort()
         engine.counters.time_filtered += checked
-        engine._sync_cache_counters()
         self._tasks_of = tasks_of
         self._workers_of = workers_of
         self._task_sets = {wid: frozenset(row) for wid, row in tasks_of.items()}

@@ -51,8 +51,7 @@ class MatchMemo:
 
     Args:
         maxsize: optional entry bound; None keeps the historic unbounded
-            behaviour (the :class:`~repro.spatial.cache.CachedMetric`
-            convention).  Bounding only changes *which* queries warm-start
+            behaviour.  Bounding only changes *which* queries warm-start
             — an evicted entry simply re-solves cold, so results stay
             bit-identical at any size.
         policy: eviction order for bounded memos.  ``"fifo"`` (default)

@@ -103,7 +103,6 @@ class _ShardEngine(AllocationEngine):
 
     def sync(self, workers: Sequence[Worker], tasks: Sequence[Task], now: float) -> str:
         """Bring this shard's graph up to date; returns the build mode."""
-        self._sync_cache_counters()
         if self._built and now < self._now:
             self._reset()
         if not self._built:
@@ -114,7 +113,6 @@ class _ShardEngine(AllocationEngine):
             self._incremental_update(workers, tasks, now)
             mode = "incremental"
         self._now = now
-        self._sync_cache_counters()
         return mode
 
 
@@ -190,7 +188,7 @@ class ShardedEngine:
             :class:`AllocationEngine` for 1).
         scheme: partition build scheme — ``"grid"`` or ``"kd"`` (see
             :mod:`repro.shard.partition`).
-        use_index / cache_maxsize: forwarded to every shard engine.
+        use_index: forwarded to every shard engine.
         n_jobs: worker processes for the phase-1 shard solves (1 = serial,
             negative = all CPUs); outcomes are identical either way.
         tracer / registry / journal: observability hooks.  The registry
@@ -208,7 +206,6 @@ class ShardedEngine:
         use_index: bool = True,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        cache_maxsize: Optional[int] = None,
         n_jobs: int = 1,
         journal: Optional[EventJournal] = None,
     ) -> None:
@@ -232,7 +229,6 @@ class ShardedEngine:
                 sid,
                 use_index=use_index,
                 tracer=self.tracer,
-                cache_maxsize=cache_maxsize,
                 journal=self.journal,
             )
             for sid in range(n_shards)
@@ -675,7 +671,6 @@ class ShardedEngine:
         total = self.counters.as_dict(prefix)
         densest = 0.0
         for shard_engine in self.engines:
-            shard_engine._sync_cache_counters()
             for key, value in shard_engine.counters.as_dict(prefix).items():
                 total[key] += value
             settled = (

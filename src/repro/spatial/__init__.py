@@ -7,7 +7,6 @@ haversine for lon/lat data such as the Meetup-like generator output) and a
 uniform-grid spatial index used to prune feasible worker/task pairs.
 """
 
-from repro.spatial.cache import CachedMetric
 from repro.spatial.ch import ContractionHierarchy
 from repro.spatial.distance import (
     DistanceMetric,
@@ -30,7 +29,6 @@ from repro.spatial.roadnet import (
 
 __all__ = [
     "BoundingBox",
-    "CachedMetric",
     "ContractionHierarchy",
     "DistanceMetric",
     "EuclideanDistance",

@@ -92,8 +92,7 @@ class RoadNetwork:
         edges: ``(u, v)`` or ``(u, v, weight)`` tuples; when the weight is
             omitted it defaults to the Euclidean length of the segment.
         cache_size: bound on retained per-source search states.
-        cache_policy: eviction order for the search-state cache, following
-            the :class:`~repro.spatial.cache.CachedMetric` convention —
+        cache_policy: eviction order for the search-state cache —
             ``"fifo"`` (default) evicts the oldest state, ``"lru"`` the
             least recently queried one.
         accelerate: build a contraction hierarchy for queries.  ``None``

@@ -2,10 +2,9 @@
 
 ``SimulationReport`` AND ``engine_stats`` must be byte-for-byte equal
 whether feasibility runs through the columnar kernels (a planar metric) or
-the scalar per-pair path (the same instance under a metric with no kernel
-code), for every registered approach, on both backends.  The
-distance-cache trajectory (hits, misses, contents, insertion/eviction
-order) is part of that state and is pinned directly.
+the scalar per-pair path — the same instance under a metric with no kernel
+code, or the same metric on a host without numpy — for every registered
+approach.
 """
 
 import math
@@ -19,13 +18,8 @@ from repro.core.constraints import FeasibilityChecker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine.engine import AllocationEngine
 from repro.simulation.platform import Platform, RejoinPolicy
-from repro.spatial.cache import CachedMetric
 from repro.spatial.distance import EuclideanDistance, ManhattanDistance
-from tests.reference import (
-    ScalarEuclidean,
-    ScalarManhattan,
-    use_fallback_kernels,
-)
+from tests.reference import ScalarEuclidean, ScalarManhattan, without_numpy
 
 AUX = ("columnar_full_builds", "columnar_pairs", "scalar_pair_evals")
 
@@ -81,13 +75,15 @@ class TestPlatformEquivalence:
         assert off_aux["columnar_full_builds"] == 0
         assert off_aux["columnar_pairs"] == 0
 
+    @needs_numpy
     @pytest.mark.parametrize("name", APPROACH_NAMES)
     def test_every_approach_fallback_backend(self, instance, name, monkeypatch):
-        use_fallback_kernels(monkeypatch)
-        on_report, on_aux = _run(instance, name, True)
-        off_report, _ = _run(instance, name, False)
+        """The numpy-less fallback: the instance's own metric, run scalar."""
+        on_report, _ = _run(instance, name, True)
+        without_numpy(monkeypatch)
+        off_report, off_aux = _run(instance, name, True)
         _assert_identical(on_report, off_report)
-        assert on_aux["columnar_full_builds"] >= 1
+        assert off_aux["columnar_full_builds"] == off_aux["columnar_pairs"] == 0
 
     @needs_numpy
     @pytest.mark.parametrize("rejoin", list(RejoinPolicy))
@@ -114,37 +110,22 @@ class TestEngineGraphAndCache:
         assert on._tasks_of == off._tasks_of
         assert on._workers_of == off._workers_of
         assert on.stats() == off.stats()
-        # Cache contents AND insertion order are replayed exactly.
-        assert on.metric._cache == off.metric._cache
-        assert list(on.metric._cache) == list(off.metric._cache)
         assert on.columnar_active and not off.columnar_active
 
-    def test_fallback_backend_engine(self, instance, monkeypatch):
-        use_fallback_kernels(monkeypatch)
-        results = {}
-        for columnar in (True, False):
-            engine = AllocationEngine(instance if columnar else _scalar(instance))
-            engine.begin_batch(
-                instance.workers, instance.tasks, instance.earliest_start
-            )
-            results[columnar] = (engine._tasks_of, engine.stats())
-        assert results[True] == results[False]
-
     @needs_numpy
-    def test_bounded_cache_eviction_order(self, instance):
-        """FIFO eviction depends on insertion order — pinned across modes."""
-        caches = {}
-        for columnar in (True, False):
-            engine = AllocationEngine(
-                instance if columnar else _scalar(instance), cache_maxsize=50
-            )
+    def test_fallback_backend_engine(self, instance, monkeypatch):
+        """Without numpy the engine goes scalar over the same metric."""
+        results = {}
+        for numpy in (True, False):
+            if not numpy:
+                without_numpy(monkeypatch)
+            engine = AllocationEngine(instance)
             engine.begin_batch(
                 instance.workers, instance.tasks, instance.earliest_start
             )
-            caches[columnar] = engine.metric
-        assert caches[True]._cache == caches[False]._cache
-        assert list(caches[True]._cache) == list(caches[False]._cache)
-        assert caches[True].evictions == caches[False].evictions
+            assert engine.columnar_active is numpy
+            results[numpy] = (engine._tasks_of, engine.stats())
+        assert results[True] == results[False]
 
     def test_road_network_metric_is_ineligible(self):
         """No ``columnar_code`` -> the scalar path runs even with numpy."""
@@ -169,34 +150,8 @@ class TestEngineGraphAndCache:
         assert not engine.columnar_active
 
 
-class TestCachedMetricReplay:
-    def _sequence(self, rng_seed=7, count=300, distinct=40):
-        import random
-
-        rng = random.Random(rng_seed)
-        points = [
-            ((rng.uniform(0, 9), rng.uniform(0, 9)), (rng.uniform(0, 9), rng.uniform(0, 9)))
-            for _ in range(distinct)
-        ]
-        return [points[rng.randrange(distinct)] for _ in range(count)]
-
-    @pytest.mark.parametrize("maxsize,policy", [(None, "fifo"), (16, "fifo"), (16, "lru")])
-    def test_replay_equals_serial_calls(self, maxsize, policy):
-        metric = EuclideanDistance()
-        keys = self._sequence()
-        serial = CachedMetric(metric, maxsize=maxsize, policy=policy)
-        for a, b in keys:
-            serial(a, b)
-        bulk = CachedMetric(metric, maxsize=maxsize, policy=policy)
-        bulk.replay(keys, [metric(a, b) for a, b in keys])
-        assert (bulk.hits, bulk.misses, bulk.evictions) == (
-            serial.hits, serial.misses, serial.evictions
-        )
-        assert bulk._cache == serial._cache
-        assert list(bulk._cache) == list(serial._cache)
-
-
 class TestFeasibilityChecker:
+    @needs_numpy
     @pytest.mark.parametrize(
         "metric,scalar",
         [(EuclideanDistance(), ScalarEuclidean()), (ManhattanDistance(), ScalarManhattan())],
@@ -205,10 +160,8 @@ class TestFeasibilityChecker:
     @pytest.mark.parametrize("use_index", [True, False])
     @pytest.mark.parametrize("now", [-math.inf, 0.0, 9.0])
     def test_checker_columnar_equivalence(
-        self, instance, metric, scalar, use_index, now, monkeypatch
+        self, instance, metric, scalar, use_index, now
     ):
-        if not numpy_available():
-            use_fallback_kernels(monkeypatch)
         on = FeasibilityChecker(
             instance.workers, instance.tasks, metric, now, use_index=use_index
         )
@@ -218,10 +171,3 @@ class TestFeasibilityChecker:
         assert on._columnar_code is not None and off._columnar_code is None
         assert on._tasks_of == off._tasks_of
         assert on._workers_of == off._workers_of
-
-    def test_cached_metric_never_columnar(self, instance):
-        """CachedMetric hides ``columnar_code`` -> scalar path populates it."""
-        cached = CachedMetric(EuclideanDistance())
-        checker = FeasibilityChecker(instance.workers, instance.tasks, cached, 0.0)
-        assert checker._columnar_code is None
-        assert cached.misses > 0  # the scalar path actually ran

@@ -2,8 +2,7 @@
 
 Feasibility takes the columnar kernels exactly when numpy is importable
 and the metric advertises a kernel code: Euclidean and Manhattan with
-numpy; never haversine, the road network or a ``CachedMetric`` wrapper;
-never without numpy.  The engine, the sharded engine and a standalone
+numpy; never haversine or the road network; never without numpy.  The engine, the sharded engine and a standalone
 ``FeasibilityChecker`` must all agree with the rule.
 """
 
@@ -17,7 +16,6 @@ from repro.core.constraints import FeasibilityChecker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine.engine import AllocationEngine
 from repro.shard.engine import ShardedEngine
-from repro.spatial.cache import CachedMetric
 from repro.spatial.distance import (
     EuclideanDistance,
     HaversineDistance,
@@ -38,7 +36,6 @@ CASES = [
     ("manhattan", ManhattanDistance, True),
     ("haversine", HaversineDistance, False),
     ("roadnet", _road_network, False),
-    ("cached", lambda: CachedMetric(EuclideanDistance()), False),
 ]
 
 

@@ -107,15 +107,7 @@ class TestEngineMetrics:
         snapshot = registry.as_dict()
         for key, value in report.engine_stats.items():
             assert snapshot[key] == value
-        assert "engine_cache_size" in snapshot
         assert "platform_batch_seconds_count" in snapshot
-
-    def test_cache_size_gauge_tracks_cache(self, instance):
-        registry = MetricsRegistry()
-        report = _run(instance, "Greedy", metrics=registry)
-        size = registry.as_dict()["engine_cache_size"]
-        assert size > 0.0
-        assert size == report.engine_stats["engine_cache_misses"]  # unbounded cache
 
     def test_private_registry_exposed_after_run(self, instance):
         platform = Platform(instance, make_allocator("Greedy", seed=11))

@@ -1,6 +1,6 @@
 """Property tests for the allocation engine.
 
-Two invariants:
+Three invariants:
 
 * a batch view over the engine's persistent graph equals a fresh
   exhaustive :class:`FeasibilityChecker` for the same populations, for
@@ -8,11 +8,19 @@ Two invariants:
 * after arbitrary cross-batch churn (tasks leaving/arriving, workers
   leaving/relocating), the incrementally-maintained view still equals a
   from-scratch build — and a second engine built fresh at the final batch
-  agrees with the churned one.
+  agrees with the churned one;
+* the engine's skill buckets stay exactly the grouping of its workers and
+  tasks through arrivals, removals and relocations that change skill sets,
+  and the bucketed syncs count the pairs an unbucketed loop would visit.
+
+A last test pins the journal as a side channel: recording the bucketed
+syncs' rejects does not change a single decision or counter.
 """
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +30,13 @@ from repro.core.skills import SkillUniverse
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.engine import AllocationEngine
+from repro.obs.events import EventJournal
 from repro.spatial.distance import (
     EuclideanDistance,
     HaversineDistance,
     ManhattanDistance,
 )
+from tests.reference import RebuildEngine, ScalarEuclidean
 
 METRICS = [EuclideanDistance(), ManhattanDistance(), HaversineDistance()]
 
@@ -143,3 +153,179 @@ class TestEngineViewProperty:
         fresh_engine = AllocationEngine(instance)
         fresh = fresh_engine.begin_batch(cur_workers, cur_tasks, now).checker
         _assert_view_matches(fresh, reference, cur_workers, cur_tasks)
+
+
+# -- skill buckets ------------------------------------------------------------------
+
+#: Workers draw skills from 0..3; skill 4 is required by tasks only, so its
+#: bucket holds tasks no worker can serve.
+_WORKER_SKILLS = 4
+_ORPHAN_SKILL = 4
+
+
+def _bucket_worker(rng, wid, region):
+    n_skills = 1 if rng.random() < 0.4 else rng.randint(2, _WORKER_SKILLS)
+    return Worker(
+        id=wid,
+        location=(rng.uniform(0, region), rng.uniform(0, region)),
+        start=rng.uniform(0, 2),
+        wait=rng.uniform(4, 12),
+        velocity=rng.uniform(0.3, 2.0),
+        max_distance=rng.uniform(0.2, 1.5),
+        skills=frozenset(rng.sample(range(_WORKER_SKILLS), n_skills)),
+    )
+
+
+def _bucket_task(rng, tid, region, now):
+    return Task(
+        id=tid,
+        location=(rng.uniform(0, region), rng.uniform(0, region)),
+        start=now + rng.uniform(0, 2),
+        wait=rng.uniform(2, 10),
+        skill=_ORPHAN_SKILL if rng.random() < 0.15 else rng.randrange(_WORKER_SKILLS),
+    )
+
+
+def _grouping(entities, skills_of):
+    groups = {}
+    for eid, entity in entities.items():
+        for skill in skills_of(entity):
+            groups.setdefault(skill, {})[eid] = entity
+    return groups
+
+
+def _assert_buckets_exact(engine):
+    tasks = _grouping(engine._tasks, lambda t: (t.skill,))
+    workers = _grouping(engine._workers, lambda w: w.skills)
+    assert engine._tasks_by_skill == tasks
+    assert engine._workers_by_skill == workers
+    # Registration order, not just membership.
+    for skill, bucket in tasks.items():
+        assert list(engine._tasks_by_skill[skill]) == list(bucket)
+    for skill, bucket in workers.items():
+        assert list(engine._workers_by_skill[skill]) == list(bucket)
+
+
+def _expected_pairs(engine, workers, tasks):
+    """Pairs an unbucketed sync of this batch visits (checked or pruned).
+
+    An arriving task meets every kept worker; a new or changed worker's row
+    meets every task; a full build is the whole cross product.
+    """
+    if not engine._built:
+        return len(workers) * len(tasks)
+    batch_wids = {w.id for w in workers}
+    kept = {
+        wid: w for wid, w in engine._workers.items() if wid in batch_wids
+    }
+    changed = [w for w in workers if kept.get(w.id) != w]
+    unchanged = len(kept) - sum(1 for w in changed if w.id in kept)
+    added = sum(1 for t in tasks if t.id not in engine._tasks)
+    return added * unchanged + len(changed) * len(tasks)
+
+
+def _churn(rng, region, steps=6):
+    """Batches ``(now, workers, tasks)``: arrivals, removals, departures and
+    relocations that may change a worker's skill set."""
+    ids = iter(range(1, 10**6))
+
+    def new_workers(most):
+        count = rng.randint(0, most)
+        return [_bucket_worker(rng, next(ids), region) for _ in range(count)]
+
+    def new_tasks(most, now):
+        count = rng.randint(0, most)
+        return [_bucket_task(rng, next(ids), region, now) for _ in range(count)]
+
+    workers, tasks, now = new_workers(10), new_tasks(10, 0.0), 0.0
+    for _ in range(steps):
+        yield now, workers, tasks
+        now += rng.uniform(0.3, 1.5)
+        tasks = [t for t in tasks if rng.random() > 0.3] + new_tasks(6, now)
+        survivors = []
+        for worker in workers:
+            roll = rng.random()
+            if roll < 0.15:
+                continue  # departed
+            if roll < 0.45:
+                spot = (rng.uniform(0, region), rng.uniform(0, region))
+                worker = replace(
+                    worker.relocated(spot, now),
+                    skills=_bucket_worker(rng, worker.id, region).skills,
+                )
+            survivors.append(worker)
+        workers = survivors + new_workers(3)
+
+
+def _bucket_instance(metric):
+    # The engine reads only the metric from the instance.
+    rng = random.Random(0)
+    return ProblemInstance(
+        workers=[_bucket_worker(rng, 0, 1.0)],
+        tasks=[_bucket_task(rng, 0, 1.0, 0.0)],
+        skills=SkillUniverse(size=_ORPHAN_SKILL + 1),
+        metric=metric,
+    )
+
+
+class TestSkillBuckets:
+    @given(
+        st.integers(0, 100_000),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_buckets_views_and_counts_through_churn(self, seed, use_index, columnar):
+        rng = random.Random(seed)
+        region = 4.0 if use_index else 2.0
+        metric = EuclideanDistance() if columnar else ScalarEuclidean()
+        instance = _bucket_instance(metric)
+        engine = AllocationEngine(instance, use_index=use_index)
+        reference = RebuildEngine(instance)
+        for now, workers, tasks in _churn(rng, region):
+            before = engine.stats()
+            aux_before = engine.aux_stats()
+            expected = _expected_pairs(engine, workers, tasks)
+            view = engine.begin_batch(workers, tasks, now).checker
+            assert list(view.pairs()) == list(
+                reference.begin_batch(workers, tasks, now).checker.pairs()
+            )
+            _assert_buckets_exact(engine)
+            after = engine.stats()
+            aux = engine.aux_stats()
+            checked = after["engine_pairs_checked"] - before["engine_pairs_checked"]
+            pruned = after["engine_pruned_by_index"] - before["engine_pruned_by_index"]
+            evaluated = (
+                aux["engine_scalar_pair_evals"] - aux_before["engine_scalar_pair_evals"]
+                + aux["engine_columnar_pairs"] - aux_before["engine_columnar_pairs"]
+            )
+            assert checked + pruned == expected
+            assert evaluated == checked
+            if engine._index is None:
+                assert pruned == 0
+
+
+@pytest.mark.parametrize("use_index", [False, True])
+def test_journal_does_not_change_decisions(use_index):
+    """Journal on or off, the bucketed syncs make the same graph and counts."""
+    instance = _bucket_instance(ScalarEuclidean())
+    runs = {}
+    for recording in (False, True):
+        journal = EventJournal(enabled=recording)
+        engine = AllocationEngine(instance, use_index=use_index, journal=journal)
+        views = []
+        for now, workers, tasks in _churn(random.Random(5), 2.0, steps=12):
+            views.append(list(engine.begin_batch(workers, tasks, now).checker.pairs()))
+        runs[recording] = (
+            views,
+            engine.stats(),
+            engine.aux_stats(),
+            engine._tasks_of,
+            engine._workers_of,
+        )
+        if recording:
+            reasons = {e["reason"] for e in journal.events if e["type"] == "reject"}
+            assert {"skill", "reach", "deadline"} <= reasons
+    assert runs[False] == runs[True]
+    assert runs[True][1]["engine_incremental_updates"] > 0
+    assert any(runs[True][0])
