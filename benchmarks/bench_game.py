@@ -87,6 +87,13 @@ def test_game_incremental_500(record_bench_json):
     # keeps the derived-baseline formula in check_perf_gate.py honest.
     assert slow.stats["evaluations"] == slow.stats["rounds"] * strategy_size(instance)
     assert slow.stats["value_recomputes"] == slow.stats["evaluations"]
+    # Every incremental evaluation is a memo hit, a value walk, or a
+    # candidate pruned by its value bound.
+    assert fast.stats["evaluations"] == (
+        fast.stats["cache_hits"]
+        + fast.stats["value_recomputes"]
+        + fast.stats["pruned"]
+    )
 
     value_ratio = slow.stats["value_recomputes"] / max(
         fast.stats["value_recomputes"], 1.0
@@ -104,6 +111,7 @@ def test_game_incremental_500(record_bench_json):
             "evaluations": fast.stats["evaluations"],
             "value_recomputes": fast.stats["value_recomputes"],
             "cache_hits": fast.stats["cache_hits"],
+            "pruned": fast.stats["pruned"],
             "cache_hit_rate": round(hit_rate, 4),
             "skipped_workers": fast.stats["skipped_workers"],
             "naive_evaluations": slow.stats["evaluations"],

@@ -32,9 +32,11 @@ saw when it last held its argmax, so under the strict ``_EPS`` improvement
 margin it provably repeats "no move" — skipping it leaves the move sequence,
 the per-round ``changed`` counts and therefore the termination round exactly
 identical to a naive withdraw-and-rescan loop (kept as the test suite's
-reference, ``tests/reference.py``).  Candidates are evaluated through
-``GameState.candidate_utility`` (read-only, no withdraw/re-add), so the
-value memo is only ever invalidated by real moves.
+reference, ``tests/reference.py``).  A dirty worker's argmax is
+``GameState.best_response`` (read-only, no withdraw/re-add), so the value
+memo is only ever invalidated by real moves; it skips the value walk of
+every candidate whose upper bound cannot beat the incumbent, which leaves
+the argmax bit-identical (see :mod:`repro.algorithms.utility`).
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ class DASCGame(BatchAllocator):
             "evaluations": float(state.evaluations),
             "value_recomputes": float(state.value_recomputes),
             "cache_hits": float(state.cache_hits),
+            "pruned": float(state.pruned),
             "skipped_workers": float(skipped),
         }
         if context.counters is not None:
@@ -137,6 +140,7 @@ class DASCGame(BatchAllocator):
                 evaluations=state.evaluations,
                 value_recomputes=state.value_recomputes,
                 cache_hits=state.cache_hits,
+                pruned=state.pruned,
                 skipped=skipped,
             )
         return AllocationOutcome(assignment, stats=stats)
@@ -222,19 +226,9 @@ class DASCGame(BatchAllocator):
                         round_skipped += 1
                         continue
                     current = state.choice[worker_id]
-                    best_task = current
-                    best_utility = (
-                        state.candidate_utility(worker_id, current)
-                        if current is not None
-                        else 0.0
+                    best_task, _ = state.best_response(
+                        worker_id, strategies[worker_id], _EPS
                     )
-                    for candidate in strategies[worker_id]:
-                        if candidate == current:
-                            continue
-                        utility = state.candidate_utility(worker_id, candidate)
-                        if utility > best_utility + _EPS:
-                            best_utility = utility
-                            best_task = candidate
                     if best_task == current:
                         # Argmax confirmed the committed strategy: the worker
                         # stays clean until something it can see changes.

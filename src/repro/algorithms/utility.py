@@ -29,6 +29,16 @@ replay the exact addition order of the original frozenset iteration (the
 adjacency snapshots preserve it) and reuse the same expressions, so argmax
 decisions — and therefore whole game runs — cannot diverge.
 
+:meth:`GameState.best_response` also skips walks that cannot change the
+argmax.  Before walking a candidate's dependents it divides an upper bound
+on the value by the crowd and compares it with the incumbent: the
+memoised global value for a withdrawn-view candidate, else a static
+ceiling (every term paid).  Each value is the in-order float sum of a
+subset of its bound's non-negative terms, and IEEE addition and division
+are monotone, so a candidate whose bound cannot beat the incumbent by the
+margin cannot either; the pruned candidate is never walked and decisions
+stay bit-identical.
+
 The original walk-everything implementation lives on as the test suite's
 ``ReferenceGameState`` oracle (``tests/reference.py``), which the randomized
 property suite pins this class against float-for-float.
@@ -49,7 +59,17 @@ is what the convergence tests rely on.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
@@ -81,13 +101,16 @@ class GameState:
     Counters (never fed back into any decision):
 
     * ``evaluations`` — candidate utilities requested
-      (:meth:`candidate_utility` / :meth:`utility_of_choice` calls);
+      (:meth:`candidate_utility` / :meth:`utility_of_choice` calls, and
+      each candidate :meth:`best_response` weighs);
     * ``value_recomputes`` — hypothetical task values actually computed
       (cache misses plus masked withdrawn-view evaluations);
-    * ``cache_hits`` — hypothetical values served from the memo.
+    * ``cache_hits`` — hypothetical values served from the memo;
+    * ``pruned`` — candidates :meth:`best_response` ruled out by an upper
+      bound, without a value walk.
 
     Within a best-response run ``evaluations == cache_hits +
-    value_recomputes`` (pinned by the counter tests).
+    value_recomputes + pruned`` (pinned by the counter tests).
     """
 
     def __init__(
@@ -117,9 +140,12 @@ class GameState:
         self._unassigned_deps: Dict[int, int] = {}
         #: task -> memoised hypothetical value ``q(t | a_t = 1)``.
         self._value_cache: Dict[int, float] = {}
+        #: task -> static upper bound on its Eq. 3 value (:meth:`_ceiling`).
+        self._ceilings: Dict[int, float] = {}
         self.evaluations = 0
         self.value_recomputes = 0
         self.cache_hits = 0
+        self.pruned = 0
 
     # -- profile mutation -----------------------------------------------------------
 
@@ -311,6 +337,84 @@ class GameState:
                 if task_id in self.graph.influence_frozenset(current):
                     return self._masked_value(task_id, current) / crowd
         return self._hypothetical_value(task_id) / crowd
+
+    def _ceiling(self, task_id: int) -> float:
+        """Static upper bound on ``q(t | a_t = 1)``: every term paid.
+
+        The start value plus every dependent's share, summed in
+        ``dependent_pairs`` order.  Any value of ``t`` (global or masked)
+        is the in-order sum of a subset of these non-negative terms from a
+        start no greater, so under monotone round-to-nearest addition it
+        cannot exceed this float.
+        """
+        ceiling = self._ceilings.get(task_id)
+        if ceiling is None:
+            graph = self.graph
+            ceiling = self._self_share if graph.direct_dependencies(task_id) else 1.0
+            alpha = self.alpha
+            for _, d_deps in graph.dependent_pairs(task_id):
+                ceiling += 1.0 / (alpha * len(d_deps))
+            self._ceilings[task_id] = ceiling
+        return ceiling
+
+    def best_response(
+        self, worker_id: int, options: Sequence[int], eps: float
+    ) -> Tuple[Optional[int], float]:
+        """``(best_task, best_utility)``: the argmax of :meth:`candidate_utility`.
+
+        Starts from the committed strategy (utility 0 when idle) and takes a
+        candidate only when it beats the incumbent by more than ``eps``, in
+        ``options`` order — the same task and the same float as looping
+        :meth:`candidate_utility` over ``options``.  Before walking a
+        candidate's dependents it compares an upper bound on the value,
+        divided by the crowd, with ``best + eps``: the memoised global value
+        for a masked candidate (its terms are a subset of the global
+        value's), :meth:`_ceiling` on a memo miss.  IEEE division is
+        monotone, so a candidate whose bound fails the test cannot pass it
+        either; it is counted as ``pruned`` and does not fill the memo.
+        Read-only, like :meth:`candidate_utility`.
+        """
+        nw = self.nw
+        cache = self._value_cache
+        current = self.choice[worker_id]
+        masked: FrozenSet[int] = frozenset()
+        evaluations = hits = recomputes = pruned = 0
+        if current is None:
+            best_task, best = None, 0.0
+        else:
+            best_task, best = current, self.candidate_utility(worker_id, current)
+            if nw[current] == 1 and current not in self.prev:
+                masked = self.graph.influence_frozenset(current)
+        # A candidate must beat this float to move the argmax.
+        floor = best + eps
+        for candidate in options:
+            if candidate == current:
+                continue
+            evaluations += 1
+            crowd = nw.get(candidate, 0) + 1
+            value = cache.get(candidate)
+            view = current if candidate in masked else None
+            if value is None or view is not None:
+                # The fresh global value bounds the withdrawn-view one.
+                bound = value if value is not None else self._ceiling(candidate)
+                if bound / crowd <= floor:
+                    pruned += 1
+                    continue
+                recomputes += 1
+                value = self._counted_value(candidate, view)
+                if view is None:
+                    cache[candidate] = value
+            else:
+                hits += 1
+            utility = value / crowd
+            if utility > floor:
+                best_task, best = candidate, utility
+                floor = best + eps
+        self.evaluations += evaluations
+        self.cache_hits += hits
+        self.value_recomputes += recomputes
+        self.pruned += pruned
+        return best_task, best
 
     def utility_of_choice(self, worker_id: int, task_id: int) -> float:
         """``U_w(s_w, s̄_w)`` if ``worker_id`` (currently withdrawn) picks ``task_id``.

@@ -46,8 +46,12 @@ def best_response_gaps(
 ) -> List[BestResponseGap]:
     """Compute every player's deviation incentive under ``state``.
 
+    Each player's best response is :meth:`GameState.best_response` with
+    :data:`TOLERANCE` as the improvement margin: read-only, so the profile
+    never moves.
+
     Args:
-        state: a committed strategy profile (it is restored unchanged).
+        state: a committed strategy profile.
         strategies: each player's strategy space ``S_w``.
 
     Returns:
@@ -56,16 +60,12 @@ def best_response_gaps(
     gaps: List[BestResponseGap] = []
     for worker_id in sorted(strategies):
         current = state.choice[worker_id]
-        state.set_choice(worker_id, None)
         current_utility = (
-            state.utility_of_choice(worker_id, current) if current is not None else 0.0
+            state.candidate_utility(worker_id, current) if current is not None else 0.0
         )
-        best_task, best_utility = current, current_utility
-        for candidate in strategies[worker_id]:
-            utility = state.utility_of_choice(worker_id, candidate)
-            if utility > best_utility + TOLERANCE:
-                best_task, best_utility = candidate, utility
-        state.set_choice(worker_id, current)
+        best_task, best_utility = state.best_response(
+            worker_id, strategies[worker_id], TOLERANCE
+        )
         gaps.append(
             BestResponseGap(
                 worker_id=worker_id,

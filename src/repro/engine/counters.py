@@ -49,6 +49,10 @@ _COUNTER_FIELDS = (
     ),
     ("game_cache_hits", "task values served from the utility memo"),
     (
+        "game_pruned",
+        "candidates ruled out by an upper bound on their value, unwalked",
+    ),
+    (
         "game_skipped_workers",
         "worker evaluations skipped by the dirty-set scheduler",
     ),
@@ -133,6 +137,7 @@ class EngineCounters:
         evaluations: int,
         value_recomputes: int,
         cache_hits: int,
+        pruned: int,
         skipped: int,
     ) -> None:
         """Bulk-add one game run's work totals (one call per allocation).
@@ -147,6 +152,7 @@ class EngineCounters:
         counters["game_evaluations"].value += evaluations
         counters["game_value_recomputes"].value += value_recomputes
         counters["game_cache_hits"].value += cache_hits
+        counters["game_pruned"].value += pruned
         counters["game_skipped_workers"].value += skipped
         counters["game_scalar_evals"].value += evaluations
 

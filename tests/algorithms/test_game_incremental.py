@@ -62,10 +62,12 @@ class TestSingleBatchBitIdentity:
     def test_counter_invariants(self, seed, config):
         instance = _instance(seed)
         fast, slow = _pair(instance, seed, **CONFIGS[config])
-        # Every evaluation is either a memo hit or an actual value walk.
-        assert (
-            fast.stats["evaluations"]
-            == fast.stats["cache_hits"] + fast.stats["value_recomputes"]
+        # Every evaluation is a memo hit, an actual value walk, or a
+        # candidate ruled out by its value bound without a walk.
+        assert fast.stats["evaluations"] == (
+            fast.stats["cache_hits"]
+            + fast.stats["value_recomputes"]
+            + fast.stats["pruned"]
         )
         # The naive loop walks the graph for every single evaluation.
         assert slow.stats["cache_hits"] == 0.0
@@ -122,6 +124,7 @@ class TestPlatformBitIdentity:
         assert report.engine_stats["engine_game_evaluations"] == (
             report.engine_stats["engine_game_cache_hits"]
             + report.engine_stats["engine_game_value_recomputes"]
+            + report.engine_stats["engine_game_pruned"]
         )
 
 
@@ -134,6 +137,7 @@ class TestStatsSurface:
             "evaluations",
             "value_recomputes",
             "cache_hits",
+            "pruned",
             "skipped_workers",
         }
 

@@ -1,8 +1,8 @@
 """Unit tests for the columnar kernels: edge semantics and selection.
 
-Tests parametrized over ``backend`` run the numpy kernels (``numpy``) and
-their pure-python reference :class:`tests.reference.PythonKernels`
-(``fallback``) through the same assertions.
+The numpy kernels are the only implementation; tests parametrized over
+``backend`` run them (``numpy``) against the scalar predicates of
+:mod:`repro.core.constraints` and the metrics.
 """
 
 import math
@@ -20,15 +20,10 @@ from repro.core.constraints import pair_feasible
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.spatial.distance import EuclideanDistance, ManhattanDistance
-from tests.reference import PythonKernels
 
 pytest.importorskip("numpy")
 
-BACKENDS = ("numpy", "fallback")
-
-
-def _kernels(backend):
-    return PythonKernels if backend == "fallback" else columnar
+BACKENDS = {"numpy": columnar}
 
 
 def _worker(i, *, location=(0.0, 0.0), velocity=1.0, start=0.0, wait=10.0,
@@ -67,7 +62,7 @@ class TestEdgeSemantics:
     def _verdicts(self, workers, tasks, now, code, backend):
         batch = ColumnarBatch(workers, tasks)
         widx, tidx = _flat(batch)
-        mask, skill_mask, dists = _kernels(backend).feasible_pairs(
+        mask, skill_mask, dists = BACKENDS[backend].feasible_pairs(
             batch, widx, tidx, now, code
         )
         metric = {"euclidean": EuclideanDistance(), "manhattan": ManhattanDistance()}[code]
@@ -93,7 +88,7 @@ class TestEdgeSemantics:
         workers = [_worker(0, skills=())]
         tasks = [_task(0)]
         batch = ColumnarBatch(workers, tasks)
-        mask, skill_mask, _ = _kernels(backend).feasible_pairs(
+        mask, skill_mask, _ = BACKENDS[backend].feasible_pairs(
             batch, [0], [0], 0.0, "euclidean"
         )
         assert mask == b"\x00" and skill_mask == b"\x00"
@@ -119,18 +114,18 @@ class TestEdgeSemantics:
     def test_length_mismatch_raises(self, backend):
         batch = ColumnarBatch([_worker(0)], [_task(0)])
         with pytest.raises(ValueError):
-            _kernels(backend).feasible_pairs(batch, [0, 0], [0], 0.0, "euclidean")
+            BACKENDS[backend].feasible_pairs(batch, [0, 0], [0], 0.0, "euclidean")
 
     def test_empty_tile(self, backend):
         batch = ColumnarBatch([_worker(0)], [_task(0)])
-        assert _kernels(backend).feasible_pairs(batch, [], [], 0.0, "euclidean") == (
+        assert BACKENDS[backend].feasible_pairs(batch, [], [], 0.0, "euclidean") == (
             b"", b"", []
         )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_true_positions(backend):
-    kernels = _kernels(backend)
+    kernels = BACKENDS[backend]
     assert kernels.true_positions(b"\x01\x00\x01\x01\x00") == [0, 2, 3]
     assert kernels.true_positions(b"") == []
 
@@ -138,7 +133,7 @@ def test_true_positions(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("code", CODES)
 def test_dense_variants_consistent(backend, code):
-    kernels = _kernels(backend)
+    kernels = BACKENDS[backend]
     workers = [
         _worker(0, location=(0.0, 0.0), skills=(0, 1)),
         _worker(1, location=(9.0, 9.0), skills=()),
@@ -180,7 +175,7 @@ def test_pair_distances_matches_scalar_metrics(backend):
         ("euclidean", EuclideanDistance()),
         ("manhattan", ManhattanDistance()),
     ):
-        _, _, got = _kernels(backend).feasible_pairs(
+        _, _, got = BACKENDS[backend].feasible_pairs(
             batch, diagonal, diagonal, 0.0, code
         )
         exact = [

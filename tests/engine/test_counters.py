@@ -21,6 +21,7 @@ class TestAsDict:
             "engine_game_evaluations",
             "engine_game_value_recomputes",
             "engine_game_cache_hits",
+            "engine_game_pruned",
             "engine_game_skipped_workers",
         ]
         assert list(EngineCounters().as_dict()) == expected
@@ -95,15 +96,18 @@ class TestGameWork:
     def test_bulk_add_accumulates(self):
         counters = EngineCounters()
         counters.add_game_work(
-            rounds=3, evaluations=100, value_recomputes=20, cache_hits=80, skipped=7
+            rounds=3, evaluations=100, value_recomputes=20, cache_hits=60,
+            pruned=20, skipped=7,
         )
         counters.add_game_work(
-            rounds=2, evaluations=50, value_recomputes=10, cache_hits=40, skipped=3
+            rounds=2, evaluations=50, value_recomputes=10, cache_hits=35,
+            pruned=5, skipped=3,
         )
         assert counters.game_rounds == 5.0
         assert counters.game_evaluations == 150.0
         assert counters.game_value_recomputes == 30.0
-        assert counters.game_cache_hits == 120.0
+        assert counters.game_cache_hits == 95.0
+        assert counters.game_pruned == 25.0
         assert counters.game_skipped_workers == 10.0
 
     def test_visible_in_registry_and_delta(self):
@@ -111,7 +115,10 @@ class TestGameWork:
         counters = EngineCounters(registry)
         snapshot = counters.as_dict()
         counters.add_game_work(
-            rounds=1, evaluations=4, value_recomputes=1, cache_hits=3, skipped=0
+            rounds=1, evaluations=4, value_recomputes=1, cache_hits=2, pruned=1,
+            skipped=0,
         )
         assert registry.counter("engine_game_evaluations").value == 4.0
-        assert counters.delta_since(snapshot)["engine_game_cache_hits"] == 3.0
+        delta = counters.delta_since(snapshot)
+        assert delta["engine_game_cache_hits"] == 2.0
+        assert delta["engine_game_pruned"] == 1.0

@@ -5,11 +5,9 @@ equality with :func:`repro.core.constraints.pair_feasible` — decisions AND
 distances.  These tests generate adversarial populations
 (zero-velocity workers, coincident locations, empty skill sets, skill
 universes wider than one packed 64-bit word, ``now = -inf``) and compare
-every kernel against the scalar predicate float for float.  Tests
-parametrized over ``backend`` also run the pure-python reference
-:class:`tests.reference.PythonKernels` (``fallback``), and
-``test_backends_agree_with_each_other`` compares it with the numpy kernels
-output for output.
+every kernel against the scalar predicate float for float;
+``test_rejection_reasons_match_scalar_oracle`` does the same for the
+reason codes against :func:`repro.core.constraints.pair_rejection_reason`.
 """
 
 import math
@@ -25,6 +23,7 @@ from hypothesis import strategies as st
 import repro.columnar as columnar
 import repro.columnar.kernels as kernels
 from repro.columnar import (
+    REASON_NAMES,
     ColumnarBatch,
     dense_pair_columns,
     feasible_dense,
@@ -35,16 +34,15 @@ from repro.columnar import (
     skill_candidates_dense,
     true_positions,
 )
-from repro.core.constraints import pair_feasible
+from repro.core.constraints import pair_feasible, pair_rejection_reason
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.spatial.distance import EuclideanDistance, ManhattanDistance
-from tests.reference import PythonKernels
 
 METRICS = {"euclidean": EuclideanDistance(), "manhattan": ManhattanDistance()}
 pytest.importorskip("numpy")
 
-BACKENDS = {"numpy": columnar, "fallback": PythonKernels}
+BACKENDS = {"numpy": columnar}
 
 
 def _population(rng, n_w, n_t, n_skills):
@@ -174,7 +172,7 @@ def test_pair_distances_bitwise_across_backends(seed, count, code):
 
 @given(st.integers(0, 10_000_000), st.sampled_from(["euclidean", "manhattan"]))
 @settings(max_examples=40, deadline=None)
-def test_backends_agree_with_each_other(seed, code):
+def test_rejection_reasons_match_scalar_oracle(seed, code):
     rng = random.Random(seed)
     workers, tasks = _population(rng, rng.randint(1, 8), rng.randint(1, 8), 150)
     batch = ColumnarBatch(workers, tasks)
@@ -182,16 +180,11 @@ def test_backends_agree_with_each_other(seed, code):
     widx = [i for i in range(n_w) for _ in range(n_t)]
     tidx = list(range(n_t)) * n_w
     now = rng.choice([-math.inf, 1.0])
-    for name in ("feasible_pairs", "rejection_reasons"):
-        a = getattr(columnar, name)(batch, widx, tidx, now, code)
-        b = getattr(PythonKernels, name)(batch, widx, tidx, now, code)
-        assert a == b, name
-    for task_major in (False, True):
-        a = columnar.skill_candidates_dense(batch, now, code, task_major=task_major)
-        b = PythonKernels.skill_candidates_dense(
-            batch, now, code, task_major=task_major
-        )
-        assert a == b
+    codes = rejection_reasons(batch, widx, tidx, now, code)
+    for k in range(len(widx)):
+        worker, task = workers[widx[k]], tasks[tidx[k]]
+        reason = pair_rejection_reason(worker, task, METRICS[code], now)
+        assert REASON_NAMES[codes[k]] == (reason or "")
 
 
 def _survivors(batch, widx, tidx, now, code, impl=columnar):

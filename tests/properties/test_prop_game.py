@@ -14,7 +14,9 @@ import random
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.game import _EPS
 from repro.algorithms.utility import GameState
+from repro.analysis.equilibrium import TOLERANCE
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
 from repro.core.task import Task
@@ -244,8 +246,9 @@ class TestIncrementalStateEquivalence:
         assert fast.stats["rounds"] == slow.stats["rounds"]
 
 
-def build_open_instance(deps):
-    """Tasks ``0..n-1`` with the given dependency lists, taken as-is (unclosed)."""
+def build_open_instance(deps, n_workers=None):
+    """Tasks ``0..n-1`` with the given dependency lists, taken as-is (unclosed);
+    ``n_workers`` defaults to two more than the tasks."""
     skills = SkillUniverse(1)
     tasks = [
         Task(id=tid, location=(0.0, 0.0), start=0.0, wait=100.0, skill=0,
@@ -255,7 +258,7 @@ def build_open_instance(deps):
     workers = [
         Worker(id=w, location=(0.0, 0.0), start=0.0, wait=100.0, velocity=1.0,
                max_distance=10.0, skills=frozenset({0}))
-        for w in range(len(deps) + 2)
+        for w in range(len(deps) + 2 if n_workers is None else n_workers)
     ]
     return ProblemInstance(workers=workers, tasks=tasks, skills=skills)
 
@@ -327,3 +330,122 @@ class TestBestResponseConvergence:
         # converged well before the cap and produced a valid assignment
         assert outcome.stats["rounds"] < 100
         assert outcome.assignment.is_valid(instance, now=0.0)
+
+
+def _unpruned_argmax(state, worker_id, options, eps):
+    """The best-response loop over :meth:`GameState.candidate_utility`, no bounds."""
+    current = state.choice[worker_id]
+    best_task = current
+    best = state.candidate_utility(worker_id, current) if current is not None else 0.0
+    for candidate in options:
+        if candidate == current:
+            continue
+        utility = state.candidate_utility(worker_id, candidate)
+        if utility > best + eps:
+            best_task, best = candidate, utility
+    return best_task, best
+
+
+def _assert_value_bounds(state):
+    """Every value the pruning test could stand in for lies under its bound."""
+    sole = [m for m, count in state.nw.items() if count == 1 and m not in state.prev]
+    for t in state.graph:
+        ceiling = state._ceiling(t)
+        memo = state._value_cache.get(t)
+        value = state._counted_value(t, None)
+        assert value <= ceiling
+        if memo is not None:
+            assert memo == value
+        for m in sole:
+            masked = state._counted_value(t, m)
+            assert masked <= ceiling
+            if memo is not None:
+                assert masked <= memo
+
+
+def _replay_pruned_best_responses(instance, prev, alpha, moves):
+    """Drive a move script; after each move pin ``best_response`` on one
+    state to the unpruned argmax on a twin, and check the value bounds."""
+    n_tasks = len(instance.tasks)
+    players = list(range(len(instance.workers)))
+    # A worker-dependent rotation, so option order varies between players.
+    options = {
+        w: [(w + k) % n_tasks for k in range(n_tasks)] for w in players
+    }
+    fast = GameState(instance, instance.tasks, players, prev, alpha=alpha)
+    twin = GameState(instance, instance.tasks, players, prev, alpha=alpha)
+    for worker_id, task_id in moves:
+        fast.set_choice(worker_id, task_id)
+        twin.set_choice(worker_id, task_id)
+        for eps in (_EPS, TOLERANCE):
+            for w in players:
+                got = fast.best_response(w, options[w], eps)
+                assert got == _unpruned_argmax(twin, w, options[w], eps)
+                assert fast.choice[w] == twin.choice[w]
+        _assert_value_bounds(fast)
+    assert fast.evaluations == fast.cache_hits + fast.value_recomputes + fast.pruned
+
+
+@st.composite
+def near_tie_scripts(draw):
+    """Layered DAGs where every dependent has the same ``|D_d|``, played
+    from a profile with equal crowds, at the extreme ``alpha`` values."""
+    n_roots = draw(st.integers(2, 4))
+    width = draw(st.integers(1, n_roots))
+    n_dependents = draw(st.integers(1, 5))
+    deps = [[] for _ in range(n_roots)]
+    for k in range(n_dependents):
+        # Each dependent takes ``width`` consecutive roots (cyclically).
+        deps.append(sorted({(k + j) % n_roots for j in range(width)}))
+    n_tasks = len(deps)
+    crowd = draw(st.integers(1, 2))
+    # Equal crowds: workers ``0 .. crowd * n_tasks - 1`` cover every task
+    # ``crowd`` times; the two spare workers start idle.
+    opening = [(w, w % n_tasks) for w in range(crowd * n_tasks)]
+    script = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, crowd * n_tasks + 1),
+                st.one_of(st.none(), st.integers(0, n_tasks - 1)),
+            ),
+            max_size=12,
+        )
+    )
+    alpha = draw(st.sampled_from([1.0001, 1e6]))
+    prev = sorted(draw(st.sets(st.integers(0, n_roots - 1), max_size=1)))
+    return deps, crowd * n_tasks + 2, alpha, prev, opening + script
+
+
+class TestPrunedBestResponse:
+    """``GameState.best_response`` skips value walks by an upper bound.
+
+    Pruning must be exact: the returned task and float equal the argmax of
+    :meth:`GameState.candidate_utility` over the same options, at the game's
+    margin and at the equilibrium check's.  The bounds it relies on are
+    asserted directly: every global and withdrawn-view value lies under the
+    static ceiling, and a withdrawn-view value under the (fresh) memoised
+    global value.
+    """
+
+    @given(paired_states())
+    @settings(max_examples=80, deadline=None)
+    def test_incremental_scenarios(self, scenario):
+        fast, _, moves, instance = scenario
+        _replay_pruned_best_responses(instance, fast.prev, fast.alpha, moves)
+
+    @given(open_dag_scripts())
+    @example(([[], [0], [], [1, 2]], 10.0, [], [(0, 0), (1, 1), (2, 3)]))
+    @settings(max_examples=120, deadline=None)
+    def test_unclosed_dependency_sets(self, script):
+        deps, alpha, prev, moves = script
+        instance = build_open_instance(deps)
+        _replay_pruned_best_responses(instance, prev, alpha, moves)
+
+    @given(near_tie_scripts())
+    @example(([[], [], [0, 1], [0, 1]], 6, 1e6, [], [(0, 0), (1, 1), (2, 2), (3, 3)]))
+    @example(([[], [], [0, 1], [0, 1]], 6, 1.0001, [], [(0, 0), (1, 1), (2, 2), (3, 3)]))
+    @settings(max_examples=120, deadline=None)
+    def test_near_ties(self, script):
+        deps, n_workers, alpha, prev, moves = script
+        instance = build_open_instance(deps, n_workers)
+        _replay_pruned_best_responses(instance, prev, alpha, moves)

@@ -13,9 +13,6 @@ let tests pin the other paths against it without a switch in the library:
   engine;
 * :func:`without_numpy` — hide numpy from the kernels, as on a host
   without it: no build selects them, so every build and sync is scalar;
-* :class:`PythonKernels` — pure-python loops over a
-  :class:`~repro.columnar.ColumnarBatch`'s columns with the kernels'
-  signatures, the independent oracle the numpy kernels are compared with;
 * :class:`ReferenceGameState` / :class:`NaiveDASCGame` — the original
   walk-everything game state and the withdraw-and-rescan best-response loop
   over it, the oracle for :class:`~repro.algorithms.utility.GameState` and
@@ -32,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from itertools import product
 from typing import (
     AbstractSet,
     Dict,
@@ -50,12 +46,6 @@ import pytest
 from repro.algorithms.game import _EPS, DASCGame
 from repro.algorithms.registry import make_allocator
 from repro.algorithms.utility import harmonic
-from repro.columnar import (
-    REASON_DEADLINE,
-    REASON_FEASIBLE,
-    REASON_REACH,
-    REASON_SKILL,
-)
 from repro.core.dependency import CyclicDependencyError
 from repro.core.exceptions import DascError
 from repro.core.instance import ProblemInstance
@@ -116,94 +106,6 @@ def without_numpy(monkeypatch) -> None:
     monkeypatch.setattr(kernels, "_np", None)
 
 
-class PythonKernels:
-    """The columnar kernels as plain per-pair loops over the batch columns.
-
-    Same signatures and return shapes as :mod:`repro.columnar.kernels`
-    (``bytes`` masks, python-float distances, position lists), same scalar
-    short-circuit precedence (skill -> reach -> deadline), no numpy.  Tests
-    parametrized over ``backend`` run ``fallback`` on this class.
-    """
-
-    @staticmethod
-    def _verdict(batch, i, j, now, code):
-        """``(reason code, distance)`` of worker position ``i`` x task ``j``."""
-        dx, dy = batch.wx[i] - batch.tx[j], batch.wy[i] - batch.ty[j]
-        dist = abs(dx) + abs(dy) if code == "manhattan" else math.hypot(dx, dy)
-        word = batch.wskills[i * batch.n_skill_words + batch.tskill_word[j]]
-        if not word & batch.tskill_bitmask[j]:
-            return REASON_SKILL, dist
-        if dist > batch.wmax_distance[i]:
-            return REASON_REACH, dist
-        depart = max(batch.wstart[i], batch.tstart[j], now)
-        deadline = batch.tdeadline[j]
-        if depart > deadline or depart > batch.wdeadline[i]:
-            return REASON_DEADLINE, dist
-        velocity = batch.wvelocity[i]
-        if dist == 0.0 or (velocity > 0.0 and depart + dist / velocity <= deadline):
-            return REASON_FEASIBLE, dist
-        return REASON_DEADLINE, dist
-
-    @classmethod
-    def _flat(cls, batch, widx, tidx, now, code):
-        if len(widx) != len(tidx):
-            raise ValueError(
-                f"widx/tidx length mismatch: {len(widx)} vs {len(tidx)}"
-            )
-        return [cls._verdict(batch, i, j, now, code) for i, j in zip(widx, tidx)]
-
-    @classmethod
-    def feasible_pairs(cls, batch, widx, tidx, now, code):
-        verdicts = cls._flat(batch, widx, tidx, now, code)
-        return (
-            bytes(reason == REASON_FEASIBLE for reason, _ in verdicts),
-            bytes(reason != REASON_SKILL for reason, _ in verdicts),
-            [dist for _, dist in verdicts],
-        )
-
-    @classmethod
-    def rejection_reasons(cls, batch, widx, tidx, now, code):
-        return bytes(reason for reason, _ in cls._flat(batch, widx, tidx, now, code))
-
-    @classmethod
-    def skill_candidates(cls, batch, widx, tidx, now, code):
-        if len(widx) != len(tidx):
-            raise ValueError(
-                f"widx/tidx length mismatch: {len(widx)} vs {len(tidx)}"
-            )
-        return cls._candidates(batch, zip(widx, tidx), now, code)
-
-    @classmethod
-    def skill_candidates_dense(cls, batch, now, code, task_major=False):
-        n_w, n_t = batch.n_workers, batch.n_tasks
-        if task_major:
-            pairs = ((i, j) for j in range(n_t) for i in range(n_w))
-        else:
-            pairs = product(range(n_w), range(n_t))
-        return cls._candidates(batch, pairs, now, code)
-
-    @classmethod
-    def _candidates(cls, batch, pairs, now, code):
-        widx, tidx, dists, mask = [], [], [], bytearray()
-        for i, j in pairs:
-            reason, dist = cls._verdict(batch, i, j, now, code)
-            if reason != REASON_SKILL:
-                widx.append(i)
-                tidx.append(j)
-                dists.append(dist)
-                mask.append(reason == REASON_FEASIBLE)
-        return widx, tidx, dists, bytes(mask)
-
-    @staticmethod
-    def true_positions(mask):
-        return [k for k, bit in enumerate(mask) if bit]
-
-    @classmethod
-    def feasible_dense(cls, batch, now, code):
-        widx, tidx, _, mask = cls.skill_candidates_dense(batch, now, code)
-        return [(widx[k], tidx[k]) for k in cls.true_positions(mask)]
-
-
 class ReferenceGameState:
     """The original walk-everything game state, kept verbatim as an oracle.
 
@@ -233,6 +135,7 @@ class ReferenceGameState:
         self.evaluations = 0
         self.value_recomputes = 0
         self.cache_hits = 0  # always 0: there is no cache to hit
+        self.pruned = 0  # always 0: every candidate is walked
 
     def set_choice(self, worker_id: int, task_id: Optional[int]) -> None:
         """Move ``worker_id`` to ``task_id`` (None = withdraw)."""
@@ -318,7 +221,7 @@ class NaiveDASCGame(DASCGame):
     Every worker is withdrawn and re-evaluated every round, and every
     candidate utility is a fresh graph walk over :class:`ReferenceGameState`.
     Assignments, scores and rounds must equal :class:`DASCGame`'s bit for
-    bit; only the work counters differ (``cache_hits`` and
+    bit; only the work counters differ (``cache_hits``, ``pruned`` and
     ``skipped_workers`` are always 0).
     """
 
