@@ -38,7 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one paper experiment")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run.add_argument("--scale", type=float, default=None, help="population scale factor")
+    run.add_argument(
+        "--scale", type=_positive_float, default=None, help="population scale factor"
+    )
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--out", type=str, default=None, help="also write the table here")
     run.add_argument("--csv", type=str, default=None, help="export the raw points as CSV")
@@ -73,16 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     approaches = ", ".join(APPROACH_NAMES + ["DFS"]).replace("%", "%%")
     solve.add_argument("--approach", default="Greedy", help=f"one of {approaches}")
     solve.add_argument("--seed", type=int, default=7)
-    solve.add_argument("--batch-interval", type=float, default=None, help="run the dynamic platform with this interval instead of a single batch")
-    solve.add_argument("--engine-stats", action="store_true", help="print the engine's counters after a platform run")
     solve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the per-shard solves of a --shards run "
-        "(1 = serial, -1 = all CPUs)",
+        "--batch-interval",
+        type=_positive_float,
+        default=None,
+        help="run the dynamic platform with this interval instead of a single batch",
     )
+    solve.add_argument("--engine-stats", action="store_true", help="print the engine's counters after a platform run")
     solve.add_argument(
         "--replay-check",
         action="store_true",
@@ -141,6 +140,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
@@ -363,16 +372,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     tracer = _obs_tracer(args)
     journal = _obs_journal(args)
     metrics_registry = None
-    if args.shards > 1 and not args.batch_interval:
+    if args.shards > 1 and args.batch_interval is None:
         print("error: --shards needs a platform run (--batch-interval)")
         return 2
-    if args.batch_interval:
+    if args.batch_interval is not None:
         platform = Platform(
             instance,
             allocator,
             batch_interval=args.batch_interval,
             tracer=tracer,
-            n_jobs=args.jobs,
             journal=journal,
             shards=args.shards,
             shard_scheme=args.shard_scheme,

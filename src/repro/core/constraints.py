@@ -195,6 +195,34 @@ def reach_radius(worker: Worker, latest_deadline: float, now: float = -math.inf)
     )
 
 
+def index_cell_size(
+    workers: Sequence[Worker], tasks: Sequence[Task], now: float = -math.inf
+) -> Optional[float]:
+    """The grid-index cell size for one batch, or None when no index pays.
+
+    The cell is the median positive :func:`reach_radius` (1.0 when no worker
+    can move).  When that reach spans more than half the tasks' extent the
+    index cannot prune anything, so there is none.  Otherwise the cell is
+    clamped from below to a sane fraction of the extent: degenerate spans
+    (near-zero velocities) must not shatter the grid into billions of cells
+    that large-radius queries would then have to cross.
+    """
+    if not tasks:
+        return None
+    latest = max(t.deadline for t in tasks)
+    positive = sorted(
+        span for span in (reach_radius(w, latest, now) for w in workers) if span > 0.0
+    )
+    cell = positive[len(positive) // 2] if positive else 1.0
+    xs = [t.location[0] for t in tasks]
+    ys = [t.location[1] for t in tasks]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    if cell > extent / 2.0:
+        return None
+    floor_cell = extent / max(4.0, math.sqrt(len(tasks)) * 2.0)
+    return max(cell, floor_cell, 1e-9)
+
+
 class FeasibilityChecker:
     """Precomputes the feasible worker/task pairs of a batch.
 
@@ -379,23 +407,13 @@ class FeasibilityChecker:
     def _build_with_index(
         self,
     ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        cell = index_cell_size(self.workers, self.tasks, self.now)
+        if cell is None:
+            return self._build_exhaustive()
+        index: GridIndex[int] = GridIndex(cell_size=cell)
+        index.insert_many((t.id, t.location) for t in self.tasks)
         latest_deadline = max(t.deadline for t in self.tasks)
         spans = [reach_radius(w, latest_deadline, self.now) for w in self.workers]
-        positive = sorted(s for s in spans if s > 0.0)
-        cell = positive[len(positive) // 2] if positive else 1.0
-        # Keep the cell a sane fraction of the data extent: degenerate spans
-        # (near-zero velocities) must not shatter the grid into billions of
-        # cells that large-radius queries would then have to cross.
-        xs = [t.location[0] for t in self.tasks]
-        ys = [t.location[1] for t in self.tasks]
-        extent = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        if cell > extent / 2.0:
-            # typical reach spans most of the region: the index cannot prune
-            # anything, so skip its bookkeeping entirely.
-            return self._build_exhaustive()
-        floor_cell = extent / max(4.0, math.sqrt(len(self.tasks)) * 2.0)
-        index: GridIndex[int] = GridIndex(cell_size=max(cell, floor_cell, 1e-9))
-        index.insert_many((t.id, t.location) for t in self.tasks)
 
         tasks_of: Dict[int, List[int]] = {w.id: [] for w in self.workers}
         workers_of: Dict[int, List[int]] = {t.id: [] for t in self.tasks}

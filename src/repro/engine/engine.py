@@ -67,7 +67,12 @@ from repro.columnar import (
     skill_candidates_dense,
     true_positions,
 )
-from repro.core.constraints import deadline_ok, prune_rejection_reason, reach_radius
+from repro.core.constraints import (
+    deadline_ok,
+    index_cell_size,
+    prune_rejection_reason,
+    reach_radius,
+)
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -731,22 +736,13 @@ class AllocationEngine:
     def _make_index(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> Optional[GridIndex[int]]:
-        """Same sizing heuristics as ``FeasibilityChecker._build_with_index``."""
-        if not self.use_index or not self.metric.euclidean_lower_bound or not tasks:
+        """A grid index over ``tasks`` sized by :func:`index_cell_size`."""
+        if not self.use_index or not self.metric.euclidean_lower_bound:
             return None
-        latest = max(t.deadline for t in tasks)
-        spans = [reach_radius(w, latest, now) for w in workers]
-        positive = sorted(s for s in spans if s > 0.0)
-        cell = positive[len(positive) // 2] if positive else 1.0
-        xs = [t.location[0] for t in tasks]
-        ys = [t.location[1] for t in tasks]
-        extent = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        if cell > extent / 2.0:
-            # Typical reach spans most of the region: the index cannot prune
-            # anything, so skip its bookkeeping for the whole run.
+        cell = index_cell_size(workers, tasks, now)
+        if cell is None:
             return None
-        floor_cell = extent / max(4.0, math.sqrt(len(tasks)) * 2.0)
-        index: GridIndex[int] = GridIndex(cell_size=max(cell, floor_cell, 1e-9))
+        index: GridIndex[int] = GridIndex(cell_size=cell)
         index.insert_many((t.id, t.location) for t in tasks)
         return index
 

@@ -16,7 +16,7 @@ a single result:
 The hard invariant everywhere: **parallel equals serial, bit for bit** —
 same seeds, same ``Sum(M)``, same reports, same ``engine_stats`` — pinned
 by ``tests/parallel/test_determinism.py``.  ``n_jobs`` follows one
-convention across the stack: ``1`` serial, ``N >= 2`` that many workers,
+convention across the sweep APIs: ``1`` serial, ``N >= 2`` that many workers,
 negative = all available CPUs.
 """
 

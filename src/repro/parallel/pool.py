@@ -1,8 +1,9 @@
 """Process-pool lifecycle for the parallel layer.
 
-One module owns every executor the library spawns, so fan-out call sites
-(`repro.parallel.sweep`, the shard engine's phase-1 solves) share
-pools instead of paying a fork per call.  Executors are cached by worker
+One module owns every executor the library spawns, so the experiment
+fan-outs (`repro.parallel.sweep`, the repeated-seed runner of
+`repro.experiments.aggregate`) share pools instead of paying a fork per
+call.  A single simulation never fans out.  Executors are cached by worker
 count and live until :func:`shutdown_executors` (or interpreter exit).
 
 Determinism contract

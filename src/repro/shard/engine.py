@@ -16,7 +16,7 @@ instead of the global one.
 Each batch runs the two-phase protocol:
 
 1. every shard's allocator runs independently over its core workers and
-   home tasks, optionally fanned across the process pool;
+   home tasks, reading that shard engine's own feasibility view;
 2. the border workers and every still-open task within any border disc
    form one small reconcile instance, re-solved exactly.
 
@@ -30,9 +30,10 @@ not pinned.  Even on a boundary-free instance, where the per-shard
 subproblems are independent, an allocator that breaks ties or draws
 random numbers across the whole batch can pair differently.
 
-The shard indexes reuse the cell-size decision the unsharded engine would
-make for the whole batch (``forced_cell``): sized per shard, the index
-heuristics skip it on every shard and the shards check more pairs.
+The shard indexes reuse the cell size
+:func:`~repro.core.constraints.index_cell_size` picks for the whole first
+batch (``forced_cell``): sized per shard, it would skip the index on every
+shard and the shards would check more pairs.
 
 Observability: every per-shard graph build, view materialisation, phase-1
 solve and reason-coded rejection is stamped with its shard id
@@ -60,7 +61,7 @@ from typing import (
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.core.assignment import Assignment
-from repro.core.constraints import reach_radius
+from repro.core.constraints import index_cell_size, reach_radius
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -70,7 +71,6 @@ from repro.engine.engine import AllocationEngine, BatchFeasibilityView
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.parallel.pool import ordered_map, resolve_jobs
 from repro.shard.partition import SpatialPartition, make_partition
 from repro.spatial.index import GridIndex
 
@@ -117,10 +117,10 @@ class _ShardEngine(AllocationEngine):
 
 
 class _PrebuiltView:
-    """A checker-API view over rows precomputed in the parent (phase 1).
+    """A checker-API view over rows filtered from the phase-1 views.
 
-    Ships to pool workers as plain dicts — no engine, no graph — so the
-    phase-1 fan-out pickles only ids.
+    The dependency retry offers still-free workers a subset of the rows
+    their shard's view already settled, so it needs no engine sync.
     """
 
     def __init__(
@@ -164,20 +164,6 @@ class _PrebuiltView:
         return sum(len(tids) for tids in self._tasks_of.values())
 
 
-def _phase1_job(job) -> AllocationOutcome:
-    """Pool-side phase-1 shard solve: rebuild the view, run the allocator."""
-    allocator, workers, tasks, instance, now, previously_assigned, rows = job
-    context = BatchContext(
-        workers,
-        tasks,
-        instance,
-        now,
-        previously_assigned,
-        checker_factory=lambda: _PrebuiltView(workers, tasks, rows, instance.metric, now),
-    )
-    return allocator.allocate(context)
-
-
 class ShardedEngine:
     """Spatially-partitioned engine scale-out over per-shard engines.
 
@@ -189,8 +175,6 @@ class ShardedEngine:
         scheme: partition build scheme — ``"grid"`` or ``"kd"`` (see
             :mod:`repro.shard.partition`).
         use_index: forwarded to every shard engine.
-        n_jobs: worker processes for the phase-1 shard solves (1 = serial,
-            negative = all CPUs); outcomes are identical either way.
         tracer / registry / journal: observability hooks.  The registry
             receives the coordinator's counters and shard gauges; each
             shard engine keeps its own private registry (per-shard detail
@@ -206,7 +190,6 @@ class ShardedEngine:
         use_index: bool = True,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        n_jobs: int = 1,
         journal: Optional[EventJournal] = None,
     ) -> None:
         if n_shards < 2:
@@ -214,7 +197,6 @@ class ShardedEngine:
         self.instance = instance
         self.use_index = use_index
         self._euclid = bool(getattr(instance.metric, "euclidean_lower_bound", False))
-        self.n_jobs = resolve_jobs(n_jobs)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal if journal is not None else get_journal()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -282,7 +264,7 @@ class ShardedEngine:
         self._sync_shards(workers, tasks, shard_workers, shard_tasks, now)
         self._border_counter.inc(len(border))
         journal = self.journal
-        payloads: List[Tuple[int, List[Worker], List[Task], Dict[int, List[int]]]] = []
+        payloads: List[Tuple[int, BatchFeasibilityView]] = []
         for sid, shard_engine in enumerate(self.engines):
             if not shard_workers[sid] or not shard_tasks[sid]:
                 continue
@@ -291,7 +273,7 @@ class ShardedEngine:
             view = BatchFeasibilityView(
                 shard_engine, shard_workers[sid], shard_tasks[sid], now
             )
-            payloads.append((sid, shard_workers[sid], shard_tasks[sid], view._tasks_of))
+            payloads.append((sid, view))
         if journal.enabled:
             journal.set_shard(None)
         outcomes = self._run_phase1(allocator, payloads, now, previously_assigned)
@@ -300,9 +282,7 @@ class ShardedEngine:
         used_workers: set = set()
         taken: set = set()
         stats: Dict[str, float] = {}
-        for (sid, _, _, _), outcome in zip(payloads, outcomes):
-            if outcome is None:
-                continue
+        for outcome in outcomes:
             self._merge_stats(stats, outcome.stats)
             for wid, tid in outcome.assignment.pairs():
                 if wid in used_workers or tid in taken:
@@ -414,24 +394,6 @@ class ShardedEngine:
             border.append(worker)
         return shard_workers, shard_tasks, border, latest
 
-    def _global_index_cell(
-        self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
-    ) -> Optional[float]:
-        """Replicate ``AllocationEngine._make_index``'s sizing decision."""
-        if not self.use_index or not self._euclid or not tasks:
-            return None
-        latest = max(t.deadline for t in tasks)
-        spans = [reach_radius(w, latest, now) for w in workers]
-        positive = sorted(s for s in spans if s > 0.0)
-        cell = positive[len(positive) // 2] if positive else 1.0
-        xs = [t.location[0] for t in tasks]
-        ys = [t.location[1] for t in tasks]
-        extent = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        if cell > extent / 2.0:
-            return None
-        floor_cell = extent / max(4.0, math.sqrt(len(tasks)) * 2.0)
-        return max(cell, floor_cell, 1e-9)
-
     def _sync_shards(
         self,
         workers: Sequence[Worker],
@@ -446,7 +408,11 @@ class ShardedEngine:
             self._synced = False
         first = not self._synced
         if first:
-            cell = self._global_index_cell(workers, tasks, now)
+            cell = (
+                index_cell_size(workers, tasks, now)
+                if self.use_index and self._euclid
+                else None
+            )
         journal = self.journal
         for sid, shard_engine in enumerate(self.engines):
             if first:
@@ -489,47 +455,25 @@ class ShardedEngine:
     def _run_phase1(
         self,
         allocator: BatchAllocator,
-        payloads: Sequence[Tuple[int, List[Worker], List[Task], Dict[int, List[int]]]],
+        payloads: Sequence[Tuple[int, BatchFeasibilityView]],
         now: float,
         previously_assigned: AbstractSet[int],
-    ) -> List[Optional[AllocationOutcome]]:
-        """Run each shard's allocator; serial and fanned paths agree.
-
-        The fan-out ships prebuilt feasibility rows (plain id dicts), so
-        children never rebuild graphs; outputs are identical to the serial
-        path because observability never feeds back.  Journaled or traced
-        runs stay serial so per-shard events and spans are recorded.
-        """
+    ) -> List[AllocationOutcome]:
+        """Run each shard's allocator over its own feasibility view."""
         frozen = frozenset(previously_assigned)
-        if (
-            self.n_jobs > 1
-            and len(payloads) > 1
-            and not self.journal.enabled
-            and not self.tracer.enabled
-        ):
-            jobs = [
-                (allocator, ws, ts, self.instance, now, frozen, rows)
-                for (_, ws, ts, rows) in payloads
-            ]
-            with self.tracer.span("shard.phase1_fanout"):
-                return ordered_map(_phase1_job, jobs, self.n_jobs)
-        outcomes: List[Optional[AllocationOutcome]] = []
+        outcomes: List[AllocationOutcome] = []
         journal = self.journal
-        for sid, ws, ts, rows in payloads:
+        for sid, view in payloads:
             if journal.enabled:
                 journal.set_shard(sid)
             with self.tracer.span("shard.phase1") as span:
                 context = BatchContext(
-                    ws,
-                    ts,
+                    view.workers,
+                    view.tasks,
                     self.instance,
                     now,
                     frozen,
-                    checker_factory=(
-                        lambda ws=ws, ts=ts, rows=rows: _PrebuiltView(
-                            ws, ts, rows, self.instance.metric, now
-                        )
-                    ),
+                    checker_factory=lambda view=view: view,
                     tracer=self.tracer,
                     journal=journal,
                 )
@@ -573,7 +517,7 @@ class ShardedEngine:
         tasks: Sequence[Task],
         now: float,
         previously_assigned: AbstractSet[int],
-        payloads: Sequence[Tuple[int, List[Worker], List[Task], Dict[int, List[int]]]],
+        payloads: Sequence[Tuple[int, BatchFeasibilityView]],
         merged: Assignment,
         used_workers: set,
         taken: set,
@@ -595,8 +539,8 @@ class ShardedEngine:
         if len(graph) == 0:
             return 0
         rows_by_wid: Dict[int, List[int]] = {}
-        for _, _, _, rows in payloads:
-            rows_by_wid.update(rows)
+        for _, view in payloads:
+            rows_by_wid.update(view._tasks_of)
         tasks_by_id = {t.id: t for t in tasks}
         workers_by_id = {w.id: w for w in workers}
         prev_frozen = frozenset(previously_assigned)

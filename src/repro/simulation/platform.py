@@ -242,9 +242,6 @@ class Platform:
             engine's counters/gauges.  None keeps the engine's metrics in a
             private registry, exposed after the run as
             :attr:`metrics_registry`.
-        n_jobs: worker processes for the phase-1 shard solves of a sharded
-            run (1 = serial, negative = all CPUs); reports are identical for
-            every value.  Unsharded runs never fan out.
         journal: structured event journal (the allocation flight recorder)
             receiving the run/batch lifecycle, worker arrivals/departures,
             task submissions/expiries, reason-coded feasibility rejections
@@ -273,12 +270,11 @@ class Platform:
         rejoin: RejoinPolicy = RejoinPolicy.REMAINING,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        n_jobs: int = 1,
         journal: Optional[EventJournal] = None,
         shards: int = 1,
         shard_scheme: str = "grid",
     ) -> None:
-        if batch_interval <= 0.0:
+        if not batch_interval > 0.0:
             raise ValueError(f"batch interval must be positive, got {batch_interval}")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -292,7 +288,6 @@ class Platform:
         self.rejoin = rejoin
         self.tracer = tracer
         self.metrics = metrics
-        self.n_jobs = n_jobs
         self.journal = journal
         self.shards = shards
         self.shard_scheme = shard_scheme
@@ -355,7 +350,6 @@ class Platform:
                 scheme=self.shard_scheme,
                 tracer=tracer,
                 registry=self.metrics,
-                n_jobs=self.n_jobs,
                 journal=journal,
             )
         else:
@@ -375,7 +369,8 @@ class Platform:
 
         # Batches fire at start, start + interval, ... and once more exactly
         # at the horizon, so nothing alive can slip between the last regular
-        # batch and the end of the simulation.
+        # batch and the end of the simulation.  Batch 0 skips the product,
+        # which an infinite interval would turn into NaN.
         start = instance.earliest_start
         horizon = instance.horizon
         batches = max(1, math.ceil((horizon - start) / self.batch_interval))
@@ -390,7 +385,7 @@ class Platform:
                 tasks=len(instance.tasks),
             )
         for index in range(batches + 1):
-            now = min(start + index * self.batch_interval, horizon)
+            now = min(start + (index * self.batch_interval if index else 0.0), horizon)
             with tracer.span("platform.batch") as batch_span:
                 with tracer.span("platform.snapshot"):
                     self._release_finished(pool, busy, now)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.constraints import (
     FeasibilityChecker,
     deadline_ok,
+    index_cell_size,
     latest_departure,
     pair_feasible,
     skill_ok,
@@ -156,3 +157,50 @@ class TestFeasibilityChecker:
             metric=HaversineDistance(),
         )
         assert checker.pair_count() == 1
+
+
+class TestIndexCellSize:
+    """Edges of the one grid-index sizing rule (checker, engine, shards)."""
+
+    def test_no_tasks_means_no_index(self):
+        assert index_cell_size([worker()], []) is None
+
+    @pytest.mark.parametrize("now", [-math.inf, 50.0])
+    def test_no_positive_reach_uses_unit_cell(self, now):
+        # No workers at all, or every reach clipped to zero once the tasks'
+        # deadlines (10) have passed: the cell falls back to 1.0.
+        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(3.0, 0.0))]
+        stalled = [worker(id=1), worker(id=2)] if now > 0.0 else []
+        assert index_cell_size(stalled, tasks, now) == 1.0
+
+    def test_median_positive_reach(self):
+        # Reaches 1, 2.5, 3.5 and 0 (starts after every deadline, ignored):
+        # the median positive reach lies between the floor (8 / 4 = 2) and
+        # half the extent (4), so it is the cell.
+        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(8.0, 0.0))]
+        workers = [
+            worker(id=i, velocity=v) for i, v in enumerate([0.1, 0.25, 0.35])
+        ] + [worker(id=9, start=20.0)]
+        assert index_cell_size(workers, tasks, 0.0) == 2.5
+
+    def test_reach_over_half_the_extent_means_no_index(self):
+        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(10.0, 0.0))]
+        # Reach min(100, 1 * 10) = 10 > extent / 2 = 5.
+        assert index_cell_size([worker()], tasks, 0.0) is None
+
+    def test_floor_clamps_tiny_reach(self):
+        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(100.0, 0.0))]
+        # Reach 0.1 is below the floor extent / max(4, 2 * sqrt(2)) = 25.
+        assert index_cell_size([worker(velocity=0.01)], tasks, 0.0) == 25.0
+        many = [task(id=i, location=(float(i), 0.0)) for i in range(101)]
+        # 101 tasks over an extent of 100: floor 100 / (2 * sqrt(101)).
+        assert index_cell_size([worker(velocity=0.01)], many, 0.0) == pytest.approx(
+            100.0 / (2.0 * math.sqrt(101))
+        )
+
+    def test_one_task_has_a_nanometre_extent(self):
+        single = [task(location=(7.0, 7.0))]
+        # Any ordinary reach dwarfs the 1e-9 extent: no index.
+        assert index_cell_size([worker()], single, 0.0) is None
+        # A reach under half of it keeps the index at the 1e-9 floor cell.
+        assert index_cell_size([worker(velocity=1e-12)], single, 0.0) == 1e-9

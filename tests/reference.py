@@ -325,7 +325,7 @@ class RescanPlatform(platform_module.Platform):
         if self.shards > 1:
             engine = platform_module.ShardedEngine(
                 instance, self.shards, scheme=self.shard_scheme, tracer=tracer,
-                registry=self.metrics, n_jobs=self.n_jobs, journal=journal,
+                registry=self.metrics, journal=journal,
             )
         else:
             engine = platform_module.AllocationEngine(
@@ -345,7 +345,7 @@ class RescanPlatform(platform_module.Platform):
             prev_worker_ids: Set[int] = set()
             prev_task_ids: Set[int] = set()
         for index in range(batches + 1):
-            now = min(start + index * self.batch_interval, horizon)
+            now = min(start + (index * self.batch_interval if index else 0.0), horizon)
             self._rescan_release(pool, busy, now)
             workers = [w for w in pool.values() if w.active_at(now)]
             tasks = [

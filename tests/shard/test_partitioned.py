@@ -12,7 +12,7 @@ ratio of the unsharded solution.
 import pytest
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
-from repro.core.constraints import FeasibilityChecker
+from repro.core.constraints import FeasibilityChecker, index_cell_size
 from repro.engine.context import BatchContext
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
@@ -24,8 +24,8 @@ from repro.simulation.platform import Platform, RejoinPolicy
 QUALITY_FLOOR = 0.9
 
 
-def _allocate_once(instance, name="Greedy", **kwargs):
-    engine = ShardedEngine(instance, 4, **kwargs)
+def _allocate_once(instance, name="Greedy"):
+    engine = ShardedEngine(instance, 4)
     allocator = make_allocator(name, seed=11)
     now = instance.earliest_start
     outcome = engine.allocate(
@@ -73,6 +73,17 @@ class TestCoordinator:
                 instance.workers, instance.tasks, now, frozenset(),
             )
         assert engine.stats()["engine_full_builds"] >= 2
+
+    @pytest.mark.parametrize("fixture", ["boundary_free_instance", "bordered_instance"])
+    def test_shard_index_cell_is_the_whole_batch_cell(self, request, fixture):
+        instance = request.getfixturevalue(fixture)
+        engine, _, now = _allocate_once(instance)
+        cell = index_cell_size(instance.workers, instance.tasks, now)
+        assert cell is not None
+        for shard_engine in engine.engines:
+            assert shard_engine.forced_cell == cell
+            if shard_engine._index is not None:
+                assert shard_engine._index.cell_size == cell
 
     def test_needs_at_least_two_shards(self, boundary_free_instance):
         with pytest.raises(ValueError, match="n_shards"):
@@ -286,23 +297,6 @@ class TestCrossShardDependencies:
         assert outcome.stats["shard_dep_retry_assigned"] == (
             engine.registry.counter("shard_dep_retry_assigned").value
         )
-
-
-class TestParallelPhase1:
-    def test_fanout_identical_to_serial(self, bordered_instance):
-        serial_engine, serial, _ = _allocate_once(bordered_instance, n_jobs=1)
-        fanned_engine, fanned, _ = _allocate_once(bordered_instance, n_jobs=2)
-        assert list(fanned.assignment.pairs()) == list(serial.assignment.pairs())
-        assert fanned.stats["shard_reconcile_assigned"] == (
-            serial.stats["shard_reconcile_assigned"]
-        )
-
-    def test_platform_fanout_identical(self, bordered_instance):
-        serial = _platform_report(bordered_instance, "Greedy", shards=4)
-        fanned = _platform_report(bordered_instance, "Greedy", shards=4, n_jobs=2)
-        assert fanned.assignments == serial.assignments
-        assert fanned.completion_times == serial.completion_times
-        assert fanned.expired_tasks == serial.expired_tasks
 
 
 class _BatchView:

@@ -32,8 +32,21 @@ def sequential_instance(task_duration=0.0, worker_wait=100.0, task2_start=20.0):
 
 class TestBasics:
     def test_rejects_bad_interval(self, example1):
-        with pytest.raises(ValueError, match="positive"):
-            Platform(example1, DASCGreedy(), batch_interval=0.0)
+        for interval in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                Platform(example1, DASCGreedy(), batch_interval=interval)
+
+    def test_infinite_interval_batches_at_start_and_horizon(self, example1):
+        from repro.obs.events import EventJournal
+
+        journal = EventJournal()
+        report = Platform(
+            example1, DASCGreedy(), batch_interval=float("inf"), journal=journal
+        ).run()
+        opened = [event["t"] for event in journal.of_type("batch_open")]
+        assert opened == [example1.earliest_start, example1.horizon]
+        finite = Platform(example1, DASCGreedy(), batch_interval=10000.0).run()
+        assert report.assignments == finite.assignments
 
     def test_empty_instance(self):
         skills = SkillUniverse(1)

@@ -167,6 +167,34 @@ class TestArgumentErrors:
             f"dasc solve: error: argument --shards: must be >= 1, got {args[-1]}"
         ]
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["solve", "instance.json"], "--batch-interval", "0"),
+            (["solve", "instance.json"], "--batch-interval", "-3"),
+            (["solve", "instance.json"], "--batch-interval", "nan"),
+            (["run", "fig7"], "--scale", "0"),
+            (["run", "fig7"], "--scale", "-1"),
+            (["run", "fig7"], "--scale", "nan"),
+        ],
+    )
+    def test_float_options_must_be_positive(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"dasc {command[0]}: error: argument {flag}: must be > 0, got {value}"
+        ]
+
+    def test_float_options_reject_non_numbers(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig7", "--scale", "half"])
+        assert exit_info.value.code == 2
+        assert "invalid float value: 'half'" in capsys.readouterr().err
+
 
 class TestFlightRecorder:
     def _instance(self, tmp_path):
