@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Callable, List, Optional, TypeVar
@@ -39,7 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one paper experiment")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run.add_argument(
-        "--scale", type=_positive_float, default=None, help="population scale factor"
+        "--scale",
+        type=_finite_positive_float,
+        default=None,
+        help="population scale factor",
     )
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--out", type=str, default=None, help="also write the table here")
@@ -150,6 +154,14 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _finite_positive_float(text: str) -> float:
+    # A scale multiplies population sizes, so inf would reach int() as NaN.
+    value = _positive_float(text)
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

@@ -2,25 +2,18 @@
 
 ``repro.columnar`` turns a batch's worker/task populations into contiguous
 columns (:class:`ColumnarBatch`) and evaluates the pair-feasibility
-predicate over whole tiles at once (:func:`feasible_pairs` /
-:func:`feasible_dense`) with numpy.  Decisions and distances are
-bit-identical to the scalar :func:`repro.core.constraints.pair_feasible`
+predicate over whole tiles at once with numpy, skill test first
+(:func:`skill_candidates` / :func:`skill_candidates_dense`).  Decisions
+and distances are bit-identical to the scalar :func:`repro.core.constraints.pair_feasible`
 oracle; see :mod:`repro.columnar.kernels` for the exactness contract.
 
-Feasibility builds take the kernels exactly when numpy is importable and
-the metric advertises a kernel code (:func:`columnar_code_for`); there is
-no switch.
-
-:class:`InterningCache` lets a long-lived caller (the engine) rebuild each
-batch's snapshot without re-sorting the skill universe until it grows.
+Full feasibility builds (the engine's, each shard engine's and a
+standalone checker's) take the kernels exactly when numpy is importable
+and the metric advertises a kernel code (:func:`columnar_code_for`);
+there is no switch.  The engine's incremental syncs stay scalar.
 """
 
-from repro.columnar.batch import (
-    ColumnarBatch,
-    InterningCache,
-    flatten_rows,
-    intern_skills,
-)
+from repro.columnar.batch import ColumnarBatch, intern_skills
 from repro.columnar.kernels import (
     CODES,
     REASON_DEADLINE,
@@ -30,11 +23,8 @@ from repro.columnar.kernels import (
     REASON_SKILL,
     columnar_code_for,
     dense_pair_columns,
-    feasible_dense,
-    feasible_pairs,
     numpy_available,
     rejection_reasons,
-    rejection_reasons_dense,
     skill_candidates,
     skill_candidates_dense,
     true_positions,
@@ -43,7 +33,6 @@ from repro.columnar.kernels import (
 __all__ = [
     "CODES",
     "ColumnarBatch",
-    "InterningCache",
     "REASON_DEADLINE",
     "REASON_FEASIBLE",
     "REASON_NAMES",
@@ -51,13 +40,9 @@ __all__ = [
     "REASON_SKILL",
     "columnar_code_for",
     "dense_pair_columns",
-    "feasible_dense",
-    "feasible_pairs",
-    "flatten_rows",
     "intern_skills",
     "numpy_available",
     "rejection_reasons",
-    "rejection_reasons_dense",
     "skill_candidates",
     "skill_candidates_dense",
     "true_positions",

@@ -4,9 +4,8 @@ A :class:`ColumnarBatch` freezes one batch's worker and task populations
 into contiguous columns: ``array('d')`` floats for the spatial/temporal
 attributes and packed ``array('Q')`` uint64 words for skill membership,
 built from a per-batch *skill interning table* (skill id -> bit position).
-The stdlib ``array`` buffers are picklable (cheap to ship to fork workers)
-and expose the buffer protocol, so the kernels view them zero-copy via
-``numpy.frombuffer``.
+The stdlib ``array`` buffers expose the buffer protocol, so the kernels
+view them zero-copy via ``numpy.frombuffer``.
 
 Columns are *positional*: row ``i`` of the worker columns is
 ``workers[i]`` of the sequence the batch was built from, and
@@ -19,7 +18,7 @@ on the object records at the edges of the system.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
 #: Bits per packed skill word.
 WORD_BITS = 64
@@ -46,39 +45,6 @@ def intern_skills(
         skill: divmod(position, WORD_BITS)
         for position, skill in enumerate(sorted(universe))
     }
-
-
-class InterningCache:
-    """Cached sorted interning table for the per-batch rebuild.
-
-    :func:`intern_skills` re-sorts the whole skill universe every batch;
-    consecutive batch populations overlap almost entirely, so the sort is
-    repeated work.  This cache accumulates the union of every skill seen
-    and re-sorts only when the universe actually grows.  The produced
-    table is a *superset* of the per-batch one — harmless, because kernel
-    decisions test mask membership and never depend on bit order or table
-    width.
-    """
-
-    __slots__ = ("_universe", "_table")
-
-    def __init__(self) -> None:
-        self._universe: Set = set()
-        self._table: Dict[int, Tuple[int, int]] = {}
-
-    def table_for(self, workers: Sequence, tasks: Sequence) -> Dict[int, Tuple[int, int]]:
-        universe = self._universe
-        before = len(universe)
-        for worker in workers:
-            universe.update(worker.skills)
-        for task in tasks:
-            universe.add(task.skill)
-        if len(universe) != before:
-            self._table = {
-                skill: divmod(position, WORD_BITS)
-                for position, skill in enumerate(sorted(universe))
-            }
-        return self._table
 
 
 class ColumnarBatch:
@@ -123,19 +89,8 @@ class ColumnarBatch:
         "task_ids",
     )
 
-    def __init__(
-        self,
-        workers: Sequence,
-        tasks: Sequence,
-        table: Optional[Dict[int, Tuple[int, int]]] = None,
-    ) -> None:
-        # A caller-provided table (e.g. the engine's cached interning
-        # table, see :class:`InterningCache`) must cover every
-        # skill present — a missing skill raises KeyError below rather
-        # than packing a wrong mask.  Supersets are fine: kernels test
-        # mask membership only, never bit order or table width.
-        if table is None:
-            table = intern_skills(workers, tasks)
+    def __init__(self, workers: Sequence, tasks: Sequence) -> None:
+        table = intern_skills(workers, tasks)
         words = max(1, -(-len(table) // WORD_BITS))
         self.skill_table = table
         self.n_workers = len(workers)
@@ -168,11 +123,6 @@ class ColumnarBatch:
         )
         self.task_ids = [t.id for t in tasks]
 
-    @classmethod
-    def from_entities(cls, workers: Sequence, tasks: Sequence) -> "ColumnarBatch":
-        """Build a snapshot from worker/task record sequences."""
-        return cls(workers, tasks)
-
     def worker_has_skill(self, worker_pos: int, task_pos: int) -> bool:
         """Scalar probe of the packed masks (testing/debug convenience)."""
         word = self.tskill_word[task_pos]
@@ -181,39 +131,9 @@ class ColumnarBatch:
             & self.tskill_bitmask[task_pos]
         )
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Kernels read only the packed columns, so pickled copies (fork
-        # workers, spawned shards) deliberately drop the interning table —
-        # at 100k entities it is by far the largest part of the payload
-        # and pure dead weight on the far side.
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["skill_table"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def __repr__(self) -> str:
-        skills = "-" if self.skill_table is None else len(self.skill_table)
         return (
             f"ColumnarBatch(workers={self.n_workers}, tasks={self.n_tasks}, "
-            f"skills={skills}, words={self.n_skill_words})"
+            f"skills={len(self.skill_table)}, words={self.n_skill_words})"
         )
 
-
-def flatten_rows(
-    rows: Sequence[Tuple[int, Sequence[int]]],
-) -> Tuple[List[int], List[int]]:
-    """Ragged candidate rows -> flat parallel position lists.
-
-    ``rows`` holds ``(worker_position, [task_position, ...])`` entries; the
-    result is the tile in flattened form, suitable for
-    :func:`repro.columnar.kernels.feasible_pairs`.
-    """
-    widx: List[int] = []
-    tidx: List[int] = []
-    for worker_pos, task_positions in rows:
-        widx.extend(worker_pos for _ in task_positions)
-        tidx.extend(task_positions)
-    return widx, tidx

@@ -25,8 +25,8 @@ vectorises end to end.  Scalar edge semantics carry over verbatim:
 ``now = -inf`` flows through the departure ``max`` unchanged, and
 duplicate locations simply produce equal distance entries.
 
-``feasible_pairs`` returns plain buffers (``bytes`` masks, float lists)
-rather than numpy arrays so callers walking the pairs index python
+Kernels return plain buffers (``bytes`` masks, python int and float
+lists) rather than numpy arrays, so callers walking the pairs index python
 ints/floats, not array scalars.
 
 Skill first
@@ -34,10 +34,12 @@ Skill first
 Most pairs of a tile fail the skill test (on the paper's synthetic
 defaults ~99%), and a rejected pair costs the scalar path only a set
 probe.  ``skill_candidates`` (flattened index columns) and
-``skill_candidates_dense`` (the cross product, row- or task-major, never
+``skill_candidates_dense`` (the row-major cross product, never
 materialised) therefore test skills first on the packed columns, in blocks
 of :data:`TILE_BLOCK_PAIRS`, and compute distances and verdicts for the
 survivors only — the only pairs that ever become python objects.
+``rejection_reasons`` names the failing constraint of every pair of a
+tile for the event journal.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ _KERNEL_CALLS = REGISTRY.counter(
 def columnar_code_for(metric: object) -> Optional[str]:
     """The kernel code feasibility over ``metric`` runs under, or None.
 
-    Feasibility builds (the engine, each shard engine and a standalone
+    Full feasibility builds (the engine, each shard engine and a standalone
     :class:`~repro.core.constraints.FeasibilityChecker`) take the columnar
     kernels exactly when numpy is importable and the metric advertises a
     :attr:`~repro.spatial.distance.DistanceMetric.columnar_code` in
@@ -102,66 +104,21 @@ def _numpy():
 #: Pairs per block of a skill-first tile sweep.  The skill test's packed
 #: ``uint64`` intermediate is one word per pair, so evaluating a tile in
 #: blocks of this many pairs caps the sweep's scratch memory at ~1 MB per
-#: block however large the tile (a mass rejoin of 2500 x 2500 would
+#: block however large the tile (a full build of 2500 x 2500 would
 #: otherwise allocate ~50 MB at once).  Survivor order does not depend on
 #: the block size.
 TILE_BLOCK_PAIRS = 1 << 17
 
 
-def dense_pair_columns(
-    n_workers: int, n_tasks: int, task_major: bool = False
-) -> Tuple[array, array]:
-    """The cross product's ``(widx, tidx)`` position columns in tile order.
+def dense_pair_columns(n_workers: int, n_tasks: int) -> Tuple[array, array]:
+    """The cross product's ``(widx, tidx)`` position columns, row-major.
 
-    Row-major (worker-then-task) by default; ``task_major`` enumerates
-    every worker against task 0, then task 1, and so on.  Columns are
-    ``array('q')`` buffers filled at C level, never per-pair python lists.
+    Worker 0 against every task, then worker 1, and so on: the order of
+    :func:`skill_candidates_dense`.  Columns are ``array('q')`` buffers
+    filled at C level, never per-pair python lists.
     """
-    outer, inner = (n_tasks, n_workers) if task_major else (n_workers, n_tasks)
-    slow = array("q", chain.from_iterable(repeat(k, inner) for k in range(outer)))
-    fast = array("q", range(inner)) * outer
-    return (fast, slow) if task_major else (slow, fast)
-
-
-def feasible_pairs(
-    batch: ColumnarBatch,
-    widx: Sequence[int],
-    tidx: Sequence[int],
-    now: float,
-    code: str,
-) -> Tuple[bytes, bytes, List[float]]:
-    """Feasibility over a flattened tile of (worker, task) positions.
-
-    Args:
-        batch: the columnar snapshot.
-        widx / tidx: parallel position lists (``widx[k]``-th worker against
-            ``tidx[k]``-th task).
-        now: the batch timestamp (``-inf`` for the static setting).
-        code: metric code (``euclidean`` / ``manhattan``).
-
-    Returns:
-        ``(mask, skill_mask, dists)`` — per-pair full-predicate decisions,
-        per-pair skill-only decisions, and the exact distances.
-        Masks are ``bytes`` (0/1 per pair); distances a python-float list.
-    """
-    np = _numpy()
-    count = len(widx)
-    if count != len(tidx):
-        raise ValueError(f"widx/tidx length mismatch: {count} vs {len(tidx)}")
-    _KERNEL_CALLS.inc()
-    _KERNEL_PAIRS.inc(count)
-    if count == 0:
-        return b"", b"", []
-    wi = np.asarray(widx, dtype=np.intp)
-    ti = np.asarray(tidx, dtype=np.intp)
-    skill = _skill_numpy(batch, wi, ti)
-    dist_list, reach_ok, time_ok = _verdicts_numpy(batch, wi, ti, now, code)
-    mask = skill & reach_ok & time_ok
-    return (
-        mask.astype(np.uint8).tobytes(),
-        skill.astype(np.uint8).tobytes(),
-        dist_list,
-    )
+    widx = array("q", chain.from_iterable(repeat(i, n_tasks) for i in range(n_workers)))
+    return widx, array("q", range(n_tasks)) * n_workers
 
 
 def _skill_numpy(batch: ColumnarBatch, wi, ti):
@@ -231,12 +188,11 @@ def skill_candidates(
 ) -> _Candidates:
     """Skill-passing pairs of a flattened tile, with their verdicts.
 
-    The skill-first counterpart of :func:`feasible_pairs`: the skill test —
-    which rejects the bulk of a tile and costs the scalar path nothing but
-    a set probe — runs first
-    over the packed columns, and distances and verdicts are computed for
-    the survivors only.  ``widx`` / ``tidx`` may be any integer sequences
-    (``array('q')`` columns avoid per-pair python ints).  Returns
+    The skill test — which rejects the bulk of a tile and costs the scalar
+    path nothing but a set probe — runs first over the packed columns, and
+    distances and verdicts are computed for the survivors only.  ``widx`` /
+    ``tidx`` may be any integer sequences (``array('q')`` columns avoid
+    per-pair python ints).  Returns
     ``(widx, tidx, dists, mask)`` of the survivors in input order, where
     ``mask`` holds the full-predicate verdict of each *candidate*.
     """
@@ -259,19 +215,15 @@ def skill_candidates(
 
 
 def skill_candidates_dense(
-    batch: ColumnarBatch,
-    now: float,
-    code: str,
-    task_major: bool = False,
+    batch: ColumnarBatch, now: float, code: str
 ) -> _Candidates:
     """Skill-passing pairs of the full cross product, with their verdicts.
 
     The dense form of :func:`skill_candidates`: the tile's pairs are never
     materialised at all.  Survivors come back in row-major
     (worker-then-task) order — the order a scalar row build evaluates the
-    metric in — or, with ``task_major``, task-then-worker, the order of a
-    scalar arrival sync linking each new task against every worker.  The
-    skill test runs in blocks of :data:`TILE_BLOCK_PAIRS` pairs.
+    metric in.  The skill test runs in blocks of whole worker rows of
+    about :data:`TILE_BLOCK_PAIRS` pairs.
     """
     np = _numpy()
     n_w, n_t = batch.n_workers, batch.n_tasks
@@ -284,23 +236,16 @@ def skill_candidates_dense(
     )
     tword = np.frombuffer(batch.tskill_word, dtype=np.int64)
     tbit = np.frombuffer(batch.tskill_bitmask, dtype=np.uint64)
-    outer, inner = (n_t, n_w) if task_major else (n_w, n_t)
-    step = max(1, TILE_BLOCK_PAIRS // inner)
-    outer_pos, inner_pos = [], []
-    for lo in range(0, outer, step):
-        hi = min(outer, lo + step)
-        if task_major:
-            block = (wskills[:, tword[lo:hi]] & tbit[lo:hi]).T != 0
-        else:
-            block = (wskills[lo:hi][:, tword] & tbit) != 0
+    step = max(1, TILE_BLOCK_PAIRS // n_t)
+    worker_pos, task_pos = [], []
+    for lo in range(0, n_w, step):
+        block = (wskills[lo:lo + step][:, tword] & tbit) != 0
         rows, cols = np.nonzero(block)
-        outer_pos.append(rows + lo)
-        inner_pos.append(cols)
-    outer_idx = np.concatenate(outer_pos)
-    inner_idx = np.concatenate(inner_pos)
-    if task_major:
-        return _candidates_numpy(batch, inner_idx, outer_idx, now, code)
-    return _candidates_numpy(batch, outer_idx, inner_idx, now, code)
+        worker_pos.append(rows + lo)
+        task_pos.append(cols)
+    return _candidates_numpy(
+        batch, np.concatenate(worker_pos), np.concatenate(task_pos), now, code
+    )
 
 
 def _candidates_numpy(
@@ -339,9 +284,9 @@ def rejection_reasons(
 ) -> bytes:
     """Per-pair verdict codes over a flattened tile of (worker, task) positions.
 
-    The reason-coded twin of :func:`feasible_pairs`: entry ``k`` is
-    :data:`REASON_FEASIBLE` exactly when ``feasible_pairs`` would set
-    ``mask[k]``, and otherwise names the first failing constraint under the
+    Entry ``k`` is :data:`REASON_FEASIBLE` exactly when the pair is
+    feasible — a skill candidate of :func:`skill_candidates` with its mask
+    bit set — and otherwise names the first failing constraint under the
     scalar precedence (skill -> reach -> deadline).  Runs only when the
     event journal is enabled, and is observational-only: it does **not**
     touch the kernel counters, so engine_stats stay bit-identical with
@@ -364,22 +309,6 @@ def rejection_reasons(
     return codes.tobytes()
 
 
-def rejection_reasons_dense(
-    batch: ColumnarBatch,
-    now: float,
-    code: str,
-    task_major: bool = False,
-) -> bytes:
-    """Verdict codes over the full worker x task cross product.
-
-    In the tile order of :func:`dense_pair_columns` — row-major by default,
-    so ``codes[i * n_tasks + j]`` is :data:`REASON_FEASIBLE` exactly when
-    ``(i, j)`` appears in the dense feasible-pair list.
-    """
-    widx, tidx = dense_pair_columns(batch.n_workers, batch.n_tasks, task_major)
-    return rejection_reasons(batch, widx, tidx, now, code)
-
-
 def true_positions(mask: bytes) -> List[int]:
     """Indices of the set entries of a kernel mask.
 
@@ -388,17 +317,3 @@ def true_positions(mask: bytes) -> List[int]:
     """
     np = _numpy()
     return np.frombuffer(mask, dtype=np.uint8).nonzero()[0].tolist()
-
-
-def feasible_dense(
-    batch: ColumnarBatch,
-    now: float,
-    code: str,
-) -> List[Tuple[int, int]]:
-    """Feasible ``(worker_pos, task_pos)`` pairs over the full cross product.
-
-    Pairs are returned in row-major (worker-then-task) order: the verdicts
-    of :func:`skill_candidates_dense`'s survivors, filtered.
-    """
-    widx, tidx, _, mask = skill_candidates_dense(batch, now, code)
-    return [(widx[k], tidx[k]) for k in true_positions(mask)]

@@ -9,13 +9,16 @@ positions) and prunes candidates with a grid index before exact checks.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.obs.events import EventJournal, get_journal
 from repro.spatial.distance import DistanceMetric, EuclideanDistance
 from repro.spatial.index import GridIndex
+
+if TYPE_CHECKING:
+    from repro.columnar import ColumnarBatch
 
 _EUCLIDEAN = EuclideanDistance()
 
@@ -326,21 +329,31 @@ class FeasibilityChecker:
         workers_of: Dict[int, List[int]] = {t.id: [] for t in self.tasks}
         journal = self.journal
         if self._columnar_code is not None and self.workers and self.tasks:
-            from repro.columnar import ColumnarBatch, feasible_dense
+            from repro.columnar import ColumnarBatch, skill_candidates_dense
 
             batch = ColumnarBatch(self.workers, self.tasks)
             worker_ids, task_ids = batch.worker_ids, batch.task_ids
-            for wpos, tpos in feasible_dense(batch, self.now, self._columnar_code):
-                tasks_of[worker_ids[wpos]].append(task_ids[tpos])
-                workers_of[task_ids[tpos]].append(worker_ids[wpos])
+            _link_survivors(
+                batch,
+                skill_candidates_dense(batch, self.now, self._columnar_code),
+                tasks_of,
+                workers_of,
+            )
             if journal.enabled:
                 # The reason kernel is a side observation: decisions above
-                # come from the same feasible_dense call as before, and the
+                # come from the candidate kernel alone, and the reason
                 # kernel touches no counters.
-                from repro.columnar import REASON_NAMES, rejection_reasons_dense
+                from repro.columnar import (
+                    REASON_NAMES,
+                    dense_pair_columns,
+                    rejection_reasons,
+                )
 
-                codes = rejection_reasons_dense(batch, self.now, self._columnar_code)
                 n_t = batch.n_tasks
+                widx, tidx = dense_pair_columns(batch.n_workers, n_t)
+                codes = rejection_reasons(
+                    batch, widx, tidx, self.now, self._columnar_code
+                )
                 for k, verdict in enumerate(codes):
                     if verdict:
                         journal.emit(
@@ -419,7 +432,7 @@ class FeasibilityChecker:
         workers_of: Dict[int, List[int]] = {t.id: [] for t in self.tasks}
         journal = self.journal
         if self._columnar_code is not None:
-            from repro.columnar import ColumnarBatch, feasible_pairs, true_positions
+            from repro.columnar import ColumnarBatch, skill_candidates
 
             # Index pruning feeds the tile: candidate (worker, task)
             # positions flatten into parallel columns, one kernel sweep
@@ -434,15 +447,13 @@ class FeasibilityChecker:
                 widx.extend(wpos for _ in candidates)
                 tidx.extend(tpos_of[tid] for tid in candidates)
                 ends.append(len(widx))
-            mask, _, _ = feasible_pairs(
-                batch, widx, tidx, self.now, self._columnar_code
+            _link_survivors(
+                batch,
+                skill_candidates(batch, widx, tidx, self.now, self._columnar_code),
+                tasks_of,
+                workers_of,
             )
-            worker_ids, task_ids = batch.worker_ids, batch.task_ids
-            for k in true_positions(mask):
-                wid = worker_ids[widx[k]]
-                tid = task_ids[tidx[k]]
-                tasks_of[wid].append(tid)
-                workers_of[tid].append(wid)
+            task_ids = batch.task_ids
             if journal.enabled:
                 from repro.columnar import REASON_NAMES, rejection_reasons
 
@@ -501,3 +512,21 @@ class FeasibilityChecker:
         for tid in workers_of:
             workers_of[tid].sort()
         return tasks_of, workers_of
+
+
+def _link_survivors(
+    batch: ColumnarBatch,
+    candidates: Tuple[List[int], List[int], List[float], bytes],
+    tasks_of: Dict[int, List[int]],
+    workers_of: Dict[int, List[int]],
+) -> None:
+    """Append the feasible pairs of a kernel's skill candidates to the rows."""
+    from repro.columnar import true_positions
+
+    cand_w, cand_t, _, mask = candidates
+    worker_ids, task_ids = batch.worker_ids, batch.task_ids
+    for k in true_positions(mask):
+        wid = worker_ids[cand_w[k]]
+        tid = task_ids[cand_t[k]]
+        tasks_of[wid].append(tid)
+        workers_of[tid].append(wid)

@@ -59,7 +59,6 @@ from typing import (
 from repro.columnar import (
     REASON_NAMES,
     ColumnarBatch,
-    InterningCache,
     columnar_code_for,
     dense_pair_columns,
     rejection_reasons,
@@ -84,24 +83,6 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.spatial.distance import Point
 from repro.spatial.index import GridIndex
 
-#: Minimum pair count before an incremental sync routes through the
-#: columnar kernels.  A kernel sync pays a fixed cost per tile that the
-#: scalar loop does not: packing every worker and task of the tile into
-#: columns (one pass over their attributes and skill sets) plus the numpy
-#: call set-up, while the bucketed scalar loop pays only for the pairs
-#: that pass the skill test.  A thin tile — a few arriving tasks against
-#: every worker — costs more to pack than to probe bucket by bucket.
-#: Measured with the bucketed loops (perfbench, ``--seconds 8``, seeds
-#: 101-104, 2-core x86 host, ``run_s`` at nominal host speed), 4096 against
-#: 16384: ``meetup_six`` medians 0.301 vs 0.303 s (16384 slower in 3 of 4
-#: pairs), ``synth_default`` 0.459 vs 0.465 s (slower in 2 of 4).  An
-#: earlier floor of 256 routed 94% of ``meetup_six``'s sync pairs through
-#: the kernels and was slower than 4096 (``run_s`` 0.72-0.77 s vs
-#: 0.66-0.70 s).  The scalar path is bit-identical; only the auxiliary
-#: path counters reveal which side ran.
-COLUMNAR_SYNC_MIN_PAIRS = 4096
-
-
 class AllocationEngine:
     """Incremental feasibility over skill buckets for a platform run.
 
@@ -120,15 +101,16 @@ class AllocationEngine:
             ``feas_build`` summary per build or update.  None follows the
             process default (:func:`repro.obs.events.get_journal`).
 
-    Full builds, and incremental syncs of at least
-    :data:`COLUMNAR_SYNC_MIN_PAIRS` pairs, run through the skill-first
-    columnar kernels whenever :func:`repro.columnar.columnar_code_for`
-    selects them for the instance's metric: numpy importable and a planar
-    metric, the rule a standalone checker applies too.  The graph and the
-    reported ``engine_stats`` are the scalar path's bit for bit, and so is
-    the journal's event stream bar the ``columnar`` flag on ``feas_build``
-    events — the kernels share the scalar oracle's exactness contract.
-    Only the auxiliary
+    Full builds run through the skill-first columnar kernels whenever
+    :func:`repro.columnar.columnar_code_for` selects them for the
+    instance's metric: numpy importable and a planar metric, the rule a
+    standalone checker applies too.  Incremental syncs always run the
+    bucketed scalar loops, which visit only skill-matching pairs and so
+    beat packing every worker into columns per sync (DESIGN §23).  The
+    graph and the reported ``engine_stats`` are the scalar path's bit for
+    bit, and so is the journal's event stream bar the ``columnar`` flag on
+    ``feas_build`` events — the kernels share the scalar oracle's
+    exactness contract.  Only the auxiliary
     :meth:`~repro.engine.counters.EngineCounters.aux_dict` telemetry tells
     the paths apart.
     """
@@ -145,9 +127,6 @@ class AllocationEngine:
         self.instance = instance
         self.metric = instance.metric
         self._columnar_code = columnar_code_for(instance.metric)
-        # Cache the sorted interning table across batches, re-sorting only
-        # when the skill universe grows.
-        self._interning = InterningCache()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.counters = EngineCounters(self.registry)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -221,7 +200,7 @@ class AllocationEngine:
                     + after["engine_pruned_by_index"]
                     - snapshot["engine_pruned_by_index"]
                 ),
-                columnar=self._columnar_code is not None,
+                columnar=self.ran_columnar(mode),
             )
         return BatchContext(
             workers,
@@ -246,8 +225,12 @@ class AllocationEngine:
 
     @property
     def columnar_active(self) -> bool:
-        """Whether builds and bulk syncs route through the columnar kernels."""
+        """Whether full builds route through the columnar kernels."""
         return self._columnar_code is not None
+
+    def ran_columnar(self, mode: str) -> bool:
+        """Whether a build of ``mode`` (``full`` / ``incremental``) used the kernels."""
+        return mode == "full" and self._columnar_code is not None
 
     @property
     def store_active(self) -> bool:
@@ -274,16 +257,6 @@ class AllocationEngine:
         self._index = None
         self._built = False
 
-    def _make_batch(self, workers: Sequence[Worker], tasks: Sequence[Task]) -> ColumnarBatch:
-        """Kernel-ready columnar snapshot of the given populations.
-
-        A per-batch rebuild with the engine's cached interning table, so
-        the skill universe is only re-sorted when it grows.
-        """
-        return ColumnarBatch(
-            workers, tasks, table=self._interning.table_for(workers, tasks)
-        )
-
     def _full_build(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> None:
@@ -292,7 +265,7 @@ class AllocationEngine:
         self._index = self._make_index(workers, tasks, now)
         latest = self._latest_deadline()
         if self._columnar_code is not None:
-            self._columnar_rows(workers, latest, now)
+            self._columnar_build(workers, latest, now)
             self.counters.columnar_full_builds += 1
             return
         if not getattr(self.metric, "supports_distance_table", False):
@@ -371,21 +344,12 @@ class AllocationEngine:
             # Workers about to be re-probed (changed_ids) pick the new tasks
             # up during their own row recompute.
             kept = len(stored) - sum(1 for wid in changed_ids if wid in stored)
-            if (
-                self._columnar_code is not None
-                and len(added_tasks) * kept >= COLUMNAR_SYNC_MIN_PAIRS
-            ):
-                self._columnar_add_tasks(added_tasks, changed_ids, now)
-            else:
-                for task in added_tasks:
-                    self._add_task(task, changed_ids, kept, now)
+            for task in added_tasks:
+                self._add_task(task, changed_ids, kept, now)
         self.counters.tasks_added += len(added_tasks)
         latest = self._latest_deadline()
-        if self._columnar_code is not None and changed:
-            self._columnar_rows(changed, latest, now, floor=COLUMNAR_SYNC_MIN_PAIRS)
-        else:
-            for worker in changed:
-                self._recompute_row(worker, latest, now)
+        for worker in changed:
+            self._recompute_row(worker, latest, now)
 
     def _register_task(self, task: Task) -> None:
         self._tasks[task.id] = task
@@ -513,87 +477,36 @@ class AllocationEngine:
         self.counters.scalar_pair_evals += len(candidates)
         self._link_row(worker, map(self._tasks.__getitem__, candidates), now)
 
-    def _columnar_rows(
-        self,
-        workers: Sequence[Worker],
-        latest_deadline: float,
-        now: float,
-        floor: Optional[int] = None,
+    def _columnar_build(
+        self, workers: Sequence[Worker], latest_deadline: float, now: float
     ) -> None:
-        """(Re)build the rows of ``workers`` through the columnar kernels.
+        """Build the rows of ``workers`` as one skill-first kernel tile.
 
         Candidates are gathered as in :meth:`_recompute_row` — the same
         index probes and pruning counters when a grid index exists, every
-        task otherwise — and decided as one tile by :meth:`_link_tile`, so
-        the graph and ``engine_stats`` are bit-identical to the scalar
-        loop; only the auxiliary columnar counters record which path ran.
-        With a ``floor`` (incremental syncs), an empty tile or one under
-        ``floor`` pairs is too small to amortise the kernel set-up and
-        finishes exactly as ``_recompute_row`` would; full builds pass none.
+        task otherwise — so the graph and ``engine_stats`` are bit-identical
+        to the scalar loop; only the auxiliary columnar counters record
+        which path ran.  The tile is those candidate pairs in row order, or
+        without an index the dense worker-major cross product: either way
+        the pair order of the scalar journal walk, so journal rejects come
+        out in scalar order.  Only the skill-passing pairs ever become
+        python objects.
         """
         rows: Optional[List[List[int]]] = None
         for worker in workers:
             self._install_row(worker)
+        tasks = list(self._tasks.values())
         if self._index is None:
-            total = len(workers) * len(self._tasks)
+            total = len(workers) * len(tasks)
             self.counters.pairs_checked += total
         else:
             rows = [self._candidates_for(w, latest_deadline, now) for w in workers]
             total = sum(map(len, rows))
-        if floor is not None and total < max(floor, 1):
-            self.counters.scalar_pair_evals += total
-            for pos, worker in enumerate(workers):
-                if rows is None:
-                    self._link_skilled(worker, now)
-                else:
-                    self._journal_pruned(worker, rows[pos])
-                    self._link_row(worker, map(self._tasks.__getitem__, rows[pos]), now)
-            return
         self.counters.columnar_pairs += total
-        self._link_tile(workers, list(self._tasks.values()), now, rows)
-
-    def _columnar_add_tasks(
-        self, added: Sequence[Task], skip_workers: AbstractSet[int], now: float
-    ) -> None:
-        """Link newly-arrived tasks against current workers via the kernels.
-
-        Mirrors the scalar :meth:`_add_task` loop: tasks register in batch
-        order (same dict, bucket and grid-cell orders) and every non-skipped
-        engine worker is checked against every new task, task-major with
-        workers in registration order — the scalar journal order.
-        """
-        for task in added:
-            self._register_task(task)
-        workers = [w for w in self._workers.values() if w.id not in skip_workers]
-        checked = len(workers) * len(added)
-        self.counters.pairs_checked += checked
-        self.counters.columnar_pairs += checked
-        if workers:
-            self._link_tile(workers, added, now, task_major=True)
-
-    def _link_tile(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        rows: Optional[Sequence[List[int]]] = None,
-        task_major: bool = False,
-    ) -> None:
-        """Decide a tile skill-first and link its feasible pairs.
-
-        With ``rows`` (one candidate task-id list per worker) the tile is
-        those pairs in row order; without, it is the dense cross product,
-        worker-major or, with ``task_major``, task-major.  Either way that
-        is the pair order of the scalar journal walk, so journal rejects
-        come out in scalar order.  Only the skill-passing pairs ever become
-        python objects.
-        """
         code = self._columnar_code
-        batch = self._make_batch(workers, tasks)
+        batch = ColumnarBatch(workers, tasks)
         if rows is None:
-            cand_w, cand_t, dists, mask = skill_candidates_dense(
-                batch, now, code, task_major=task_major
-            )
+            cand_w, cand_t, dists, mask = skill_candidates_dense(batch, now, code)
         else:
             tpos = {task.id: pos for pos, task in enumerate(tasks)}
             widx = array("q", chain.from_iterable(
@@ -605,7 +518,7 @@ class AllocationEngine:
             # Reason side-channel: decisions stay with the kernel call
             # above; the reason sweep touches no counters.
             if rows is None:
-                widx, tidx = dense_pair_columns(len(workers), len(tasks), task_major)
+                widx, tidx = dense_pair_columns(len(workers), len(tasks))
             verdicts = zip(widx, tidx, rejection_reasons(batch, widx, tidx, now, code))
             blocks = [len(widx)] if rows is None else [len(row) for row in rows]
             for pos, size in enumerate(blocks):
@@ -615,13 +528,7 @@ class AllocationEngine:
                     self._journal_pruned(workers[pos], rows[pos])
                 for i, j, verdict in islice(verdicts, size):
                     if verdict:
-                        self.journal.emit(
-                            "reject",
-                            worker=workers[i].id,
-                            task=tasks[j].id,
-                            reason=REASON_NAMES[verdict],
-                            phase="build",
-                        )
+                        self._reject(workers[i], tasks[j], REASON_NAMES[verdict])
         for k in true_positions(mask):
             worker = workers[cand_w[k]]
             task = tasks[cand_t[k]]

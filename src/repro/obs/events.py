@@ -75,10 +75,13 @@ REJECT_PHASES = ("build", "prune", "view", "checker", "alloc")
 
 #: Known event types and their required fields (beyond ``type``/``seq``).
 #: ``batch`` is required where listed; elsewhere it is optional context.
+#: ``run_open``'s ``batch_interval`` is null for an infinite interval (one
+#: batch at the start, one at the horizon): files are standard JSON, which
+#: has no ``Infinity``.
 EVENT_FIELDS: Dict[str, Dict[str, Any]] = {
     "run_open": {
         "allocator": str,
-        "batch_interval": (int, float),
+        "batch_interval": (int, float, type(None)),
         "start": (int, float),
         "horizon": (int, float),
         "workers": int,
@@ -241,12 +244,14 @@ def write_events_jsonl(journal: EventJournal, path: str) -> int:
     """Dump the journal to a JSONL file (schema header first).
 
     Returns the number of event records written (excluding the header).
+    Records must be standard JSON: a non-finite float raises ``ValueError``
+    instead of being written as ``Infinity`` / ``NaN``.
     """
     events = events_records(journal)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps({"type": "header", "schema": EVENTS_SCHEMA}) + "\n")
         for record in events:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     return len(events)
 
 
@@ -284,7 +289,7 @@ def validate_events_records(records: Sequence[Dict[str, Any]]) -> None:
                 ok = isinstance(value, bool)
             else:
                 ok = isinstance(value, kinds)
-            if not ok:
+            if not ok or key not in record:
                 raise ValueError(f"{etype} event missing/invalid {key!r}: {record!r}")
         batch = record.get("batch")
         if batch is not None and not isinstance(batch, int):

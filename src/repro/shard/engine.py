@@ -441,7 +441,7 @@ class ShardedEngine:
                     workers=len(shard_workers[sid]),
                     tasks=len(shard_tasks[sid]),
                     pairs=int(after - before),
-                    columnar=shard_engine.columnar_active,
+                    columnar=shard_engine.ran_columnar(mode),
                 )
         if journal.enabled:
             journal.set_shard(None)

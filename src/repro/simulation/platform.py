@@ -378,7 +378,10 @@ class Platform:
             journal.emit(
                 "run_open",
                 allocator=self.allocator.name,
-                batch_interval=self.batch_interval,
+                # JSON has no Infinity: an infinite interval is recorded as null.
+                batch_interval=(
+                    self.batch_interval if math.isfinite(self.batch_interval) else None
+                ),
                 start=start,
                 horizon=horizon,
                 workers=len(instance.workers),

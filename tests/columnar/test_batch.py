@@ -2,15 +2,7 @@
 
 import pickle
 
-import pytest
-
-from repro.columnar import (
-    ColumnarBatch,
-    InterningCache,
-    feasible_pairs,
-    flatten_rows,
-    intern_skills,
-)
+from repro.columnar import ColumnarBatch, intern_skills
 from repro.columnar.batch import WORD_BITS
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -97,48 +89,6 @@ class TestColumnarBatch:
         assert clone.worker_ids == batch.worker_ids
         assert clone.wx == batch.wx
         assert clone.wskills == batch.wskills
-
-
-class TestInterningCache:
-    def test_resorts_only_when_universe_grows(self):
-        cache = InterningCache()
-        first = cache.table_for([_worker(0, skills=(2, 5))], [_task(0, skill=2)])
-        assert first == {2: (0, 0), 5: (0, 1)}
-        again = cache.table_for([_worker(0, skills=(2, 5))], [_task(0, skill=5)])
-        assert again is first  # same universe: the cached table is reused
-        grown = cache.table_for([_worker(0, skills=(2, 5))], [_task(0, skill=1)])
-        assert grown is not first
-        assert grown == {1: (0, 0), 2: (0, 1), 5: (0, 2)}
-
-
-class TestBatchPickling:
-    def test_pickle_drops_the_skill_table(self):
-        workers = [_worker(i, skills=(i % 4, 5)) for i in range(6)]
-        tasks = [_task(10 + j, skill=j % 4) for j in range(5)]
-        batch = ColumnarBatch(workers, tasks)
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone.skill_table is None  # the table never crosses a pipe
-        for name in (
-            "wx", "wy", "wstart", "wdeadline", "wvelocity", "wmax_distance",
-            "tx", "ty", "tstart", "tdeadline",
-            "wskills", "tskill_word", "tskill_bitmask",
-        ):
-            assert getattr(clone, name).tobytes() == getattr(batch, name).tobytes()
-        assert clone.worker_ids == batch.worker_ids
-        assert clone.task_ids == batch.task_ids
-        # Kernels only read packed columns, so the clone still computes.
-        widx = [0] * len(tasks)
-        tidx = list(range(len(tasks)))
-        assert feasible_pairs(clone, widx, tidx, 0.0, "euclidean") == feasible_pairs(
-            batch, widx, tidx, 0.0, "euclidean"
-        )
-
-
-class TestPairTransport:
-    def test_flatten_rows(self):
-        widx, tidx = flatten_rows([(0, [2, 1]), (1, []), (2, [0])])
-        assert widx == [0, 0, 2]
-        assert tidx == [2, 1, 0]
 
 
 def test_repr_smoke():

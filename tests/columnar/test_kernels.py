@@ -2,7 +2,9 @@
 
 The numpy kernels are the only implementation; tests parametrized over
 ``backend`` run them (``numpy``) against the scalar predicates of
-:mod:`repro.core.constraints` and the metrics.
+:mod:`repro.core.constraints` and the metrics.  The skill-first kernels
+return only the pairs that pass the skill test, so the oracle checks both
+which pairs survive and the verdict of each survivor.
 """
 
 import math
@@ -14,7 +16,7 @@ from repro.columnar import (
     CODES,
     ColumnarBatch,
     columnar_code_for,
-    feasible_pairs,
+    skill_candidates,
 )
 from repro.core.constraints import pair_feasible
 from repro.core.task import Task
@@ -60,17 +62,27 @@ class TestEdgeSemantics:
     """The scalar oracle's edge cases, replicated pair for pair."""
 
     def _verdicts(self, workers, tasks, now, code, backend):
+        """The full tile's 0/1 verdicts, checked pair for pair."""
         batch = ColumnarBatch(workers, tasks)
         widx, tidx = _flat(batch)
-        mask, skill_mask, dists = BACKENDS[backend].feasible_pairs(
+        cand_w, cand_t, dists, cmask = BACKENDS[backend].skill_candidates(
             batch, widx, tidx, now, code
         )
         metric = {"euclidean": EuclideanDistance(), "manhattan": ManhattanDistance()}[code]
+        survivors = [
+            k for k in range(len(widx)) if tasks[tidx[k]].skill in workers[widx[k]].skills
+        ]
+        assert cand_w == [widx[k] for k in survivors]
+        assert cand_t == [tidx[k] for k in survivors]
+        mask = bytearray(len(widx))
+        for pos, k in enumerate(survivors):
+            mask[k] = cmask[pos]
+            w, t = workers[widx[k]], tasks[tidx[k]]
+            assert dists[pos] == metric(w.location, t.location)
         for k in range(len(widx)):
             w, t = workers[widx[k]], tasks[tidx[k]]
             assert bool(mask[k]) == pair_feasible(w, t, metric, now), (w, t)
-            assert dists[k] == metric(w.location, t.location)
-        return mask
+        return bytes(mask)
 
     def test_zero_velocity_zero_distance_is_feasible(self, backend):
         workers = [_worker(0, velocity=0.0, location=(1.0, 1.0))]
@@ -88,10 +100,11 @@ class TestEdgeSemantics:
         workers = [_worker(0, skills=())]
         tasks = [_task(0)]
         batch = ColumnarBatch(workers, tasks)
-        mask, skill_mask, _ = BACKENDS[backend].feasible_pairs(
+        # No pair passes the skill test, so no candidate survives.
+        assert BACKENDS[backend].skill_candidates(
             batch, [0], [0], 0.0, "euclidean"
-        )
-        assert mask == b"\x00" and skill_mask == b"\x00"
+        ) == ([], [], [], b"")
+        assert self._verdicts(workers, tasks, 0.0, "euclidean", backend) == b"\x00"
 
     def test_now_minus_inf_matches_static_oracle(self, backend):
         workers = [_worker(0, start=4.0, wait=2.0)]
@@ -114,12 +127,12 @@ class TestEdgeSemantics:
     def test_length_mismatch_raises(self, backend):
         batch = ColumnarBatch([_worker(0)], [_task(0)])
         with pytest.raises(ValueError):
-            BACKENDS[backend].feasible_pairs(batch, [0, 0], [0], 0.0, "euclidean")
+            BACKENDS[backend].skill_candidates(batch, [0, 0], [0], 0.0, "euclidean")
 
     def test_empty_tile(self, backend):
         batch = ColumnarBatch([_worker(0)], [_task(0)])
-        assert BACKENDS[backend].feasible_pairs(batch, [], [], 0.0, "euclidean") == (
-            b"", b"", []
+        assert BACKENDS[backend].skill_candidates(batch, [], [], 0.0, "euclidean") == (
+            [], [], [], b""
         )
 
 
@@ -146,18 +159,18 @@ def test_dense_variants_consistent(backend, code):
     ]
     batch = ColumnarBatch(workers, tasks)
     widx, tidx = _flat(batch)
-    mask, skill_mask, dists = kernels.feasible_pairs(
-        batch, widx, tidx, 0.0, code
-    )
-    assert kernels.feasible_dense(batch, 0.0, code) == [
-        (widx[k], tidx[k]) for k in kernels.true_positions(mask)
+    dense = kernels.skill_candidates_dense(batch, 0.0, code)
+    assert dense == kernels.skill_candidates(batch, widx, tidx, 0.0, code)
+    cw, ct, cdists, cmask = dense
+    metric = {"euclidean": EuclideanDistance(), "manhattan": ManhattanDistance()}[code]
+    skilled = [
+        (i, j) for i, j in zip(widx, tidx) if tasks[j].skill in workers[i].skills
     ]
-    cw, ct, cdists, cmask = kernels.skill_candidates_dense(batch, 0.0, code)
-    keep = kernels.true_positions(skill_mask)
-    assert cw == [widx[k] for k in keep]
-    assert ct == [tidx[k] for k in keep]
-    assert cdists == [dists[k] for k in keep]
-    assert bytes(cmask) == bytes(mask[k] for k in keep)
+    assert list(zip(cw, ct)) == skilled
+    assert cdists == [metric(workers[i].location, tasks[j].location) for i, j in skilled]
+    assert [(cw[k], ct[k]) for k in kernels.true_positions(cmask)] == [
+        (i, j) for i, j in skilled if pair_feasible(workers[i], tasks[j], metric, 0.0)
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -175,7 +188,8 @@ def test_pair_distances_matches_scalar_metrics(backend):
         ("euclidean", EuclideanDistance()),
         ("manhattan", ManhattanDistance()),
     ):
-        _, _, got = BACKENDS[backend].feasible_pairs(
+        # Every worker has skill 0 and every task needs it: all survive.
+        _, _, got, _ = BACKENDS[backend].skill_candidates(
             batch, diagonal, diagonal, 0.0, code
         )
         exact = [
@@ -190,7 +204,7 @@ def test_kernel_counters_increment():
     batch = ColumnarBatch([_worker(0)], [_task(0)])
     pairs_before = REGISTRY.counter("columnar_kernel_pairs").value
     calls_before = REGISTRY.counter("columnar_kernel_calls").value
-    feasible_pairs(batch, [0], [0], 0.0, "euclidean")
+    skill_candidates(batch, [0], [0], 0.0, "euclidean")
     assert REGISTRY.counter("columnar_kernel_pairs").value == pairs_before + 1
     assert REGISTRY.counter("columnar_kernel_calls").value == calls_before + 1
 
@@ -202,4 +216,4 @@ def test_kernels_need_numpy(monkeypatch):
     assert columnar_code_for(EuclideanDistance()) is None
     batch = ColumnarBatch([_worker(0)], [_task(0)])
     with pytest.raises(RuntimeError, match="numpy"):
-        feasible_pairs(batch, [0], [0], 0.0, "euclidean")
+        skill_candidates(batch, [0], [0], 0.0, "euclidean")

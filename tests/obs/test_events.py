@@ -135,6 +135,20 @@ class TestEventsJsonl:
         with pytest.raises(ValueError, match="reason"):
             validate_events_records(records)
 
+    def test_infinite_interval_is_null_and_must_be_present(self):
+        records = _valid_records()
+        records[1] = dict(records[1], batch_interval=None)
+        validate_events_records(records)
+        records[1] = {k: v for k, v in records[1].items() if k != "batch_interval"}
+        with pytest.raises(ValueError, match="batch_interval"):
+            validate_events_records(records)
+
+    def test_writer_refuses_non_finite_floats(self, tmp_path):
+        journal = EventJournal()
+        journal.emit("task_expire", t=float("inf"), task=7)
+        with pytest.raises(ValueError):
+            write_events_jsonl(journal, str(tmp_path / "events.jsonl"))
+
     def test_rejects_bool_for_int_field(self):
         records = _valid_records()
         idx = next(i for i, r in enumerate(records) if r.get("type") == "assign")

@@ -189,6 +189,19 @@ class TestArgumentErrors:
             f"dasc {command[0]}: error: argument {flag}: must be > 0, got {value}"
         ]
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity"])
+    def test_scale_must_be_finite(self, capsys, value):
+        # An infinite scale used to crash the experiment runner with a NaN.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig7", "--scale", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"dasc run: error: argument --scale: must be finite, got {value}"
+        ]
+
     def test_float_options_reject_non_numbers(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "fig7", "--scale", "half"])
@@ -217,6 +230,27 @@ class TestFlightRecorder:
         records = read_jsonl(str(events))
         validate_events_records(records)
         assert records[1]["type"] == "run_open"
+
+    def test_infinite_interval_writes_standard_json(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import read_jsonl, validate_events_records
+
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        inst = self._instance(tmp_path)
+        events = tmp_path / "ev.jsonl"
+        assert main(["solve", inst, "--approach", "Greedy",
+                     "--batch-interval", "inf", "--events-out", str(events),
+                     "--replay-check"]) == 0
+        assert "replay check: OK" in capsys.readouterr().out
+        lines = events.read_text(encoding="utf-8").splitlines()
+        assert all(json.loads(line, parse_constant=no_constants) for line in lines)
+        records = read_jsonl(str(events))
+        validate_events_records(records)
+        assert records[1]["type"] == "run_open"
+        assert records[1]["batch_interval"] is None
 
     def test_replay_check_requires_platform_mode(self, tmp_path, capsys):
         inst = self._instance(tmp_path)
