@@ -9,6 +9,10 @@ tasks from every other set and the used workers from the pool.
 Because ``Sum(M)`` is monotone and submodular over committed sets
 (Theorem III.1), this achieves at least ``(1 - 1/e) * |M_opt|`` per batch
 (Theorem III.2).
+
+A set with a member that no batch worker can serve can never be staffed,
+so it is dropped before any matching; the picks stay those of the plain
+largest-first scan (DESIGN §24).
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ class DASCGreedy(BatchAllocator):
             memo keys on the exact solver input).  The saved solver runs
             show up in the ``matching_warm_starts`` /
             ``matching_augment_rounds`` obs counters.
+
+    ``AllocationOutcome.stats`` carries ``iterations`` (staffing rounds),
+    ``matchings`` (sets handed to the matcher) and ``dropped_sets`` (batch
+    tasks whose set was dropped before any matching).
     """
 
     name = "Greedy"
@@ -53,24 +61,34 @@ class DASCGreedy(BatchAllocator):
         checker = context.checker
         journal = context.journal
         graph = instance.dependency_graph
-        batch_task_ids = {t.id for t in tasks}
         assigned: Set[int] = set(context.previously_assigned)
 
         # Associative task sets, pruned of already-assigned ancestors.  A set
-        # whose ancestor is neither in this batch nor already assigned can
-        # never be completed, so it is dropped up front.
+        # with a member that no batch worker can serve (an ancestor outside
+        # the batch, or a batch task with an empty ``workers_of`` column) can
+        # never be staffed: free workers only shrink, and a chosen set's
+        # tasks were all staffed, so such a member never leaves the set and
+        # every matching of it would fail.  Those sets are dropped up front,
+        # before any set is built; the subset test stops at the first miss.
+        # A batch task may itself be already assigned (its set is then its
+        # unassigned ancestors), so it is staffability-tested only when not.
+        staffable = {t.id for t in tasks if checker.workers_of(t.id)}
+        reachable = staffable | assigned
         task_sets: Dict[int, Set[int]] = {}
         for task in tasks:
-            members = (graph.associative_set(task.id) - assigned) if task.id in graph else {task.id}
-            if members <= batch_task_ids:
-                task_sets[task.id] = set(members)
+            tid = task.id
+            ancestors = graph.ancestors(tid) if tid in graph else frozenset()
+            if not ancestors <= reachable:
+                continue
+            if tid in assigned:
+                task_sets[tid] = set(ancestors - assigned)
+            elif tid in staffable:
+                members = set(ancestors - assigned)
+                members.add(tid)
+                task_sets[tid] = members
+        dropped_sets = len(tasks) - len(task_sets)
 
         free_workers: Set[int] = {w.id for w in workers}
-        # Sets that failed to staff stay failed until their membership
-        # shrinks (the worker pool only shrinks, so a failure cannot turn
-        # into a success otherwise).  This memo preserves Algorithm 1's
-        # output while skipping provably-futile rematching work.
-        failed: Set[int] = set()
         iterations = 0
         matchings_run = 0
 
@@ -80,10 +98,10 @@ class DASCGreedy(BatchAllocator):
         # stale ones (wrong size, popped set) are discarded lazily on pop.
         # Pops therefore visit live sets largest-first with id tie-breaks —
         # the exact scan order of the rescan, hence identical greedy picks.
-        # A failed set's entry is consumed by the failing pop and only
-        # reappears (via a push) when the set shrinks, which is also the
-        # moment its failure memo is cleared — so no ``failed`` probe is
-        # needed on the pop path.
+        # A set that fails to staff stays failed until its membership
+        # shrinks (the worker pool only shrinks), and its entry, consumed by
+        # the failing pop, only reappears (via a push) when it does — so
+        # Algorithm 1's output is kept without re-matching futile sets.
         order_heap: List[Tuple[int, int]] = [
             (-len(members), sid) for sid, members in task_sets.items()
         ]
@@ -115,7 +133,6 @@ class DASCGreedy(BatchAllocator):
                         staffed=staffing is not None,
                     )
                 if staffing is None:
-                    failed.add(set_id)
                     continue
                 best_id = set_id
                 best_staffing = staffing
@@ -134,7 +151,6 @@ class DASCGreedy(BatchAllocator):
             for set_id, members in task_sets.items():
                 if members & chosen:
                     members -= chosen
-                    failed.discard(set_id)
                     if not members:
                         emptied.append(set_id)
                     else:
@@ -146,5 +162,9 @@ class DASCGreedy(BatchAllocator):
 
         return AllocationOutcome(
             assignment,
-            stats={"iterations": float(iterations), "matchings": float(matchings_run)},
+            stats={
+                "iterations": float(iterations),
+                "matchings": float(matchings_run),
+                "dropped_sets": float(dropped_sets),
+            },
         )

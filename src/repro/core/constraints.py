@@ -9,7 +9,16 @@ positions) and prunes candidates with a grid index before exact checks.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -226,7 +235,48 @@ def index_cell_size(
     return max(cell, floor_cell, 1e-9)
 
 
-class FeasibilityChecker:
+class FeasibleRows:
+    """The feasible-pair oracle API over a batch's two row directions.
+
+    Subclasses fill ``_tasks_of`` (worker id -> sorted feasible task ids)
+    and ``_workers_of`` (task id -> sorted feasible worker ids).  The
+    per-worker frozensets behind :meth:`feasible` are built on its first
+    call: allocators read rows and columns, so a batch that never probes
+    a single pair never pays for them.
+    """
+
+    _tasks_of: Dict[int, List[int]]
+    _workers_of: Dict[int, List[int]]
+    _task_sets: Optional[Dict[int, FrozenSet[int]]] = None
+
+    def tasks_of(self, worker_id: int) -> List[int]:
+        """Task ids feasible for the worker (the strategy space ``S_w``)."""
+        return self._tasks_of.get(worker_id, [])
+
+    def workers_of(self, task_id: int) -> List[int]:
+        """Worker ids able to serve the task."""
+        return self._workers_of.get(task_id, [])
+
+    def feasible(self, worker_id: int, task_id: int) -> bool:
+        task_sets = self._task_sets
+        if task_sets is None:
+            task_sets = self._task_sets = {
+                wid: frozenset(row) for wid, row in self._tasks_of.items()
+            }
+        row = task_sets.get(worker_id)
+        return row is not None and task_id in row
+
+    def pairs(self) -> Iterable[Tuple[int, int]]:
+        """All feasible ``(worker_id, task_id)`` pairs."""
+        for wid, tids in self._tasks_of.items():
+            for tid in tids:
+                yield (wid, tid)
+
+    def pair_count(self) -> int:
+        return sum(len(tids) for tids in self._tasks_of.values())
+
+
+class FeasibilityChecker(FeasibleRows):
     """Precomputes the feasible worker/task pairs of a batch.
 
     Args:
@@ -280,9 +330,6 @@ class FeasibilityChecker:
         self._tasks_of, self._workers_of = (
             self._build_with_index() if use_grid else self._build_exhaustive()
         )
-        self._task_sets = {
-            wid: frozenset(tids) for wid, tids in self._tasks_of.items()
-        }
         if self.journal.enabled:
             # Every (worker, task) pair of the batch is decided exactly once
             # (checked exactly or index-pruned), so the funnel arithmetic
@@ -296,29 +343,6 @@ class FeasibilityChecker:
                 feasible=self.pair_count(),
                 columnar=self._columnar_code is not None,
             )
-
-    # -- public API --------------------------------------------------------------
-
-    def tasks_of(self, worker_id: int) -> List[int]:
-        """Task ids feasible for the worker (the strategy space ``S_w``)."""
-        return self._tasks_of.get(worker_id, [])
-
-    def workers_of(self, task_id: int) -> List[int]:
-        """Worker ids able to serve the task."""
-        return self._workers_of.get(task_id, [])
-
-    def feasible(self, worker_id: int, task_id: int) -> bool:
-        row = self._task_sets.get(worker_id)
-        return row is not None and task_id in row
-
-    def pairs(self) -> Iterable[Tuple[int, int]]:
-        """All feasible ``(worker_id, task_id)`` pairs."""
-        for wid, tids in self._tasks_of.items():
-            for tid in tids:
-                yield (wid, tid)
-
-    def pair_count(self) -> int:
-        return sum(len(tids) for tids in self._tasks_of.values())
 
     # -- construction -------------------------------------------------------------
 

@@ -67,6 +67,7 @@ from repro.columnar import (
     true_positions,
 )
 from repro.core.constraints import (
+    FeasibleRows,
     deadline_ok,
     index_cell_size,
     prune_rejection_reason,
@@ -182,25 +183,30 @@ class AllocationEngine:
             self.counters.incremental_updates += 1
             mode = "incremental"
         self._now = now
-        if self.tracer.enabled:
-            span.set("workers", len(workers))
-            span.set("tasks", len(tasks))
-        if self.journal.enabled:
+        if self.tracer.enabled or self.journal.enabled:
             after = self.counters.as_dict()
             # Pairs decided by this build/update: exact checks plus
             # index-pruned pairs (each of which also got a prune reject).
+            pairs = int(
+                after["engine_pairs_checked"]
+                - snapshot["engine_pairs_checked"]
+                + after["engine_pruned_by_index"]
+                - snapshot["engine_pruned_by_index"]
+            )
+            columnar = self.ran_columnar(mode)
+        if self.tracer.enabled:
+            span.set("workers", len(workers))
+            span.set("tasks", len(tasks))
+            span.set("columnar", columnar)
+            span.set("pairs", pairs)
+        if self.journal.enabled:
             self.journal.emit(
                 "feas_build",
                 mode=mode,
                 workers=len(workers),
                 tasks=len(tasks),
-                pairs=int(
-                    after["engine_pairs_checked"]
-                    - snapshot["engine_pairs_checked"]
-                    + after["engine_pruned_by_index"]
-                    - snapshot["engine_pruned_by_index"]
-                ),
-                columnar=self.ran_columnar(mode),
+                pairs=pairs,
+                columnar=columnar,
             )
         return BatchContext(
             workers,
@@ -660,7 +666,7 @@ class AllocationEngine:
         )
 
 
-class BatchFeasibilityView:
+class BatchFeasibilityView(FeasibleRows):
     """A :class:`FeasibilityChecker`-compatible view over the engine's graph.
 
     Construction filters each batch worker's stored links with the
@@ -719,26 +725,5 @@ class BatchFeasibilityView:
         engine.counters.time_filtered += checked
         self._tasks_of = tasks_of
         self._workers_of = workers_of
-        self._task_sets = {wid: frozenset(row) for wid, row in tasks_of.items()}
         if journal.enabled:
             journal.emit("feas_view", links=checked, feasible=self.pair_count())
-
-    # -- FeasibilityChecker API ---------------------------------------------------
-
-    def tasks_of(self, worker_id: int) -> List[int]:
-        return self._tasks_of.get(worker_id, [])
-
-    def workers_of(self, task_id: int) -> List[int]:
-        return self._workers_of.get(task_id, [])
-
-    def feasible(self, worker_id: int, task_id: int) -> bool:
-        row = self._task_sets.get(worker_id)
-        return row is not None and task_id in row
-
-    def pairs(self) -> Iterable[Tuple[int, int]]:
-        for wid, tids in self._tasks_of.items():
-            for tid in tids:
-                yield (wid, tid)
-
-    def pair_count(self) -> int:
-        return sum(len(tids) for tids in self._tasks_of.values())

@@ -41,7 +41,8 @@ Event vocabulary (one ``type`` per record; ``seq`` totally orders a file,
 ``game_round``        one best-response round (changed / evaluated / skipped)
 ``game_move``         a worker changed strategy (frm -> to)
 ``game_withdraw``     a tentative game pick was dropped (contention / dependency)
-``match_set``         greedy staffed (or failed to staff) an associative task set
+``match_set``         greedy staffed (or failed to staff) an associative task set;
+                      sets dropped as unstaffable before matching emit none
 ``assign``            a pair was committed (batch time ``t``)
 ``complete``          the worker physically finished the task (``t`` = finish)
 ====================  ==============================================================

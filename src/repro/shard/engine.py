@@ -52,7 +52,6 @@ import time
 from typing import (
     AbstractSet,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -61,7 +60,7 @@ from typing import (
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.core.assignment import Assignment
-from repro.core.constraints import index_cell_size, reach_radius
+from repro.core.constraints import FeasibleRows, index_cell_size, reach_radius
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -116,7 +115,7 @@ class _ShardEngine(AllocationEngine):
         return mode
 
 
-class _PrebuiltView:
+class _PrebuiltView(FeasibleRows):
     """A checker-API view over rows filtered from the phase-1 views.
 
     The dependency retry offers still-free workers a subset of the rows
@@ -143,25 +142,6 @@ class _PrebuiltView:
         for tid in workers_of:
             workers_of[tid].sort()
         self._workers_of = workers_of
-        self._task_sets = {wid: frozenset(row) for wid, row in self._tasks_of.items()}
-
-    def tasks_of(self, worker_id: int) -> List[int]:
-        return self._tasks_of.get(worker_id, [])
-
-    def workers_of(self, task_id: int) -> List[int]:
-        return self._workers_of.get(task_id, [])
-
-    def feasible(self, worker_id: int, task_id: int) -> bool:
-        row = self._task_sets.get(worker_id)
-        return row is not None and task_id in row
-
-    def pairs(self) -> Iterable[Tuple[int, int]]:
-        for wid, tids in self._tasks_of.items():
-            for tid in tids:
-                yield (wid, tid)
-
-    def pair_count(self) -> int:
-        return sum(len(tids) for tids in self._tasks_of.values())
 
 
 class ShardedEngine:

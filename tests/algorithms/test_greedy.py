@@ -1,8 +1,17 @@
 """DASC_Greedy tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.greedy import DASCGreedy
+from repro.core.constraints import FeasibilityChecker
+from repro.core.instance import ProblemInstance
+from repro.core.skills import SkillUniverse
+from repro.core.task import Task
+from repro.core.worker import Worker
+from repro.engine.context import BatchContext
+from repro.obs.events import EventJournal
 from repro.simulation.platform import run_single_batch
 
 
@@ -83,9 +92,10 @@ class _RescanGreedy(DASCGreedy):
 
     Re-sorts every remaining set each iteration and scans largest-first with
     id tie-breaks, skipping the failure memo.  The production allocator
-    replaced this scan with a lazy size-ordered heap; the test below pins
-    that both enumerate candidates in the same order and therefore produce
-    identical assignments *and* identical ``matchings`` counters.
+    replaced this scan with a lazy size-ordered heap and drops the sets that
+    can never be staffed before any matching; the tests below pin that both
+    produce identical assignments, the production one with no more
+    ``matchings`` than this scan.
     """
 
     name = "Greedy(rescan)"
@@ -161,17 +171,35 @@ class _RescanGreedy(DASCGreedy):
         )
 
 
-class TestHeapMatchesRescanOracle:
-    """The maintained size-ordered heap is bit-identical to the full rescan."""
+def _scarce_instance(seed, num_workers=6, num_tasks=50):
+    from repro.datagen.distributions import IntRange
+    from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 
-    def _compare(self, instance):
-        fast = run_single_batch(instance, DASCGreedy())
-        slow = run_single_batch(instance, _RescanGreedy())
-        assert sorted(fast.assignment.pairs()) == sorted(slow.assignment.pairs())
-        assert fast.stats == slow.stats
+    return generate_synthetic(
+        SyntheticConfig(
+            num_workers=num_workers, num_tasks=num_tasks, skill_universe=10,
+            worker_skills=IntRange(1, 2), dependency_size=IntRange(0, 8),
+            seed=seed,
+        )
+    )
+
+
+def _assert_matches_rescan(instance, done=frozenset()):
+    args = (instance.workers, instance.tasks, instance, instance.earliest_start, done)
+    fast = DASCGreedy().allocate(*args)
+    slow = _RescanGreedy().allocate(*args)
+    assert sorted(fast.assignment.pairs()) == sorted(slow.assignment.pairs())
+    # Dropped sets would only have failed: they save matchings (and at most
+    # the final all-fail iteration), never change a pick.
+    assert fast.stats["matchings"] <= slow.stats["matchings"]
+    assert fast.stats["iterations"] <= slow.stats["iterations"]
+
+
+class TestHeapMatchesRescanOracle:
+    """The heap and the up-front drop make the rescan's picks, with fewer matchings."""
 
     def test_example1(self, example1):
-        self._compare(example1)
+        _assert_matches_rescan(example1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_synthetic(self, seed):
@@ -185,20 +213,99 @@ class TestHeapMatchesRescanOracle:
                 seed=seed,
             )
         )
-        self._compare(instance)
+        _assert_matches_rescan(instance)
 
     @pytest.mark.parametrize("seed", [3, 9])
     def test_scarce_workers_exercise_failures(self, seed):
-        # Few workers force many failed staffings, exercising the memo and
-        # the stale-entry discard paths.
-        from repro.datagen.distributions import IntRange
-        from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
+        # Few workers force many failed staffings and unstaffable sets,
+        # exercising the up-front drop and the stale-entry discard path.
+        _assert_matches_rescan(_scarce_instance(seed))
 
-        instance = generate_synthetic(
-            SyntheticConfig(
-                num_workers=6, num_tasks=50, skill_universe=10,
-                worker_skills=IntRange(1, 2), dependency_size=IntRange(0, 8),
-                seed=seed,
-            )
+
+def _worker(wid, skills):
+    return Worker(
+        id=wid, location=(0.0, 0.0), start=0.0, wait=100.0, velocity=10.0,
+        max_distance=100.0, skills=frozenset(skills),
+    )
+
+
+def _task(tid, skill, deps=()):
+    return Task(
+        id=tid, location=(1.0, 0.0), start=0.0, wait=100.0, skill=skill,
+        dependencies=frozenset(deps),
+    )
+
+
+class TestUnstaffableSetsDropped:
+    """Sets with a member no batch worker can serve never reach the matcher."""
+
+    def test_exact_counts(self):
+        # Nobody has skill 0, so root t1 is unstaffable and so are the sets
+        # of t2 = {1, 2} and t3 = {1, 2, 3}; only t4's set {4} is kept.
+        workers = [_worker(1, {1}), _worker(2, {1})]
+        tasks = [_task(1, 0), _task(2, 1, {1}), _task(3, 1, {2}), _task(4, 1)]
+        instance = ProblemInstance(workers=workers, tasks=tasks, skills=SkillUniverse(2))
+        journal = EventJournal()
+        fast = DASCGreedy().allocate(
+            BatchContext.standalone(workers, tasks, instance, 0.0, journal=journal)
         )
-        self._compare(instance)
+        assert fast.assignment.assigned_tasks() == {4}
+        assert fast.stats["dropped_sets"] == 3
+        assert fast.stats["matchings"] == 1
+        assert fast.stats["iterations"] == 1
+        # match_set events are emitted only for sets that reach the matcher.
+        assert [(e["set"], e["staffed"]) for e in journal.of_type("match_set")] == [
+            (4, True)
+        ]
+        # The rescan matches sizes 3, 2 and 1 in vain before {4} staffs.
+        slow = _RescanGreedy().allocate(workers, tasks, instance, 0.0, frozenset())
+        assert sorted(fast.assignment.pairs()) == sorted(slow.assignment.pairs())
+        assert slow.stats["matchings"] == 4
+
+    def test_previously_assigned_batch_tasks(self):
+        # t1 (nobody has skill 0) and t4 (staffable) are in the batch and
+        # already assigned: their sets are their unassigned ancestors (none).
+        # t2's set is {2}, t3's {2, 3}, t5's {5}; t6 needs skill 0.
+        workers = [_worker(1, {1}), _worker(2, {1}), _worker(3, {1})]
+        tasks = [
+            _task(1, 0),
+            _task(2, 1, {1}),
+            _task(3, 1, {2}),
+            _task(4, 1),
+            _task(5, 1, {4}),
+            _task(6, 0, {4}),
+        ]
+        instance = ProblemInstance(workers=workers, tasks=tasks, skills=SkillUniverse(2))
+        done = frozenset({1, 4})
+        fast = DASCGreedy().allocate(workers, tasks, instance, 0.0, done)
+        slow = _RescanGreedy().allocate(workers, tasks, instance, 0.0, done)
+        assert sorted(fast.assignment.pairs()) == sorted(slow.assignment.pairs())
+        assert fast.assignment.assigned_tasks() == {2, 3, 5}
+        assert fast.assignment.is_valid(instance, previously_assigned=done)
+        assert fast.stats["dropped_sets"] == 1
+
+    @pytest.mark.parametrize("seed", [3, 9, 11])
+    def test_previously_assigned_mix_matches_rescan(self, seed):
+        instance = _scarce_instance(seed)
+        checker = FeasibilityChecker(
+            instance.workers, instance.tasks, instance.metric, instance.earliest_start
+        )
+        done = frozenset(t.id for t in instance.tasks[::3])
+        # The batch keeps its already-assigned tasks, both kinds of them.
+        assert any(checker.workers_of(tid) for tid in done)
+        assert any(not checker.workers_of(tid) for tid in done)
+        _assert_matches_rescan(instance, done)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    num_workers=st.integers(1, 8),
+    mask=st.integers(0, 2**40 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_prop_scarce_workers_random_previously_assigned_match_rescan(
+    seed, num_workers, mask
+):
+    instance = _scarce_instance(seed, num_workers=num_workers, num_tasks=40)
+    done = frozenset(t.id for k, t in enumerate(instance.tasks) if mask >> k & 1)
+    _assert_matches_rescan(instance, done)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.algorithms.registry import make_allocator
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
+from repro.obs.events import EventJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.simulation.platform import Platform
@@ -93,6 +94,39 @@ class TestSpansRecorded:
         assert [s.attrs["score"] for s in batch_spans] == [
             b.score for b in report.batches
         ]
+
+    def test_engine_spans_carry_path_stamps(self, instance):
+        # Each engine span says which path ran and how many pairs it
+        # decided, with the values of the matching feas_build event.
+        tracer, journal = Tracer(), EventJournal()
+        platform = Platform(
+            instance,
+            make_allocator("Greedy", seed=11),
+            batch_interval=5.0,
+            tracer=tracer,
+            journal=journal,
+        )
+        report = platform.run()
+        spans = [
+            span
+            for span in tracer.finished
+            if span.name in ("engine.full_build", "engine.incremental_update")
+        ]
+        builds = journal.of_type("feas_build")
+        assert len(spans) == len(builds) > 1
+        for span, build in zip(spans, builds):
+            assert span.name == "engine." + (
+                "full_build" if build["mode"] == "full" else "incremental_update"
+            )
+            assert span.attrs["columnar"] is build["columnar"]
+            assert span.attrs["pairs"] == build["pairs"]
+        assert [s.attrs["columnar"] for s in spans] == [
+            platform.last_engine.columnar_active
+        ] + [False] * (len(spans) - 1)
+        assert sum(s.attrs["pairs"] for s in spans) == (
+            report.engine_stats["engine_pairs_checked"]
+            + report.engine_stats["engine_pruned_by_index"]
+        )
 
     def test_untraced_run_records_nothing(self, instance):
         tracer = Tracer(enabled=False)
