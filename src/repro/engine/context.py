@@ -6,10 +6,11 @@ the batch timestamp, the cross-batch dependency credit
 (``previously_assigned``), a feasible-pair oracle and the instance's
 distance metric.  The :class:`~repro.simulation.platform.Platform` builds
 one per batch through the :class:`~repro.engine.engine.AllocationEngine`,
-which reuses feasibility work across batches; standalone contexts built by
-the compatibility shim fall back to a fresh
-:class:`~repro.core.constraints.FeasibilityChecker` and behave exactly like
-the historical per-allocator rebuild.
+which reuses feasibility work across batches and hands the context its
+batch view prebuilt; standalone contexts built by the compatibility shim
+fall back to a fresh :class:`~repro.core.constraints.FeasibilityChecker`,
+built on first read, and behave exactly like the historical per-allocator
+rebuild.
 
 Both feasibility paths expose the same oracle API (``tasks_of`` /
 ``workers_of`` / ``feasible`` / ``pairs`` / ``pair_count`` plus ``workers``
@@ -22,14 +23,13 @@ from __future__ import annotations
 import math
 from typing import (
     AbstractSet,
-    Callable,
     Dict,
     Iterable,
     Optional,
     Sequence,
 )
 
-from repro.core.constraints import FeasibilityChecker
+from repro.core.constraints import FeasibilityChecker, FeasibleRows
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -110,7 +110,7 @@ class BatchContext:
         previously_assigned: AbstractSet[int] = frozenset(),
         *,
         counters: Optional[EngineCounters] = None,
-        checker_factory: Optional[Callable[[], object]] = None,
+        checker: Optional[FeasibleRows] = None,
         stats_snapshot: Optional[Dict[str, float]] = None,
         tracer: Optional[Tracer] = None,
         journal: Optional[EventJournal] = None,
@@ -132,8 +132,7 @@ class BatchContext:
             self._stats_snapshot = counters.as_dict()
         else:
             self._stats_snapshot = None
-        self._checker_factory = checker_factory
-        self._checker = None
+        self._checker: Optional[FeasibleRows] = checker
 
     @classmethod
     def standalone(
@@ -156,24 +155,21 @@ class BatchContext:
     # -- feasibility -------------------------------------------------------------
 
     @property
-    def checker(self):
-        """The batch's feasible-pair oracle, built lazily on first use.
+    def checker(self) -> FeasibleRows:
+        """The batch's feasible-pair oracle.
 
-        Engine contexts return an incremental view; standalone contexts
-        build a fresh :class:`FeasibilityChecker` exactly like the historic
-        per-allocator rebuild did.
+        Engine contexts hold the view their engine prebuilt; standalone
+        contexts build a fresh :class:`FeasibilityChecker` on first use,
+        exactly like the historic per-allocator rebuild did.
         """
         if self._checker is None:
-            if self._checker_factory is not None:
-                self._checker = self._checker_factory()
-            else:
-                self._checker = FeasibilityChecker(
-                    self.workers,
-                    self.tasks,
-                    metric=self.metric,
-                    now=self.now,
-                    journal=self.journal,
-                )
+            self._checker = FeasibilityChecker(
+                self.workers,
+                self.tasks,
+                metric=self.metric,
+                now=self.now,
+                journal=self.journal,
+            )
         return self._checker
 
     # -- dependencies ------------------------------------------------------------

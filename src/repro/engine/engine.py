@@ -25,7 +25,21 @@ are unlinked, departed workers dropped (a busy worker always returns as a
 *relocated* record, so a row can never silently go stale), newly-appearing
 tasks linked against the current workers, and only new or changed workers
 get their candidate row recomputed — a grid-index probe plus exact checks
-instead of a full ``|W| x |T|`` rebuild.
+instead of a full ``|W| x |T|`` rebuild.  :meth:`AllocationEngine.begin_batch`
+then builds the batch's view, so the allocator that reads it does no
+feasibility work of its own.
+
+The link loop
+-------------
+Every scalar link check — arrivals, bucketed row recomputes, grid-index
+rows and the road-network full build's rows — runs through one method,
+:meth:`AllocationEngine._link`.  It iterates ``(worker, tasks)`` rows with
+the worker's fields read once per row, calls the plain ``euclidean`` /
+``manhattan`` function of a planar metric directly, and makes
+:func:`~repro.core.constraints.deadline_ok`'s comparisons inline in that
+function's order over the same floats (a deadline is ``start + wait``, the
+float the ``deadline`` properties return).  Per-pair calls, not pairs,
+were the sync's cost; the loop is the predicate's only body in the engine.
 
 Skill buckets
 -------------
@@ -68,7 +82,6 @@ from repro.columnar import (
 )
 from repro.core.constraints import (
     FeasibleRows,
-    deadline_ok,
     index_cell_size,
     prune_rejection_reason,
     reach_radius,
@@ -81,8 +94,13 @@ from repro.engine.counters import EngineCounters
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.spatial.distance import Point
+from repro.spatial.distance import Point, plain_function
 from repro.spatial.index import GridIndex
+
+#: A link loop's reason per skill-passing ``(worker id, task id)`` pair:
+#: None when linked, else ``"reach"`` or ``"deadline"``.
+Verdicts = Dict[Tuple[int, int], Optional[str]]
+
 
 class AllocationEngine:
     """Incremental feasibility over skill buckets for a platform run.
@@ -106,8 +124,9 @@ class AllocationEngine:
     :func:`repro.columnar.columnar_code_for` selects them for the
     instance's metric: numpy importable and a planar metric, the rule a
     standalone checker applies too.  Incremental syncs always run the
-    bucketed scalar loops, which visit only skill-matching pairs and so
-    beat packing every worker into columns per sync (DESIGN §23).  The
+    scalar link loop (:meth:`_link`) over the skill buckets, which visits
+    only skill-matching pairs and so beats packing every worker into
+    columns per sync (DESIGN §23, §25).  The
     graph and the reported ``engine_stats`` are the scalar path's bit for
     bit, and so is the journal's event stream bar the ``columnar`` flag on
     ``feas_build`` events — the kernels share the scalar oracle's
@@ -128,6 +147,8 @@ class AllocationEngine:
         self.instance = instance
         self.metric = instance.metric
         self._columnar_code = columnar_code_for(instance.metric)
+        # The scalar link loop calls euclidean / manhattan directly.
+        self._distance = plain_function(instance.metric)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.counters = EngineCounters(self.registry)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -141,9 +162,10 @@ class AllocationEngine:
         # in registration order; empty buckets are dropped.
         self._tasks_by_skill: Dict[int, Dict[int, Task]] = {}
         self._workers_by_skill: Dict[int, Dict[int, Worker]] = {}
-        # Each link stores (task start, task deadline, exact travel time),
-        # so per-batch deadline filtering is three float comparisons — no
-        # metric or attribute traffic.
+        # Each link stores (task start, task deadline, exact travel time) as
+        # computed by the link loop (:meth:`_link`), so per-batch deadline
+        # filtering is three float comparisons — no metric or attribute
+        # traffic.
         self._tasks_of: Dict[int, Dict[int, Tuple[float, float, float]]] = {}
         self._workers_of: Dict[int, Set[int]] = {}
         self._index: Optional[GridIndex[int]] = None
@@ -208,6 +230,10 @@ class AllocationEngine:
                 pairs=pairs,
                 columnar=columnar,
             )
+        # Built here, not on the allocator's first read, so the allocator's
+        # timed region holds allocation work only.
+        with self.tracer.span("engine.view"):
+            view = BatchFeasibilityView(self, workers, tasks, now)
         return BatchContext(
             workers,
             tasks,
@@ -215,7 +241,7 @@ class AllocationEngine:
             now,
             previously_assigned,
             counters=self.counters,
-            checker_factory=lambda: BatchFeasibilityView(self, workers, tasks, now),
+            checker=view,
             stats_snapshot=snapshot,
             tracer=self.tracer,
             journal=self.journal,
@@ -353,7 +379,10 @@ class AllocationEngine:
             for task in added_tasks:
                 self._add_task(task, changed_ids, kept, now)
         self.counters.tasks_added += len(added_tasks)
-        latest = self._latest_deadline()
+        if not changed:
+            return
+        # Only index probes read the latest deadline; 0.0 stands in unread.
+        latest = self._latest_deadline() if self._index is not None else 0.0
         for worker in changed:
             self._recompute_row(worker, latest, now)
 
@@ -378,19 +407,14 @@ class AllocationEngine:
         """
         self._register_task(task)
         bucket = self._workers_by_skill.get(task.skill, {})
-        metric = self.metric
-        t_loc = task.location
-        link = self._link_check
-        if not self.journal.enabled:
-            for wid, worker in bucket.items():
-                if wid not in skip_workers:
-                    link(worker, task, now, metric(worker.location, t_loc))
-        else:
-            verdicts = {
-                (wid, task.id): link(worker, task, now, metric(worker.location, t_loc))
-                for wid, worker in bucket.items()
-                if wid not in skip_workers
-            }
+        workers: Iterable[Worker] = (
+            [w for wid, w in bucket.items() if wid not in skip_workers]
+            if skip_workers
+            else bucket.values()
+        )
+        verdicts: Optional[Verdicts] = {} if self.journal.enabled else None
+        self._link(zip(workers, repeat((task,))), now, verdicts)
+        if verdicts is not None:
             self._journal_build(
                 ((w, task) for w in self._workers.values() if w.id not in skip_workers),
                 verdicts,
@@ -552,21 +576,14 @@ class AllocationEngine:
         emitted in ``self._tasks`` order, as an unbucketed row walk would.
         """
         by_skill = self._tasks_by_skill
-        metric = self.metric
-        w_loc = worker.location
-        link = self._link_check
         buckets = [by_skill[s] for s in worker.skills if s in by_skill]
-        if not self.journal.enabled:
-            for bucket in buckets:
-                for task in bucket.values():
-                    link(worker, task, now, metric(w_loc, task.location))
-            return
-        verdicts = {
-            (worker.id, tid): link(worker, task, now, metric(w_loc, task.location))
-            for bucket in buckets
-            for tid, task in bucket.items()
-        }
-        self._journal_build(((worker, task) for task in self._tasks.values()), verdicts)
+        verdicts: Optional[Verdicts] = {} if self.journal.enabled else None
+        row = chain.from_iterable(map(dict.values, buckets))
+        self._link(((worker, row),), now, verdicts)
+        if verdicts is not None:
+            self._journal_build(
+                ((worker, task) for task in self._tasks.values()), verdicts
+            )
 
     def _link_row(
         self,
@@ -575,57 +592,102 @@ class AllocationEngine:
         now: float,
         distance: Optional[Callable[[Point, Point], float]] = None,
     ) -> None:
-        """Link-check ``worker`` against ``tasks`` in order, skill test inline.
+        """Link-check ``worker`` against ``tasks``, skill test first.
 
         The path for grid-index candidate rows, which the index has already
-        pruned.  A skill miss journals its ``skill`` reject at its stream
-        position.  ``distance`` defaults to the instance metric.
+        pruned, and for the road-network full build, whose ``distance``
+        reads the build's table.  Rejects, ``skill`` ones included, are
+        journaled in ``tasks`` order.
         """
+        tasks = list(tasks)
         skills = worker.skills
-        journal = self.journal
-        distance = distance if distance is not None else self.metric
-        w_loc = worker.location
-        for task in tasks:
-            if task.skill in skills:
-                dist = distance(w_loc, task.location)
-                reason = self._link_check(worker, task, now, dist)
-                if reason is not None and journal.enabled:
-                    self._reject(worker, task, reason)
-            elif journal.enabled:
-                self._reject(worker, task, "skill")
+        verdicts: Optional[Verdicts] = {} if self.journal.enabled else None
+        self._link(
+            ((worker, [t for t in tasks if t.skill in skills]),),
+            now,
+            verdicts,
+            distance,
+        )
+        if verdicts is not None:
+            self._journal_build(((worker, task) for task in tasks), verdicts)
 
-    def _link_check(
-        self, worker: Worker, task: Task, now: float, dist: float
-    ) -> Optional[str]:
-        """Link a skill-passing pair, or return its reject reason.
+    def _link(
+        self,
+        rows: Iterable[Tuple[Worker, Iterable[Task]]],
+        now: float,
+        verdicts: Optional[Verdicts] = None,
+        distance: Optional[Callable[[Point, Point], float]] = None,
+    ) -> None:
+        """Link every skill-passing ``(worker, tasks)`` pair that passes
+        Definition 3's range and deadline tests at ``now``.
 
-        Superset test at the batch timestamp: feasibility only shrinks as
-        time advances, so later batch views' deadline filter never misses a
-        pair.  The stored travel time is the same division ``deadline_ok``
-        would perform, so the filters are bit-identical.  Callers count
-        ``pairs_checked`` in bulk — a per-pair counter increment here
-        dominates the link check itself.
+        The engine's one body of the link predicate, shared by arrivals,
+        row recomputes and the index / road-network rows.  A superset test
+        at the batch timestamp: feasibility only shrinks as time advances,
+        so later batch views' deadline filter never misses a pair.  It makes
+        :func:`~repro.core.constraints.deadline_ok`'s comparisons in its
+        order over the same floats (a deadline is ``start + wait``, the
+        float the ``deadline`` properties return), and a link stores the
+        travel time that function divides out, so the views' filter is
+        bit-identical.  Each worker's fields are read once per row.
+
+        With ``verdicts`` given, each pair's reason (None when linked,
+        ``"reach"`` or ``"deadline"``) is recorded under ``(worker id,
+        task id)`` for :meth:`_journal_build`.  ``distance`` defaults to the
+        instance metric.  Callers count ``pairs_checked`` in bulk — a
+        per-pair counter increment here would dominate the test itself.
         """
-        if dist > worker.max_distance:
-            return "reach"
-        if not deadline_ok(worker, task, now=now, dist=dist):
-            return "deadline"
-        # ``deadline_ok`` held, so dist > 0 implies velocity > 0 here.
-        travel = dist / worker.velocity if dist > 0.0 else 0.0
-        self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
-        self._workers_of[task.id].add(worker.id)
-        return None
+        if distance is None:
+            distance = self._distance
+        tasks_of = self._tasks_of
+        workers_of = self._workers_of
+        for worker, tasks in rows:
+            wid = worker.id
+            w_loc = worker.location
+            w_start = worker.start
+            w_deadline = w_start + worker.wait
+            reach = worker.max_distance
+            velocity = worker.velocity
+            base = now if now > w_start else w_start
+            row = tasks_of[wid]
+            for task in tasks:
+                dist = distance(w_loc, task.location)
+                if dist > reach:
+                    reason: Optional[str] = "reach"
+                else:
+                    reason = "deadline"
+                    t_start = task.start
+                    t_deadline = t_start + task.wait
+                    if t_start <= w_deadline and w_start <= t_deadline:
+                        depart = t_start if t_start > base else base
+                        if depart <= t_deadline and depart <= w_deadline:
+                            if dist == 0.0:
+                                travel = 0.0
+                                reason = None
+                            elif velocity > 0.0:
+                                travel = dist / velocity
+                                if depart + travel <= t_deadline:
+                                    reason = None
+                    if reason is None:
+                        tid = task.id
+                        row[tid] = (t_start, t_deadline, travel)
+                        workers_of[tid].add(wid)
+                        if verdicts is not None:
+                            verdicts[wid, tid] = None
+                        continue
+                if verdicts is not None:
+                    verdicts[wid, task.id] = reason
 
     def _journal_build(
         self,
         pairs: Iterable[Tuple[Worker, Task]],
-        verdicts: Dict[Tuple[int, int], Optional[str]],
+        verdicts: Verdicts,
     ) -> None:
         """Emit the build rejects of ``pairs`` in their order.
 
         The journal side channel of the bucketed paths: a pair failing the
         skill test gets a ``skill`` reject, a skill-passing pair the reason
-        :meth:`_link_check` recorded in ``verdicts``, a linked pair nothing.
+        :meth:`_link` recorded in ``verdicts``, a linked pair nothing.
         """
         for worker, task in pairs:
             if task.skill not in worker.skills:
@@ -669,11 +731,13 @@ class AllocationEngine:
 class BatchFeasibilityView(FeasibleRows):
     """A :class:`FeasibilityChecker`-compatible view over the engine's graph.
 
-    Construction filters each batch worker's stored links with the
-    time-dependent deadline predicate at the batch timestamp (each link's
-    distance was stored when the link was made, so no metric evaluation
-    happens here) and canonically sorts both row directions — the result is
-    the exact pair set, in the exact order, a fresh checker would produce.
+    :meth:`AllocationEngine.begin_batch` builds one per batch, under its
+    own ``engine.view`` span.  Construction filters each batch worker's
+    stored links with the time-dependent deadline predicate at the batch
+    timestamp (each link's travel time was stored when the link was made,
+    so no metric evaluation happens here) and canonically sorts both row
+    directions — the result is the exact pair set, in the exact order, a
+    fresh checker would produce.
     Workers without stored links get no row at all; the checker API answers
     for them exactly as for an empty row.
     """
@@ -700,8 +764,9 @@ class BatchFeasibilityView(FeasibleRows):
                 continue
             row: List[int] = []
             checked += len(links)
-            w_deadline = worker.deadline
-            base = now if now > worker.start else worker.start
+            w_start = worker.start
+            w_deadline = w_start + worker.wait
+            base = now if now > w_start else w_start
             # Inlined ``deadline_ok``: a stored link already passed the
             # time-independent window/velocity tests, so only the departure
             # checks remain — same comparisons, same floats.

@@ -453,7 +453,7 @@ class ShardedEngine:
                     self.instance,
                     now,
                     frozen,
-                    checker_factory=lambda view=view: view,
+                    checker=view,
                     tracer=self.tracer,
                     journal=journal,
                 )
@@ -557,10 +557,9 @@ class ShardedEngine:
                     self.instance,
                     now,
                     satisfied,
-                    checker_factory=(
-                        lambda ws=retry_workers, ts=retry_tasks, rows=retry_rows: (
-                            _PrebuiltView(ws, ts, rows, self.instance.metric, now)
-                        )
+                    checker=_PrebuiltView(
+                        retry_workers, retry_tasks, retry_rows,
+                        self.instance.metric, now,
                     ),
                     tracer=self.tracer,
                     journal=self.journal,

@@ -108,6 +108,21 @@ class HaversineDistance(DistanceMetric):
         return haversine_km(a, b)
 
 
+def plain_function(metric: DistanceMetric) -> Callable[[Point, Point], float]:
+    """The closed form behind a euclidean or manhattan ``metric``.
+
+    Hot loops call the returned function directly and skip the
+    ``__call__`` frame; the values are the metric's own.  Any other metric
+    (one that overrides ``__call__``) comes back as itself.
+    """
+    call = type(metric).__call__
+    if call is EuclideanDistance.__call__:
+        return euclidean
+    if call is ManhattanDistance.__call__:
+        return manhattan
+    return metric
+
+
 _METRICS: dict[str, Callable[[], DistanceMetric]] = {
     "euclidean": EuclideanDistance,
     "manhattan": ManhattanDistance,

@@ -142,6 +142,10 @@ class GridIndex(Generic[K]):
         """All keys whose point is within Euclidean ``radius`` of ``center``."""
         if radius < 0.0:
             return []
+        if radius == math.inf:
+            # Every point qualifies (an unbounded worker's reach disc); the
+            # cell arithmetic below cannot floor an infinite coordinate.
+            return [key for bucket in self._cells.values() for key in bucket]
         cx, cy = center
         radius_sq = radius * radius
         points = self._points

@@ -96,6 +96,17 @@ class TestEdgeSemantics:
         mask = self._verdicts(workers, tasks, -math.inf, "euclidean", backend)
         assert mask == b"\x00"
 
+    @pytest.mark.parametrize("code", ["euclidean", "manhattan"])
+    def test_zero_velocity_never_reaches_a_task_that_never_expires(self, backend, code):
+        # The division's inf arrival would pass an infinite deadline.
+        workers = [_worker(0, velocity=0.0, wait=math.inf)]
+        tasks = [_task(0, wait=math.inf), _task(1, location=(0.0, 0.0), wait=math.inf)]
+        mask = self._verdicts(workers, tasks, 1.0, code, backend)
+        assert mask == b"\x00\x01"
+        batch = ColumnarBatch(workers, tasks)
+        reasons = BACKENDS[backend].rejection_reasons(batch, [0, 0], [0, 1], 1.0, code)
+        assert reasons == bytes([columnar.REASON_DEADLINE, columnar.REASON_FEASIBLE])
+
     def test_empty_skills_reject_everything(self, backend):
         workers = [_worker(0, skills=())]
         tasks = [_task(0)]

@@ -27,6 +27,23 @@ class TestStandaloneContext:
         fresh = FeasibilityChecker(example1.workers, example1.tasks, now=0.0)
         assert sorted(context.checker.pairs()) == sorted(fresh.pairs())
 
+    def test_prebuilt_checker_is_returned(self, example1):
+        prebuilt = FeasibilityChecker(example1.workers, example1.tasks, now=0.0)
+        context = BatchContext(
+            example1.workers, example1.tasks, example1, 0.0, checker=prebuilt
+        )
+        assert context.checker is prebuilt
+
+    def test_engine_context_holds_its_view_before_any_read(self, example1):
+        engine = AllocationEngine(example1)
+        before = engine.stats()["engine_time_filtered"]
+        context = engine.begin_batch(example1.workers, example1.tasks, 0.0)
+        # The view was built (and its links filtered) inside begin_batch.
+        assert context._checker is not None
+        assert engine.stats()["engine_time_filtered"] > before
+        fresh = FeasibilityChecker(example1.workers, example1.tasks, now=0.0)
+        assert sorted(context.checker.pairs()) == sorted(fresh.pairs())
+
     def test_engine_stats_empty(self, example1):
         context = BatchContext.standalone(
             example1.workers, example1.tasks, example1

@@ -86,6 +86,20 @@ class TestSpansRecorded:
             if span.name == "alloc.Greedy":
                 assert by_id[span.parent_id].name == "platform.match"
 
+    def test_view_is_built_outside_the_allocator(self, instance):
+        # The batch view is engine work: one engine.view span per engine
+        # batch, under platform.feasibility, none inside alloc.* spans.
+        tracer = Tracer()
+        report = _run(instance, "Greedy", tracer=tracer)
+        by_id = {span.span_id: span for span in tracer.finished}
+        views = [s for s in tracer.finished if s.name == "engine.view"]
+        allocs = [s for s in tracer.finished if s.name == "alloc.Greedy"]
+        assert len(views) == len(allocs) == sum(
+            1 for b in report.batches if b.available_workers and b.open_tasks
+        )
+        for span in views:
+            assert by_id[span.parent_id].name == "platform.feasibility"
+
     def test_batch_span_attrs(self, instance):
         tracer = Tracer()
         report = _run(instance, "Greedy", tracer=tracer)

@@ -13,10 +13,15 @@ Three invariants:
   tasks through arrivals, removals and relocations that change skill sets,
   and the bucketed syncs count the pairs an unbucketed loop would visit.
 
-A last test pins the journal as a side channel: recording the bucketed
-syncs' rejects does not change a single decision or counter.
+A journal test pins the journal as a side channel: recording the bucketed
+syncs' rejects does not change a single decision or counter.  The last
+suite drives the link loop through its edge cases (zero and infinite
+velocities, coincident points, unbounded windows and reach, a first batch
+at ``-inf``, arrivals exactly on the deadline) against the rebuild engine
+and the scalar predicate, journal on and off.
 """
 
+import math
 import random
 from dataclasses import replace
 
@@ -24,7 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.constraints import FeasibilityChecker
+from repro.core.constraints import (
+    FeasibilityChecker,
+    pair_feasible,
+    pair_rejection_reason,
+)
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
 from repro.core.task import Task
@@ -36,7 +45,7 @@ from repro.spatial.distance import (
     HaversineDistance,
     ManhattanDistance,
 )
-from tests.reference import RebuildEngine, ScalarEuclidean
+from tests.reference import RebuildEngine, ScalarEuclidean, ScalarManhattan
 
 METRICS = [EuclideanDistance(), ManhattanDistance(), HaversineDistance()]
 
@@ -329,3 +338,156 @@ def test_journal_does_not_change_decisions(use_index):
     assert runs[False] == runs[True]
     assert runs[True][1]["engine_incremental_updates"] > 0
     assert any(runs[True][0])
+
+
+# -- edge populations for the link loop -------------------------------------------
+
+#: Few coordinates, so points coincide and axis-aligned distances are exact.
+_EDGE_COORDS = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+_EDGE_VELOCITIES = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf])
+_EDGE_REACH = st.sampled_from([0.0, 1.0, 2.0, math.inf])
+_EDGE_WAITS = st.sampled_from([0.0, 0.5, 1.0, 3.0, math.inf])
+#: Starts up to 6 put tasks after short-lived workers' deadlines.
+_EDGE_STARTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 6.0])
+_EDGE_SKILLS = 2
+
+
+def _edge_worker(data, wid, now):
+    # A worker appears no earlier than the batch that first sees it, as on
+    # the platform; the first batch may sit at -inf.
+    floor = now if math.isfinite(now) else 0.0
+    return Worker(
+        id=wid,
+        location=(data.draw(_EDGE_COORDS), data.draw(_EDGE_COORDS)),
+        start=floor + data.draw(_EDGE_STARTS),
+        wait=data.draw(_EDGE_WAITS),
+        velocity=data.draw(_EDGE_VELOCITIES),
+        max_distance=data.draw(_EDGE_REACH),
+        skills=frozenset(
+            data.draw(st.sets(st.integers(0, _EDGE_SKILLS - 1), min_size=1))
+        ),
+    )
+
+
+def _edge_task(data, tid, now):
+    floor = now if math.isfinite(now) else 0.0
+    return Task(
+        id=tid,
+        location=(data.draw(_EDGE_COORDS), data.draw(_EDGE_COORDS)),
+        start=floor + data.draw(_EDGE_STARTS),
+        wait=data.draw(_EDGE_WAITS),
+        skill=data.draw(st.integers(0, _EDGE_SKILLS - 1)),
+    )
+
+
+def _boundary_task(data, tid, worker, now):
+    """A task the worker reaches at exactly its deadline when linked at ``now``:
+    ``depart + dist / velocity == start + wait`` in exact dyadic floats."""
+    step = data.draw(st.sampled_from([1.0, 2.0, 3.0]))
+    start = (now if math.isfinite(now) else 0.0) + data.draw(st.sampled_from([0.0, 0.5]))
+    depart = max(worker.start, start, now)
+    x, y = worker.location
+    return Task(
+        id=tid,
+        location=(x + step, y),
+        start=start,
+        wait=depart + step / worker.velocity - start,
+        skill=min(worker.skills),
+    )
+
+
+def _check_rejects(events, workers, tasks, metric, now):
+    """Every reject of one batch carries the scalar oracle's reason."""
+    w_by_id = {w.id: w for w in workers}
+    t_by_id = {t.id: t for t in tasks}
+    for event in events:
+        worker, task = w_by_id[event["worker"]], t_by_id[event["task"]]
+        oracle = pair_rejection_reason(worker, task, metric, now)
+        if event["phase"] == "prune":
+            # The index's reason is sound, not first-failing.
+            assert oracle is not None
+        else:
+            assert event["reason"] == oracle, (event, worker, task, now)
+
+
+class TestLinkLoopEdges:
+    """The link loop against the scalar predicate on its edge cases: zero
+    and infinite velocity at zero and positive distance, coincident points,
+    unbounded waits and reach, a first batch at ``-inf``, tasks starting
+    after the worker leaves and arrivals landing exactly on the deadline."""
+
+    @given(
+        st.data(),
+        st.sampled_from(["euclidean", "scalar", "manhattan"]),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_churn_matches_rebuild_and_scalar_predicate(self, data, kind, use_index):
+        metric = {
+            "euclidean": EuclideanDistance(),
+            "scalar": ScalarEuclidean(),
+            "manhattan": ScalarManhattan(),
+        }[kind]
+        instance = _bucket_instance(metric)
+        journal = EventJournal()
+        quiet = AllocationEngine(instance, use_index=use_index)
+        loud = AllocationEngine(instance, use_index=use_index, journal=journal)
+        reference = RebuildEngine(instance)
+        ids = iter(range(1, 10**6))
+        now = data.draw(st.sampled_from([-math.inf, 0.0]))
+        workers = [
+            _edge_worker(data, next(ids), now)
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        tasks = [
+            _edge_task(data, next(ids), now)
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        for _ in range(data.draw(st.integers(2, 5))):
+            movers = [w for w in workers if 0.0 < w.velocity < math.inf]
+            if movers and data.draw(st.booleans()):
+                mover = data.draw(st.sampled_from(movers))
+                tasks.append(_boundary_task(data, next(ids), mover, now))
+            seen = len(journal.events)
+            views = [
+                engine.begin_batch(workers, tasks, now).checker
+                for engine in (quiet, loud, reference)
+            ]
+            pairs = list(views[2].pairs())
+            assert list(views[0].pairs()) == list(views[1].pairs()) == pairs
+            _assert_view_matches(views[0], views[2], workers, tasks)
+            assert set(pairs) == {
+                (w.id, t.id)
+                for w in workers
+                for t in tasks
+                if pair_feasible(w, t, metric, now)
+            }
+            assert quiet.stats() == loud.stats()
+            assert quiet.aux_stats() == loud.aux_stats()
+            assert quiet._tasks_of == loud._tasks_of
+            _check_rejects(
+                [e for e in journal.events[seen:] if e["type"] == "reject"],
+                workers, tasks, metric, now,
+            )
+            # Churn: time advances (or stands), tasks leave and arrive,
+            # workers leave, relocate and arrive.
+            now = (now if math.isfinite(now) else 0.0) + data.draw(
+                st.sampled_from([0.0, 0.5, 1.0])
+            )
+            tasks = [t for t in tasks if data.draw(st.booleans())] + [
+                _edge_task(data, next(ids), now)
+                for _ in range(data.draw(st.integers(0, 3)))
+            ]
+            survivors = []
+            for worker in workers:
+                roll = data.draw(st.sampled_from(["stay", "leave", "move"]))
+                if roll == "leave":
+                    continue
+                if roll == "move":
+                    spot = (data.draw(_EDGE_COORDS), data.draw(_EDGE_COORDS))
+                    worker = worker.relocated(spot, now, travelled=data.draw(_EDGE_REACH))
+                survivors.append(worker)
+            workers = survivors + [
+                _edge_worker(data, next(ids), now)
+                for _ in range(data.draw(st.integers(0, 2)))
+            ]

@@ -1,5 +1,6 @@
 """Grid index tests."""
 
+import math
 import random
 
 import pytest
@@ -66,6 +67,13 @@ class TestRadiusQueries:
     def test_radius_spanning_all_cells(self):
         index, points = _populated(50, cell=0.01)
         assert set(index.query_radius((0.5, 0.5), 10.0)) == set(points)
+
+    def test_infinite_radius_finds_everything(self):
+        # An unbounded worker's reach disc (max_distance = inf).
+        index, points = _populated(50, cell=0.01)
+        found = index.query_radius((0.5, 0.5), math.inf)
+        assert found == index.query_radius((0.5, 0.5), 10.0)
+        assert set(found) == set(points)
 
 
 class TestNearest:
