@@ -1,9 +1,10 @@
 """Micro-benchmarks of the substrates (proper multi-round timings).
 
 These are conventional pytest-benchmark measurements of the inner building
-blocks: instance load, the Hungarian solver, Hopcroft-Karp, the grid-index
-feasibility builder and a single greedy/game batch.  Useful for tracking
-performance regressions; they reproduce no specific paper figure.
+blocks: instance load, the Hungarian solver, Hopcroft-Karp, a standalone
+feasibility build (a one-shot engine) and a single greedy/game batch.
+Useful for tracking performance regressions; they reproduce no specific
+paper figure.
 """
 
 import random
@@ -17,10 +18,10 @@ import pytest
 from repro.algorithms.baselines import ClosestBaseline
 from repro.algorithms.game import DASCGame
 from repro.algorithms.greedy import DASCGreedy
-from repro.core.constraints import FeasibilityChecker
 from repro.core.instance import ProblemInstance
 from repro.datagen.distributions import Range
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
+from repro.engine.context import BatchContext
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.hungarian import INFEASIBLE, hungarian
 from repro.simulation.platform import Platform
@@ -89,24 +90,17 @@ def test_micro_hopcroft_karp_500(benchmark):
     benchmark(hopcroft_karp, adjacency, 500)
 
 
-def test_micro_feasibility_indexed(benchmark, batch_instance):
-    benchmark(
-        FeasibilityChecker,
-        batch_instance.workers,
-        batch_instance.tasks,
-        now=0.0,
-        use_index=True,
-    )
+def _standalone_feasibility(instance):
+    return BatchContext.standalone(
+        instance.workers, instance.tasks, instance, 0.0
+    ).checker
 
 
-def test_micro_feasibility_exhaustive(benchmark, batch_instance):
-    benchmark(
-        FeasibilityChecker,
-        batch_instance.workers,
-        batch_instance.tasks,
-        now=0.0,
-        use_index=False,
-    )
+def test_micro_feasibility(benchmark, batch_instance):
+    """A standalone context's feasible pairs: one full build of a one-shot
+    engine plus its batch view."""
+    checker = benchmark(_standalone_feasibility, batch_instance)
+    assert checker.pair_count() > 0
 
 
 def test_micro_greedy_single_batch(benchmark, batch_instance):
@@ -186,29 +180,8 @@ def test_micro_platform_engine(
     )
 
 
-def test_micro_grid_query_radius(benchmark):
-    """The sqrt-free radius query — the hottest instruction stream in a
-    feasibility build (one query per worker row)."""
-    from repro.spatial.index import GridIndex
-
-    rng = random.Random(7)
-    index = GridIndex(cell_size=0.05)
-    index.insert_many(
-        (i, (rng.uniform(0, 1), rng.uniform(0, 1))) for i in range(2000)
-    )
-    centers = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(100)]
-
-    def query_all():
-        total = 0
-        for center in centers:
-            total += len(index.query_radius(center, 0.15))
-        return total
-
-    benchmark(query_all)
-
-
 def test_micro_grid_nearest(benchmark):
-    """Ring-walking nearest with the incremental occupied-bounds cutoff."""
+    """Ring-walking nearest with the occupied-bounds cutoff."""
     from repro.spatial.index import GridIndex
 
     rng = random.Random(8)

@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """Perf-regression gate over the engine micro-benchmark.
 
-Two checks, one exit code:
+Six checks, one exit code (check 4, the columnar pair-eval ratio, went
+with the columnar kernels; the other numbers are kept so references to
+them stay valid):
 
 1. **Wall-clock gate** — reruns the feasibility-dominated platform workload
    behind ``bench_micro_substrates.test_micro_platform_engine`` and
@@ -29,13 +31,6 @@ Two checks, one exit code:
    arithmetic, this check is deterministic on 1-CPU hosts: a regression in
    the dirty-set scheduler or the value cache fails CI regardless of
    machine speed or load.
-4. **Columnar pair-ratio gate** — runs the ``bench_columnar`` platform
-   workload on the columnar path and, for the "off" side, under a
-   Euclidean metric with no kernel code; asserts the two reports
-   are bit-identical (exactness precondition) and requires the scalar path
-   to perform at least 5x more interpreter-level per-pair feasibility
-   evaluations (``scalar_pair_evals`` counter) than the columnar path.
-   Counter arithmetic only — deterministic on 1-CPU hosts.
 5. **Shard scale-out gate** — reruns both ``bench_shard`` workloads.  On
    the boundary-free arrival-heavy workload the sharded report must match
    the unsharded run while the busiest shard settles at least 4x less
@@ -66,7 +61,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/check_perf_gate.py [--threshold 1.25]
         [--min-eval-ratio 5.0] [--min-settled-ratio 5.0]
-        [--min-columnar-ratio 5.0] [--min-shard-ratio 4.0]
+        [--min-shard-ratio 4.0]
 """
 
 from __future__ import annotations
@@ -94,7 +89,6 @@ from conftest import BENCH_JSON, BENCH_SCHEMA, record_bench_entry  # noqa: E402
 ENTRY = "micro_platform_engine"
 GAME_ENTRY = "game_eval_gate"
 ROADNET_ENTRY = "roadnet_settled_gate"
-COLUMNAR_ENTRY = "columnar_pair_gate"
 EVENTS_ENTRY = "events_disabled_gate"
 SHARD_ENTRY = "shard_scaleout_gate"
 #: The warm-matching gate keeps the entry name it had when it rode along
@@ -103,7 +97,6 @@ MATCHING_ENTRY = "store_scale_gate"
 ROUNDS = 3
 MIN_EVAL_RATIO = 5.0
 MIN_SETTLED_RATIO = 5.0
-MIN_COLUMNAR_RATIO = 5.0
 MIN_SHARD_RATIO = 4.0
 
 
@@ -200,47 +193,6 @@ def check_game_eval_ratio(min_ratio: float) -> bool:
         f"{verdict}: game eval ratio {ratio:.2f}x "
         f"({naive_evals:.0f} derived-naive task values vs "
         f"{outcome.stats['value_recomputes']:.0f} computed; floor x{min_ratio})"
-    )
-    return ok
-
-
-def check_columnar_pair_ratio(min_ratio: float) -> bool:
-    """Counter-only gate on the columnar kernels' per-pair-eval savings."""
-    from bench_columnar import (
-        COLUMNAR_CONFIG,
-        _assert_reports_identical,
-        run_columnar_workload,
-    )
-
-    instance = make_feasibility_instance()
-    on_report, on_aux, wall_ms = run_columnar_workload(instance, True)
-    off_report, off_aux, _ = run_columnar_workload(instance, False)
-
-    try:  # exactness is a precondition of the perf claim
-        _assert_reports_identical(on_report, off_report)
-    except AssertionError:
-        print("FAIL: columnar on/off reports diverge")
-        return False
-
-    ratio = off_aux["scalar_pair_evals"] / max(on_aux["scalar_pair_evals"], 1)
-    record_bench_entry(
-        COLUMNAR_ENTRY,
-        dict(COLUMNAR_CONFIG, min_pair_ratio=min_ratio),
-        wall_ms,
-        {
-            "columnar_full_builds": on_aux["columnar_full_builds"],
-            "columnar_pairs": on_aux["columnar_pairs"],
-            "columnar_path_pair_evals": on_aux["scalar_pair_evals"],
-            "scalar_path_pair_evals": off_aux["scalar_pair_evals"],
-            "pair_eval_ratio": round(ratio, 3),
-        },
-    )
-    ok = ratio >= min_ratio and on_aux["columnar_pairs"] > 0
-    verdict = "PASS" if ok else "FAIL"
-    print(
-        f"{verdict}: columnar pair-eval ratio {ratio:.2f}x "
-        f"({off_aux['scalar_pair_evals']:.0f} scalar-path evals vs "
-        f"{on_aux['scalar_pair_evals']:.0f} columnar-path; floor x{min_ratio})"
     )
     return ok
 
@@ -458,14 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         f"nodes (default {MIN_SETTLED_RATIO}; deterministic, no wall-clock)",
     )
     parser.add_argument(
-        "--min-columnar-ratio",
-        type=float,
-        default=MIN_COLUMNAR_RATIO,
-        help="fail when the columnar path saves fewer than THIS x "
-        "interpreter-level per-pair feasibility evaluations "
-        f"(default {MIN_COLUMNAR_RATIO}; deterministic, no wall-clock)",
-    )
-    parser.add_argument(
         "--min-shard-ratio",
         type=float,
         default=MIN_SHARD_RATIO,
@@ -493,7 +437,6 @@ def main(argv: list[str] | None = None) -> int:
     record_platform_entry(record_bench_entry, ENTRY, *best)
     roadnet_ok = check_roadnet_settled_ratio(args.min_settled_ratio)
     game_ok = check_game_eval_ratio(args.min_eval_ratio)
-    columnar_ok = check_columnar_pair_ratio(args.min_columnar_ratio)
     shard_ok = check_shard_scaleout(args.min_shard_ratio)
     matching_ok = check_warm_matching()
     events_ok = check_events_disabled_overhead(
@@ -502,7 +445,6 @@ def main(argv: list[str] | None = None) -> int:
     counters_ok = (
         roadnet_ok
         and game_ok
-        and columnar_ok
         and shard_ok
         and matching_ok
         and events_ok

@@ -65,9 +65,8 @@ class BatchAllocator(abc.ABC):
             outcome = allocator.allocate(context)
 
         Compatibility shim — the historical five-argument signature, which
-        wraps its arguments in a standalone context whose feasibility oracle
-        is a fresh per-batch :class:`FeasibilityChecker`, exactly like the
-        pre-engine behaviour::
+        wraps its arguments in a standalone context, whose feasibility oracle
+        is the view of a one-shot engine built for this one batch::
 
             outcome = allocator.allocate(workers, tasks, instance, now,
                                          previously_assigned)

@@ -31,7 +31,7 @@ from typing import AbstractSet, Dict, List, Set
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.core.assignment import Assignment
-from repro.core.constraints import FeasibilityChecker
+from repro.core.constraints import FeasibleRows
 from repro.core.instance import ProblemInstance
 from repro.engine.context import BatchContext, ReadinessView
 
@@ -86,7 +86,7 @@ class _SearchState:
     def __init__(
         self,
         assignment: Assignment,
-        checker: FeasibilityChecker,
+        checker: FeasibleRows,
         graph,
         previously_assigned: AbstractSet[int],
     ) -> None:
@@ -103,7 +103,7 @@ class _SearchState:
         """The idle workers, sorted (the fill/relocate scan order)."""
         return sorted(self.all_workers - self.busy)
 
-    def feasible_of(self, checker: FeasibilityChecker, worker_id: int) -> Set[int]:
+    def feasible_of(self, checker: FeasibleRows, worker_id: int) -> Set[int]:
         feasible = self._feasible.get(worker_id)
         if feasible is None:
             feasible = self._feasible[worker_id] = set(checker.tasks_of(worker_id))
@@ -128,7 +128,7 @@ class _SearchState:
 
 def improve_assignment(
     assignment: Assignment,
-    checker: FeasibilityChecker,
+    checker: FeasibleRows,
     instance: ProblemInstance,
     previously_assigned: AbstractSet[int] = frozenset(),
     max_passes: int = 10,
@@ -150,7 +150,7 @@ def improve_assignment(
 
 def _fill_pass(
     assignment: Assignment,
-    checker: FeasibilityChecker,
+    checker: FeasibleRows,
     state: _SearchState,
 ) -> bool:
     changed = False
@@ -175,7 +175,7 @@ def _fill_pass(
 
 def _relocate_pass(
     assignment: Assignment,
-    checker: FeasibilityChecker,
+    checker: FeasibleRows,
     state: _SearchState,
 ) -> bool:
     changed = False

@@ -1,49 +1,9 @@
-"""Columnar feasibility core: struct-of-arrays snapshots + vectorised kernels.
+"""Former home of the columnar feasibility kernels.
 
-``repro.columnar`` turns a batch's worker/task populations into contiguous
-columns (:class:`ColumnarBatch`) and evaluates the pair-feasibility
-predicate over whole tiles at once with numpy, skill test first
-(:func:`skill_candidates` / :func:`skill_candidates_dense`).  Decisions
-and distances are bit-identical to the scalar :func:`repro.core.constraints.pair_feasible`
-oracle; see :mod:`repro.columnar.kernels` for the exactness contract.
-
-Full feasibility builds (the engine's, each shard engine's and a
-standalone checker's) take the kernels exactly when numpy is importable
-and the metric advertises a kernel code (:func:`columnar_code_for`);
-there is no switch.  The engine's incremental syncs stay scalar.
+Feasibility is decided by one scalar link loop
+(:meth:`repro.engine.engine.AllocationEngine._link`) and best response by
+one scalar path, so the kernels and their struct-of-arrays snapshots are
+gone (DESIGN.md §17, §26).  Two stubs stay for readers that stamp which
+paths a run took: :func:`repro.columnar.kernels.numpy_available` and
+:func:`repro.columnar.game_kernels.default_game_kernels`.
 """
-
-from repro.columnar.batch import ColumnarBatch, intern_skills
-from repro.columnar.kernels import (
-    CODES,
-    REASON_DEADLINE,
-    REASON_FEASIBLE,
-    REASON_NAMES,
-    REASON_REACH,
-    REASON_SKILL,
-    columnar_code_for,
-    dense_pair_columns,
-    numpy_available,
-    rejection_reasons,
-    skill_candidates,
-    skill_candidates_dense,
-    true_positions,
-)
-
-__all__ = [
-    "CODES",
-    "ColumnarBatch",
-    "REASON_DEADLINE",
-    "REASON_FEASIBLE",
-    "REASON_NAMES",
-    "REASON_REACH",
-    "REASON_SKILL",
-    "columnar_code_for",
-    "dense_pair_columns",
-    "intern_skills",
-    "numpy_available",
-    "rejection_reasons",
-    "skill_candidates",
-    "skill_candidates_dense",
-    "true_positions",
-]

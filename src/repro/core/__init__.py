@@ -16,7 +16,7 @@ This package is a faithful encoding of Section II of the paper:
 from repro.core.assignment import Assignment, AssignmentViolation
 from repro.core.batch import Batch, iter_batches
 from repro.core.constraints import (
-    FeasibilityChecker,
+    FeasibleRows,
     deadline_ok,
     latest_departure,
     pair_feasible,
@@ -38,7 +38,7 @@ __all__ = [
     "CyclicDependencyError",
     "DascError",
     "DependencyGraph",
-    "FeasibilityChecker",
+    "FeasibleRows",
     "InvalidInstanceError",
     "LintFinding",
     "ProblemInstance",

@@ -1,10 +1,9 @@
 """Engine layer: shared per-batch allocation state with incremental reuse.
 
-The historic design rebuilt a :class:`FeasibilityChecker` from scratch
-inside every allocator call; this package hoists that work into an
-:class:`AllocationEngine` owned by the platform, which maintains the
-feasible-pair graph *incrementally* across batches, memoizes distances, and
-exposes everything a batch needs through a :class:`BatchContext`.
+An :class:`AllocationEngine` owned by the platform maintains the
+feasible-pair graph *incrementally* across batches and exposes everything
+a batch needs through a :class:`BatchContext`.  It is the library's one
+builder of feasible pairs: a standalone context builds a one-shot engine.
 """
 
 from repro.engine.context import BatchContext, ReadinessView

@@ -7,15 +7,15 @@ the batch timestamp, the cross-batch dependency credit
 distance metric.  The :class:`~repro.simulation.platform.Platform` builds
 one per batch through the :class:`~repro.engine.engine.AllocationEngine`,
 which reuses feasibility work across batches and hands the context its
-batch view prebuilt; standalone contexts built by the compatibility shim
-fall back to a fresh :class:`~repro.core.constraints.FeasibilityChecker`,
-built on first read, and behave exactly like the historical per-allocator
-rebuild.
+batch view prebuilt.  A standalone context (the compatibility shim, a
+single-batch solve, the shard reconcile) builds a one-shot engine on first
+read and takes that engine's view, so every feasible pair comes from the
+same link loop.
 
-Both feasibility paths expose the same oracle API (``tasks_of`` /
-``workers_of`` / ``feasible`` / ``pairs`` / ``pair_count`` plus ``workers``
-/ ``tasks`` / ``metric`` / ``now`` attributes) with canonically sorted
-rows, so allocator behaviour is bit-identical between them.
+The oracle API is :class:`~repro.core.constraints.FeasibleRows`
+(``tasks_of`` / ``workers_of`` / ``feasible`` / ``pairs`` / ``pair_count``
+plus ``workers`` / ``tasks`` / ``metric`` / ``now`` attributes) with
+canonically sorted rows.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import (
     Sequence,
 )
 
-from repro.core.constraints import FeasibilityChecker, FeasibleRows
+from repro.core.constraints import FeasibleRows
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -159,17 +159,18 @@ class BatchContext:
         """The batch's feasible-pair oracle.
 
         Engine contexts hold the view their engine prebuilt; standalone
-        contexts build a fresh :class:`FeasibilityChecker` on first use,
-        exactly like the historic per-allocator rebuild did.
+        contexts build it on first use with a one-shot engine, whose
+        counters are dropped (:meth:`engine_stats` stays empty).
         """
         if self._checker is None:
-            self._checker = FeasibilityChecker(
-                self.workers,
-                self.tasks,
-                metric=self.metric,
-                now=self.now,
-                journal=self.journal,
+            # A local import: repro.engine.engine imports this module.
+            from repro.engine.engine import AllocationEngine
+
+            engine = AllocationEngine(
+                self.instance, tracer=self.tracer, journal=self.journal
             )
+            context = engine.begin_batch(self.workers, self.tasks, self.now)
+            self._checker = context.checker
         return self._checker
 
     # -- dependencies ------------------------------------------------------------

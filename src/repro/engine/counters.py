@@ -32,8 +32,15 @@ _COUNTER_FIELDS = (
     ),
     ("tasks_added", "tasks linked into the graph after the first build"),
     ("tasks_removed", "tasks dropped (assigned or expired) from the graph"),
-    ("pairs_checked", "exact feasibility evaluations performed"),
-    ("pruned_by_index", "candidate pairs skipped thanks to grid-index probes"),
+    (
+        "pairs_checked",
+        "pairs decided by the link loop, skill rejects counted by arithmetic",
+    ),
+    (
+        "pruned_by_index",
+        "always 0: there is no grid index (kept for the benchmark's "
+        "per-layer split)",
+    ),
     ("time_filtered", "cheap per-batch deadline re-checks of cached pairs"),
     (
         "cache_hits",
@@ -60,24 +67,20 @@ _COUNTER_FIELDS = (
 
 FIELD_NAMES = tuple(name for name, _ in _COUNTER_FIELDS)
 
-#: Mode-dependent telemetry kept OUT of ``as_dict`` on purpose:
-#: ``SimulationReport.engine_stats`` is pinned bit-identical between the
-#: columnar and scalar build paths, so counters whose values *distinguish*
-#: the paths live in this auxiliary group instead.  They are still
-#: registered (``engine_<name>``) in the obs registry — exporters and the
-#: perf gate read them there or via :meth:`EngineCounters.aux_dict`.
+#: Telemetry kept OUT of ``as_dict``: the benchmark's per-layer split
+#: reads these keys (via :meth:`EngineCounters.aux_dict`), but they are not
+#: part of ``SimulationReport.engine_stats``.  They are still registered
+#: (``engine_<name>``) in the obs registry.
 _AUX_COUNTER_FIELDS = (
     (
-        "columnar_full_builds",
-        "full feasibility builds evaluated by the columnar kernels",
-    ),
-    (
         "columnar_pairs",
-        "candidate pairs decided vectorised by the columnar kernels",
+        "always 0: there are no columnar kernels (kept for the benchmark's "
+        "per-layer split)",
     ),
     (
         "scalar_pair_evals",
-        "candidate pairs decided by interpreter-level per-pair evaluation",
+        "always 0: pairs_checked counts every decided pair (kept for the "
+        "benchmark's per-layer split)",
     ),
     (
         "game_kernel_sweeps",
@@ -117,14 +120,14 @@ class EngineCounters:
 
         Key order is fixed by :data:`_COUNTER_FIELDS`, so two snapshots can
         be compared or serialized without sorting first.  The auxiliary
-        columnar group (:data:`_AUX_COUNTER_FIELDS`) is excluded — see its
+        group (:data:`_AUX_COUNTER_FIELDS`) is excluded — see its
         docstring — read it via :meth:`aux_dict`.
         """
         counters = self._counters
         return {f"{prefix}{name}": float(counters[name].value) for name in FIELD_NAMES}
 
     def aux_dict(self, prefix: str = "engine_") -> Dict[str, float]:
-        """The mode-dependent columnar telemetry as a flat float dict."""
+        """The auxiliary telemetry as a flat float dict."""
         counters = self._counters
         return {
             f"{prefix}{name}": float(counters[name].value)

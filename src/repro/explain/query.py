@@ -27,7 +27,7 @@ from repro.obs.events import REASONS
 #: Rejection phases that represent a *fresh* feasibility decision on a pair
 #: (the ``view`` phase re-checks stored links against a later deadline and
 #: would double-count the pair).
-_FRESH_PHASES = ("build", "prune", "checker")
+_FRESH_PHASES = ("build",)
 
 
 class ExplainIndex:
@@ -187,14 +187,14 @@ class ExplainIndex:
         Stages:
 
         * ``pairs`` — candidate pairs given a fresh feasibility decision
-          (``feas_build`` records' ``pairs`` totals: exhaustive checks plus
-          index-pruned pairs).
+          (``feas_build`` records' ``pairs`` totals, skill rejects
+          included).
         * one count per :data:`~repro.obs.events.REASONS` — fresh
-          rejections (phases ``build`` / ``prune`` / ``checker`` plus the
+          rejections (phase ``build`` plus the
           allocator's ``dependency`` drops; the ``view`` phase re-checks
           stored links and is reported separately as ``stale_deadline``).
         * ``feasible`` — links offered to the allocator (last ``feas_view``
-          of the batch, falling back to ``feas_build``'s count).
+          of the batch).
         * ``matched`` — pairs committed (``assign`` events).
 
         For a batch with a full (non-incremental) build the identity
@@ -220,8 +220,6 @@ class ExplainIndex:
             etype = event["type"]
             if etype == "feas_build":
                 out["pairs"] += event["pairs"]
-                if "feasible" in event and out["feasible"] is None:
-                    out["feasible"] = event["feasible"]
             elif etype == "feas_view":
                 out["feasible"] = event["feasible"]
             elif etype == "reject":

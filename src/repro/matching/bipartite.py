@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 
-from repro.core.constraints import FeasibilityChecker
+from repro.core.constraints import FeasibleRows
 from repro.core.instance import ProblemInstance
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.hungarian import INFEASIBLE, hungarian
@@ -122,7 +122,7 @@ def max_bipartite_matching(
 def match_task_set(
     task_ids: Sequence[int],
     free_workers: Iterable[int],
-    checker: FeasibilityChecker,
+    checker: FeasibleRows,
     instance: ProblemInstance,
     method: Method = "hungarian",
     memo: Optional[MatchMemo] = None,

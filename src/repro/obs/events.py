@@ -34,7 +34,7 @@ Event vocabulary (one ``type`` per record; ``seq`` totally orders a file,
 ``worker_depart``     a worker left the pool (assigned away, window lapsed, gone)
 ``task_submit``       a task became visible to the platform
 ``task_expire``       a task's deadline passed unassigned
-``feas_build``        a feasibility (re)build ran (mode full/incremental/checker)
+``feas_build``        a feasibility (re)build ran (mode full/incremental)
 ``feas_view``         the batch feasibility view was materialised (links, feasible)
 ``reject``            a (worker, task) pair was rejected — ``reason`` is one of
                       :data:`REASONS`; ``phase`` says which layer decided
@@ -66,13 +66,11 @@ EVENTS_SCHEMA = "repro.obs/events/v1"
 REASONS = ("skill", "reach", "deadline", "dependency")
 
 #: Phases a rejection can be decided in.  ``build``: the engine's link
-#: check (full build / incremental row recompute); ``prune``: the spatial
-#: index discarded the pair before an exact check (the reason is still
-#: sound — see ``AllocationEngine._journal_pruned``); ``view``: the
-#: per-batch deadline filter over stored links; ``checker``: a standalone
-#: :class:`~repro.core.constraints.FeasibilityChecker`; ``alloc``: an
-#: allocator-level drop (dependency pruning).
-REJECT_PHASES = ("build", "prune", "view", "checker", "alloc")
+#: check (full build — a standalone context's one-shot engine included —
+#: or incremental row recompute); ``view``: the per-batch deadline filter
+#: over stored links; ``alloc``: an allocator-level drop (dependency
+#: pruning).
+REJECT_PHASES = ("build", "view", "alloc")
 
 #: Known event types and their required fields (beyond ``type``/``seq``).
 #: ``batch`` is required where listed; elsewhere it is optional context.
@@ -107,7 +105,7 @@ EVENT_FIELDS: Dict[str, Dict[str, Any]] = {
 }
 
 #: Modes a ``feas_build`` record may carry.
-FEAS_MODES = ("full", "incremental", "checker")
+FEAS_MODES = ("full", "incremental")
 
 #: Causes a ``game_withdraw`` record may carry.
 WITHDRAW_CAUSES = ("contention", "dependency")

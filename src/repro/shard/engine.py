@@ -30,10 +30,9 @@ not pinned.  Even on a boundary-free instance, where the per-shard
 subproblems are independent, an allocator that breaks ties or draws
 random numbers across the whole batch can pair differently.
 
-The shard indexes reuse the cell size
-:func:`~repro.core.constraints.index_cell_size` picks for the whole first
-batch (``forced_cell``): sized per shard, it would skip the index on every
-shard and the shards would check more pairs.
+The reconcile solves a standalone context, so its feasible pairs come
+from a one-shot engine's full build: every feasible pair of a sharded run
+is decided by the same link loop as an unsharded one.
 
 Observability: every per-shard graph build, view materialisation, phase-1
 solve and reason-coded rejection is stamped with its shard id
@@ -41,8 +40,8 @@ solve and reason-coded rejection is stamped with its shard id
 framing stays shard-free, so ``repro explain --replay-check`` replays a
 sharded journal unchanged.  Pairs between a worker and a task of a shard
 it does not belong to never reach a shard engine and emit no per-pair
-reject events — ``why_not`` answers for them fall back to the checker
-phase.
+reject events; a border worker's pairs get theirs from the reconcile's
+one-shot build.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import (
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.core.assignment import Assignment
-from repro.core.constraints import FeasibleRows, index_cell_size, reach_radius
+from repro.core.constraints import FeasibleRows, reach_radius
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -71,34 +70,19 @@ from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.shard.partition import SpatialPartition, make_partition
-from repro.spatial.index import GridIndex
 
 
 class _ShardEngine(AllocationEngine):
     """One shard's incremental engine, steered by the coordinator.
 
-    Differs from a free-standing engine in two ways: the graph sync is
-    driven by :meth:`sync` (no per-batch mode counters or ``feas_build``
-    emission — the coordinator owns both), and the task index uses the
-    cell size the coordinator decided for the whole batch
-    (``forced_cell``).
+    Differs from a free-standing engine in that the graph sync is driven
+    by :meth:`sync`: no per-batch mode counters or ``feas_build`` emission
+    — the coordinator owns both.
     """
 
     def __init__(self, instance: ProblemInstance, shard_id: int, **kwargs) -> None:
         super().__init__(instance, **kwargs)
         self.shard_id = shard_id
-        self.forced_cell: Optional[float] = None
-
-    def _make_index(
-        self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
-    ) -> Optional[GridIndex[int]]:
-        # The extent heuristics, run on one shard's tasks, would skip the
-        # index on every shard; the whole batch's decision keeps pruning.
-        if self.forced_cell is None or not tasks:
-            return None
-        index: GridIndex[int] = GridIndex(cell_size=self.forced_cell)
-        index.insert_many((t.id, t.location) for t in tasks)
-        return index
 
     def sync(self, workers: Sequence[Worker], tasks: Sequence[Task], now: float) -> str:
         """Bring this shard's graph up to date; returns the build mode."""
@@ -154,7 +138,6 @@ class ShardedEngine:
             :class:`AllocationEngine` for 1).
         scheme: partition build scheme — ``"grid"`` or ``"kd"`` (see
             :mod:`repro.shard.partition`).
-        use_index: forwarded to every shard engine.
         tracer / registry / journal: observability hooks.  The registry
             receives the coordinator's counters and shard gauges; each
             shard engine keeps its own private registry (per-shard detail
@@ -167,7 +150,6 @@ class ShardedEngine:
         n_shards: int,
         *,
         scheme: str = "grid",
-        use_index: bool = True,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         journal: Optional[EventJournal] = None,
@@ -175,7 +157,6 @@ class ShardedEngine:
         if n_shards < 2:
             raise ValueError(f"n_shards must be >= 2, got {n_shards}")
         self.instance = instance
-        self.use_index = use_index
         self._euclid = bool(getattr(instance.metric, "euclidean_lower_bound", False))
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal if journal is not None else get_journal()
@@ -189,7 +170,6 @@ class ShardedEngine:
             _ShardEngine(
                 instance,
                 sid,
-                use_index=use_index,
                 tracer=self.tracer,
                 journal=self.journal,
             )
@@ -241,7 +221,7 @@ class ShardedEngine:
         tasks = list(tasks)
         snapshot = self._aggregate_dict()
         shard_workers, shard_tasks, border, latest = self._route(workers, tasks, now)
-        self._sync_shards(workers, tasks, shard_workers, shard_tasks, now)
+        self._sync_shards(shard_workers, shard_tasks, now)
         self._border_counter.inc(len(border))
         journal = self.journal
         payloads: List[Tuple[int, BatchFeasibilityView]] = []
@@ -336,10 +316,6 @@ class ShardedEngine:
         """Aggregate mode-dependent telemetry (coordinator + every shard)."""
         return self._aggregate_aux()
 
-    @property
-    def columnar_active(self) -> bool:
-        return any(e.columnar_active for e in self.engines)
-
     def __repr__(self) -> str:
         return (
             f"ShardedEngine(shards={self.partition.n_shards}, "
@@ -376,8 +352,6 @@ class ShardedEngine:
 
     def _sync_shards(
         self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
         shard_workers: Sequence[Sequence[Worker]],
         shard_tasks: Sequence[Sequence[Task]],
         now: float,
@@ -387,22 +361,11 @@ class ShardedEngine:
             # mirror the global engine's full_builds accounting.
             self._synced = False
         first = not self._synced
-        if first:
-            cell = (
-                index_cell_size(workers, tasks, now)
-                if self.use_index and self._euclid
-                else None
-            )
         journal = self.journal
         for sid, shard_engine in enumerate(self.engines):
-            if first:
-                shard_engine.forced_cell = cell
             if journal.enabled:
                 journal.set_shard(sid)
-                before = (
-                    shard_engine.counters.pairs_checked
-                    + shard_engine.counters.pruned_by_index
-                )
+                before = shard_engine.counters.pairs_checked
             with self.tracer.span("shard.sync") as span:
                 mode = shard_engine.sync(shard_workers[sid], shard_tasks[sid], now)
             if self.tracer.enabled:
@@ -411,17 +374,12 @@ class ShardedEngine:
                 span.set("workers", len(shard_workers[sid]))
                 span.set("tasks", len(shard_tasks[sid]))
             if journal.enabled:
-                after = (
-                    shard_engine.counters.pairs_checked
-                    + shard_engine.counters.pruned_by_index
-                )
                 journal.emit(
                     "feas_build",
                     mode=mode,
                     workers=len(shard_workers[sid]),
                     tasks=len(shard_tasks[sid]),
-                    pairs=int(after - before),
-                    columnar=shard_engine.ran_columnar(mode),
+                    pairs=int(shard_engine.counters.pairs_checked - before),
                 )
         if journal.enabled:
             journal.set_shard(None)

@@ -4,7 +4,8 @@ The paper uses Euclidean distance as its running distance function
 (Section II-A) but notes that the approaches work with any metric.  This
 package provides the Euclidean default, two alternatives (Manhattan and
 haversine for lon/lat data such as the Meetup-like generator output) and a
-uniform-grid spatial index used to prune feasible worker/task pairs.
+uniform-grid spatial index for road-network snapping and the KD shard
+partition.
 """
 
 from repro.spatial.ch import ContractionHierarchy

@@ -8,7 +8,7 @@ kilometres; the planar metrics are unit-free.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 Point = Tuple[float, float]
 
@@ -16,8 +16,12 @@ _EARTH_RADIUS_KM = 6371.0088
 
 
 def euclidean(a: Point, b: Point) -> float:
-    """Straight-line distance between two planar points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+    """Straight-line distance between two planar points.
+
+    ``math.dist`` takes the coordinate differences and the norm in C, bit
+    for bit what ``math.hypot(a[0] - b[0], a[1] - b[1])`` returns.
+    """
+    return math.dist(a, b)
 
 
 def manhattan(a: Point, b: Point) -> float:
@@ -42,23 +46,14 @@ class DistanceMetric:
     metrics safe to embed in serialised configurations.
 
     ``euclidean_lower_bound`` declares ``metric(a, b) >= euclidean(a, b)``
-    for all points; the feasibility builder uses it to keep its grid-index
-    pruning (which discards pairs farther than a Euclidean radius) sound
-    under non-default metrics.
+    for all points; shard routing relies on it to keep a worker's Euclidean
+    reach disc a sound over-approximation under non-default metrics.
     """
 
     name: str = "abstract"
 
     #: True when this metric never reports less than the Euclidean distance.
     euclidean_lower_bound: bool = False
-
-    #: Kernel code (``"euclidean"`` / ``"manhattan"``) when this metric's
-    #: values are exactly the named closed form, making it eligible for the
-    #: vectorised :mod:`repro.columnar` feasibility kernels.  None (the
-    #: default) keeps the scalar per-pair path.  Declaring a code is a
-    #: *bit-exactness* promise: the kernel must reproduce ``__call__``
-    #: float for float.
-    columnar_code: Optional[str] = None
 
     def __call__(self, a: Point, b: Point) -> float:
         raise NotImplementedError
@@ -78,7 +73,6 @@ class EuclideanDistance(DistanceMetric):
 
     name = "euclidean"
     euclidean_lower_bound = True
-    columnar_code = "euclidean"
 
     def __call__(self, a: Point, b: Point) -> float:
         return euclidean(a, b)
@@ -89,7 +83,6 @@ class ManhattanDistance(DistanceMetric):
 
     name = "manhattan"
     euclidean_lower_bound = True  # |dx| + |dy| >= sqrt(dx^2 + dy^2)
-    columnar_code = "manhattan"
 
     def __call__(self, a: Point, b: Point) -> float:
         return manhattan(a, b)
@@ -99,7 +92,8 @@ class HaversineDistance(DistanceMetric):
     """Great-circle metric for ``(lon, lat)`` degrees; kilometres.
 
     Reports kilometres while coordinates are degrees, so no Euclidean
-    comparison holds and index pruning is disabled under this metric.
+    comparison holds: shard routing treats every worker as a border worker
+    under this metric.
     """
 
     name = "haversine"
@@ -112,12 +106,13 @@ def plain_function(metric: DistanceMetric) -> Callable[[Point, Point], float]:
     """The closed form behind a euclidean or manhattan ``metric``.
 
     Hot loops call the returned function directly and skip the
-    ``__call__`` frame; the values are the metric's own.  Any other metric
-    (one that overrides ``__call__``) comes back as itself.
+    ``__call__`` frame; the values are the metric's own (``math.dist`` is
+    what :func:`euclidean` returns, with no Python frame at all).  Any
+    other metric (one that overrides ``__call__``) comes back as itself.
     """
     call = type(metric).__call__
     if call is EuclideanDistance.__call__:
-        return euclidean
+        return math.dist
     if call is ManhattanDistance.__call__:
         return manhattan
     return metric

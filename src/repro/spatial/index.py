@@ -1,16 +1,11 @@
 """A uniform-grid spatial index over 2-D points.
 
-The batch allocators need, for every worker, the set of tasks within a
-reachability radius (``min(d_w, v_w * remaining_time)``).  A brute-force scan
-is O(n*m); bucketing points into a uniform grid reduces the candidate set to
-the cells overlapping the query disc, which is near-linear for the point
-densities the experiments use.
-
-The index is intentionally simple (no rebalancing, no deletion compaction):
-batches are rebuilt from scratch each allocation round, so build speed and
-query speed are what matter.  Inner loops compare *squared* distances
-against a hoisted ``radius * radius``, saving a ``math.sqrt`` per candidate
-— the single hottest instruction in a feasibility build.
+Two callers bucket a fixed point set once and query it many times:
+road-network snapping asks for the :meth:`GridIndex.nearest` node of a
+free point, and the KD shard partition gathers each region's members with
+:meth:`GridIndex.keys_in_box`.  Neither removes or moves a point, so the
+index is insert-only.  Inner loops compare *squared* distances, saving a
+``math.sqrt`` per candidate.
 """
 
 from __future__ import annotations
@@ -36,17 +31,11 @@ Cell = Tuple[int, int]
 
 
 class GridIndex(Generic[K]):
-    """Maps hashable keys to points and answers radius queries.
+    """Maps hashable keys to points; answers nearest and box queries.
 
     Args:
-        cell_size: side length of a grid cell.  A good default is the median
-            query radius; anything within ~4x of that is fine.
-
-    The index uses Euclidean geometry for its candidate pruning.  Radius
-    queries with other metrics remain *correct* as long as the metric is
-    lower-bounded by a constant multiple of the Euclidean distance on the data
-    region — callers doing that should query with an inflated radius and
-    re-check exactly (this is what the feasibility builder does).
+        cell_size: side length of a grid cell, on the order of the typical
+            spacing between points.
     """
 
     def __init__(self, cell_size: float) -> None:
@@ -55,14 +44,11 @@ class GridIndex(Generic[K]):
         self._cell_size = cell_size
         self._cells: Dict[Cell, List[K]] = {}
         self._points: Dict[K, Point] = {}
-        # Bounding box of occupied cells (min_i, max_i, min_j, max_j),
-        # maintained incrementally: grown on insert, marked dirty when a
-        # removal empties a cell on the current boundary and recomputed
-        # lazily on the next query that needs it.  The Chebyshev radius of
-        # the box around any center cell equals the exact max occupied ring
-        # (the farthest cell in either axis realises the maximum).
+        # Bounding box of occupied cells (min_i, max_i, min_j, max_j), grown
+        # on insert.  The Chebyshev radius of the box around any center cell
+        # equals the exact max occupied ring (the farthest cell in either
+        # axis realises the maximum).
         self._bounds: Optional[Tuple[int, int, int, int]] = None
-        self._bounds_dirty = False
 
     @property
     def cell_size(self) -> float:
@@ -84,102 +70,27 @@ class GridIndex(Generic[K]):
         )
 
     def insert(self, key: K, point: Point) -> None:
-        """Insert (or move) ``key`` at ``point``."""
+        """Insert ``key`` at ``point``; raises KeyError if already present."""
         if key in self._points:
-            self.remove(key)
+            raise KeyError(f"key {key!r} is already indexed")
         self._points[key] = point
         cell = self._cell_of(point)
         self._cells.setdefault(cell, []).append(key)
-        if not self._bounds_dirty:
-            i, j = cell
-            if self._bounds is None:
-                self._bounds = (i, i, j, j)
-            else:
-                min_i, max_i, min_j, max_j = self._bounds
-                if i < min_i or i > max_i or j < min_j or j > max_j:
-                    self._bounds = (
-                        min(min_i, i), max(max_i, i), min(min_j, j), max(max_j, j)
-                    )
+        i, j = cell
+        if self._bounds is None:
+            self._bounds = (i, i, j, j)
+        else:
+            min_i, max_i, min_j, max_j = self._bounds
+            self._bounds = (
+                min(min_i, i), max(max_i, i), min(min_j, j), max(max_j, j)
+            )
 
     def insert_many(self, items: Iterable[Tuple[K, Point]]) -> None:
         for key, point in items:
             self.insert(key, point)
 
-    def remove(self, key: K) -> None:
-        """Remove ``key``; raises KeyError if absent."""
-        point = self._points.pop(key)
-        cell = self._cell_of(point)
-        bucket = self._cells[cell]
-        bucket.remove(key)
-        if not bucket:
-            del self._cells[cell]
-            # Only an emptied *extreme* cell can shrink the bounding box;
-            # interior holes leave it exact.
-            if self._bounds is not None and not self._bounds_dirty:
-                min_i, max_i, min_j, max_j = self._bounds
-                i, j = cell
-                if i == min_i or i == max_i or j == min_j or j == max_j:
-                    self._bounds_dirty = True
-
-    def _occupied_bounds(self) -> Optional[Tuple[int, int, int, int]]:
-        if self._bounds_dirty:
-            self._bounds = None
-            self._bounds_dirty = False
-            for i, j in self._cells:
-                if self._bounds is None:
-                    self._bounds = (i, i, j, j)
-                else:
-                    min_i, max_i, min_j, max_j = self._bounds
-                    self._bounds = (
-                        min(min_i, i), max(max_i, i), min(min_j, j), max(max_j, j)
-                    )
-        return self._bounds if self._cells else None
-
     def point_of(self, key: K) -> Point:
         return self._points[key]
-
-    def query_radius(self, center: Point, radius: float) -> List[K]:
-        """All keys whose point is within Euclidean ``radius`` of ``center``."""
-        if radius < 0.0:
-            return []
-        if radius == math.inf:
-            # Every point qualifies (an unbounded worker's reach disc); the
-            # cell arithmetic below cannot floor an infinite coordinate.
-            return [key for bucket in self._cells.values() for key in bucket]
-        cx, cy = center
-        radius_sq = radius * radius
-        points = self._points
-        lo_i = math.floor((cx - radius) / self._cell_size)
-        hi_i = math.floor((cx + radius) / self._cell_size)
-        lo_j = math.floor((cy - radius) / self._cell_size)
-        hi_j = math.floor((cy + radius) / self._cell_size)
-        out: List[K] = []
-        # When the query rectangle spans more cells than actually exist
-        # (tiny cell size vs a huge radius), walking the occupied cells is
-        # both equivalent and bounded.
-        span_cells = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
-        if span_cells > len(self._cells):
-            for (i, j), bucket in self._cells.items():
-                if lo_i <= i <= hi_i and lo_j <= j <= hi_j:
-                    for key in bucket:
-                        px, py = points[key]
-                        dx = px - cx
-                        dy = py - cy
-                        if dx * dx + dy * dy <= radius_sq:
-                            out.append(key)
-            return out
-        for i in range(lo_i, hi_i + 1):
-            for j in range(lo_j, hi_j + 1):
-                bucket = self._cells.get((i, j))
-                if not bucket:
-                    continue
-                for key in bucket:
-                    px, py = points[key]
-                    dx = px - cx
-                    dy = py - cy
-                    if dx * dx + dy * dy <= radius_sq:
-                        out.append(key)
-        return out
 
     def cells_overlapping(self, box: Tuple[float, float, float, float]) -> List[Cell]:
         """Occupied cells intersecting an axis-aligned box, in sorted order.
@@ -194,7 +105,7 @@ class GridIndex(Generic[K]):
         partition builds iterate them and must be deterministic.
         """
         x0, y0, x1, y1 = box
-        bounds = self._occupied_bounds()
+        bounds = self._bounds
         if bounds is None or x1 < x0 or y1 < y0:
             return []
         min_i, max_i, min_j, max_j = bounds
@@ -205,12 +116,12 @@ class GridIndex(Generic[K]):
         hi_j = max_j if y1 == math.inf else min(max_j, math.floor(y1 / cell))
         if lo_i > hi_i or lo_j > hi_j:
             return []
-        # Same cutoff rule as query_radius: when the clamped box spans more
-        # cells than are occupied, walking the occupied cells is equivalent
-        # and bounded.  Clamping *before* this comparison is what keeps a
-        # box touching (or crossing) the occupied-bounds edge from inflating
-        # the span estimate and silently skipping the range walk's edge
-        # column — the regression pinned by tests/spatial/test_index_cells.
+        # When the clamped box spans more cells than are occupied, walking
+        # the occupied cells is equivalent and bounded.  Clamping *before*
+        # this comparison is what keeps a box touching (or crossing) the
+        # occupied-bounds edge from inflating the span estimate and silently
+        # skipping the range walk's edge column — the regression pinned by
+        # tests/spatial/test_index_cells.
         out: List[Cell] = []
         span_cells = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
         if span_cells > len(self._cells):
@@ -297,7 +208,7 @@ class GridIndex(Generic[K]):
         return best_key
 
     def _max_occupied_ring(self, center_cell: Cell) -> int:
-        bounds = self._occupied_bounds()
+        bounds = self._bounds
         if bounds is None:
             return 0
         ci, cj = center_cell

@@ -36,8 +36,8 @@ can never change a simulation report — only the ``roadnet_*``
 observability counters.
 
 Network distance lower-bounds to the straight line (`snap + path + snap >=
-euclidean` by the triangle inequality), so the grid-index feasibility
-pruning remains sound under this metric.
+euclidean` by the triangle inequality), so shard routing's Euclidean
+reach discs remain sound under this metric.
 """
 
 from __future__ import annotations
@@ -442,9 +442,9 @@ class RoadNetwork:
 class RoadNetworkDistance(DistanceMetric):
     """Distance metric walking a :class:`RoadNetwork` between free points.
 
-    Network distance dominates the straight line, so the Euclidean pruning
-    used by the feasibility index stays sound (never prunes a feasible
-    pair).  Declares ``supports_distance_table`` so the allocation engine's
+    Network distance dominates the straight line, so shard routing's
+    Euclidean reach discs stay sound (never cut off a feasible pair).
+    Declares ``supports_distance_table`` so the allocation engine's
     full build hands a whole pair list to :meth:`distance_table` in one
     call.
     """
@@ -543,7 +543,7 @@ def grid_road_network(
             perfectly uniform grids also carry massive exact-length ties
             that bloat contraction-hierarchy preprocessing, so benchmarks
             use a small jitter.  Weights stay >= segment length, keeping
-            ``euclidean_lower_bound`` pruning sound.
+            ``euclidean_lower_bound`` sound.
         accelerate: forwarded to :class:`RoadNetwork`.
 
     Raises:

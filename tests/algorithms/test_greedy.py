@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.greedy import DASCGreedy
-from repro.core.constraints import FeasibilityChecker
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
 from repro.core.task import Task
@@ -13,6 +12,8 @@ from repro.core.worker import Worker
 from repro.engine.context import BatchContext
 from repro.obs.events import EventJournal
 from repro.simulation.platform import run_single_batch
+
+from tests.reference import ExhaustiveChecker
 
 
 class TestExample1:
@@ -287,7 +288,7 @@ class TestUnstaffableSetsDropped:
     @pytest.mark.parametrize("seed", [3, 9, 11])
     def test_previously_assigned_mix_matches_rescan(self, seed):
         instance = _scarce_instance(seed)
-        checker = FeasibilityChecker(
+        checker = ExhaustiveChecker(
             instance.workers, instance.tasks, instance.metric, instance.earliest_start
         )
         done = frozenset(t.id for t in instance.tasks[::3])

@@ -8,13 +8,14 @@ from repro.algorithms.game import DASCGame
 from repro.algorithms.greedy import DASCGreedy
 from repro.algorithms.local_search import LocalSearchImprover, improve_assignment
 from repro.core.assignment import Assignment
-from repro.core.constraints import FeasibilityChecker
 from repro.simulation.platform import run_single_batch
+
+from tests.reference import ExhaustiveChecker
 
 
 class TestImproveAssignment:
     def test_fill_assigns_ready_tasks(self, example1):
-        checker = FeasibilityChecker(example1.workers, example1.tasks)
+        checker = ExhaustiveChecker(example1.workers, example1.tasks)
         assignment = Assignment()
         improved = improve_assignment(assignment, checker, example1)
         # idle workers should pick up ready work; the optimum here is 3
@@ -24,14 +25,14 @@ class TestImproveAssignment:
     def test_relocate_frees_a_versatile_worker(self, example1):
         # Start from a deliberately wasteful choice: w3 (the only psi-3
         # holder) sits on t1, which w1 could also do.
-        checker = FeasibilityChecker(example1.workers, example1.tasks)
+        checker = ExhaustiveChecker(example1.workers, example1.tasks)
         assignment = Assignment([(3, 1)])
         improved = improve_assignment(assignment, checker, example1)
         assert improved.score == 3
         assert improved.is_valid(example1, now=example1.earliest_start)
 
     def test_never_decreases_score(self, small_synthetic):
-        checker = FeasibilityChecker(
+        checker = ExhaustiveChecker(
             small_synthetic.workers, small_synthetic.tasks,
             now=small_synthetic.earliest_start,
         )
@@ -43,7 +44,7 @@ class TestImproveAssignment:
         assert improved.score >= before
 
     def test_respects_max_passes(self, example1):
-        checker = FeasibilityChecker(example1.workers, example1.tasks)
+        checker = ExhaustiveChecker(example1.workers, example1.tasks)
         improved = improve_assignment(Assignment(), checker, example1, max_passes=1)
         assert improved.is_valid(example1, now=example1.earliest_start)
 
@@ -170,7 +171,7 @@ class TestIncrementalEquivalence:
     """The maintained-view sweeps replay the rebuild-per-sweep moves exactly."""
 
     def _compare(self, instance, base, now):
-        checker = FeasibilityChecker(instance.workers, instance.tasks, now=now)
+        checker = ExhaustiveChecker(instance.workers, instance.tasks, now=now)
         seed_assignment = run_single_batch(instance, base, now=now).assignment
         fast = improve_assignment(seed_assignment.copy(), checker, instance)
         slow = _reference_improve(seed_assignment.copy(), checker, instance)
@@ -186,7 +187,7 @@ class TestIncrementalEquivalence:
 
     def test_matches_reference_from_empty(self, small_synthetic):
         instance = small_synthetic
-        checker = FeasibilityChecker(
+        checker = ExhaustiveChecker(
             instance.workers, instance.tasks, now=instance.earliest_start
         )
         fast = improve_assignment(Assignment(), checker, instance)
@@ -194,7 +195,7 @@ class TestIncrementalEquivalence:
         assert sorted(fast.pairs()) == sorted(slow.pairs())
 
     def test_matches_reference_with_previously_assigned(self, example1):
-        checker = FeasibilityChecker(example1.workers, example1.tasks)
+        checker = ExhaustiveChecker(example1.workers, example1.tasks)
         prev = frozenset({1})
         fast = improve_assignment(Assignment(), checker, example1, prev)
         slow = _reference_improve(Assignment(), checker, example1, prev)

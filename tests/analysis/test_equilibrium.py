@@ -5,11 +5,12 @@ import pytest
 from repro.algorithms.game import DASCGame
 from repro.algorithms.utility import GameState
 from repro.analysis.equilibrium import best_response_gaps, is_nash_equilibrium
-from repro.core.constraints import FeasibilityChecker
+
+from tests.reference import ExhaustiveChecker
 
 
 def example_strategies(example1):
-    checker = FeasibilityChecker(example1.workers, example1.tasks)
+    checker = ExhaustiveChecker(example1.workers, example1.tasks)
     return {w.id: checker.tasks_of(w.id) for w in example1.workers}
 
 
@@ -59,7 +60,7 @@ class TestGameProducesEquilibria:
     def test_strict_game_terminates_at_nash(self, example1, seed):
         """The strict (threshold 0) dynamics stop exactly at equilibria."""
         game = DASCGame(seed=seed)
-        checker = FeasibilityChecker(example1.workers, example1.tasks)
+        checker = ExhaustiveChecker(example1.workers, example1.tasks)
         strategies = {
             w.id: checker.tasks_of(w.id)
             for w in example1.workers

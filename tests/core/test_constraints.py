@@ -1,21 +1,26 @@
-"""Constraint and FeasibilityChecker tests."""
+"""Constraint tests and the standalone feasible-pair oracle."""
 
 import math
 
-import pytest
-
 from repro.core.constraints import (
-    FeasibilityChecker,
     deadline_ok,
-    index_cell_size,
     latest_departure,
     pair_feasible,
     skill_ok,
     within_range,
 )
+from repro.core.instance import ProblemInstance
+from repro.core.skills import SkillUniverse
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.spatial.distance import ManhattanDistance
+from repro.engine.context import BatchContext
+from repro.spatial.distance import (
+    EuclideanDistance,
+    HaversineDistance,
+    ManhattanDistance,
+)
+
+from tests.reference import ExhaustiveChecker
 
 
 def worker(**overrides):
@@ -101,11 +106,17 @@ class TestPairFeasible:
         assert not pair_feasible(worker(velocity=0.1), task())
 
 
-class TestFeasibilityChecker:
-    def _build(self, workers, tasks, **kwargs):
-        return FeasibilityChecker(workers, tasks, **kwargs)
+class TestStandaloneOracle:
+    """A standalone context's oracle: a one-shot engine's view."""
 
-    def test_index_and_exhaustive_agree(self):
+    def _build(self, workers, tasks, metric=None, now=-math.inf):
+        instance = ProblemInstance(
+            list(workers), list(tasks), SkillUniverse(16),
+            metric=metric or EuclideanDistance(),
+        )
+        return BatchContext.standalone(workers, tasks, instance, now).checker
+
+    def test_matches_exhaustive_oracle(self):
         import random
 
         rng = random.Random(4)
@@ -120,9 +131,9 @@ class TestFeasibilityChecker:
                  skill=rng.randrange(3), wait=rng.uniform(0.5, 3.0))
             for i in range(40)
         ]
-        fast = self._build(workers, tasks, use_index=True, now=0.0)
-        slow = self._build(workers, tasks, use_index=False, now=0.0)
-        assert sorted(fast.pairs()) == sorted(slow.pairs())
+        built = self._build(workers, tasks, now=0.0)
+        oracle = ExhaustiveChecker(workers, tasks, now=0.0)
+        assert sorted(built.pairs()) == sorted(oracle.pairs())
 
     def test_pair_count_and_lookup_consistency(self):
         workers = [worker(id=1), worker(id=2, skills=frozenset({1}))]
@@ -140,67 +151,17 @@ class TestFeasibilityChecker:
         assert checker.tasks_of(0) == []
         assert checker.workers_of(0) == []
 
-    def test_manhattan_checked_exactly_despite_index(self):
+    def test_manhattan_checked_exactly(self):
         checker = self._build(
             [worker(max_distance=6.0)], [task()], metric=ManhattanDistance()
         )
-        # Manhattan distance 7 > 6 -> infeasible even though Euclidean is 5;
-        # the Euclidean index may only over-approximate, never admit this.
+        # Manhattan distance 7 > 6 -> infeasible even though Euclidean is 5.
         assert checker.pair_count() == 0
 
-    def test_haversine_disables_index(self):
-        from repro.spatial.distance import HaversineDistance
-
+    def test_haversine(self):
         checker = self._build(
             [worker(max_distance=1000.0, location=(114.0, 22.3))],
             [task(location=(114.01, 22.31), wait=1e9)],
             metric=HaversineDistance(),
         )
         assert checker.pair_count() == 1
-
-
-class TestIndexCellSize:
-    """Edges of the one grid-index sizing rule (checker, engine, shards)."""
-
-    def test_no_tasks_means_no_index(self):
-        assert index_cell_size([worker()], []) is None
-
-    @pytest.mark.parametrize("now", [-math.inf, 50.0])
-    def test_no_positive_reach_uses_unit_cell(self, now):
-        # No workers at all, or every reach clipped to zero once the tasks'
-        # deadlines (10) have passed: the cell falls back to 1.0.
-        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(3.0, 0.0))]
-        stalled = [worker(id=1), worker(id=2)] if now > 0.0 else []
-        assert index_cell_size(stalled, tasks, now) == 1.0
-
-    def test_median_positive_reach(self):
-        # Reaches 1, 2.5, 3.5 and 0 (starts after every deadline, ignored):
-        # the median positive reach lies between the floor (8 / 4 = 2) and
-        # half the extent (4), so it is the cell.
-        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(8.0, 0.0))]
-        workers = [
-            worker(id=i, velocity=v) for i, v in enumerate([0.1, 0.25, 0.35])
-        ] + [worker(id=9, start=20.0)]
-        assert index_cell_size(workers, tasks, 0.0) == 2.5
-
-    def test_reach_over_half_the_extent_means_no_index(self):
-        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(10.0, 0.0))]
-        # Reach min(100, 1 * 10) = 10 > extent / 2 = 5.
-        assert index_cell_size([worker()], tasks, 0.0) is None
-
-    def test_floor_clamps_tiny_reach(self):
-        tasks = [task(id=1, location=(0.0, 0.0)), task(id=2, location=(100.0, 0.0))]
-        # Reach 0.1 is below the floor extent / max(4, 2 * sqrt(2)) = 25.
-        assert index_cell_size([worker(velocity=0.01)], tasks, 0.0) == 25.0
-        many = [task(id=i, location=(float(i), 0.0)) for i in range(101)]
-        # 101 tasks over an extent of 100: floor 100 / (2 * sqrt(101)).
-        assert index_cell_size([worker(velocity=0.01)], many, 0.0) == pytest.approx(
-            100.0 / (2.0 * math.sqrt(101))
-        )
-
-    def test_one_task_has_a_nanometre_extent(self):
-        single = [task(location=(7.0, 7.0))]
-        # Any ordinary reach dwarfs the 1e-9 extent: no index.
-        assert index_cell_size([worker()], single, 0.0) is None
-        # A reach under half of it keeps the index at the 1e-9 floor cell.
-        assert index_cell_size([worker(velocity=1e-12)], single, 0.0) == 1e-9

@@ -6,8 +6,15 @@ import pytest
 
 from repro.algorithms.greedy import DASCGreedy
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
-from repro.core.constraints import FeasibilityChecker
-from repro.engine import AllocationEngine, BatchContext, ReadinessView
+from repro.engine import (
+    AllocationEngine,
+    BatchContext,
+    BatchFeasibilityView,
+    ReadinessView,
+)
+from repro.obs.events import EventJournal
+
+from tests.reference import ExhaustiveChecker
 
 
 class TestStandaloneContext:
@@ -17,18 +24,34 @@ class TestStandaloneContext:
         )
         assert context._checker is None
         first = context.checker
-        assert isinstance(first, FeasibilityChecker)
+        assert isinstance(first, BatchFeasibilityView)
         assert context.checker is first
 
-    def test_matches_fresh_checker(self, example1):
+    def test_matches_exhaustive_oracle(self, example1):
         context = BatchContext.standalone(
             example1.workers, example1.tasks, example1, 0.0
         )
-        fresh = FeasibilityChecker(example1.workers, example1.tasks, now=0.0)
+        fresh = ExhaustiveChecker(example1.workers, example1.tasks, now=0.0)
         assert sorted(context.checker.pairs()) == sorted(fresh.pairs())
 
+    def test_journals_a_full_build(self, example1):
+        journal = EventJournal()
+        context = BatchContext.standalone(
+            example1.workers, example1.tasks, example1, 0.0, journal=journal
+        )
+        context.checker
+        builds = [e for e in journal.events if e["type"] == "feas_build"]
+        assert journal.events[-1]["type"] == "feas_view"
+        assert [b["mode"] for b in builds] == ["full"]
+        build = builds[0]
+        assert build["pairs"] == len(example1.workers) * len(example1.tasks)
+        assert {e["phase"] for e in journal.events if e["type"] == "reject"} <= {
+            "build"
+        }
+        assert context.engine_stats() == {}
+
     def test_prebuilt_checker_is_returned(self, example1):
-        prebuilt = FeasibilityChecker(example1.workers, example1.tasks, now=0.0)
+        prebuilt = ExhaustiveChecker(example1.workers, example1.tasks, now=0.0)
         context = BatchContext(
             example1.workers, example1.tasks, example1, 0.0, checker=prebuilt
         )
@@ -41,7 +64,7 @@ class TestStandaloneContext:
         # The view was built (and its links filtered) inside begin_batch.
         assert context._checker is not None
         assert engine.stats()["engine_time_filtered"] > before
-        fresh = FeasibilityChecker(example1.workers, example1.tasks, now=0.0)
+        fresh = ExhaustiveChecker(example1.workers, example1.tasks, now=0.0)
         assert sorted(context.checker.pairs()) == sorted(fresh.pairs())
 
     def test_engine_stats_empty(self, example1):

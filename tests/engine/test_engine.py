@@ -1,19 +1,18 @@
 """AllocationEngine: incremental graph maintenance and instrumentation."""
 
-import pytest
-
-from repro.core.constraints import FeasibilityChecker
 from repro.engine import AllocationEngine, BatchFeasibilityView
+
+from tests.reference import ExhaustiveChecker
 
 
 class TestEngineViewParity:
-    def test_first_batch_matches_fresh_checker(self, small_synthetic):
+    def test_first_batch_matches_exhaustive_oracle(self, small_synthetic):
         instance = small_synthetic
         engine = AllocationEngine(instance)
         now = instance.earliest_start
         context = engine.begin_batch(instance.workers, instance.tasks, now)
         view = context.checker
-        fresh = FeasibilityChecker(instance.workers, instance.tasks, now=now)
+        fresh = ExhaustiveChecker(instance.workers, instance.tasks, now=now)
         assert isinstance(view, BatchFeasibilityView)
         for worker in instance.workers:
             assert view.tasks_of(worker.id) == fresh.tasks_of(worker.id)
@@ -33,15 +32,6 @@ class TestEngineViewParity:
             row = set(view.tasks_of(worker.id))
             for task in instance.tasks:
                 assert view.feasible(worker.id, task.id) == (task.id in row)
-
-    def test_no_index_fallback_matches(self, small_synthetic):
-        instance = small_synthetic
-        now = instance.earliest_start
-        with_index = AllocationEngine(instance, use_index=True)
-        without = AllocationEngine(instance, use_index=False)
-        a = with_index.begin_batch(instance.workers, instance.tasks, now).checker
-        b = without.begin_batch(instance.workers, instance.tasks, now).checker
-        assert sorted(a.pairs()) == sorted(b.pairs())
 
 
 class TestIncrementalMaintenance:
@@ -90,7 +80,7 @@ class TestIncrementalMaintenance:
         before = engine.counters.worker_rows_recomputed
         context = engine.begin_batch(workers, instance.tasks, now + 1.0)
         assert engine.counters.worker_rows_recomputed == before + 1
-        fresh = FeasibilityChecker(workers, instance.tasks, now=now + 1.0)
+        fresh = ExhaustiveChecker(workers, instance.tasks, now=now + 1.0)
         assert sorted(context.checker.pairs()) == sorted(fresh.pairs())
 
     def test_absent_worker_is_dropped(self, small_synthetic):
@@ -114,7 +104,7 @@ class TestIncrementalMaintenance:
         engine.begin_batch(instance.workers, rest, now)
         context = engine.begin_batch(instance.workers, instance.tasks, now + 1.0)
         assert engine.counters.tasks_added == 1
-        fresh = FeasibilityChecker(instance.workers, instance.tasks, now=now + 1.0)
+        fresh = ExhaustiveChecker(instance.workers, instance.tasks, now=now + 1.0)
         assert context.checker.workers_of(first.id) == fresh.workers_of(first.id)
 
 

@@ -2,11 +2,11 @@
 
 ``Platform.run()`` must produce exactly the same ``SimulationReport`` —
 assignments, completion times, per-batch scores — as the reference that
-builds a fresh ``FeasibilityChecker`` per batch
+builds a fresh exhaustive oracle per batch
 (:class:`~tests.reference.RebuildEngine`), for every approach and every
 rejoin policy.  Feasibility rows are canonically sorted on both paths and
-every distance is bit-identical (the cache memoizes exact values), so even
-tie-breaking and RNG-driven choices coincide.
+every distance is the metric's own value, so even tie-breaking and
+RNG-driven choices coincide.
 """
 
 import contextlib

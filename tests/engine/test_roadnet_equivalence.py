@@ -12,12 +12,13 @@ import random
 import pytest
 
 from repro.algorithms.registry import make_allocator
-from repro.core.constraints import FeasibilityChecker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine.engine import AllocationEngine
 from repro.simulation.platform import Platform
 from repro.spatial.region import BoundingBox
 from repro.spatial.roadnet import RoadNetworkDistance, grid_road_network
+
+from tests.reference import ExhaustiveChecker
 
 
 def _roadnet_instance(seed, accelerate):
@@ -74,8 +75,8 @@ class TestTableRouting:
         )
         # One table call answered the build's distances ...
         assert network.table_queries > before
-        # ... and the graph is the per-pair checker's, pair for pair.
-        checker = FeasibilityChecker(
+        # ... and the graph is the per-pair oracle's, pair for pair.
+        checker = ExhaustiveChecker(
             instance.workers, instance.tasks, instance.metric,
             instance.earliest_start,
         )

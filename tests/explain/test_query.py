@@ -104,7 +104,7 @@ class TestFunnel:
                 for e in records
                 if e["type"] == "reject"
                 and e.get("batch") == batch
-                and e["phase"] in ("build", "prune")
+                and e["phase"] == "build"
             )
             assert build["pairs"] == fresh + view["links"]
 

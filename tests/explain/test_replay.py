@@ -1,13 +1,10 @@
 """Replay acceptance: the journal reconstructs every approach's report.
 
-The flight recorder's completeness contract: for every approach, on both
-the columnar and scalar feasibility paths, replaying the events JSONL
-yields a ``SimulationReport`` bit-identical to the one the platform
-returned (minus wall-clock ``elapsed`` and ``engine_stats``, which are
-measurements rather than allocation facts).
+The flight recorder's completeness contract: for every approach,
+replaying the events JSONL yields a ``SimulationReport`` bit-identical to
+the one the platform returned (minus wall-clock ``elapsed`` and
+``engine_stats``, which are measurements rather than allocation facts).
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -16,7 +13,7 @@ from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.explain import replay_report, split_runs, strip_header, validate_replay
 from repro.obs.events import EVENTS_SCHEMA, EventJournal, events_records
 from repro.simulation.platform import Platform
-from tests.reference import ScalarEuclidean, without_engine
+from tests.reference import without_engine
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +35,7 @@ def _record(instance, name, **platform_kwargs):
 
 class TestReplayBitIdentity:
     @pytest.mark.parametrize("name", APPROACH_NAMES)
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_every_approach_replays(self, instance, name, columnar):
-        if not columnar:
-            instance = replace(instance, metric=ScalarEuclidean())
+    def test_every_approach_replays(self, instance, name):
         records, report = _record(instance, name)
         replayed = validate_replay(records, report)  # raises on any divergence
         assert replayed.total_score == report.total_score

@@ -4,13 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.constraints import FeasibilityChecker
 from repro.matching.bipartite import (
     MatchMemo,
     _WARM,
     match_task_set,
     max_bipartite_matching,
 )
+
+from tests.reference import ExhaustiveChecker
 
 
 class TestMaxBipartiteMatching:
@@ -26,7 +27,7 @@ class TestMaxBipartiteMatching:
 class TestMatchTaskSet:
     @pytest.fixture
     def checker(self, example1):
-        return FeasibilityChecker(example1.workers, example1.tasks)
+        return ExhaustiveChecker(example1.workers, example1.tasks)
 
     def test_empty_set_staffs_trivially(self, checker, example1):
         assert match_task_set([], {1, 2, 3}, checker, example1) == {}
@@ -76,7 +77,7 @@ class TestMatchTaskSet:
 class TestMatchMemo:
     @pytest.fixture
     def checker(self, example1):
-        return FeasibilityChecker(example1.workers, example1.tasks)
+        return ExhaustiveChecker(example1.workers, example1.tasks)
 
     def test_replay_returns_identical_staffing(self, checker, example1):
         memo = MatchMemo()
@@ -134,7 +135,7 @@ class TestMatchMemo:
 class TestBoundedMatchMemo:
     @pytest.fixture
     def checker(self, example1):
-        return FeasibilityChecker(example1.workers, example1.tasks)
+        return ExhaustiveChecker(example1.workers, example1.tasks)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError, match="maxsize must be positive"):

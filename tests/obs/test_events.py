@@ -7,6 +7,7 @@ from repro.obs.events import (
     EVENTS_SCHEMA,
     EventJournal,
     NULL_JOURNAL,
+    FEAS_MODES,
     REASONS,
     REJECT_PHASES,
     events_records,
@@ -181,5 +182,6 @@ class TestEventsJsonl:
     def test_vocabulary_is_closed(self):
         # Every enum the validator checks is declared next to the schema.
         assert set(REASONS) == {"skill", "reach", "deadline", "dependency"}
-        assert set(REJECT_PHASES) == {"build", "prune", "view", "checker", "alloc"}
+        assert set(REJECT_PHASES) == {"build", "view", "alloc"}
+        assert set(FEAS_MODES) == {"full", "incremental"}
         assert "reject" in EVENT_FIELDS and "assign" in EVENT_FIELDS

@@ -3,14 +3,12 @@
 Mirrors ``test_platform_tracing.py``: with the journal on, every approach's
 ``SimulationReport`` — assignments, completion times, per-batch records and
 the ``engine_stats`` keys *and values* — must be bit-identical to the
-journal-off run, on both the columnar and scalar feasibility paths (the
-scalar side runs the same instance under a metric with no kernel code).  The
-recorded stream itself must pass the schema validator and tell a coherent
-story (funnel conservation, assignment/expiry completeness).
+journal-off run.  The recorded stream itself must pass the schema
+validator and tell a coherent story (funnel conservation,
+assignment/expiry completeness).
 """
 
 import contextlib
-from dataclasses import replace
 
 import pytest
 
@@ -21,6 +19,7 @@ from repro.core.skills import SkillUniverse
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
+from repro.engine.context import BatchContext
 from repro.obs.events import (
     EVENTS_SCHEMA,
     NULL_JOURNAL,
@@ -30,12 +29,10 @@ from repro.obs.events import (
     validate_events_records,
 )
 from repro.simulation.platform import Platform
-from tests.reference import ScalarEuclidean, without_engine
+from tests.reference import without_engine
 
 
-def _run(instance, name, *, journal=None, use_engine=True, columnar=True):
-    if not columnar:
-        instance = replace(instance, metric=ScalarEuclidean())
+def _run(instance, name, *, journal=None, use_engine=True):
     with contextlib.nullcontext() if use_engine else without_engine():
         return Platform(
             instance,
@@ -68,11 +65,10 @@ def instance():
 
 class TestReportsBitIdentical:
     @pytest.mark.parametrize("name", APPROACH_NAMES)
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_journaled_equals_plain(self, instance, name, columnar):
+    def test_journaled_equals_plain(self, instance, name):
         journal = EventJournal()
-        recorded = _run(instance, name, journal=journal, columnar=columnar)
-        plain = _run(instance, name, columnar=columnar)
+        recorded = _run(instance, name, journal=journal)
+        plain = _run(instance, name)
         _assert_identical(recorded, plain)
         records = [{"type": "header", "schema": EVENTS_SCHEMA}]
         records += events_records(journal)
@@ -84,9 +80,8 @@ class TestReportsBitIdentical:
         plain = _run(instance, "Greedy", use_engine=False)
         _assert_identical(recorded, plain)
         assert recorded.engine_stats == {}
-        # The rebuild reference journals through the standalone checker.
-        modes = {e["mode"] for e in journal.of_type("feas_build")}
-        assert modes <= {"checker"}
+        # The rebuild reference's exhaustive oracle journals nothing.
+        assert not journal.of_type("feas_build")
         assert journal.of_type("assign")
 
     def test_disabled_journal_stays_empty(self, instance):
@@ -145,7 +140,7 @@ class TestStreamCoherence:
         views = {e.get("batch"): e for e in journal.of_type("feas_view")}
         fresh_rejects = {}
         for event in journal.of_type("reject"):
-            if event["phase"] in ("build", "prune"):
+            if event["phase"] == "build":
                 key = event.get("batch")
                 fresh_rejects[key] = fresh_rejects.get(key, 0) + 1
         for batch, build in builds.items():
@@ -159,30 +154,26 @@ class TestStreamCoherence:
             assert event["evaluated"] >= event["changed"] >= 0
             assert event["skipped"] >= 0
 
-    @pytest.mark.parametrize("use_index", [False, True])
-    def test_reject_reasons_match_oracle(self, instance, use_index):
+    def test_reject_reasons_match_oracle(self, instance):
         """Every journaled rejection is confirmed infeasible by pair_feasible.
 
-        Runs the standalone checker (pristine worker records — the platform
+        Builds a standalone context (pristine worker records — the platform
         relocates workers after assignments, so its snapshots differ from
         ``instance.workers``) and re-checks each per-pair verdict.
         """
-        from repro.core.constraints import FeasibilityChecker, pair_feasible
+        from repro.core.constraints import pair_feasible
 
         journal = EventJournal()
         now = 40.0
         workers = [w for w in instance.workers if w.active_at(now)]
         tasks = [t for t in instance.tasks if t.active_at(now)]
-        checker = FeasibilityChecker(
-            workers, tasks, metric=instance.metric, now=now,
-            use_index=use_index, journal=journal,
-        )
+        checker = BatchContext.standalone(
+            workers, tasks, instance, now, journal=journal
+        ).checker
         worker_by_id = {w.id: w for w in workers}
         task_by_id = {t.id: t for t in tasks}
         checked = 0
         for event in journal.of_type("reject"):
-            if event["phase"] == "prune":
-                continue  # pruned pairs carry a lower-bound reason only
             assert not pair_feasible(
                 worker_by_id[event["worker"]], task_by_id[event["task"]],
                 metric=instance.metric, now=now,
@@ -194,36 +185,6 @@ class TestStreamCoherence:
         rejects = len(journal.of_type("reject"))
         assert build["pairs"] == len(workers) * len(tasks)
         assert build["pairs"] == rejects + checker.pair_count()
-
-    @pytest.mark.parametrize("use_index", [False, True])
-    def test_checker_stream_path_independent(self, instance, use_index):
-        """The columnar and scalar checkers journal the same stream."""
-        from repro.core.constraints import FeasibilityChecker
-
-        def spread(entity):
-            # Ten times the region at the same reach: the index engages.
-            x, y = entity.location
-            return replace(entity, location=(10.0 * x, 10.0 * y))
-
-        now = 40.0
-        workers = [spread(w) for w in instance.workers if w.active_at(now)]
-        tasks = [spread(t) for t in instance.tasks if t.active_at(now)]
-        streams = []
-        for metric in (instance.metric, ScalarEuclidean()):
-            journal = EventJournal()
-            FeasibilityChecker(
-                workers, tasks, metric=metric, now=now,
-                use_index=use_index, journal=journal,
-            )
-            streams.append(
-                [
-                    {k: v for k, v in r.items() if k != "columnar"}
-                    for r in events_records(journal)
-                ]
-            )
-        assert streams[0] == streams[1]
-        phases = {r.get("phase") for r in streams[0] if r["type"] == "reject"}
-        assert ("prune" in phases) == use_index
 
 
 class TestGreedyEvents:

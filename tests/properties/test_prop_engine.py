@@ -2,9 +2,9 @@
 
 Three invariants:
 
-* a batch view over the engine's persistent graph equals a fresh
-  exhaustive :class:`FeasibilityChecker` for the same populations, for
-  every supported metric;
+* a batch view over the engine's persistent graph equals the exhaustive
+  scalar oracle (:class:`~tests.reference.ExhaustiveChecker`) for the same
+  populations, for every supported metric;
 * after arbitrary cross-batch churn (tasks leaving/arriving, workers
   leaving/relocating), the incrementally-maintained view still equals a
   from-scratch build — and a second engine built fresh at the final batch
@@ -18,34 +18,32 @@ syncs' rejects does not change a single decision or counter.  The last
 suite drives the link loop through its edge cases (zero and infinite
 velocities, coincident points, unbounded windows and reach, a first batch
 at ``-inf``, arrivals exactly on the deadline) against the rebuild engine
-and the scalar predicate, journal on and off.
+and the scalar predicate, journal on and off; on the same populations, a
+standalone context's one-shot build must match the oracle's rows, columns
+and reject reasons.
 """
 
 import math
 import random
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.constraints import (
-    FeasibilityChecker,
-    pair_feasible,
-    pair_rejection_reason,
-)
+from repro.core.constraints import pair_feasible, pair_rejection_reason
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.engine import AllocationEngine
+from repro.engine import AllocationEngine, BatchContext
 from repro.obs.events import EventJournal
 from repro.spatial.distance import (
     EuclideanDistance,
     HaversineDistance,
     ManhattanDistance,
 )
-from tests.reference import RebuildEngine, ScalarEuclidean, ScalarManhattan
+
+from tests.reference import ExhaustiveChecker, RebuildEngine
 
 METRICS = [EuclideanDistance(), ManhattanDistance(), HaversineDistance()]
 
@@ -108,9 +106,7 @@ class TestEngineViewProperty:
         instance = _instance(workers, tasks, metric)
         engine = AllocationEngine(instance)
         view = engine.begin_batch(workers, tasks, now).checker
-        reference = FeasibilityChecker(
-            workers, tasks, metric=metric, now=now, use_index=False
-        )
+        reference = ExhaustiveChecker(workers, tasks, metric=metric, now=now)
         _assert_view_matches(view, reference, workers, tasks)
 
     @given(
@@ -154,9 +150,7 @@ class TestEngineViewProperty:
                 cur_workers.append(pending_w.pop())
 
         churned = engine.begin_batch(cur_workers, cur_tasks, now).checker
-        reference = FeasibilityChecker(
-            cur_workers, cur_tasks, metric=metric, now=now, use_index=False
-        )
+        reference = ExhaustiveChecker(cur_workers, cur_tasks, metric=metric, now=now)
         _assert_view_matches(churned, reference, cur_workers, cur_tasks)
 
         fresh_engine = AllocationEngine(instance)
@@ -216,7 +210,7 @@ def _assert_buckets_exact(engine):
 
 
 def _expected_pairs(engine, workers, tasks):
-    """Pairs an unbucketed sync of this batch visits (checked or pruned).
+    """Pairs an unbucketed sync of this batch visits.
 
     An arriving task meets every kept worker; a new or changed worker's row
     meets every task; a full build is the whole cross product.
@@ -278,22 +272,15 @@ def _bucket_instance(metric):
 
 
 class TestSkillBuckets:
-    @given(
-        st.integers(0, 100_000),
-        st.booleans(),
-        st.booleans(),
-    )
+    @given(st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
-    def test_buckets_views_and_counts_through_churn(self, seed, use_index, columnar):
+    def test_buckets_views_and_counts_through_churn(self, seed):
         rng = random.Random(seed)
-        region = 4.0 if use_index else 2.0
-        metric = EuclideanDistance() if columnar else ScalarEuclidean()
-        instance = _bucket_instance(metric)
-        engine = AllocationEngine(instance, use_index=use_index)
+        instance = _bucket_instance(EuclideanDistance())
+        engine = AllocationEngine(instance)
         reference = RebuildEngine(instance)
-        for now, workers, tasks in _churn(rng, region):
+        for now, workers, tasks in _churn(rng, 2.0):
             before = engine.stats()
-            aux_before = engine.aux_stats()
             expected = _expected_pairs(engine, workers, tasks)
             view = engine.begin_batch(workers, tasks, now).checker
             assert list(view.pairs()) == list(
@@ -301,27 +288,18 @@ class TestSkillBuckets:
             )
             _assert_buckets_exact(engine)
             after = engine.stats()
-            aux = engine.aux_stats()
             checked = after["engine_pairs_checked"] - before["engine_pairs_checked"]
-            pruned = after["engine_pruned_by_index"] - before["engine_pruned_by_index"]
-            evaluated = (
-                aux["engine_scalar_pair_evals"] - aux_before["engine_scalar_pair_evals"]
-                + aux["engine_columnar_pairs"] - aux_before["engine_columnar_pairs"]
-            )
-            assert checked + pruned == expected
-            assert evaluated == checked
-            if engine._index is None:
-                assert pruned == 0
+            assert checked == expected
+            assert after["engine_pruned_by_index"] == 0
 
 
-@pytest.mark.parametrize("use_index", [False, True])
-def test_journal_does_not_change_decisions(use_index):
+def test_journal_does_not_change_decisions():
     """Journal on or off, the bucketed syncs make the same graph and counts."""
-    instance = _bucket_instance(ScalarEuclidean())
+    instance = _bucket_instance(EuclideanDistance())
     runs = {}
     for recording in (False, True):
         journal = EventJournal(enabled=recording)
-        engine = AllocationEngine(instance, use_index=use_index, journal=journal)
+        engine = AllocationEngine(instance, journal=journal)
         views = []
         for now, workers, tasks in _churn(random.Random(5), 2.0, steps=12):
             views.append(list(engine.begin_batch(workers, tasks, now).checker.pairs()))
@@ -403,11 +381,7 @@ def _check_rejects(events, workers, tasks, metric, now):
     for event in events:
         worker, task = w_by_id[event["worker"]], t_by_id[event["task"]]
         oracle = pair_rejection_reason(worker, task, metric, now)
-        if event["phase"] == "prune":
-            # The index's reason is sound, not first-failing.
-            assert oracle is not None
-        else:
-            assert event["reason"] == oracle, (event, worker, task, now)
+        assert event["reason"] == oracle, (event, worker, task, now)
 
 
 class TestLinkLoopEdges:
@@ -416,22 +390,13 @@ class TestLinkLoopEdges:
     unbounded waits and reach, a first batch at ``-inf``, tasks starting
     after the worker leaves and arrivals landing exactly on the deadline."""
 
-    @given(
-        st.data(),
-        st.sampled_from(["euclidean", "scalar", "manhattan"]),
-        st.booleans(),
-    )
+    @given(st.data(), st.sampled_from([EuclideanDistance(), ManhattanDistance()]))
     @settings(max_examples=120, deadline=None)
-    def test_churn_matches_rebuild_and_scalar_predicate(self, data, kind, use_index):
-        metric = {
-            "euclidean": EuclideanDistance(),
-            "scalar": ScalarEuclidean(),
-            "manhattan": ScalarManhattan(),
-        }[kind]
+    def test_churn_matches_rebuild_and_scalar_predicate(self, data, metric):
         instance = _bucket_instance(metric)
         journal = EventJournal()
-        quiet = AllocationEngine(instance, use_index=use_index)
-        loud = AllocationEngine(instance, use_index=use_index, journal=journal)
+        quiet = AllocationEngine(instance)
+        loud = AllocationEngine(instance, journal=journal)
         reference = RebuildEngine(instance)
         ids = iter(range(1, 10**6))
         now = data.draw(st.sampled_from([-math.inf, 0.0]))
@@ -491,3 +456,49 @@ class TestLinkLoopEdges:
                 _edge_worker(data, next(ids), now)
                 for _ in range(data.draw(st.integers(0, 2)))
             ]
+
+
+class TestStandaloneDifferential:
+    """A standalone context's one-shot build against the scalar oracle, on
+    the link loop's edge populations, journal on and off."""
+
+    @given(st.data(), st.sampled_from(METRICS), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_columns_and_reasons_match_oracle(self, data, metric, recording):
+        now = data.draw(st.sampled_from([-math.inf, 0.0, 1.0]))
+        ids = iter(range(1, 10**6))
+        workers = [
+            _edge_worker(data, next(ids), now)
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        tasks = [
+            _edge_task(data, next(ids), now)
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        movers = [w for w in workers if 0.0 < w.velocity < math.inf]
+        if movers and data.draw(st.booleans()):
+            mover = data.draw(st.sampled_from(movers))
+            tasks.append(_boundary_task(data, next(ids), mover, now))
+        journal = EventJournal(enabled=recording)
+        context = BatchContext.standalone(
+            workers, tasks, _bucket_instance(metric), now, journal=journal
+        )
+        view = context.checker
+        oracle = ExhaustiveChecker(workers, tasks, metric, now)
+        _assert_view_matches(view, oracle, workers, tasks)
+        assert list(view.pairs()) == list(oracle.pairs())
+        assert context.engine_stats() == {}
+        if not recording:
+            return
+        # Every infeasible pair is rejected exactly once, by the build, with
+        # the oracle's first failing constraint.
+        rejects = [e for e in journal.events if e["type"] == "reject"]
+        assert {e["phase"] for e in rejects} <= {"build"}
+        assert [(e["worker"], e["task"], e["reason"]) for e in rejects] == [
+            (w.id, t.id, reason)
+            for w in workers
+            for t in tasks
+            if (reason := pair_rejection_reason(w, t, metric, now)) is not None
+        ]
+        (build,) = [e for e in journal.events if e["type"] == "feas_build"]
+        assert (build["mode"], build["pairs"]) == ("full", len(workers) * len(tasks))

@@ -1,11 +1,8 @@
-"""Property-based tests for the grid index and feasibility pruning."""
+"""Property-based tests for the grid index."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.constraints import FeasibilityChecker
-from repro.core.task import Task
-from repro.core.worker import Worker
 from repro.spatial.distance import euclidean
 from repro.spatial.index import GridIndex
 
@@ -14,19 +11,6 @@ points = st.tuples(coords, coords)
 
 
 class TestGridIndexProperties:
-    @given(
-        st.lists(points, min_size=0, max_size=60),
-        points,
-        st.floats(0.0, 8.0, allow_nan=False),
-        st.floats(0.05, 2.0, allow_nan=False),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_radius_query_matches_brute_force(self, pts, center, radius, cell):
-        index = GridIndex(cell_size=cell)
-        index.insert_many(enumerate(pts))
-        expected = {i for i, p in enumerate(pts) if euclidean(p, center) <= radius}
-        assert set(index.query_radius(center, radius)) == expected
-
     @given(
         st.lists(points, min_size=1, max_size=40, unique=True),
         points,
@@ -39,42 +23,3 @@ class TestGridIndexProperties:
         got = index.nearest(center)
         best = min(euclidean(p, center) for p in pts)
         assert euclidean(pts[got], center) <= best + 1e-9
-
-
-@st.composite
-def batch_populations(draw):
-    n_w = draw(st.integers(1, 20))
-    n_t = draw(st.integers(1, 20))
-    workers = [
-        Worker(
-            id=i,
-            location=draw(points),
-            start=draw(st.floats(0, 10)),
-            wait=draw(st.floats(0, 10)),
-            velocity=draw(st.floats(0, 3)),
-            max_distance=draw(st.floats(0, 5)),
-            skills=frozenset(draw(st.sets(st.integers(0, 3), min_size=1, max_size=3))),
-        )
-        for i in range(n_w)
-    ]
-    tasks = [
-        Task(
-            id=i,
-            location=draw(points),
-            start=draw(st.floats(0, 10)),
-            wait=draw(st.floats(0, 10)),
-            skill=draw(st.integers(0, 3)),
-        )
-        for i in range(n_t)
-    ]
-    return workers, tasks
-
-
-class TestFeasibilityPruningProperty:
-    @given(batch_populations(), st.floats(0.0, 10.0))
-    @settings(max_examples=60, deadline=None)
-    def test_index_pruning_never_changes_the_answer(self, population, now):
-        workers, tasks = population
-        fast = FeasibilityChecker(workers, tasks, now=now, use_index=True)
-        slow = FeasibilityChecker(workers, tasks, now=now, use_index=False)
-        assert sorted(fast.pairs()) == sorted(slow.pairs())

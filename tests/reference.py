@@ -1,18 +1,15 @@
 """Test-only reference paths for the feasibility pipeline and the game.
 
-The library picks its feasibility path from inputs it can see (the metric
-and whether numpy imports) and runs one best-response loop; these helpers
-let tests pin the other paths against it without a switch in the library:
+The library has one feasibility builder (the engine's link loop) and one
+best-response loop; these helpers let tests pin them against independent
+oracles without a switch in the library:
 
-* :class:`ScalarEuclidean` / :class:`ScalarManhattan` — planar metrics that
-  advertise no kernel code, so every build over them takes the scalar
-  per-pair path;
+* :class:`ExhaustiveChecker` — the scalar exhaustive oracle: every
+  ``(worker, task)`` pair decided by :func:`~repro.core.constraints.pair_feasible`,
+  with no skill buckets, no stored links and no engine code;
 * :class:`RebuildEngine` — the engine-off reference: a fresh
-  :class:`~repro.core.constraints.FeasibilityChecker` per batch.  Platforms
-  run inside :func:`without_engine` use it in place of the incremental
-  engine;
-* :func:`without_numpy` — hide numpy from the kernels, as on a host
-  without it: no build selects them, so every build and sync is scalar;
+  :class:`ExhaustiveChecker` per batch.  Platforms run inside
+  :func:`without_engine` use it in place of the incremental engine;
 * :class:`ReferenceGameState` / :class:`NaiveDASCGame` — the original
   walk-everything game state and the withdraw-and-rescan best-response loop
   over it, the oracle for :class:`~repro.algorithms.utility.GameState` and
@@ -46,6 +43,7 @@ import pytest
 from repro.algorithms.game import _EPS, DASCGame
 from repro.algorithms.registry import make_allocator
 from repro.algorithms.utility import harmonic
+from repro.core.constraints import FeasibleRows, pair_feasible
 from repro.core.dependency import CyclicDependencyError
 from repro.core.exceptions import DascError
 from repro.core.instance import ProblemInstance
@@ -57,19 +55,38 @@ from repro.obs.trace import get_tracer
 from repro.shard.engine import ShardedEngine
 from repro.simulation import platform as platform_module
 from repro.simulation.stats import BatchRecord, SimulationReport
-from repro.spatial.distance import EuclideanDistance, ManhattanDistance
+from repro.spatial.distance import DistanceMetric, EuclideanDistance
 
 
-class ScalarEuclidean(EuclideanDistance):
-    """Euclidean distance that never selects the columnar kernels."""
+class ExhaustiveChecker(FeasibleRows):
+    """The feasible pairs of a batch, every pair checked by ``pair_feasible``.
 
-    columnar_code = None
+    Rows are sorted, as the engine's view sorts them, and every worker and
+    task gets a row (possibly empty).  Nothing is journaled.
+    """
 
-
-class ScalarManhattan(ManhattanDistance):
-    """Manhattan distance that never selects the columnar kernels."""
-
-    columnar_code = None
+    def __init__(
+        self,
+        workers: Sequence[Worker],
+        tasks: Sequence[Task],
+        metric: Optional[DistanceMetric] = None,
+        now: float = -math.inf,
+    ) -> None:
+        self.workers = list(workers)
+        self.tasks = list(tasks)
+        self.metric = metric or EuclideanDistance()
+        self.now = now
+        self._tasks_of = {w.id: [] for w in self.workers}
+        self._workers_of = {t.id: [] for t in self.tasks}
+        for worker in self.workers:
+            for task in self.tasks:
+                if pair_feasible(worker, task, self.metric, now):
+                    self._tasks_of[worker.id].append(task.id)
+                    self._workers_of[task.id].append(worker.id)
+        for row in self._tasks_of.values():
+            row.sort()
+        for column in self._workers_of.values():
+            column.sort()
 
 
 class RebuildEngine:
@@ -82,8 +99,9 @@ class RebuildEngine:
         self.journal = journal
 
     def begin_batch(self, workers, tasks, now, previously_assigned=frozenset()):
-        return BatchContext.standalone(
+        return BatchContext(
             workers, tasks, self.instance, now, previously_assigned,
+            checker=ExhaustiveChecker(workers, tasks, self.instance.metric, now),
             tracer=self.tracer, journal=self.journal,
         )
 
@@ -97,13 +115,6 @@ def without_engine():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(platform_module, "AllocationEngine", RebuildEngine)
         yield
-
-
-def without_numpy(monkeypatch) -> None:
-    """Run feasibility as a host without numpy would: scalar throughout."""
-    import repro.columnar.kernels as kernels
-
-    monkeypatch.setattr(kernels, "_np", None)
 
 
 class ReferenceGameState:

@@ -10,7 +10,7 @@ own report from the events alone.
 import pytest
 
 from repro.algorithms.registry import make_allocator
-from repro.explain.replay import replay_report
+from repro.explain import ExplainIndex, replay_report, validate_replay
 from repro.obs.events import (
     EVENTS_SCHEMA,
     EventJournal,
@@ -103,3 +103,19 @@ class TestShardedStreams:
         ).run()
         assert journaled.assignments == plain.assignments
         assert journaled.engine_stats == plain.engine_stats
+
+    def test_reconcile_journals_a_standalone_full_build(self, bordered_instance):
+        report, records = _run_journaled(bordered_instance, shards=2)
+        validate_events_records(_with_header(records))
+        validate_replay(records, report)
+        # Shard syncs are stamped; the reconcile's one-shot engine is not.
+        reconcile = [
+            r for r in records if r["type"] == "feas_build" and "shard" not in r
+        ]
+        assert reconcile and {r["mode"] for r in reconcile} == {"full"}
+        rejects = [r for r in records if r["type"] == "reject"]
+        assert {r["phase"] for r in rejects} <= {"build", "view", "alloc"}
+        index = ExplainIndex(records)
+        assert index.summary()
+        pair = rejects[0]
+        assert index.why_not(pair["worker"], pair["task"])["reasons"]

@@ -12,7 +12,6 @@ ratio of the unsharded solution.
 import pytest
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
-from repro.core.constraints import FeasibilityChecker, index_cell_size
 from repro.engine.context import BatchContext
 from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
@@ -20,6 +19,8 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.shard.engine import ShardedEngine
 from repro.simulation.platform import Platform, RejoinPolicy
+
+from tests.reference import ExhaustiveChecker
 
 QUALITY_FLOOR = 0.9
 
@@ -74,17 +75,6 @@ class TestCoordinator:
             )
         assert engine.stats()["engine_full_builds"] >= 2
 
-    @pytest.mark.parametrize("fixture", ["boundary_free_instance", "bordered_instance"])
-    def test_shard_index_cell_is_the_whole_batch_cell(self, request, fixture):
-        instance = request.getfixturevalue(fixture)
-        engine, _, now = _allocate_once(instance)
-        cell = index_cell_size(instance.workers, instance.tasks, now)
-        assert cell is not None
-        for shard_engine in engine.engines:
-            assert shard_engine.forced_cell == cell
-            if shard_engine._index is not None:
-                assert shard_engine._index.cell_size == cell
-
     def test_needs_at_least_two_shards(self, boundary_free_instance):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedEngine(boundary_free_instance, 1)
@@ -116,7 +106,7 @@ class TestStructuralValidity:
     def test_every_pair_globally_feasible(self, bordered_instance, name):
         instance = bordered_instance
         _, outcome, now = _allocate_once(instance, name)
-        checker = FeasibilityChecker(
+        checker = ExhaustiveChecker(
             instance.workers, instance.tasks, instance.metric, now
         )
         pairs = list(outcome.assignment.pairs())

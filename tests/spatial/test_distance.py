@@ -1,6 +1,7 @@
 """Distance metric unit tests."""
 
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.spatial.distance import (
     get_metric,
     haversine_km,
     manhattan,
+    plain_function,
 )
 
 
@@ -28,6 +30,24 @@ class TestEuclidean:
 
     def test_axis_aligned(self):
         assert euclidean((2.0, 0.0), (7.0, 0.0)) == pytest.approx(5.0)
+
+    def test_bitwise_equal_to_the_hypot_of_the_differences(self):
+        # Reports are pinned to math.hypot(dx, dy); the engine's link loop
+        # calls math.dist directly (plain_function), so both must agree
+        # to the last bit, including the infinite and subnormal edges.
+        rng = random.Random(5)
+        edges = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, 1 / 3]
+        points = [
+            (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(200)
+        ]
+        points += [(x, y) for x in edges for y in edges]
+        for a in points:
+            for b in points[::7]:
+                expected = math.hypot(a[0] - b[0], a[1] - b[1])
+                got = euclidean(a, b)
+                assert got == expected or math.isnan(got) and math.isnan(expected)
+                assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+        assert plain_function(EuclideanDistance()) is math.dist
 
 
 class TestManhattan:

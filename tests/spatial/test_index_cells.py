@@ -93,8 +93,8 @@ class TestCellsOverlapping:
 
         The unclamped span of this box is huge (it extends far past the
         population), so a pre-clamp span estimate would take the
-        occupied-walk shortcut against *stale* bounds after removals.  The
-        clamp-first rule keeps both paths equivalent.
+        occupied-walk shortcut.  The clamp-first rule keeps both paths
+        equivalent.
         """
         index = _filled_index(n=6)
         box = (4.2, -50.0, 90.0, 50.0)  # crosses the right/bottom/top edges
@@ -102,19 +102,6 @@ class TestCellsOverlapping:
         assert index.cells_overlapping(box) == [
             (i, j) for i in (4, 5) for j in range(6)
         ]
-
-    def test_ring_cutoff_after_edge_removal_dirties_bounds(self):
-        """Removing the boundary population must shrink what edge boxes see."""
-        index = _filled_index(n=6)
-        # Remove the entire rightmost column (i = 5) — these sit on the
-        # occupied-bounds edge, so the cached bounds go dirty.
-        for j in range(6):
-            index.remove(5 * 6 + j)
-        box = (4.2, -50.0, 90.0, 50.0)
-        assert index.cells_overlapping(box) == [(4, j) for j in range(6)]
-        # And an edge-hugging half-plane agrees with brute force too.
-        half = (4.2, -math.inf, math.inf, math.inf)
-        assert index.cells_overlapping(half) == _brute_cells(index, half)
 
 
 class TestKeysInBox:

@@ -354,10 +354,11 @@ class TestGridRoadNetwork:
 class TestAllocationUnderRoadNetwork:
     def test_greedy_valid_with_roadnet_metric(self):
         """Section II-A: the approaches work with other distance functions."""
-        from repro.core.constraints import FeasibilityChecker
         from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
         from repro.algorithms.greedy import DASCGreedy
+        from repro.engine.context import BatchContext
         from repro.simulation.platform import run_single_batch
+        from tests.reference import ExhaustiveChecker
 
         instance = generate_synthetic(SyntheticConfig(seed=4).scaled(0.01))
         net = grid_road_network(
@@ -367,11 +368,8 @@ class TestAllocationUnderRoadNetwork:
         instance.metric = RoadNetworkDistance(net)
         outcome = run_single_batch(instance, DASCGreedy())
         assert outcome.assignment.is_valid(instance, now=instance.earliest_start)
-        # index pruning and exhaustive checking agree under the new metric
-        fast = FeasibilityChecker(
-            instance.workers, instance.tasks, metric=instance.metric, use_index=True
-        )
-        slow = FeasibilityChecker(
-            instance.workers, instance.tasks, metric=instance.metric, use_index=False
-        )
-        assert sorted(fast.pairs()) == sorted(slow.pairs())
+        # the engine's table-backed build and per-pair checks agree under
+        # the new metric
+        built = BatchContext.standalone(instance.workers, instance.tasks, instance)
+        slow = ExhaustiveChecker(instance.workers, instance.tasks, instance.metric)
+        assert sorted(built.checker.pairs()) == sorted(slow.pairs())

@@ -266,9 +266,9 @@ class TestFlightRecorder:
                      "--events-out", str(events)]) == 0
         records = read_jsonl(str(events))
         validate_events_records(records)
-        # A standalone single batch journals through the fresh checker.
+        # A standalone single batch journals its one-shot engine's build.
         builds = [r for r in records if r.get("type") == "feas_build"]
-        assert builds and all(r["mode"] == "checker" for r in builds)
+        assert [r["mode"] for r in builds] == ["full"]
 
     def test_explain_summary_and_queries(self, tmp_path, capsys):
         inst = self._instance(tmp_path)
