@@ -1,9 +1,10 @@
 """Replay acceptance: the journal reconstructs every approach's report.
 
-The flight recorder's completeness contract: for every approach,
-replaying the events JSONL yields a ``SimulationReport`` bit-identical to
-the one the platform returned (minus wall-clock ``elapsed`` and
-``engine_stats``, which are measurements rather than allocation facts).
+The flight recorder's completeness contract: for every approach, on one
+engine and on two shards, replaying the events JSONL yields a
+``SimulationReport`` bit-identical to the one the platform returned (minus
+wall-clock ``elapsed`` and ``engine_stats``, which are measurements rather
+than allocation facts).
 """
 
 import pytest
@@ -33,14 +34,21 @@ def _record(instance, name, **platform_kwargs):
     return events_records(journal), report
 
 
+def _check_replays(records, report):
+    replayed = validate_replay(records, report)  # raises on any divergence
+    assert replayed.total_score == report.total_score
+    assert all(b.elapsed == 0.0 for b in replayed.batches)
+    assert replayed.engine_stats == {}
+
+
 class TestReplayBitIdentity:
     @pytest.mark.parametrize("name", APPROACH_NAMES)
     def test_every_approach_replays(self, instance, name):
-        records, report = _record(instance, name)
-        replayed = validate_replay(records, report)  # raises on any divergence
-        assert replayed.total_score == report.total_score
-        assert all(b.elapsed == 0.0 for b in replayed.batches)
-        assert replayed.engine_stats == {}
+        _check_replays(*_record(instance, name))
+
+    @pytest.mark.parametrize("name", APPROACH_NAMES)
+    def test_every_approach_replays_on_two_shards(self, instance, name):
+        _check_replays(*_record(instance, name, shards=2))
 
     def test_legacy_path_replays(self, instance):
         with without_engine():

@@ -3,12 +3,13 @@
 Mirrors ``test_platform_tracing.py``: with the journal on, every approach's
 ``SimulationReport`` — assignments, completion times, per-batch records and
 the ``engine_stats`` keys *and values* — must be bit-identical to the
-journal-off run.  The recorded stream itself must pass the schema
-validator and tell a coherent story (funnel conservation,
-assignment/expiry completeness).
+journal-off run, on one engine and on two shards.  The recorded stream
+itself must pass the schema validator and tell a coherent story (funnel
+conservation, assignment/expiry completeness).
 """
 
 import contextlib
+from dataclasses import replace
 
 import pytest
 
@@ -29,16 +30,18 @@ from repro.obs.events import (
     validate_events_records,
 )
 from repro.simulation.platform import Platform
+from repro.spatial.distance import EuclideanDistance, ManhattanDistance
 from tests.reference import without_engine
 
 
-def _run(instance, name, *, journal=None, use_engine=True):
+def _run(instance, name, *, journal=None, use_engine=True, shards=1):
     with contextlib.nullcontext() if use_engine else without_engine():
         return Platform(
             instance,
             make_allocator(name, seed=11),
             batch_interval=5.0,
             journal=journal,
+            shards=shards,
         ).run()
 
 
@@ -63,16 +66,24 @@ def instance():
     return generate_synthetic(SyntheticConfig(seed=5).scaled(0.05))
 
 
+def _check_journaled_equals_plain(instance, name, shards):
+    journal = EventJournal()
+    recorded = _run(instance, name, journal=journal, shards=shards)
+    plain = _run(instance, name, shards=shards)
+    _assert_identical(recorded, plain)
+    records = [{"type": "header", "schema": EVENTS_SCHEMA}]
+    records += events_records(journal)
+    validate_events_records(records)
+
+
 class TestReportsBitIdentical:
     @pytest.mark.parametrize("name", APPROACH_NAMES)
     def test_journaled_equals_plain(self, instance, name):
-        journal = EventJournal()
-        recorded = _run(instance, name, journal=journal)
-        plain = _run(instance, name)
-        _assert_identical(recorded, plain)
-        records = [{"type": "header", "schema": EVENTS_SCHEMA}]
-        records += events_records(journal)
-        validate_events_records(records)
+        _check_journaled_equals_plain(instance, name, shards=1)
+
+    @pytest.mark.parametrize("name", APPROACH_NAMES)
+    def test_journaled_equals_plain_on_two_shards(self, instance, name):
+        _check_journaled_equals_plain(instance, name, shards=2)
 
     def test_journaled_equals_plain_legacy_path(self, instance):
         journal = EventJournal()
@@ -154,15 +165,21 @@ class TestStreamCoherence:
             assert event["evaluated"] >= event["changed"] >= 0
             assert event["skipped"] >= 0
 
-    def test_reject_reasons_match_oracle(self, instance):
+    @pytest.mark.parametrize(
+        "metric", [EuclideanDistance(), ManhattanDistance()],
+        ids=["euclidean", "manhattan"],
+    )
+    def test_reject_reasons_match_oracle(self, instance, metric):
         """Every journaled rejection is confirmed infeasible by pair_feasible.
 
         Builds a standalone context (pristine worker records — the platform
         relocates workers after assignments, so its snapshots differ from
-        ``instance.workers``) and re-checks each per-pair verdict.
+        ``instance.workers``) and re-checks each per-pair verdict and its
+        reason code, under both planar metrics.
         """
-        from repro.core.constraints import pair_feasible
+        from repro.core.constraints import pair_feasible, pair_rejection_reason
 
+        instance = replace(instance, metric=metric)
         journal = EventJournal()
         now = 40.0
         workers = [w for w in instance.workers if w.active_at(now)]
@@ -174,9 +191,11 @@ class TestStreamCoherence:
         task_by_id = {t.id: t for t in tasks}
         checked = 0
         for event in journal.of_type("reject"):
-            assert not pair_feasible(
-                worker_by_id[event["worker"]], task_by_id[event["task"]],
-                metric=instance.metric, now=now,
+            worker = worker_by_id[event["worker"]]
+            task = task_by_id[event["task"]]
+            assert not pair_feasible(worker, task, metric=metric, now=now), event
+            assert event["reason"] == pair_rejection_reason(
+                worker, task, metric=metric, now=now
             ), event
             checked += 1
         assert checked > 100

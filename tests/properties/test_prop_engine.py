@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,9 +294,13 @@ class TestSkillBuckets:
             assert after["engine_pruned_by_index"] == 0
 
 
-def test_journal_does_not_change_decisions():
+@pytest.mark.parametrize(
+    "metric", [EuclideanDistance(), ManhattanDistance()],
+    ids=["euclidean", "manhattan"],
+)
+def test_journal_does_not_change_decisions(metric):
     """Journal on or off, the bucketed syncs make the same graph and counts."""
-    instance = _bucket_instance(EuclideanDistance())
+    instance = _bucket_instance(metric)
     runs = {}
     for recording in (False, True):
         journal = EventJournal(enabled=recording)
