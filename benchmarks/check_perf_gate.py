@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Perf-regression gate over the engine micro-benchmark.
 
-Six checks, one exit code (check 4, the columnar pair-eval ratio, went
-with the columnar kernels; the other numbers are kept so references to
-them stay valid):
+Four checks, one exit code (check 4, the columnar pair-eval ratio, went
+with the columnar kernels; check 5, the shard scale-out gate, with
+partitioned sharding; check 7, the warm-matching gate, with the match
+memo; the other numbers are kept so references to them stay valid):
 
 1. **Wall-clock gate** — reruns the feasibility-dominated platform workload
    behind ``bench_micro_substrates.test_micro_platform_engine`` and
@@ -31,14 +32,6 @@ them stay valid):
    arithmetic, this check is deterministic on 1-CPU hosts: a regression in
    the dirty-set scheduler or the value cache fails CI regardless of
    machine speed or load.
-5. **Shard scale-out gate** — reruns both ``bench_shard`` workloads.  On
-   the boundary-free arrival-heavy workload the sharded report must match
-   the unsharded run while the busiest shard settles at least 4x less
-   feasibility work than the unsharded total; both runs' wall times are
-   recorded beside the ratio.  On the bordered long-wait workload the
-   border reconcile must stay under 10% of phase-1 settles and total
-   score within 0.9x of the unsharded solution.  Counter arithmetic
-   only — deterministic on 1-CPU hosts.
 6. **Events-disabled overhead gate** — reruns the same platform workload
    with an explicitly *disabled* ``EventJournal`` threaded through the
    platform/engine/allocator hot paths, asserts the journal records
@@ -48,12 +41,6 @@ them stay valid):
    best of ``--rounds`` each side).  This pins the flight recorder's
    zero-cost-when-off contract: the ``if journal.enabled`` guards must
    never grow real work on the disabled path.
-7. **Warm-matching gate** — runs the ``bench_warm_matching``
-   repeated-staffing workload with the match memo on and off: the memo
-   must replay repeated staffing queries (``matching_warm_starts`` > 0)
-   with identical solutions and strictly fewer ``matching_augment_rounds``
-   than the cold solver.  Counter arithmetic only — deterministic on
-   1-CPU hosts.
 
 Exit codes: 0 all pass (or no baseline yet for the wall gate), 1 any fail.
 
@@ -61,7 +48,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/check_perf_gate.py [--threshold 1.25]
         [--min-eval-ratio 5.0] [--min-settled-ratio 5.0]
-        [--min-shard-ratio 4.0]
 """
 
 from __future__ import annotations
@@ -90,14 +76,9 @@ ENTRY = "micro_platform_engine"
 GAME_ENTRY = "game_eval_gate"
 ROADNET_ENTRY = "roadnet_settled_gate"
 EVENTS_ENTRY = "events_disabled_gate"
-SHARD_ENTRY = "shard_scaleout_gate"
-#: The warm-matching gate keeps the entry name it had when it rode along
-#: with the removed column-store gate, so its history stays one series.
-MATCHING_ENTRY = "store_scale_gate"
 ROUNDS = 3
 MIN_EVAL_RATIO = 5.0
 MIN_SETTLED_RATIO = 5.0
-MIN_SHARD_RATIO = 4.0
 
 
 def _committed_baseline() -> float | None:
@@ -193,116 +174,6 @@ def check_game_eval_ratio(min_ratio: float) -> bool:
         f"{verdict}: game eval ratio {ratio:.2f}x "
         f"({naive_evals:.0f} derived-naive task values vs "
         f"{outcome.stats['value_recomputes']:.0f} computed; floor x{min_ratio})"
-    )
-    return ok
-
-
-def check_shard_scaleout(min_ratio: float) -> bool:
-    """Counter-only gate on the sharded engine's scale-out contract."""
-    from bench_shard import (
-        BORDERED_CONFIG,
-        MAX_RECONCILE_OVERHEAD,
-        MIN_QUALITY_RATIO,
-        N_SHARDS,
-        SHARD_CONFIG,
-        _assert_reports_identical,
-        make_bordered_instance,
-        make_shard_instance,
-        per_shard_settled,
-        run_shard_workload,
-        settled_work,
-    )
-
-    instance = make_shard_instance()
-    platform, sharded_report, wall_ms = run_shard_workload(instance, shards=N_SHARDS)
-    _, flat_report, flat_ms = run_shard_workload(instance)
-    try:  # report identity is a precondition of the perf claim
-        _assert_reports_identical(sharded_report, flat_report)
-    except AssertionError:
-        print("FAIL: boundary-free sharded report diverges from the unsharded run")
-        return False
-    densest = max(per_shard_settled(platform))
-    flat_settled = settled_work(flat_report.engine_stats)
-    ratio = flat_settled / max(densest, 1)
-
-    bordered = make_bordered_instance()
-    bordered_platform, part_report, _ = run_shard_workload(bordered, shards=N_SHARDS)
-    _, bordered_flat, _ = run_shard_workload(bordered)
-    registry = bordered_platform.metrics_registry
-    border = registry.counter("shard_border_workers").value
-    reconcile_pairs = registry.counter("shard_reconcile_pairs").value
-    phase1 = sum(per_shard_settled(bordered_platform))
-    overhead = reconcile_pairs / max(phase1, 1)
-    quality = part_report.total_score / max(bordered_flat.total_score, 1)
-
-    record_bench_entry(
-        SHARD_ENTRY,
-        dict(
-            SHARD_CONFIG,
-            bordered=BORDERED_CONFIG["instance"],
-            min_settled_ratio=min_ratio,
-            max_reconcile_overhead=MAX_RECONCILE_OVERHEAD,
-            min_quality_ratio=MIN_QUALITY_RATIO,
-        ),
-        wall_ms,
-        {
-            "densest_shard_settled": densest,
-            "unsharded_settled": flat_settled,
-            "settled_ratio": round(ratio, 3),
-            "unsharded_wall_ms": round(flat_ms, 3),
-            "border_workers": border,
-            "reconcile_overhead": round(overhead, 4),
-            "quality_ratio": round(quality, 4),
-            "dep_retry_assigned": registry.counter("shard_dep_retry_assigned").value,
-        },
-    )
-    ratio_ok = ratio >= min_ratio
-    overhead_ok = border > 0 and overhead < MAX_RECONCILE_OVERHEAD
-    quality_ok = quality >= MIN_QUALITY_RATIO
-    ok = ratio_ok and overhead_ok and quality_ok
-    verdict = "PASS" if ok else "FAIL"
-    print(
-        f"{verdict}: shard settled ratio {ratio:.2f}x "
-        f"({flat_settled:.0f} unsharded vs {densest:.0f} densest shard; "
-        f"floor x{min_ratio}), reconcile overhead {overhead:.1%} "
-        f"(limit {MAX_RECONCILE_OVERHEAD:.0%}, border={border:.0f}), "
-        f"quality {quality:.3f} (floor {MIN_QUALITY_RATIO})"
-    )
-    return ok
-
-
-def check_warm_matching() -> bool:
-    """Counter-only gate on the match memo's warm-start parity and savings."""
-    from bench_warm_matching import run_matching_workload
-
-    started = time.perf_counter()
-    warm_results, warm = run_matching_workload(True)
-    cold_results, cold = run_matching_workload(False)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    if warm_results != cold_results:
-        print("FAIL: warm-start matching solutions diverge from cold solves")
-        return False
-    warm_rounds = warm["matching_augment_rounds"]
-    cold_rounds = cold["matching_augment_rounds"]
-    round_ratio = cold_rounds / max(warm_rounds, 1)
-
-    record_bench_entry(
-        MATCHING_ENTRY,
-        {"workload": "hall+feasible sets x 25 rounds", "method": "hungarian"},
-        wall_ms,
-        {
-            "matching_warm_starts": warm["matching_warm_starts"],
-            "warm_augment_rounds": warm_rounds,
-            "cold_augment_rounds": cold_rounds,
-            "augment_round_ratio": round(round_ratio, 3),
-        },
-    )
-    ok = warm["matching_warm_starts"] > 0 and warm_rounds < cold_rounds
-    verdict = "PASS" if ok else "FAIL"
-    print(
-        f"{verdict}: warm matching {warm_rounds:.0f} augment rounds vs "
-        f"{cold_rounds:.0f} cold (x{round_ratio:.1f}, "
-        f"{warm['matching_warm_starts']:.0f} replays)"
     )
     return ok
 
@@ -409,14 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fail when the roadnet table settles more than per-pair/THIS "
         f"nodes (default {MIN_SETTLED_RATIO}; deterministic, no wall-clock)",
     )
-    parser.add_argument(
-        "--min-shard-ratio",
-        type=float,
-        default=MIN_SHARD_RATIO,
-        help="fail when the densest shard settles more than unsharded/THIS "
-        f"feasibility work (default {MIN_SHARD_RATIO}; deterministic, "
-        "no wall-clock)",
-    )
     args = parser.parse_args(argv)
 
     baseline_ms = _committed_baseline()
@@ -437,18 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     record_platform_entry(record_bench_entry, ENTRY, *best)
     roadnet_ok = check_roadnet_settled_ratio(args.min_settled_ratio)
     game_ok = check_game_eval_ratio(args.min_eval_ratio)
-    shard_ok = check_shard_scaleout(args.min_shard_ratio)
-    matching_ok = check_warm_matching()
     events_ok = check_events_disabled_overhead(
         instance, report, args.threshold, args.rounds
     )
-    counters_ok = (
-        roadnet_ok
-        and game_ok
-        and shard_ok
-        and matching_ok
-        and events_ok
-    )
+    counters_ok = roadnet_ok and game_ok and events_ok
     if baseline_ms is None:
         print(
             f"no committed baseline for {ENTRY!r}; recorded {best_ms:.1f} "

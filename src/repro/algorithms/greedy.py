@@ -23,7 +23,7 @@ from typing import Dict, List, Set, Tuple
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.core.assignment import Assignment
 from repro.engine.context import BatchContext
-from repro.matching.bipartite import MatchMemo, Method, match_task_set
+from repro.matching.bipartite import Method, match_task_set
 
 
 class DASCGreedy(BatchAllocator):
@@ -34,11 +34,6 @@ class DASCGreedy(BatchAllocator):
             ``hungarian`` (the paper's choice, also minimises travel within
             a set) or ``hopcroft-karp`` (cardinality-only, faster; used by
             the ablation benchmark).
-        warm_matching: replay staffing solves whose task set and candidate
-            pools are unchanged since a previous batch (bit-identical: the
-            memo keys on the exact solver input).  The saved solver runs
-            show up in the ``matching_warm_starts`` /
-            ``matching_augment_rounds`` obs counters.
 
     ``AllocationOutcome.stats`` carries ``iterations`` (staffing rounds),
     ``matchings`` (sets handed to the matcher) and ``dropped_sets`` (batch
@@ -47,11 +42,8 @@ class DASCGreedy(BatchAllocator):
 
     name = "Greedy"
 
-    def __init__(
-        self, matching: Method = "hungarian", warm_matching: bool = True
-    ) -> None:
+    def __init__(self, matching: Method = "hungarian") -> None:
         self.matching = matching
-        self._memo = MatchMemo() if warm_matching else None
 
     def _allocate(self, context: BatchContext) -> AllocationOutcome:
         workers, tasks, instance = context.workers, context.tasks, context.instance
@@ -123,7 +115,6 @@ class DASCGreedy(BatchAllocator):
                     checker,
                     instance,
                     self.matching,
-                    memo=self._memo,
                 )
                 if journal.enabled:
                     journal.emit(

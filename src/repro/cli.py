@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="after a platform run, replay the event journal back into a "
         "report and assert bit-identity (implies event recording)",
     )
-    _add_shard_arguments(solve)
     _add_obs_arguments(solve)
     _add_events_arguments(solve)
 
@@ -137,16 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -163,27 +152,6 @@ def _finite_positive_float(text: str) -> float:
     if math.isinf(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
-
-
-def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.shard import SCHEMES as SHARD_SCHEMES
-
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="split the plane into N spatial shards, each allocating its own "
-        "workers before a border reconcile (platform runs only; 1 = "
-        "unsharded; sharded reports may differ from the unsharded run's)",
-    )
-    parser.add_argument(
-        "--shard-scheme",
-        choices=SHARD_SCHEMES,
-        default="grid",
-        help="how to cut the plane: a uniform grid of the bounding box, or "
-        "a density-balanced KD split of the population (default: grid)",
-    )
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -384,9 +352,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     tracer = _obs_tracer(args)
     journal = _obs_journal(args)
     metrics_registry = None
-    if args.shards > 1 and args.batch_interval is None:
-        print("error: --shards needs a platform run (--batch-interval)")
-        return 2
     if args.batch_interval is not None:
         platform = Platform(
             instance,
@@ -394,8 +359,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             batch_interval=args.batch_interval,
             tracer=tracer,
             journal=journal,
-            shards=args.shards,
-            shard_scheme=args.shard_scheme,
         )
         report = platform.run()
         metrics_registry = platform.metrics_registry

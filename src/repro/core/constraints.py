@@ -142,25 +142,11 @@ def pair_rejection_reason(
     return None
 
 
-def reach_radius(worker: Worker, latest_deadline: float, now: float = -math.inf) -> float:
-    """The radius outside which no task can be feasible for ``worker``.
-
-    ``min(d_w, v_w * (latest task deadline - earliest departure))`` — the
-    Euclidean disc of this radius over-approximates the true reachable
-    region for any metric with ``euclidean_lower_bound``, which is what
-    shard routing needs.
-    """
-    return min(
-        worker.max_distance,
-        worker.velocity * max(0.0, latest_deadline - max(worker.start, now)),
-    )
-
-
 class FeasibleRows:
     """The feasible-pair oracle API over a batch's two row directions.
 
-    Implemented by the engine's per-batch view and the shard dependency
-    retry's prebuilt rows.  Subclasses fill ``_tasks_of`` (worker id ->
+    Implemented by the engine's per-batch view (and by the exhaustive
+    test oracle).  Subclasses fill ``_tasks_of`` (worker id ->
     sorted feasible task ids) and ``_workers_of`` (task id -> sorted
     feasible worker ids).  The
     per-worker frozensets behind :meth:`feasible` are built on its first

@@ -8,9 +8,9 @@ distance metric.  The :class:`~repro.simulation.platform.Platform` builds
 one per batch through the :class:`~repro.engine.engine.AllocationEngine`,
 which reuses feasibility work across batches and hands the context its
 batch view prebuilt.  A standalone context (the compatibility shim, a
-single-batch solve, the shard reconcile) builds a one-shot engine on first
-read and takes that engine's view, so every feasible pair comes from the
-same link loop.
+single-batch solve) builds a one-shot engine on first read and takes
+that engine's view, so every feasible pair comes from the same link
+loop.
 
 The oracle API is :class:`~repro.core.constraints.FeasibleRows`
 (``tasks_of`` / ``workers_of`` / ``feasible`` / ``pairs`` / ``pair_count``

@@ -41,8 +41,8 @@ function's order over the same floats (a deadline is ``start + wait``, the
 float the ``deadline`` properties return).  Per-pair calls, not pairs,
 were the sync's cost.  The loop is the library's only builder of feasible
 pairs: a standalone :class:`~repro.engine.context.BatchContext`
-(the legacy five-argument ``allocate``, a single-batch solve, the shard
-reconcile) builds a one-shot engine and reads its view.
+(the legacy five-argument ``allocate``, a single-batch solve) builds a
+one-shot engine and reads its view.
 
 Skill buckets
 -------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.explain.replay import split_runs
+from repro.explain.replay import split_runs, strip_header
 from repro.obs.events import REASONS
 
 #: Rejection phases that represent a *fresh* feasibility decision on a pair
@@ -41,6 +41,16 @@ class ExplainIndex:
     def __init__(self, records: Sequence[Dict[str, Any]], run: int = 0) -> None:
         runs = split_runs(records)
         if not runs:
+            events = strip_header(records)
+            if events:
+                # A single-batch solve journals its one-shot build with no
+                # run frame around it.
+                raise ValueError(
+                    f"no run_open event found: the file's {len(events)} events "
+                    "come from a standalone single-batch solve, which is not a "
+                    "platform run; rerun the solve with --batch-interval to "
+                    "explain it"
+                )
             raise ValueError("no run_open event found: nothing to explain")
         if not (0 <= run < len(runs)):
             raise ValueError(f"run index {run} out of range (file holds {len(runs)})")

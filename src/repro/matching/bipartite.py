@@ -5,104 +5,18 @@ conducted by the currently-free workers, and by which workers?*
 :func:`match_task_set` answers it.  One worker covers at most one task of the
 set (the exclusive constraint), so the question is a perfect matching on the
 task side of the feasible-pair bipartite graph.
-
-Across the batches of a simulation the same task sets are asked about again
-and again with barely-changed candidate pools, so allocators may hand in a
-:class:`MatchMemo`: when a set's candidate rows are unchanged since the last
-solve, the stored solution is replayed instead of re-running the solver.
-The memo keys on the *exact* solver input (candidate rows per task), which
-is what keeps the warm path bit-identical to cold solves — an approximate
-warm start (seeding the solver with the stale matching) could legally land
-on a different optimum and break the repo's bit-identity contract.  Costs
-need no fingerprinting: batch matching runs on static worker/task records,
-so the cost of a (worker, task) pair is a pure function of the ids for the
-lifetime of a :class:`~repro.core.instance.ProblemInstance`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Literal, Optional, Sequence
 
 from repro.core.constraints import FeasibleRows
 from repro.core.instance import ProblemInstance
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.hungarian import INFEASIBLE, hungarian
-from repro.obs.metrics import REGISTRY
 
 Method = Literal["hungarian", "hopcroft-karp"]
-
-#: Substrate total in the process-wide obs registry: solver runs skipped
-#: because a memo replayed the previous solution for identical input.
-_WARM = REGISTRY.counter(
-    "matching_warm_starts",
-    "match_task_set solves replayed from a warm-start memo (solver skipped)",
-)
-
-
-class MatchMemo:
-    """Warm-start memo for :func:`match_task_set`.
-
-    One memo belongs to one allocator and implicitly to one problem
-    instance: :meth:`bind` clears the entries whenever the instance
-    changes, because Hungarian costs are derived from per-instance worker
-    and task records.  Entries map ``(method, task_ids)`` to the exact
-    candidate rows last solved and the solution found (including *None*
-    for "no full staffing"), so repeated failures are replayed too.
-
-    Args:
-        maxsize: optional entry bound; None keeps the historic unbounded
-            behaviour.  Bounding only changes *which* queries warm-start
-            — an evicted entry simply re-solves cold, so results stay
-            bit-identical at any size.
-        policy: eviction order for bounded memos.  ``"fifo"`` (default)
-            evicts by insertion order — old entries belong to task sets
-            already staffed or expired; ``"lru"`` refreshes an entry's
-            position on every replay, better when a few contested sets are
-            re-queried across many batches.
-    """
-
-    __slots__ = ("_instance", "_entries", "maxsize", "policy", "evictions", "_lru")
-
-    def __init__(self, maxsize: Optional[int] = None, policy: str = "fifo") -> None:
-        if maxsize is not None and maxsize <= 0:
-            raise ValueError(f"maxsize must be positive or None, got {maxsize}")
-        if policy not in ("fifo", "lru"):
-            raise ValueError(f"policy must be 'fifo' or 'lru', got {policy!r}")
-        self.maxsize = maxsize
-        self.policy = policy
-        self.evictions = 0
-        self._lru = policy == "lru"
-        self._instance: Optional[ProblemInstance] = None
-        self._entries: Dict[tuple, Tuple[tuple, Optional[Dict[int, int]]]] = {}
-
-    def bind(self, instance: ProblemInstance) -> None:
-        if self._instance is not instance:
-            self._instance = instance
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _replayed(self, key: tuple) -> None:
-        """Bookkeeping after a warm replay: LRU refreshes the entry's age."""
-        if self._lru:
-            entries = self._entries
-            entries[key] = entries.pop(key)
-
-    def _store(self, key: tuple, entry: Tuple[tuple, Optional[Dict[int, int]]]) -> None:
-        """Insert an entry, evicting the oldest when at the bound."""
-        entries = self._entries
-        if self.maxsize is not None and key not in entries and len(entries) >= self.maxsize:
-            del entries[next(iter(entries))]
-            self.evictions += 1
-        entries[key] = entry
-
-    def aux_stats(self) -> Dict[str, float]:
-        """Size/eviction telemetry (aux-group style: not part of reports)."""
-        return {
-            "match_memo_entries": float(len(self._entries)),
-            "match_memo_evictions": float(self.evictions),
-        }
 
 
 def max_bipartite_matching(
@@ -125,7 +39,6 @@ def match_task_set(
     checker: FeasibleRows,
     instance: ProblemInstance,
     method: Method = "hungarian",
-    memo: Optional[MatchMemo] = None,
 ) -> Optional[Dict[int, int]]:
     """Staff every task in ``task_ids`` with a distinct free worker.
 
@@ -137,8 +50,6 @@ def match_task_set(
         method: ``hungarian`` (paper's choice; also minimises total travel
             distance among full staffings) or ``hopcroft-karp``
             (cardinality only, faster).
-        memo: optional warm-start memo; identical repeat queries replay
-            the stored solution instead of re-running the solver.
 
     Returns:
         ``{task_id: worker_id}`` covering *all* tasks, or None when no full
@@ -151,30 +62,6 @@ def match_task_set(
     candidates: List[List[int]] = [
         [wid for wid in checker.workers_of(tid) if wid in free] for tid in task_ids
     ]
-
-    if memo is None:
-        return _solve(task_ids, candidates, instance, method)
-
-    memo.bind(instance)
-    key = (method, tuple(task_ids))
-    fingerprint = tuple(map(tuple, candidates))
-    entry = memo._entries.get(key)
-    if entry is not None and entry[0] == fingerprint:
-        _WARM.value += 1
-        memo._replayed(key)
-        solution = entry[1]
-        return None if solution is None else dict(solution)
-    solution = _solve(task_ids, candidates, instance, method)
-    memo._store(key, (fingerprint, None if solution is None else dict(solution)))
-    return solution
-
-
-def _solve(
-    task_ids: List[int],
-    candidates: List[List[int]],
-    instance: ProblemInstance,
-    method: Method,
-) -> Optional[Dict[int, int]]:
     if any(not workers for workers in candidates):
         return None
 

@@ -33,7 +33,7 @@ _PATHS = REGISTRY.counter(
     "matching_hk_augmenting_paths", "Hopcroft-Karp augmenting paths applied"
 )
 #: Shared across matching backends (Hungarian registers the same name):
-#: total augment rounds — the work a warm start saves shows up here.
+#: total augment rounds.
 _ROUNDS = REGISTRY.counter(
     "matching_augment_rounds",
     "Matching augment rounds across backends (HK BFS phases + Hungarian rows)",

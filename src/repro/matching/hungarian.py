@@ -24,7 +24,7 @@ _PATHS = REGISTRY.counter(
     "Hungarian shortest augmenting paths computed (one per matrix row)",
 )
 #: Shared across matching backends (Hopcroft-Karp registers the same name):
-#: total augment rounds — the work a warm start saves shows up here.
+#: total augment rounds.
 _ROUNDS = REGISTRY.counter(
     "matching_augment_rounds",
     "Matching augment rounds across backends (HK BFS phases + Hungarian rows)",

@@ -127,14 +127,13 @@ class EventJournal:
     appends so parallel harness threads may share one journal.
     """
 
-    __slots__ = ("enabled", "events", "_seq", "_batch", "_shard", "_lock")
+    __slots__ = ("enabled", "events", "_seq", "_batch", "_lock")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.events: List[Dict[str, Any]] = []
         self._seq = 0
         self._batch: Optional[int] = None
-        self._shard: Optional[int] = None
         self._lock = threading.Lock()
 
     # -- producing events --------------------------------------------------------
@@ -143,16 +142,13 @@ class EventJournal:
         """Append one event (no-op when disabled).
 
         The current batch index (see :meth:`set_batch`) is attached as
-        ``batch`` — and the current shard id (see :meth:`set_shard`) as
-        ``shard`` — unless the caller supplied one explicitly.
+        ``batch`` unless the caller supplied one explicitly.
         """
         if not self.enabled:
             return
         record: Dict[str, Any] = {"type": etype}
         if self._batch is not None and "batch" not in fields:
             record["batch"] = self._batch
-        if self._shard is not None and "shard" not in fields:
-            record["shard"] = self._shard
         record.update(fields)
         with self._lock:
             record["seq"] = self._seq
@@ -164,25 +160,12 @@ class EventJournal:
         if self.enabled:
             self._batch = index
 
-    def set_shard(self, shard: Optional[int]) -> None:
-        """Set the shard id stamped onto subsequent events (None clears).
-
-        The geo-sharded engine brackets per-shard graph work with
-        ``set_shard(sid)`` / ``set_shard(None)``, so feasibility events can
-        be attributed to the shard that decided them while run/batch/assign
-        framing stays shard-free.  ``shard`` is optional context on every
-        event type — replay and the explain queries ignore it.
-        """
-        if self.enabled:
-            self._shard = shard
-
     def clear(self) -> None:
         """Drop all recorded events and reset the sequence counter."""
         with self._lock:
             self.events.clear()
             self._seq = 0
             self._batch = None
-            self._shard = None
 
     # -- reading -----------------------------------------------------------------
 
@@ -293,9 +276,6 @@ def validate_events_records(records: Sequence[Dict[str, Any]]) -> None:
         batch = record.get("batch")
         if batch is not None and not isinstance(batch, int):
             raise ValueError(f"event batch must be an int or absent: {record!r}")
-        shard = record.get("shard")
-        if shard is not None and not isinstance(shard, int):
-            raise ValueError(f"event shard must be an int or absent: {record!r}")
         if etype == "reject":
             if record["reason"] not in REASONS:
                 raise ValueError(f"unknown rejection reason: {record!r}")

@@ -36,8 +36,6 @@ from repro.engine.engine import AllocationEngine
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer
-from repro.shard.engine import ShardedEngine
-from repro.shard.partition import SCHEMES as SHARD_SCHEMES
 from repro.simulation.stats import BatchRecord, SimulationReport
 
 
@@ -248,13 +246,6 @@ class Platform:
             and assignment commits.  None uses the process default
             (:func:`repro.obs.events.get_journal`), a no-op unless
             installed.
-        shards: spatial shards (1 = the plain unsharded engine).
-            ``shards >= 2`` decides each batch through a
-            :class:`~repro.shard.engine.ShardedEngine`: per-shard
-            allocators plus a border reconcile phase, whose quality is
-            measured rather than pinned (reports may differ from the
-            unsharded run's).
-        shard_scheme: partition build scheme, ``"grid"`` or ``"kd"``.
 
     The simulation is deterministic given a deterministic allocator; the
     tracer, metrics and journal record observations only and never feed
@@ -271,17 +262,9 @@ class Platform:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         journal: Optional[EventJournal] = None,
-        shards: int = 1,
-        shard_scheme: str = "grid",
     ) -> None:
         if not batch_interval > 0.0:
             raise ValueError(f"batch interval must be positive, got {batch_interval}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shard_scheme not in SHARD_SCHEMES:
-            raise ValueError(
-                f"unknown shard scheme {shard_scheme!r} (expected one of {SHARD_SCHEMES})"
-            )
         self.instance = instance
         self.allocator = allocator
         self.batch_interval = batch_interval
@@ -289,11 +272,9 @@ class Platform:
         self.tracer = tracer
         self.metrics = metrics
         self.journal = journal
-        self.shards = shards
-        self.shard_scheme = shard_scheme
         self._metrics_registry: Optional[MetricsRegistry] = metrics
         #: The engine of the most recent :meth:`run` (None before any run).
-        self.last_engine: Optional[AllocationEngine | ShardedEngine] = None
+        self.last_engine: Optional[AllocationEngine] = None
 
     @property
     def metrics_registry(self) -> Optional[MetricsRegistry]:
@@ -343,21 +324,11 @@ class Platform:
         open_tasks = _TaskQueue(instance.tasks)
         busy: List[Tuple[float, int, _BusyWorker]] = []
         assigned_tasks: Set[int] = set()
-        if self.shards > 1:
-            engine = ShardedEngine(
-                instance,
-                self.shards,
-                scheme=self.shard_scheme,
-                tracer=tracer,
-                registry=self.metrics,
-                journal=journal,
-            )
-        else:
-            engine = AllocationEngine(
-                instance, tracer=tracer, registry=self.metrics, journal=journal
-            )
+        engine = AllocationEngine(
+            instance, tracer=tracer, registry=self.metrics, journal=journal
+        )
         self._metrics_registry = engine.registry
-        # Post-run inspection handle (benchmarks read per-shard counters).
+        # Post-run inspection handle (benchmarks read the engine's counters).
         self.last_engine = engine
         batch_seconds = (
             self._metrics_registry.histogram(
@@ -411,21 +382,12 @@ class Platform:
                     for tid in open_tasks.churn():
                         journal.emit("task_submit", t=now, task=tid)
                 if workers and tasks:
-                    if isinstance(engine, ShardedEngine):
-                        # The two-phase protocol owns its own feasibility
-                        # sync and per-shard allocator runs.
-                        with tracer.span("platform.match"):
-                            outcome = engine.allocate(
-                                self.allocator, workers, tasks, now,
-                                frozenset(assigned_tasks),
-                            )
-                    else:
-                        with tracer.span("platform.feasibility"):
-                            context = engine.begin_batch(
-                                workers, tasks, now, frozenset(assigned_tasks)
-                            )
-                        with tracer.span("platform.match"):
-                            outcome = self.allocator.allocate(context)
+                    with tracer.span("platform.feasibility"):
+                        context = engine.begin_batch(
+                            workers, tasks, now, frozenset(assigned_tasks)
+                        )
+                    with tracer.span("platform.match"):
+                        outcome = self.allocator.allocate(context)
                     with tracer.span("platform.commit"):
                         self._execute(
                             outcome, pool, open_tasks, busy, assigned_tasks, now,

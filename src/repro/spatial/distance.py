@@ -44,16 +44,9 @@ class DistanceMetric:
 
     Instances are lightweight and stateless; equality is by name, which makes
     metrics safe to embed in serialised configurations.
-
-    ``euclidean_lower_bound`` declares ``metric(a, b) >= euclidean(a, b)``
-    for all points; shard routing relies on it to keep a worker's Euclidean
-    reach disc a sound over-approximation under non-default metrics.
     """
 
     name: str = "abstract"
-
-    #: True when this metric never reports less than the Euclidean distance.
-    euclidean_lower_bound: bool = False
 
     def __call__(self, a: Point, b: Point) -> float:
         raise NotImplementedError
@@ -72,7 +65,6 @@ class EuclideanDistance(DistanceMetric):
     """The paper's default metric (Section II-A)."""
 
     name = "euclidean"
-    euclidean_lower_bound = True
 
     def __call__(self, a: Point, b: Point) -> float:
         return euclidean(a, b)
@@ -82,19 +74,13 @@ class ManhattanDistance(DistanceMetric):
     """City-block metric, a simple stand-in for road-network distance."""
 
     name = "manhattan"
-    euclidean_lower_bound = True  # |dx| + |dy| >= sqrt(dx^2 + dy^2)
 
     def __call__(self, a: Point, b: Point) -> float:
         return manhattan(a, b)
 
 
 class HaversineDistance(DistanceMetric):
-    """Great-circle metric for ``(lon, lat)`` degrees; kilometres.
-
-    Reports kilometres while coordinates are degrees, so no Euclidean
-    comparison holds: shard routing treats every worker as a border worker
-    under this metric.
-    """
+    """Great-circle metric for ``(lon, lat)`` degrees; kilometres."""
 
     name = "haversine"
 

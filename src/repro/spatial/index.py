@@ -1,10 +1,8 @@
 """A uniform-grid spatial index over 2-D points.
 
-Two callers bucket a fixed point set once and query it many times:
-road-network snapping asks for the :meth:`GridIndex.nearest` node of a
-free point, and the KD shard partition gathers each region's members with
-:meth:`GridIndex.keys_in_box`.  Neither removes or moves a point, so the
-index is insert-only.  Inner loops compare *squared* distances, saving a
+Road-network snapping buckets the network's nodes once and asks for the
+:meth:`GridIndex.nearest` node of each free point.  It never removes or
+moves a point, so the index is insert-only.  Inner loops compare *squared* distances, saving a
 ``math.sqrt`` per candidate.
 """
 
@@ -31,7 +29,7 @@ Cell = Tuple[int, int]
 
 
 class GridIndex(Generic[K]):
-    """Maps hashable keys to points; answers nearest and box queries.
+    """Maps hashable keys to points; answers nearest-point queries.
 
     Args:
         cell_size: side length of a grid cell, on the order of the typical
@@ -91,68 +89,6 @@ class GridIndex(Generic[K]):
 
     def point_of(self, key: K) -> Point:
         return self._points[key]
-
-    def cells_overlapping(self, box: Tuple[float, float, float, float]) -> List[Cell]:
-        """Occupied cells intersecting an axis-aligned box, in sorted order.
-
-        ``box`` is ``(min_x, min_y, max_x, max_y)``; infinite bounds are
-        allowed and clamp to the occupied bounding box, so a partitioner can
-        hand in the half-planes of a space-tiling split without overflowing
-        the cell arithmetic.  The result is a candidate *superset*: a cell is
-        reported when its area intersects the closed box, so callers doing
-        exact containment re-check the points (see :meth:`keys_in_box`).
-        Cells are returned in ``(i, j)``-sorted order on every code path —
-        partition builds iterate them and must be deterministic.
-        """
-        x0, y0, x1, y1 = box
-        bounds = self._bounds
-        if bounds is None or x1 < x0 or y1 < y0:
-            return []
-        min_i, max_i, min_j, max_j = bounds
-        cell = self._cell_size
-        lo_i = min_i if x0 == -math.inf else max(min_i, math.floor(x0 / cell))
-        hi_i = max_i if x1 == math.inf else min(max_i, math.floor(x1 / cell))
-        lo_j = min_j if y0 == -math.inf else max(min_j, math.floor(y0 / cell))
-        hi_j = max_j if y1 == math.inf else min(max_j, math.floor(y1 / cell))
-        if lo_i > hi_i or lo_j > hi_j:
-            return []
-        # When the clamped box spans more cells than are occupied, walking
-        # the occupied cells is equivalent and bounded.  Clamping *before*
-        # this comparison is what keeps a box touching (or crossing) the
-        # occupied-bounds edge from inflating the span estimate and silently
-        # skipping the range walk's edge column — the regression pinned by
-        # tests/spatial/test_index_cells.
-        out: List[Cell] = []
-        span_cells = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
-        if span_cells > len(self._cells):
-            for i, j in self._cells:
-                if lo_i <= i <= hi_i and lo_j <= j <= hi_j:
-                    out.append((i, j))
-            out.sort()
-            return out
-        for i in range(lo_i, hi_i + 1):
-            for j in range(lo_j, hi_j + 1):
-                if (i, j) in self._cells:
-                    out.append((i, j))
-        return out
-
-    def keys_in_box(self, box: Tuple[float, float, float, float]) -> List[K]:
-        """Keys whose point lies in the half-open box ``[x0,x1) x [y0,y1)``.
-
-        Half-open on the upper edges so adjacent boxes of a space tiling
-        partition the keys without double-counting (a point exactly on a
-        shared edge belongs to the higher box); infinite bounds admit
-        everything on that side.
-        """
-        x0, y0, x1, y1 = box
-        points = self._points
-        out: List[K] = []
-        for cell in self.cells_overlapping(box):
-            for key in self._cells[cell]:
-                px, py = points[key]
-                if x0 <= px < x1 and y0 <= py < y1:
-                    out.append(key)
-        return out
 
     def nearest(self, center: Point, max_radius: float | None = None) -> K | None:
         """The key nearest to ``center`` (ties broken arbitrarily).

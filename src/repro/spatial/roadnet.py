@@ -34,10 +34,6 @@ can be forced either way per network (``accelerate=``).  Because
 accelerated answers are bit-equal to plain Dijkstra, forcing acceleration
 can never change a simulation report — only the ``roadnet_*``
 observability counters.
-
-Network distance lower-bounds to the straight line (`snap + path + snap >=
-euclidean` by the triangle inequality), so shard routing's Euclidean
-reach discs remain sound under this metric.
 """
 
 from __future__ import annotations
@@ -442,17 +438,12 @@ class RoadNetwork:
 class RoadNetworkDistance(DistanceMetric):
     """Distance metric walking a :class:`RoadNetwork` between free points.
 
-    Network distance dominates the straight line, so shard routing's
-    Euclidean reach discs stay sound (never cut off a feasible pair).
     Declares ``supports_distance_table`` so the allocation engine's
     full build hands a whole pair list to :meth:`distance_table` in one
     call.
     """
 
     name = "roadnet"
-    # sound as long as edge weights are >= segment lengths (the default and
-    # everything grid_road_network produces)
-    euclidean_lower_bound = True
     supports_distance_table = True
 
     def __init__(self, network: RoadNetwork) -> None:
@@ -542,8 +533,7 @@ def grid_road_network(
             by a factor in ``[1, 1 + jitter]``.  Real street lengths vary;
             perfectly uniform grids also carry massive exact-length ties
             that bloat contraction-hierarchy preprocessing, so benchmarks
-            use a small jitter.  Weights stay >= segment length, keeping
-            ``euclidean_lower_bound`` sound.
+            use a small jitter.  Weights stay >= segment length.
         accelerate: forwarded to :class:`RoadNetwork`.
 
     Raises:

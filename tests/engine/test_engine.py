@@ -107,6 +107,29 @@ class TestIncrementalMaintenance:
         fresh = ExhaustiveChecker(instance.workers, instance.tasks, now=now + 1.0)
         assert context.checker.workers_of(first.id) == fresh.workers_of(first.id)
 
+    def test_time_backwards_resets(self, small_synthetic):
+        instance = small_synthetic
+        engine = AllocationEngine(instance)
+        for now in (instance.earliest_start + 10.0, instance.earliest_start):
+            engine.begin_batch(instance.workers, instance.tasks, now)
+        stats = engine.stats()
+        assert stats["engine_full_builds"] == 2.0
+        assert stats["engine_incremental_updates"] == 0.0
+
+    def test_time_backwards_restores_expired_pairs(self, small_synthetic):
+        # Rows synced at a late time have dropped pairs whose deadline had
+        # passed; going back to an earlier time must bring them back.
+        instance = small_synthetic
+        early = instance.earliest_start
+        late = max(t.start + t.wait for t in instance.tasks) - 1.0
+        at_early = ExhaustiveChecker(instance.workers, instance.tasks, now=early)
+        at_late = ExhaustiveChecker(instance.workers, instance.tasks, now=late)
+        assert at_late.pair_count() < at_early.pair_count()
+        engine = AllocationEngine(instance)
+        engine.begin_batch(instance.workers, instance.tasks, late)
+        context = engine.begin_batch(instance.workers, instance.tasks, early)
+        assert sorted(context.checker.pairs()) == sorted(at_early.pairs())
+
 
 class TestEngineStats:
     def test_stats_keys_are_prefixed(self, example1):

@@ -1,7 +1,8 @@
 """Replay acceptance: the journal reconstructs every approach's report.
 
-The flight recorder's completeness contract: for every approach, on one
-engine and on two shards, replaying the events JSONL yields a
+The flight recorder's completeness contract: for every approach, on the
+synthetic population and on the contested workloads of
+``tests.workloads``, replaying the events JSONL yields a
 ``SimulationReport`` bit-identical to the one the platform returned (minus
 wall-clock ``elapsed`` and ``engine_stats``, which are measurements rather
 than allocation facts).
@@ -15,6 +16,7 @@ from repro.explain import replay_report, split_runs, strip_header, validate_repl
 from repro.obs.events import EVENTS_SCHEMA, EventJournal, events_records
 from repro.simulation.platform import Platform
 from tests.reference import without_engine
+from tests.workloads import WORKLOADS
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +24,13 @@ def instance():
     return generate_synthetic(SyntheticConfig(seed=5).scaled(0.05))
 
 
-def _record(instance, name, **platform_kwargs):
+def _record(instance, name):
     journal = EventJournal()
     report = Platform(
         instance,
         make_allocator(name, seed=11),
         batch_interval=5.0,
         journal=journal,
-        **platform_kwargs,
     ).run()
     return events_records(journal), report
 
@@ -47,8 +48,9 @@ class TestReplayBitIdentity:
         _check_replays(*_record(instance, name))
 
     @pytest.mark.parametrize("name", APPROACH_NAMES)
-    def test_every_approach_replays_on_two_shards(self, instance, name):
-        _check_replays(*_record(instance, name, shards=2))
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_approach_replays_contested(self, workload, name):
+        _check_replays(*_record(WORKLOADS[workload](), name))
 
     def test_legacy_path_replays(self, instance):
         with without_engine():

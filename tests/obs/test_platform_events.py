@@ -3,7 +3,8 @@
 Mirrors ``test_platform_tracing.py``: with the journal on, every approach's
 ``SimulationReport`` — assignments, completion times, per-batch records and
 the ``engine_stats`` keys *and values* — must be bit-identical to the
-journal-off run, on one engine and on two shards.  The recorded stream
+journal-off run, on the synthetic population and on the contested
+workloads of ``tests.workloads``.  The recorded stream
 itself must pass the schema validator and tell a coherent story (funnel
 conservation, assignment/expiry completeness).
 """
@@ -32,16 +33,16 @@ from repro.obs.events import (
 from repro.simulation.platform import Platform
 from repro.spatial.distance import EuclideanDistance, ManhattanDistance
 from tests.reference import without_engine
+from tests.workloads import WORKLOADS
 
 
-def _run(instance, name, *, journal=None, use_engine=True, shards=1):
+def _run(instance, name, *, journal=None, use_engine=True):
     with contextlib.nullcontext() if use_engine else without_engine():
         return Platform(
             instance,
             make_allocator(name, seed=11),
             batch_interval=5.0,
             journal=journal,
-            shards=shards,
         ).run()
 
 
@@ -66,10 +67,10 @@ def instance():
     return generate_synthetic(SyntheticConfig(seed=5).scaled(0.05))
 
 
-def _check_journaled_equals_plain(instance, name, shards):
+def _check_journaled_equals_plain(instance, name):
     journal = EventJournal()
-    recorded = _run(instance, name, journal=journal, shards=shards)
-    plain = _run(instance, name, shards=shards)
+    recorded = _run(instance, name, journal=journal)
+    plain = _run(instance, name)
     _assert_identical(recorded, plain)
     records = [{"type": "header", "schema": EVENTS_SCHEMA}]
     records += events_records(journal)
@@ -79,11 +80,12 @@ def _check_journaled_equals_plain(instance, name, shards):
 class TestReportsBitIdentical:
     @pytest.mark.parametrize("name", APPROACH_NAMES)
     def test_journaled_equals_plain(self, instance, name):
-        _check_journaled_equals_plain(instance, name, shards=1)
+        _check_journaled_equals_plain(instance, name)
 
     @pytest.mark.parametrize("name", APPROACH_NAMES)
-    def test_journaled_equals_plain_on_two_shards(self, instance, name):
-        _check_journaled_equals_plain(instance, name, shards=2)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_journaled_equals_plain_contested(self, workload, name):
+        _check_journaled_equals_plain(WORKLOADS[workload](), name)
 
     def test_journaled_equals_plain_legacy_path(self, instance):
         journal = EventJournal()

@@ -3,8 +3,7 @@
 The whole parallel layer rests on one promise — ``n_jobs`` changes the
 wall-clock and nothing else.  These tests pin it at every level: the
 approach fan-out, the sweep-grid fan-out (same ``SweepResult``), and the
-merged metrics registries.  The shard engine's phase-1 pool is
-pinned in ``tests/shard/test_partitioned.py``.
+merged metrics registries.
 """
 
 import pytest

@@ -52,7 +52,6 @@ from repro.core.worker import Worker
 from repro.engine.context import BatchContext
 from repro.obs.events import get_journal
 from repro.obs.trace import get_tracer
-from repro.shard.engine import ShardedEngine
 from repro.simulation import platform as platform_module
 from repro.simulation.stats import BatchRecord, SimulationReport
 from repro.spatial.distance import DistanceMetric, EuclideanDistance
@@ -333,15 +332,9 @@ class RescanPlatform(platform_module.Platform):
         busy: Dict[int, tuple] = {}
         assigned_tasks: Set[int] = set()
         open_task_ids = {t.id for t in instance.tasks}
-        if self.shards > 1:
-            engine = platform_module.ShardedEngine(
-                instance, self.shards, scheme=self.shard_scheme, tracer=tracer,
-                registry=self.metrics, journal=journal,
-            )
-        else:
-            engine = platform_module.AllocationEngine(
-                instance, tracer=tracer, registry=self.metrics, journal=journal
-            )
+        engine = platform_module.AllocationEngine(
+            instance, tracer=tracer, registry=self.metrics, journal=journal
+        )
         self._metrics_registry = engine.registry
         self.last_engine = engine
         start = instance.earliest_start
@@ -378,15 +371,10 @@ class RescanPlatform(platform_module.Platform):
                 prev_worker_ids = cur_worker_ids
                 prev_task_ids = cur_task_ids
             if workers and tasks:
-                if isinstance(engine, ShardedEngine):
-                    outcome = engine.allocate(
-                        self.allocator, workers, tasks, now, frozenset(assigned_tasks)
-                    )
-                else:
-                    context = engine.begin_batch(
-                        workers, tasks, now, frozenset(assigned_tasks)
-                    )
-                    outcome = self.allocator.allocate(context)
+                context = engine.begin_batch(
+                    workers, tasks, now, frozenset(assigned_tasks)
+                )
+                outcome = self.allocator.allocate(context)
                 self._rescan_execute(
                     outcome, pool, busy, assigned_tasks, open_task_ids, now, report,
                     journal,

@@ -26,7 +26,6 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.engine.engine import AllocationEngine
 from repro.obs.events import EventJournal
-from repro.shard.engine import ShardedEngine
 from repro.simulation import platform as platform_module
 from repro.simulation.platform import Platform, RejoinPolicy
 from tests.reference import RescanPlatform
@@ -81,16 +80,10 @@ def _recording_engines(monkeypatch, log):
             log.append((now, [w.id for w in workers], {t.id for t in tasks}))
             return super().begin_batch(workers, tasks, now, *args, **kwargs)
 
-    class RecordingShardedEngine(ShardedEngine):
-        def allocate(self, allocator, workers, tasks, now, *args, **kwargs):
-            log.append((now, [w.id for w in workers], {t.id for t in tasks}))
-            return super().allocate(allocator, workers, tasks, now, *args, **kwargs)
-
     monkeypatch.setattr(platform_module, "AllocationEngine", RecordingEngine)
-    monkeypatch.setattr(platform_module, "ShardedEngine", RecordingShardedEngine)
 
 
-def _run(platform_cls, instance, approach, interval, rejoin, shards):
+def _run(platform_cls, instance, approach, interval, rejoin):
     log = []
     journal = EventJournal()
     with pytest.MonkeyPatch.context() as patch:
@@ -101,7 +94,6 @@ def _run(platform_cls, instance, approach, interval, rejoin, shards):
             batch_interval=interval,
             rejoin=rejoin,
             journal=journal,
-            shards=shards,
         ).run()
     return report, log, journal.events
 
@@ -135,7 +127,6 @@ def _batch_rows(report):
     ]
 
 
-@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("rejoin", list(RejoinPolicy))
 @given(
     instance=instances(),
@@ -143,11 +134,9 @@ def _batch_rows(report):
     interval=intervals,
 )
 @settings(max_examples=60, deadline=None)
-def test_event_loop_matches_rescan(instance, approach, interval, rejoin, shards):
-    new, new_log, new_events = _run(Platform, instance, approach, interval, rejoin, shards)
-    ref, ref_log, ref_events = _run(
-        RescanPlatform, instance, approach, interval, rejoin, shards
-    )
+def test_event_loop_matches_rescan(instance, approach, interval, rejoin):
+    new, new_log, new_events = _run(Platform, instance, approach, interval, rejoin)
+    ref, ref_log, ref_events = _run(RescanPlatform, instance, approach, interval, rejoin)
     assert new_log == ref_log
     assert new.assignments == ref.assignments
     assert new.completion_times == ref.completion_times
@@ -196,8 +185,8 @@ def test_pinned_edge_timings(rejoin):
         skills=SkillUniverse(1),
     )
     for approach in ("Greedy", "Closest"):
-        new, new_log, new_events = _run(Platform, instance, approach, 2.0, rejoin, 1)
-        ref, ref_log, ref_events = _run(RescanPlatform, instance, approach, 2.0, rejoin, 1)
+        new, new_log, new_events = _run(Platform, instance, approach, 2.0, rejoin)
+        ref, ref_log, ref_events = _run(RescanPlatform, instance, approach, 2.0, rejoin)
         assert new_log == ref_log
         assert new.assignments == ref.assignments
         assert new.expired_tasks == ref.expired_tasks
@@ -225,8 +214,8 @@ def test_rejoins_enter_in_commit_order(rejoin):
         ] + [_task(4, 2.0, 2.0, location=(7.0, 0.0))],
         skills=SkillUniverse(1),
     )
-    new, new_log, events = _run(Platform, instance, "Closest", 2.0, rejoin, 1)
-    ref, ref_log, _ = _run(RescanPlatform, instance, "Closest", 2.0, rejoin, 1)
+    new, new_log, events = _run(Platform, instance, "Closest", 2.0, rejoin)
+    ref, ref_log, _ = _run(RescanPlatform, instance, "Closest", 2.0, rejoin)
     committed = [e["worker"] for e in events if e["type"] == "assign"]
     assert [ids for now, ids, _ in new_log if now == 2.0] == [committed[:4]]
     assert new_log == ref_log

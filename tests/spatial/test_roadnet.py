@@ -309,7 +309,6 @@ class TestFreePointDistance:
     def test_metric_object(self):
         metric = RoadNetworkDistance(square_network())
         assert metric.name == "roadnet"
-        assert metric.euclidean_lower_bound
         assert metric((0.0, 0.0), (1.0, 1.0)) == pytest.approx(2.0)
 
 

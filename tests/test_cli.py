@@ -151,23 +151,6 @@ class TestLoadErrors:
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(
-        "args",
-        [["--batch-interval", "5", "--shards", "0"], ["--shards", "-2"]],
-        ids=["zero", "negative-without-platform"],
-    )
-    def test_shards_must_be_positive(self, capsys, args):
-        # Rejected while parsing, before the instance file is opened.
-        with pytest.raises(SystemExit) as exit_info:
-            main(["solve", "instance.json"] + args)
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == [
-            f"dasc solve: error: argument --shards: must be >= 1, got {args[-1]}"
-        ]
-
-    @pytest.mark.parametrize(
         "command, flag, value",
         [
             (["solve", "instance.json"], "--batch-interval", "0"),
@@ -207,6 +190,19 @@ class TestArgumentErrors:
             main(["run", "fig7", "--scale", "half"])
         assert exit_info.value.code == 2
         assert "invalid float value: 'half'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--shards", "2"), ("--shard-scheme", "kd")]
+    )
+    def test_sharding_flags_are_gone(self, capsys, flag, value):
+        # Every batch runs on one engine; a stale sharding flag is an
+        # error, not silently ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "instance.json", "--batch-interval", "5", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {flag} {value}" in captured.err
 
 
 class TestFlightRecorder:
@@ -269,6 +265,18 @@ class TestFlightRecorder:
         # A standalone single batch journals its one-shot engine's build.
         builds = [r for r in records if r.get("type") == "feas_build"]
         assert [r["mode"] for r in builds] == ["full"]
+
+    def test_explain_single_batch_events_names_the_cause(self, tmp_path, capsys):
+        inst = self._instance(tmp_path)
+        events = tmp_path / "ev.jsonl"
+        assert main(["solve", inst, "--approach", "Game",
+                     "--events-out", str(events)]) == 0
+        capsys.readouterr()
+        assert main(["explain", str(events)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: no run_open event found: the file's ")
+        assert "standalone single-batch solve" in out
+        assert "rerun the solve with --batch-interval" in out
 
     def test_explain_summary_and_queries(self, tmp_path, capsys):
         inst = self._instance(tmp_path)
