@@ -26,7 +26,6 @@ from typing import (
     Mapping,
     Optional,
     Set,
-    Tuple,
 )
 
 from repro.core.exceptions import DascError
@@ -63,14 +62,22 @@ class DependencyGraph:
                 raise DascError(
                     f"task {tid} depends on unknown task(s) {sorted(missing)}"
                 )
-        self._order, dependents = self._topological_order()
-        self._ancestors = self._close()
-        # ``frozenset(set(lst))`` replays the ``set.add`` sequence of an
-        # inversion, so dependents iterate as the eager inversion left them.
-        self._dependents: Dict[int, FrozenSet[int]] = {
-            tid: frozenset(set(lst)) for tid, lst in dependents.items()
-        }
-        # Built on first call: no allocator reads them.
+        # Each task's direct dependents, in edge order.
+        dependents: Dict[int, List[int]] = {tid: [] for tid in self._direct}
+        for tid, deps in self._direct.items():
+            for dep in deps:
+                dependents[dep].append(tid)
+        self._dependent_lists = dependents
+        # Kahn's queue: the pinned ``topological_order``, built on first
+        # call unless the size order below fails and it is needed here.
+        self._kahn: Optional[List[int]] = None
+        order = self._size_order()
+        if order is None:
+            order = self._kahn_order()
+        self._ancestors = self._close(order)
+        # Built on first read: Greedy never reads dependents, and the game
+        # reads only the tasks it visits.
+        self._dependents: Dict[int, FrozenSet[int]] = {}
         self._descendants: Optional[Dict[int, FrozenSet[int]]] = None
         self._depths: Optional[Dict[int, int]] = None
         # Lazily-built adjacency snapshots (tuples preserving the frozenset
@@ -105,17 +112,34 @@ class DependencyGraph:
         return self._direct[tid]
 
     def ancestors(self, tid: int) -> FrozenSet[int]:
-        """Transitive closure of ``D_t`` (everything that must precede t)."""
+        """Transitive closure of ``D_t`` (everything that must precede t).
+
+        When ``D_t`` is already closed this is the very ``D_t`` object.  Its
+        iteration order is unspecified: compare it as a set.
+        """
         return self._ancestors[tid]
 
     def direct_dependents(self, tid: int) -> FrozenSet[int]:
         """Tasks whose direct dependency set contains ``tid``."""
-        return self._dependents[tid]
+        frozen = self._dependents.get(tid)
+        if frozen is None:
+            # ``frozenset(set(lst))`` replays the ``set.add`` sequence of an
+            # inversion, so dependents iterate as the eager inversion left them.
+            frozen = self._dependents[tid] = frozenset(set(self._dependent_lists[tid]))
+        return frozen
 
     def descendants(self, tid: int) -> FrozenSet[int]:
-        """Tasks transitively depending on ``tid`` (map built on first call)."""
+        """Tasks transitively depending on ``tid`` (map built on first call).
+
+        The closure is inverted in Kahn order, so each set replays the
+        ``set.add`` sequence of inverting a closure built in that order.
+        """
         if self._descendants is None:
-            self._descendants = self._invert(self._ancestors)
+            out: Dict[int, Set[int]] = {tid: set() for tid in self._direct}
+            for task in self._kahn_order():
+                for anc in self._ancestors[task]:
+                    out[anc].add(task)
+            self._descendants = {task: frozenset(vals) for task, vals in out.items()}
         return self._descendants[tid]
 
     # -- adjacency snapshots ---------------------------------------------------
@@ -131,7 +155,7 @@ class DependencyGraph:
         """Direct dependents as a cached tuple, in ``direct_dependents`` order."""
         snap = self._dependent_tuples.get(tid)
         if snap is None:
-            snap = self._dependent_tuples[tid] = tuple(self._dependents[tid])
+            snap = self._dependent_tuples[tid] = tuple(self.direct_dependents(tid))
         return snap
 
     def dependent_pairs(self, tid: int) -> tuple:
@@ -164,7 +188,7 @@ class DependencyGraph:
         cached = self._influence.get(tid)
         if cached is None:
             affected = dict.fromkeys(self._direct[tid])
-            for dependent in self._dependents[tid]:
+            for dependent in self.direct_dependents(tid):
                 affected[dependent] = None
                 for dep in self._direct[dependent]:
                     affected[dep] = None
@@ -184,8 +208,8 @@ class DependencyGraph:
         return sorted(tid for tid, deps in self._direct.items() if not deps)
 
     def topological_order(self) -> List[int]:
-        """A dependency-respecting order (dependencies before dependents)."""
-        return list(self._order)
+        """Kahn's order (dependencies before dependents, roots in id order)."""
+        return list(self._kahn_order())
 
     def associative_set(self, tid: int) -> FrozenSet[int]:
         """The associative task set ``tc_i = {t_i} ∪ closure(D_i)``."""
@@ -220,7 +244,7 @@ class DependencyGraph:
         """
         if self._depths is None:
             depths: Dict[int, int] = {}
-            for task in self._order:
+            for task in self._kahn_order():
                 deps = self._direct[task]
                 depths[task] = max(depths[dep] for dep in deps) + 1 if deps else 0
             self._depths = depths
@@ -228,25 +252,39 @@ class DependencyGraph:
 
     # -- internals --------------------------------------------------------------
 
-    def _topological_order(self) -> Tuple[List[int], Dict[int, List[int]]]:
-        """Kahn's order plus each task's direct dependents, in edge order."""
-        indegree: Dict[int, int] = {tid: len(deps) for tid, deps in self._direct.items()}
-        dependents: Dict[int, List[int]] = {tid: [] for tid in self._direct}
-        for tid, deps in self._direct.items():
-            for dep in deps:
-                dependents[dep].append(tid)
-        queue = sorted(tid for tid, deg in indegree.items() if deg == 0)
-        head = 0
-        while head < len(queue):
-            tid = queue[head]
-            head += 1
-            for nxt in dependents[tid]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    queue.append(nxt)
-        if len(queue) != len(self._direct):
-            raise CyclicDependencyError(self._find_cycle())
-        return queue, dependents
+    def _size_order(self) -> Optional[List[int]]:
+        """Task ids by ascending ``len(D_t)`` if that order is topological.
+
+        On a closed DAG ``d in D_t`` implies ``D_d < D_t``, so the order
+        always is.  On any input a pass that succeeds proves acyclicity;
+        ``None`` sends the caller to Kahn's queue.
+        """
+        direct = self._direct
+        order = sorted(direct, key=lambda tid: len(direct[tid]))
+        seen: Set[int] = set()
+        for tid in order:
+            if not direct[tid] <= seen:
+                return None
+            seen.add(tid)
+        return order
+
+    def _kahn_order(self) -> List[int]:
+        """Kahn's queue over the dependent lists (cached on first call)."""
+        if self._kahn is None:
+            indegree = {tid: len(deps) for tid, deps in self._direct.items()}
+            queue = sorted(tid for tid, deg in indegree.items() if deg == 0)
+            head = 0
+            while head < len(queue):
+                tid = queue[head]
+                head += 1
+                for nxt in self._dependent_lists[tid]:
+                    indegree[nxt] -= 1
+                    if indegree[nxt] == 0:
+                        queue.append(nxt)
+            if len(queue) != len(self._direct):
+                raise CyclicDependencyError(self._find_cycle())
+            self._kahn = queue
+        return self._kahn
 
     def _find_cycle(self) -> List[int]:
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -274,19 +312,28 @@ class DependencyGraph:
                     return found
         return []  # pragma: no cover — only reached if no cycle exists
 
-    def _close(self) -> Dict[int, FrozenSet[int]]:
-        closure: Dict[int, FrozenSet[int]] = {}
-        for tid in self._order:
-            acc: Set[int] = set(self._direct[tid])
-            for dep in self._direct[tid]:
-                acc |= closure[dep]
-            closure[tid] = frozenset(acc)
-        return closure
+    def _close(self, order: List[int]) -> Dict[int, FrozenSet[int]]:
+        """Each task's closure, over a topological ``order``.
 
-    @staticmethod
-    def _invert(relation: Mapping[int, FrozenSet[int]]) -> Dict[int, FrozenSet[int]]:
-        out: Dict[int, Set[int]] = {tid: set() for tid in relation}
-        for tid, deps in relation.items():
-            for dep in deps:
-                out[dep].add(tid)
-        return {tid: frozenset(vals) for tid, vals in out.items()}
+        ``D_t`` is closed when it holds every dependency's closure.  The
+        check covers ``D_t`` greedily, widest closure first: a closure
+        inside ``D_t`` also vouches for each of its members, whose own
+        closures it contains.  A closed ``D_t`` is stored as its own
+        closure; only an unclosed one is unioned.
+        """
+        closure: Dict[int, FrozenSet[int]] = {}
+        width: Dict[int, int] = {}
+        for tid in order:
+            deps = self._direct[tid]
+            uncovered = deps
+            while uncovered:
+                top = max(uncovered, key=width.__getitem__)
+                if not closure[top] <= deps:
+                    acc = set(deps)
+                    acc.update(*map(closure.__getitem__, deps))
+                    deps = frozenset(acc)
+                    break
+                uncovered = uncovered.difference(closure[top], (top,))
+            closure[tid] = deps
+            width[tid] = len(deps)
+        return closure

@@ -115,7 +115,7 @@ class EngineCounters:
             for name, text in _COUNTER_FIELDS + _AUX_COUNTER_FIELDS
         }
 
-    def as_dict(self, prefix: str = "engine_") -> Dict[str, float]:
+    def as_dict(self) -> Dict[str, float]:
         """The counters as a flat float dict (stats-record friendly).
 
         Key order is fixed by :data:`_COUNTER_FIELDS`, so two snapshots can
@@ -124,14 +124,13 @@ class EngineCounters:
         docstring — read it via :meth:`aux_dict`.
         """
         counters = self._counters
-        return {f"{prefix}{name}": float(counters[name].value) for name in FIELD_NAMES}
+        return {f"engine_{name}": float(counters[name].value) for name in FIELD_NAMES}
 
-    def aux_dict(self, prefix: str = "engine_") -> Dict[str, float]:
+    def aux_dict(self) -> Dict[str, float]:
         """The auxiliary telemetry as a flat float dict."""
         counters = self._counters
         return {
-            f"{prefix}{name}": float(counters[name].value)
-            for name in AUX_FIELD_NAMES
+            f"engine_{name}": float(counters[name].value) for name in AUX_FIELD_NAMES
         }
 
     def add_game_work(
@@ -159,9 +158,7 @@ class EngineCounters:
         counters["game_skipped_workers"].value += skipped
         counters["game_scalar_evals"].value += evaluations
 
-    def delta_since(
-        self, snapshot: Dict[str, float], prefix: str = "engine_"
-    ) -> Dict[str, float]:
+    def delta_since(self, snapshot: Dict[str, float]) -> Dict[str, float]:
         """Per-batch view: current totals minus an ``as_dict`` snapshot.
 
         Keys that exist only in the snapshot (a counter renamed or removed
@@ -169,7 +166,7 @@ class EngineCounters:
         snapshot value — so a rename can never silently drop history from a
         delta.  Current-total keys come first, in ``as_dict`` order.
         """
-        current = self.as_dict(prefix)
+        current = self.as_dict()
         delta = {key: current[key] - snapshot.get(key, 0.0) for key in current}
         for key, value in snapshot.items():
             if key not in delta:

@@ -48,10 +48,6 @@ class GridIndex(Generic[K]):
         # axis realises the maximum).
         self._bounds: Optional[Tuple[int, int, int, int]] = None
 
-    @property
-    def cell_size(self) -> float:
-        return self._cell_size
-
     def __len__(self) -> int:
         return len(self._points)
 
@@ -86,9 +82,6 @@ class GridIndex(Generic[K]):
     def insert_many(self, items: Iterable[Tuple[K, Point]]) -> None:
         for key, point in items:
             self.insert(key, point)
-
-    def point_of(self, key: K) -> Point:
-        return self._points[key]
 
     def nearest(self, center: Point, max_radius: float | None = None) -> K | None:
         """The key nearest to ``center`` (ties broken arbitrarily).

@@ -5,6 +5,7 @@ import pytest
 from repro.core.dependency import CyclicDependencyError, DependencyGraph
 from repro.core.exceptions import DascError
 from repro.core.task import Task
+from tests.reference import EagerDependencyGraph
 
 
 def diamond() -> DependencyGraph:
@@ -46,6 +47,61 @@ class TestConstruction:
         graph = DependencyGraph({})
         assert len(graph) == 0
         assert graph.topological_order() == []
+
+
+class TestConstructionPaths:
+    """Size order, Kahn fallback and closed sets reused as their closure."""
+
+    @staticmethod
+    def _count_kahn(monkeypatch):
+        calls = []
+        kahn = DependencyGraph._kahn_order
+
+        def spy(self):
+            calls.append(self._kahn is None)
+            return kahn(self)
+
+        monkeypatch.setattr(DependencyGraph, "_kahn_order", spy)
+        return calls
+
+    def test_closed_sets_are_their_own_closure(self, monkeypatch):
+        calls = self._count_kahn(monkeypatch)
+        graph = DependencyGraph({4: {1, 2, 3}, 1: set(), 3: {1, 2}, 2: {1}})
+        assert calls == []  # the size order is topological: no queue built
+        for tid in graph:
+            assert graph.ancestors(tid) is graph.direct_dependencies(tid)
+
+    def test_unclosed_set_is_unioned(self):
+        graph = diamond()
+        assert graph.ancestors(4) == {1, 2, 3}
+        assert graph.ancestors(4) is not graph.direct_dependencies(4)
+        assert graph.ancestors(2) is graph.direct_dependencies(2)
+
+    def test_reverse_chain_takes_the_kahn_fallback(self, monkeypatch):
+        calls = self._count_kahn(monkeypatch)
+        direct = {i: ({i - 1} if i else set()) for i in reversed(range(6))}
+        graph = DependencyGraph(direct)
+        assert calls == [True]  # built once, during construction
+        assert graph.topological_order() == EagerDependencyGraph(direct).topological_order()
+        assert calls == [True, False]  # the cached queue is reused
+        assert graph.ancestors(5) == frozenset(range(5))
+
+    @pytest.mark.parametrize(
+        "direct",
+        [
+            {1: {1}},
+            {2: set(), 1: {1, 2}},
+            {1: {2}, 2: {1}, 3: set()},
+            {3: {1}, 1: {2}, 2: {3}, 0: set(), 4: {0, 1}},
+        ],
+    )
+    def test_cycles_raise_as_the_eager_graph_does(self, direct):
+        with pytest.raises(CyclicDependencyError) as expected:
+            EagerDependencyGraph(direct)
+        with pytest.raises(CyclicDependencyError) as got:
+            DependencyGraph(direct)
+        assert got.value.cycle == expected.value.cycle
+        assert str(got.value) == str(expected.value)
 
 
 class TestQueries:

@@ -40,9 +40,6 @@ class TestAsDict:
         counters.full_builds = 1  # int assignment, like the engine does
         assert all(isinstance(v, float) for v in counters.as_dict().values())
 
-    def test_custom_prefix(self):
-        assert "x_cache_hits" in EngineCounters().as_dict(prefix="x_")
-
 
 class TestDeltaSince:
     def test_simple_delta(self):

@@ -130,8 +130,8 @@ def _assert_same_graph(graph, eager):
     for tid in eager.topological_order():
         assert tuple(graph.direct_dependents(tid)) == tuple(eager.direct_dependents(tid))
         assert graph.dependent_tuple(tid) == eager.dependent_tuple(tid)
-        assert tuple(graph.ancestors(tid)) == tuple(eager.ancestors(tid))
-        assert tuple(graph.associative_set(tid)) == tuple(eager.associative_set(tid))
+        assert graph.ancestors(tid) == eager.ancestors(tid)
+        assert graph.associative_set(tid) == eager.associative_set(tid)
         assert tuple(graph.descendants(tid)) == tuple(eager.descendants(tid))
         assert graph.depth(tid) == eager.depth(tid)
 
@@ -140,7 +140,9 @@ class TestEagerDifferential:
     """The lazy graph reproduces the eager construction's orders exactly.
 
     Cached float sums in the game replay ``dependent_tuple`` order, so an
-    equal *set* is not enough: every order is compared as a tuple.
+    equal *set* is not enough: every order is compared as a tuple.  The
+    closure (``ancestors`` / ``associative_set``) is the exception: no
+    reader depends on its order, so it is compared as a set.
     """
 
     @given(shaped_dags())
@@ -148,15 +150,27 @@ class TestEagerDifferential:
     def test_orders_and_maps_match(self, direct):
         _assert_same_graph(DependencyGraph(direct), EagerDependencyGraph(direct))
 
+    @given(
+        shaped_dags(),
+        st.sampled_from(["direct_dependents", "topological_order", "descendants", "depth"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_lazy_maps_first(self, direct, first):
+        graph = DependencyGraph(direct)
+        if first == "topological_order":
+            graph.topological_order()
+        else:
+            for tid in reversed(list(direct)):
+                getattr(graph, first)(tid)
+        _assert_same_graph(graph, EagerDependencyGraph(direct))
+
     @given(shaped_dags())
     @settings(max_examples=60, deadline=None)
-    def test_lazy_maps_first(self, direct):
-        eager = EagerDependencyGraph(direct)
-        by_descendants = DependencyGraph(direct)
-        by_depth = DependencyGraph(direct)
+    def test_closed_sets_are_their_own_closure(self, direct):
+        graph = DependencyGraph(direct)
         for tid in direct:
-            assert tuple(by_descendants.descendants(tid)) == tuple(eager.descendants(tid))
-            assert by_depth.depth(tid) == eager.depth(tid)
+            if graph.ancestors(tid) == graph.direct_dependencies(tid):
+                assert graph.ancestors(tid) is graph.direct_dependencies(tid)
 
     @given(shaped_dags(), st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)

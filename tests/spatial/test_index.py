@@ -32,7 +32,7 @@ class TestGridIndexBasics:
         index.insert("a", (0.0, 0.0))
         with pytest.raises(KeyError):
             index.insert("a", (5.0, 5.0))
-        assert index.point_of("a") == (0.0, 0.0)
+        assert index.nearest((5.0, 5.0), max_radius=1.0) is None
 
 
 class TestNearest:
