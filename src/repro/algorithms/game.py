@@ -41,6 +41,7 @@ the argmax bit-identical (see :mod:`repro.algorithms.utility`).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import AbstractSet, Dict, FrozenSet, List, Literal, Optional, Set, Tuple
 
@@ -70,7 +71,7 @@ class DASCGame(BatchAllocator):
         threshold: utility-updating-ratio termination threshold in ``[0, 1]``.
             0 demands a strict Nash equilibrium; 0.05 is the paper's
             recommended trade-off (Figure 2).
-        alpha: Eq. 3 normalisation parameter (> 1).
+        alpha: Eq. 3 normalisation parameter (finite, > 1).
         init: ``random`` (Algorithm 3 line 2) or ``greedy`` (the *G-G*
             heuristic: seed the profile with ``DASC_Greedy``'s assignment).
         seed: RNG seed for initialisation and contention tie-breaks.
@@ -96,6 +97,10 @@ class DASCGame(BatchAllocator):
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+        if not (math.isfinite(alpha) and alpha > 1.0):
+            raise ValueError(f"alpha must be finite and > 1, got {alpha}")
+        if init not in ("random", "greedy"):
+            raise ValueError(f"unknown init mode {init!r}")
         self.threshold = threshold
         self.alpha = alpha
         self.init = init
@@ -178,8 +183,6 @@ class DASCGame(BatchAllocator):
             # feasibility graph instead of rebuilding it.
             outcome = DASCGreedy().allocate(context)
             seeded = {w: t for w, t in outcome.assignment.pairs()}
-        elif self.init != "random":
-            raise ValueError(f"unknown init mode {self.init!r}")
         for worker_id, options in strategies.items():
             task_id = seeded.get(worker_id)
             # Strategy lists are small and already deduped — a linear probe

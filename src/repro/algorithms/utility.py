@@ -24,10 +24,11 @@ best-response hot loop: it memoises each task's hypothetical value
 multimap, and invalidates only the O(degree)
 :meth:`~repro.core.dependency.DependencyGraph.influence_set` neighbourhood
 when an assignment indicator actually flips.  Every float it returns is
-**bit-identical** to a from-scratch graph walk: cached recomputations
-replay the exact addition order of the original frozenset iteration (the
-adjacency snapshots preserve it) and reuse the same expressions, so argmax
-decisions — and therefore whole game runs — cannot diverge.
+**bit-identical** to a from-scratch graph walk: both sum a task's
+dependents in the one order the graph gives them,
+:meth:`~repro.core.dependency.DependencyGraph.direct_dependents`'s
+ascending tuple, with the same expressions, so argmax decisions — and
+therefore whole game runs — cannot diverge.
 
 :meth:`GameState.best_response` also skips walks that cannot change the
 argmax.  Before walking a candidate's dependents it divides an upper bound
@@ -121,7 +122,7 @@ class GameState:
         previously_assigned: AbstractSet[int] = frozenset(),
         alpha: float = 10.0,
     ) -> None:
-        if alpha <= 1.0:
+        if not alpha > 1.0:
             raise ValueError(f"alpha must be > 1, got {alpha}")
         self.alpha = alpha
         self.graph = instance.dependency_graph
@@ -185,7 +186,7 @@ class GameState:
         delta = -1 if became_assigned else 1
         graph = self.graph
         counts = self._unassigned_deps
-        for dependent in graph.dependent_tuple(task_id):
+        for dependent in graph.direct_dependents(task_id):
             if dependent in counts:
                 counts[dependent] += delta
         cache = self._value_cache
@@ -206,7 +207,7 @@ class GameState:
         if count is None:
             count = sum(
                 1
-                for dep in self.graph.dependency_tuple(task_id)
+                for dep in self.graph.direct_dependencies(task_id)
                 if not self.assigned(dep)
             )
             counts[task_id] = count
@@ -218,7 +219,7 @@ class GameState:
             return self._pending_deps(task_id) == 0
         return all(
             f == extra or self.assigned(f)
-            for f in self.graph.dependency_tuple(task_id)
+            for f in self.graph.direct_dependencies(task_id)
         )
 
     def fully_realised(self, task_id: int, extra: Optional[int] = None) -> bool:
@@ -243,16 +244,16 @@ class GameState:
         return self._value_walk(task_id, extra)
 
     def _value_walk(self, task_id: int, extra: Optional[int]) -> float:
-        """The reference computation, over order-preserving snapshots."""
+        """The reference computation: dependents summed in ascending id."""
         graph = self.graph
-        deps = graph.dependency_tuple(task_id)
+        deps = graph.direct_dependencies(task_id)
         if deps:
             value = self._self_share if self.deps_satisfied(task_id, extra) else 0.0
         else:
             value = 1.0
         alpha = self.alpha
-        for dependent in graph.dependent_tuple(task_id):
-            d_size = len(graph.dependency_tuple(dependent))
+        for dependent in graph.direct_dependents(task_id):
+            d_size = len(graph.direct_dependencies(dependent))
             if self.fully_realised(dependent, extra):
                 value += 1.0 / (alpha * d_size)
         return value
@@ -289,8 +290,9 @@ class GameState:
         masked`` and every ``d`` with ``masked`` in ``D_d``.  That test
         reads ``D_d`` itself, not its closure: the graph keeps dependency
         sets as given, and Eq. 3 gates on the direct ones.  Dependents are
-        visited in ``dependent_tuple`` order with the reference share
-        expression, so the sum is bit-identical to the full walk.
+        visited in ascending id (``dependent_pairs``), the order the full
+        walk sums them in, with the reference share expression, so the sum
+        is bit-identical to it.
         """
         graph = self.graph
         nw = self.nw
@@ -334,18 +336,18 @@ class GameState:
                 # so the global memo is exact even for the sole chooser.
                 return self._hypothetical_value(task_id) / (crowd - 1)
             if nw[current] == 1 and current not in self.prev:
-                if task_id in self.graph.influence_frozenset(current):
+                if task_id in self.graph.influence_set(current):
                     return self._masked_value(task_id, current) / crowd
         return self._hypothetical_value(task_id) / crowd
 
     def _ceiling(self, task_id: int) -> float:
         """Static upper bound on ``q(t | a_t = 1)``: every term paid.
 
-        The start value plus every dependent's share, summed in
-        ``dependent_pairs`` order.  Any value of ``t`` (global or masked)
-        is the in-order sum of a subset of these non-negative terms from a
-        start no greater, so under monotone round-to-nearest addition it
-        cannot exceed this float.
+        The start value plus every dependent's share, summed in ascending
+        dependent id like every value walk.  Any value of ``t`` (global or
+        masked) is the in-order sum of a subset of these non-negative terms
+        from a start no greater, so under monotone round-to-nearest
+        addition it cannot exceed this float.
         """
         ceiling = self._ceilings.get(task_id)
         if ceiling is None:
@@ -384,7 +386,7 @@ class GameState:
         else:
             best_task, best = current, self.candidate_utility(worker_id, current)
             if nw[current] == 1 and current not in self.prev:
-                masked = self.graph.influence_frozenset(current)
+                masked = self.graph.influence_set(current)
         # A candidate must beat this float to move the argmax.
         floor = best + eps
         for candidate in options:

@@ -9,9 +9,15 @@ and offers:
 * the associative task sets ``tc_i = {t_i} ∪ closure(D_i)`` driving
   ``DASC_Greedy``;
 * dependency-satisfaction tests against a set of already-assigned ids;
-* adjacency *snapshots* (:meth:`dependency_tuple` / :meth:`dependent_tuple`
-  / :meth:`dependent_pairs`) and the Eq. 3 *influence set* (:meth:`influence_set`) backing the
-  incremental best-response engine of :mod:`repro.algorithms.utility`.
+* each task's direct dependents as an ascending-id tuple
+  (:meth:`direct_dependents`, :meth:`dependent_pairs`) and the Eq. 3
+  *influence set* (:meth:`influence_set`) backing the incremental
+  best-response engine of :mod:`repro.algorithms.utility`.
+
+Ascending task id is the one order a reader may rely on: dependents come
+out in it, and Kahn's queue visits them in it.  The iteration order of a
+frozenset (``D_t``, the closure, descendants, the influence set) is not
+part of the contract.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
+    Tuple,
 )
 
 from repro.core.exceptions import DascError
@@ -62,12 +70,14 @@ class DependencyGraph:
                 raise DascError(
                     f"task {tid} depends on unknown task(s) {sorted(missing)}"
                 )
-        # Each task's direct dependents, in edge order.
-        dependents: Dict[int, List[int]] = {tid: [] for tid in self._direct}
-        for tid, deps in self._direct.items():
-            for dep in deps:
+        # Each task's direct dependents: a list, ascending because ``D_t`` is
+        # inverted over the ids in ascending order; frozen into a tuple on
+        # its first read.
+        dependents: Dict[int, Sequence[int]] = {tid: [] for tid in self._direct}
+        for tid in sorted(self._direct):
+            for dep in self._direct[tid]:
                 dependents[dep].append(tid)
-        self._dependent_lists = dependents
+        self._dependents = dependents
         # Kahn's queue: the pinned ``topological_order``, built on first
         # call unless the size order below fails and it is needed here.
         self._kahn: Optional[List[int]] = None
@@ -75,19 +85,12 @@ class DependencyGraph:
         if order is None:
             order = self._kahn_order()
         self._ancestors = self._close(order)
-        # Built on first read: Greedy never reads dependents, and the game
-        # reads only the tasks it visits.
-        self._dependents: Dict[int, FrozenSet[int]] = {}
+        # Built on first read: Greedy never reads these, and the game reads
+        # only the tasks it visits.
         self._descendants: Optional[Dict[int, FrozenSet[int]]] = None
         self._depths: Optional[Dict[int, int]] = None
-        # Lazily-built adjacency snapshots (tuples preserving the frozenset
-        # iteration order, so cached float summations replay the exact
-        # addition order of a direct frozenset walk) and influence sets.
-        self._dep_tuples: Dict[int, tuple] = {}
-        self._dependent_tuples: Dict[int, tuple] = {}
         self._dependent_pairs: Dict[int, tuple] = {}
-        self._influence: Dict[int, tuple] = {}
-        self._influence_sets: Dict[int, FrozenSet[int]] = {}
+        self._influence: Dict[int, FrozenSet[int]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -119,56 +122,34 @@ class DependencyGraph:
         """
         return self._ancestors[tid]
 
-    def direct_dependents(self, tid: int) -> FrozenSet[int]:
-        """Tasks whose direct dependency set contains ``tid``."""
-        frozen = self._dependents.get(tid)
-        if frozen is None:
-            # ``frozenset(set(lst))`` replays the ``set.add`` sequence of an
-            # inversion, so dependents iterate as the eager inversion left them.
-            frozen = self._dependents[tid] = frozenset(set(self._dependent_lists[tid]))
-        return frozen
+    def direct_dependents(self, tid: int) -> Tuple[int, ...]:
+        """Tasks whose direct dependency set contains ``tid``, ascending."""
+        found = self._dependents[tid]
+        if type(found) is list:
+            found = self._dependents[tid] = tuple(found)
+        return found
 
     def descendants(self, tid: int) -> FrozenSet[int]:
-        """Tasks transitively depending on ``tid`` (map built on first call).
-
-        The closure is inverted in Kahn order, so each set replays the
-        ``set.add`` sequence of inverting a closure built in that order.
-        """
+        """Tasks transitively depending on ``tid`` (map built on first call)."""
         if self._descendants is None:
             out: Dict[int, Set[int]] = {tid: set() for tid in self._direct}
-            for task in self._kahn_order():
-                for anc in self._ancestors[task]:
+            for task, ancestors in self._ancestors.items():
+                for anc in ancestors:
                     out[anc].add(task)
             self._descendants = {task: frozenset(vals) for task, vals in out.items()}
         return self._descendants[tid]
 
-    # -- adjacency snapshots ---------------------------------------------------
-
-    def dependency_tuple(self, tid: int) -> tuple:
-        """``D_t`` as a cached tuple, in ``direct_dependencies`` iteration order."""
-        snap = self._dep_tuples.get(tid)
-        if snap is None:
-            snap = self._dep_tuples[tid] = tuple(self._direct[tid])
-        return snap
-
-    def dependent_tuple(self, tid: int) -> tuple:
-        """Direct dependents as a cached tuple, in ``direct_dependents`` order."""
-        snap = self._dependent_tuples.get(tid)
-        if snap is None:
-            snap = self._dependent_tuples[tid] = tuple(self.direct_dependents(tid))
-        return snap
-
     def dependent_pairs(self, tid: int) -> tuple:
-        """``(d, D_d)`` for each direct dependent ``d``, in ``dependent_tuple`` order."""
+        """``(d, D_d)`` for each direct dependent ``d``, in ascending ``d``."""
         snap = self._dependent_pairs.get(tid)
         if snap is None:
             direct = self._direct
             snap = self._dependent_pairs[tid] = tuple(
-                (dependent, direct[dependent]) for dependent in self.dependent_tuple(tid)
+                (dependent, direct[dependent]) for dependent in self.direct_dependents(tid)
             )
         return snap
 
-    def influence_set(self, tid: int) -> tuple:
+    def influence_set(self, tid: int) -> FrozenSet[int]:
         """Tasks whose Eq. 3 value reads the assignment indicator ``a_tid``.
 
         ``task_value(t)`` reads ``a_f`` for ``f`` in ``D_t`` (the
@@ -184,23 +165,17 @@ class DependencyGraph:
         its own indicator (``extra`` masks it).  The result drives both
         value-cache invalidation and dirty-worker scheduling, so each flip
         touches only an O(degree) neighbourhood instead of the whole graph.
+        Every reader probes it or iterates it order-insensitively.
         """
         cached = self._influence.get(tid)
         if cached is None:
-            affected = dict.fromkeys(self._direct[tid])
+            direct = self._direct
+            affected = set(direct[tid])
             for dependent in self.direct_dependents(tid):
-                affected[dependent] = None
-                for dep in self._direct[dependent]:
-                    affected[dep] = None
-            affected.pop(tid, None)
-            cached = self._influence[tid] = tuple(affected)
-        return cached
-
-    def influence_frozenset(self, tid: int) -> FrozenSet[int]:
-        """:meth:`influence_set` as a cached frozenset (membership probes)."""
-        cached = self._influence_sets.get(tid)
-        if cached is None:
-            cached = self._influence_sets[tid] = frozenset(self.influence_set(tid))
+                affected.add(dependent)
+                affected.update(direct[dependent])
+            affected.discard(tid)
+            cached = self._influence[tid] = frozenset(affected)
         return cached
 
     def roots(self) -> List[int]:
@@ -208,7 +183,7 @@ class DependencyGraph:
         return sorted(tid for tid, deps in self._direct.items() if not deps)
 
     def topological_order(self) -> List[int]:
-        """Kahn's order (dependencies before dependents, roots in id order)."""
+        """Kahn's order: roots in id order, each task's dependents ascending."""
         return list(self._kahn_order())
 
     def associative_set(self, tid: int) -> FrozenSet[int]:
@@ -269,7 +244,7 @@ class DependencyGraph:
         return order
 
     def _kahn_order(self) -> List[int]:
-        """Kahn's queue over the dependent lists (cached on first call)."""
+        """Kahn's queue over the ascending dependents (cached on first call)."""
         if self._kahn is None:
             indegree = {tid: len(deps) for tid, deps in self._direct.items()}
             queue = sorted(tid for tid, deg in indegree.items() if deg == 0)
@@ -277,7 +252,7 @@ class DependencyGraph:
             while head < len(queue):
                 tid = queue[head]
                 head += 1
-                for nxt in self._dependent_lists[tid]:
+                for nxt in self._dependents[tid]:
                     indegree[nxt] -= 1
                     if indegree[nxt] == 0:
                         queue.append(nxt)

@@ -11,7 +11,7 @@ place of the Euclidean default.  This module provides that substrate:
   - *resumable per-source Dijkstra* — :meth:`RoadNetwork.node_distance`
     settles only until the target settles, keeps the search state and
     resumes it for later targets from the same source (a truncated prefix
-    of a full run, so labels never change), with FIFO/LRU state eviction;
+    of a full run, so labels never change), with FIFO state eviction;
   - *goal-bounded queries* — :meth:`RoadNetwork.bounded_distance` stops the
     moment the target is reached or the distance budget (a worker's
     ``d_w``) is provably exceeded, returning ``inf`` past the budget;
@@ -87,10 +87,8 @@ class RoadNetwork:
         nodes: mapping of node id to its coordinates.
         edges: ``(u, v)`` or ``(u, v, weight)`` tuples; when the weight is
             omitted it defaults to the Euclidean length of the segment.
-        cache_size: bound on retained per-source search states.
-        cache_policy: eviction order for the search-state cache —
-            ``"fifo"`` (default) evicts the oldest state, ``"lru"`` the
-            least recently queried one.
+        cache_size: bound on retained per-source search states; a full
+            cache evicts the oldest state (first in, first out).
         accelerate: build a contraction hierarchy for queries.  ``None``
             (default) accelerates networks of at least
             :data:`MIN_CH_NODES` nodes; ``True``/``False`` force it.
@@ -105,21 +103,17 @@ class RoadNetwork:
         nodes: Dict[int, Point],
         edges: Iterable[Tuple] = (),
         cache_size: int = 1024,
-        cache_policy: str = "fifo",
         accelerate: Optional[bool] = None,
     ) -> None:
         if not nodes:
             raise ValueError("a road network needs at least one node")
         if cache_size <= 0:
             raise ValueError(f"cache_size must be positive, got {cache_size}")
-        if cache_policy not in ("fifo", "lru"):
-            raise ValueError(f"cache_policy must be 'fifo' or 'lru', got {cache_policy!r}")
         self._coords: Dict[int, Point] = {nid: (float(p[0]), float(p[1])) for nid, p in nodes.items()}
         self._adjacency: Dict[int, List[Tuple[int, float]]] = {nid: [] for nid in self._coords}
         self._snap_index: GridIndex[int] = GridIndex(cell_size=self._pick_cell_size())
         self._snap_index.insert_many(self._coords.items())
         self._cache_size = cache_size
-        self._lru = cache_policy == "lru"
         self._accelerate = accelerate
         self._states: Dict[int, _SearchState] = {}
         self._hierarchy: Optional[ContractionHierarchy] = None
@@ -381,11 +375,6 @@ class RoadNetwork:
     def _state_for(self, source: int) -> _SearchState:
         state = self._states.get(source)
         if state is not None:
-            if self._lru:
-                # Move-to-end: a plain dict keeps insertion order, so
-                # delete + reinsert makes this state the newest.
-                del self._states[source]
-                self._states[source] = state
             return state
         state = _SearchState(source)
         if len(self._states) >= self._cache_size:

@@ -35,13 +35,16 @@ class TestParameters:
         with pytest.raises(ValueError, match="max_rounds"):
             DASCGame(max_rounds=0)
 
-    def test_bad_alpha_propagates(self, example1):
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, float("nan"), float("inf")])
+    def test_bad_alpha_rejected_at_construction(self, alpha):
+        # A run whose batches are all empty never builds a GameState, so
+        # the allocator itself must refuse the value.
         with pytest.raises(ValueError, match="alpha"):
-            run_single_batch(example1, DASCGame(alpha=1.0))
+            DASCGame(alpha=alpha)
 
-    def test_unknown_init_mode(self, example1):
-        with pytest.raises(ValueError, match="unknown init mode"):
-            run_single_batch(example1, DASCGame(init="magic"))
+    def test_unknown_init_mode(self):
+        with pytest.raises(ValueError, match="unknown init mode 'gready'"):
+            DASCGame(init="gready")
 
 
 class TestEdgeCases:

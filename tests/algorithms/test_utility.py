@@ -46,6 +46,10 @@ class TestProfileBookkeeping:
         with pytest.raises(ValueError, match="alpha"):
             make_state(example1, alpha=1.0)
 
+    def test_nan_alpha_rejected(self, example1):
+        with pytest.raises(ValueError, match="alpha"):
+            make_state(example1, alpha=float("nan"))
+
 
 class TestTaskValue:
     def test_root_task_is_worth_one(self, example1):

@@ -118,8 +118,8 @@ class TestQueries:
 
     def test_direct_dependents(self):
         graph = diamond()
-        assert graph.direct_dependents(1) == {2, 3}
-        assert graph.direct_dependents(2) == {4}
+        assert graph.direct_dependents(1) == (2, 3)
+        assert graph.direct_dependents(2) == (4,)
 
     def test_roots(self):
         assert diamond().roots() == [1]
@@ -186,16 +186,20 @@ class TestDeepChain:
 
 
 class TestAdjacencySnapshots:
-    def test_tuples_preserve_frozenset_iteration_order(self):
-        graph = diamond()
+    def test_dependents_ascend_whatever_the_key_order(self):
+        direct = {900: {7, 4000}, 7: set(), 4000: set(), 12: {4000}, 3: {7, 4000}}
+        graph = DependencyGraph(direct)
+        assert graph.direct_dependents(4000) == (3, 12, 900)
+        assert graph.direct_dependents(7) == (3, 900)
         for tid in graph:
-            assert graph.dependency_tuple(tid) == tuple(graph.direct_dependencies(tid))
-            assert graph.dependent_tuple(tid) == tuple(graph.direct_dependents(tid))
+            assert graph.dependent_pairs(tid) == tuple(
+                (d, graph.direct_dependencies(d)) for d in graph.direct_dependents(tid)
+            )
 
-    def test_tuples_are_cached(self):
+    def test_snapshots_are_cached(self):
         graph = diamond()
-        assert graph.dependency_tuple(4) is graph.dependency_tuple(4)
-        assert graph.dependent_tuple(1) is graph.dependent_tuple(1)
+        assert graph.direct_dependents(1) is graph.direct_dependents(1)
+        assert graph.dependent_pairs(1) is graph.dependent_pairs(1)
         assert graph.influence_set(1) is graph.influence_set(1)
 
     def test_influence_matches_bruteforce_read_set(self):
@@ -222,8 +226,7 @@ class TestAdjacencySnapshots:
 
             for flipped in graph:
                 expected = {t for t in graph if flipped in reads(t)}
-                assert set(graph.influence_set(flipped)) == expected
-                assert graph.influence_frozenset(flipped) == frozenset(expected)
+                assert graph.influence_set(flipped) == frozenset(expected)
 
     def test_influence_excludes_self(self):
         graph = diamond()

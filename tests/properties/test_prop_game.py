@@ -449,3 +449,74 @@ class TestPrunedBestResponse:
         deps, n_workers, alpha, prev, moves = script
         instance = build_open_instance(deps, n_workers)
         _replay_pruned_best_responses(instance, prev, alpha, moves)
+
+
+@st.composite
+def rebuilt_instances(draw):
+    """One DAG over widely spread ids, as two instances built differently.
+
+    Both hold equal dependency sets, but the tasks come in two shuffled
+    orders and each ``D_t`` is a frozenset filled in a different insertion
+    order.  Ids are multiples of 1024, so they collide in every small hash
+    table and CPython's frozenset order follows the insertion order.
+    """
+    n_tasks = draw(st.integers(2, 24))
+    ids = sorted(1024 * k for k in draw(st.lists(
+        st.integers(0, 1000), min_size=n_tasks, max_size=n_tasks, unique=True
+    )))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    density = draw(st.floats(0.05, 0.6))
+    deps = {
+        tid: {ids[j] for j in range(i) if rng.random() < density}
+        for i, tid in enumerate(ids)
+    }
+    if draw(st.booleans()):  # close every D_t, as the generators do
+        for tid in ids:
+            for dep in list(deps[tid]):
+                deps[tid] |= deps[dep]
+    skills = SkillUniverse(2)
+    task_skill = {tid: rng.randrange(2) for tid in ids}
+    workers = [
+        Worker(id=w, location=(0.0, 0.0), start=0.0, wait=100.0, velocity=1.0,
+               max_distance=10.0, skills=frozenset(rng.sample([0, 1], rng.randint(1, 2))))
+        for w in range(draw(st.integers(1, n_tasks + 3)))
+    ]
+    builds = []
+    for _ in range(2):
+        order = list(ids)
+        rng.shuffle(order)
+        tasks = []
+        for tid in order:
+            members = list(deps[tid])
+            rng.shuffle(members)
+            tasks.append(Task(id=tid, location=(0.0, 0.0), start=0.0, wait=100.0,
+                              skill=task_skill[tid], dependencies=frozenset(members)))
+        builds.append(ProblemInstance(workers=workers, tasks=tasks, skills=skills))
+    return builds
+
+
+class TestInputBuildOrder:
+    """Graph answers and game decisions do not depend on how sets were built.
+
+    Dependents ascend by id, so the game's Eq. 3 sums, and with them every
+    argmax, read no frozenset iteration order.
+    """
+
+    @given(rebuilt_instances(), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_two_builds_decide_alike(self, builds, seed):
+        from repro.algorithms.game import DASCGame
+        from repro.simulation.platform import run_single_batch
+
+        first, second = (build.dependency_graph for build in builds)
+        assert first.topological_order() == second.topological_order()
+        for tid in first:
+            assert first.direct_dependents(tid) == second.direct_dependents(tid)
+            assert first.dependent_pairs(tid) == second.dependent_pairs(tid)
+            assert first.influence_set(tid) == second.influence_set(tid)
+            assert first.descendants(tid) == second.descendants(tid)
+        one, two = (
+            run_single_batch(build, DASCGame(seed=seed), now=0.0) for build in builds
+        )
+        assert sorted(one.assignment.pairs()) == sorted(two.assignment.pairs())
+        assert one.stats == two.stats

@@ -36,6 +36,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 import pytest
@@ -443,11 +444,12 @@ class RescanPlatform(platform_module.Platform):
 class EagerDependencyGraph:
     """The dependency graph as first written: every map built up front.
 
-    Construction validates the ids, runs Kahn's algorithm with per-edge
-    depth bookkeeping, closes ``D_t`` transitively and inverts both the
-    direct relation (dependents) and the closure (descendants) with
-    ``set.add`` loops.  Orders and frozenset iteration orders of
-    :class:`~repro.core.dependency.DependencyGraph` must equal these.
+    Construction validates the ids, runs Kahn's algorithm (dependents
+    visited in ascending id) with per-edge depth bookkeeping, closes
+    ``D_t`` transitively and inverts both the direct relation (dependents,
+    then sorted) and the closure (descendants) with ``set.add`` loops.
+    :class:`~repro.core.dependency.DependencyGraph` must give the same
+    topological order and dependent tuples, and equal sets elsewhere.
     """
 
     def __init__(self, direct: Mapping[int, Iterable[int]]) -> None:
@@ -463,7 +465,9 @@ class EagerDependencyGraph:
                 )
         self._order = self._topological_order()
         self._ancestors = self._close()
-        self._dependents = self._invert(self._direct)
+        self._dependents = {
+            tid: tuple(sorted(vals)) for tid, vals in self._invert(self._direct).items()
+        }
         self._descendants = self._invert(self._ancestors)
 
     def topological_order(self) -> List[int]:
@@ -472,11 +476,8 @@ class EagerDependencyGraph:
     def ancestors(self, tid: int) -> FrozenSet[int]:
         return self._ancestors[tid]
 
-    def direct_dependents(self, tid: int) -> FrozenSet[int]:
+    def direct_dependents(self, tid: int) -> Tuple[int, ...]:
         return self._dependents[tid]
-
-    def dependent_tuple(self, tid: int) -> tuple:
-        return tuple(self._dependents[tid])
 
     def descendants(self, tid: int) -> FrozenSet[int]:
         return self._descendants[tid]
@@ -490,8 +491,8 @@ class EagerDependencyGraph:
     def _topological_order(self) -> List[int]:
         indegree: Dict[int, int] = {tid: len(deps) for tid, deps in self._direct.items()}
         dependents: Dict[int, List[int]] = {tid: [] for tid in self._direct}
-        for tid, deps in self._direct.items():
-            for dep in deps:
+        for tid in sorted(self._direct):
+            for dep in self._direct[tid]:
                 dependents[dep].append(tid)
         queue = sorted(tid for tid, deg in indegree.items() if deg == 0)
         order: List[int] = []

@@ -72,15 +72,13 @@ class TestRoadNetwork:
         net.add_edge(0, 2, weight=0.5)
         assert net.node_distance(0, 2) == pytest.approx(0.5)
 
-    def test_cache_policy_validated(self):
+    def test_cache_size_validated(self):
         with pytest.raises(ValueError, match="cache_size"):
             RoadNetwork({0: (0, 0)}, cache_size=0)
-        with pytest.raises(ValueError, match="cache_policy"):
-            RoadNetwork({0: (0, 0)}, cache_policy="random")
 
 
 class TestSearchCache:
-    """Satellite: bounded FIFO/LRU eviction instead of wholesale clears."""
+    """Bounded FIFO eviction instead of wholesale clears."""
 
     def _line(self, n=6, **kw):
         nodes = {i: (float(i), 0.0) for i in range(n)}
@@ -88,24 +86,15 @@ class TestSearchCache:
         return RoadNetwork(nodes, edges, accelerate=False, **kw)
 
     def test_fifo_evicts_oldest_source(self):
-        net = self._line(cache_size=2, cache_policy="fifo")
+        net = self._line(cache_size=2)
         net.node_distance(0, 5)
         net.node_distance(1, 5)
         net.node_distance(2, 5)  # evicts source 0
         assert net.cache_evictions == 1
         assert 0 not in net._states and {1, 2} <= set(net._states)
 
-    def test_lru_refresh_protects_recent_source(self):
-        net = self._line(cache_size=2, cache_policy="lru")
-        net.node_distance(0, 5)
-        net.node_distance(1, 5)
-        net.node_distance(0, 4)  # refreshes source 0
-        net.node_distance(2, 5)  # evicts source 1, not 0
-        assert net.cache_evictions == 1
-        assert 1 not in net._states and {0, 2} <= set(net._states)
-
     def test_fifo_does_not_refresh(self):
-        net = self._line(cache_size=2, cache_policy="fifo")
+        net = self._line(cache_size=2)
         net.node_distance(0, 5)
         net.node_distance(1, 5)
         net.node_distance(0, 4)  # hit, but FIFO keeps insertion order
