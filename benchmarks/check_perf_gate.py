@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Perf-regression gate over the engine micro-benchmark.
 
-Four checks, one exit code (check 4, the columnar pair-eval ratio, went
-with the columnar kernels; check 5, the shard scale-out gate, with
-partitioned sharding; check 7, the warm-matching gate, with the match
-memo; the other numbers are kept so references to them stay valid):
+Three checks, one exit code (check 2, the road-network settled-node
+ratio, went with the contraction hierarchy; check 4, the columnar
+pair-eval ratio, with the columnar kernels; check 5, the shard scale-out
+gate, with partitioned sharding; check 7, the warm-matching gate, with the
+match memo; the other numbers are kept so references to them stay valid):
 
 1. **Wall-clock gate** — reruns the feasibility-dominated platform workload
    behind ``bench_micro_substrates.test_micro_platform_engine`` and
@@ -16,13 +17,6 @@ memo; the other numbers are kept so references to them stay valid):
    kept.  A run more than 25% slower than the committed baseline fails the
    gate; the fresh measurement is re-recorded either way so the trajectory
    file always carries the latest number.
-2. **Road-network settled-ratio gate** — answers the ``bench_roadnet``
-   64x64 batch workload through the contraction-hierarchy
-   ``distance_table`` kernel, asserts the floats are bit-identical to full
-   per-pair Dijkstra, and requires the table to settle at least 5x fewer
-   nodes than the derived per-pair baseline (``|pairs| x settled-per-full
-   run`` — exact, no need to run all 288 searches).  Counter arithmetic
-   only; wall-clock is recorded but never gated on.
 3. **Game evaluation-ratio gate** — runs the incremental best-response
    engine once on the 500x500 ``bench_game`` workload and derives the naive
    loop's cost exactly (``rounds x sum_w |S_w|`` — the identity
@@ -47,7 +41,7 @@ Exit codes: 0 all pass (or no baseline yet for the wall gate), 1 any fail.
 Usage::
 
     PYTHONPATH=src python benchmarks/check_perf_gate.py [--threshold 1.25]
-        [--min-eval-ratio 5.0] [--min-settled-ratio 5.0]
+        [--min-eval-ratio 5.0]
 """
 
 from __future__ import annotations
@@ -74,11 +68,9 @@ from conftest import BENCH_JSON, BENCH_SCHEMA, record_bench_entry  # noqa: E402
 
 ENTRY = "micro_platform_engine"
 GAME_ENTRY = "game_eval_gate"
-ROADNET_ENTRY = "roadnet_settled_gate"
 EVENTS_ENTRY = "events_disabled_gate"
 ROUNDS = 3
 MIN_EVAL_RATIO = 5.0
-MIN_SETTLED_RATIO = 5.0
 
 
 def _committed_baseline() -> float | None:
@@ -92,56 +84,6 @@ def _committed_baseline() -> float | None:
         if entry["name"] == ENTRY and entry["config"].get("wall") == "host-normalised":
             return float(entry["wall_ms"])
     return None
-
-
-def check_roadnet_settled_ratio(min_ratio: float) -> bool:
-    """Counter-only gate on the CH table kernel's settling savings."""
-    import math
-
-    from bench_roadnet import (
-        ROADNET_CONFIG,
-        make_network,
-        run_per_pair_baseline,
-        run_table,
-        workload,
-    )
-
-    plain = make_network(accelerate=False)
-    accel = make_network(accelerate=True)
-    sources, targets = workload(plain)
-    full, naive_settled, _ = run_per_pair_baseline(plain, sources, targets)
-    table, table_settled, wall_ms = run_table(accel, sources, targets)
-
-    truth = {
-        (s, t): (0.0 if s == t else full[s].get(t, math.inf))
-        for s in sources
-        for t in targets
-    }
-    if table != truth:  # exactness is a precondition of the perf claim
-        print("FAIL: roadnet table floats diverge from per-pair Dijkstra")
-        return False
-
-    ratio = naive_settled / max(table_settled, 1)
-    record_bench_entry(
-        ROADNET_ENTRY,
-        dict(ROADNET_CONFIG, min_settled_ratio=min_ratio),
-        wall_ms,
-        {
-            "pairs": len(truth),
-            "shortcuts": accel.shortcuts,
-            "table_settled": table_settled,
-            "derived_per_pair_settled": naive_settled,
-            "settled_ratio": round(ratio, 3),
-        },
-    )
-    ok = ratio >= min_ratio
-    verdict = "PASS" if ok else "FAIL"
-    print(
-        f"{verdict}: roadnet settled ratio {ratio:.2f}x "
-        f"({naive_settled} derived per-pair settles vs {table_settled} "
-        f"table; floor x{min_ratio})"
-    )
-    return ok
 
 
 def check_game_eval_ratio(min_ratio: float) -> bool:
@@ -273,13 +215,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fail when the game engine computes more than naive/THIS task "
         f"values (default {MIN_EVAL_RATIO}; deterministic, no wall-clock)",
     )
-    parser.add_argument(
-        "--min-settled-ratio",
-        type=float,
-        default=MIN_SETTLED_RATIO,
-        help="fail when the roadnet table settles more than per-pair/THIS "
-        f"nodes (default {MIN_SETTLED_RATIO}; deterministic, no wall-clock)",
-    )
     args = parser.parse_args(argv)
 
     baseline_ms = _committed_baseline()
@@ -298,12 +233,11 @@ def main(argv: list[str] | None = None) -> int:
     report, _, best_ms = best
 
     record_platform_entry(record_bench_entry, ENTRY, *best)
-    roadnet_ok = check_roadnet_settled_ratio(args.min_settled_ratio)
     game_ok = check_game_eval_ratio(args.min_eval_ratio)
     events_ok = check_events_disabled_overhead(
         instance, report, args.threshold, args.rounds
     )
-    counters_ok = roadnet_ok and game_ok and events_ok
+    counters_ok = game_ok and events_ok
     if baseline_ms is None:
         print(
             f"no committed baseline for {ENTRY!r}; recorded {best_ms:.1f} "

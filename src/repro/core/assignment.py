@@ -15,7 +15,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.constraints import pair_feasible
+from repro.core.constraints import deadline_ok
 from repro.core.exceptions import DascError
 
 
@@ -178,7 +178,11 @@ class Assignment:
                         f"distance {dist:.4f} exceeds budget {worker.max_distance:.4f}",
                     )
                 )
-            if not pair_feasible(worker, task, instance.metric, now) and dist <= worker.max_distance and task.skill in worker.skills:
+            if (
+                task.skill in worker.skills
+                and dist <= worker.max_distance
+                and not deadline_ok(worker, task, now=now, dist=dist)
+            ):
                 out.append(
                     AssignmentViolation(
                         "deadline",

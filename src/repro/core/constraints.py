@@ -90,21 +90,10 @@ def pair_feasible(
     The exclusivity and dependency constraints are properties of a whole
     assignment, not of a pair, and are checked by
     :class:`repro.core.assignment.Assignment`.
-
-    Metrics exposing ``bounded_distance`` (the road network) are queried
-    with the worker's reach bound ``d_w`` as the budget: the search stops
-    settling nodes once the budget is provably exceeded and returns ``inf``
-    then — and the exact distance otherwise — so every decision below is
-    identical to the unbounded evaluation.
     """
     if not skill_ok(worker, task):
         return False
-    metric = metric or _EUCLIDEAN
-    bounded = getattr(metric, "bounded_distance", None)
-    if bounded is not None:
-        dist = bounded(worker.location, task.location, worker.max_distance)
-    else:
-        dist = metric(worker.location, task.location)
+    dist = (metric or _EUCLIDEAN)(worker.location, task.location)
     return within_range(worker, task, dist=dist) and deadline_ok(
         worker, task, now=now, dist=dist
     )
@@ -119,22 +108,16 @@ def pair_rejection_reason(
     """The first failing constraint of ``(w, t)``, or None when feasible.
 
     The reason-coded twin of :func:`pair_feasible`: the metric is evaluated
-    exactly once with the same bounded/unbounded resolution, and the
-    precedence mirrors the scalar short-circuit exactly — ``skill`` before
-    ``reach`` (``dist > d_w``) before ``deadline`` — so ``reason is None``
-    iff ``pair_feasible(...)``.  The codes are the
+    exactly once, and the precedence mirrors the scalar short-circuit
+    exactly — ``skill`` before ``reach`` (``dist > d_w``) before
+    ``deadline`` — so ``reason is None`` iff ``pair_feasible(...)``.  The codes are the
     :data:`repro.obs.events.REASONS` the engine journals (the fourth code,
     ``dependency``, is an assignment-level property and never returned
     here).
     """
     if not skill_ok(worker, task):
         return "skill"
-    metric = metric or _EUCLIDEAN
-    bounded = getattr(metric, "bounded_distance", None)
-    if bounded is not None:
-        dist = bounded(worker.location, task.location, worker.max_distance)
-    else:
-        dist = metric(worker.location, task.location)
+    dist = (metric or _EUCLIDEAN)(worker.location, task.location)
     if not within_range(worker, task, dist=dist):
         return "reach"
     if not deadline_ok(worker, task, now=now, dist=dist):

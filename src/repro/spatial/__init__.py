@@ -7,7 +7,6 @@ haversine for lon/lat data such as the Meetup-like generator output) and a
 uniform-grid spatial index for road-network snapping.
 """
 
-from repro.spatial.ch import ContractionHierarchy
 from repro.spatial.distance import (
     DistanceMetric,
     EuclideanDistance,
@@ -29,7 +28,6 @@ from repro.spatial.roadnet import (
 
 __all__ = [
     "BoundingBox",
-    "ContractionHierarchy",
     "DistanceMetric",
     "EuclideanDistance",
     "GridIndex",

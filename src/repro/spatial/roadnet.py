@@ -4,22 +4,15 @@ The paper notes the DA-SC approaches work with road-network distance in
 place of the Euclidean default.  This module provides that substrate:
 
 * :class:`RoadNetwork` — an undirected weighted graph embedded in the
-  plane, with nearest-node snapping and three query kernels that all return
-  **bit-identical** floats (property-pinned in
-  ``tests/properties/test_prop_roadnet.py``):
-
-  - *resumable per-source Dijkstra* — :meth:`RoadNetwork.node_distance`
-    settles only until the target settles, keeps the search state and
-    resumes it for later targets from the same source (a truncated prefix
-    of a full run, so labels never change), with FIFO state eviction;
-  - *goal-bounded queries* — :meth:`RoadNetwork.bounded_distance` stops the
-    moment the target is reached or the distance budget (a worker's
-    ``d_w``) is provably exceeded, returning ``inf`` past the budget;
-  - *many-to-many tables* — :meth:`RoadNetwork.distance_table` answers a
-    whole batch of pairs at once, via the contraction hierarchy of
-    :mod:`repro.spatial.ch` when acceleration is on (one small cone search
-    per distinct endpoint instead of one full Dijkstra per pair) or a
-    multi-source early-exit fallback otherwise;
+  plane, with nearest-node snapping and one query path: a *resumable
+  per-source Dijkstra*.  :meth:`RoadNetwork.node_distance` settles only
+  until the target settles, keeps the search state and resumes it for
+  later targets from the same source (a truncated prefix of a full run, so
+  labels never change), with FIFO state eviction.
+  :meth:`RoadNetwork.distance_table` answers a whole batch of pairs from
+  the same states, one resumed search per distinct source.  Both return
+  floats **bit-identical** to a full Dijkstra (property-pinned in
+  ``tests/properties/test_prop_roadnet.py``);
 
 * :class:`RoadNetworkDistance` — a :class:`~repro.spatial.distance.DistanceMetric`
   over free points: snap both endpoints to the network, walk the network
@@ -28,12 +21,6 @@ place of the Euclidean default.  This module provides that substrate:
 * :func:`grid_road_network` — a synthetic city grid (optional diagonals,
   random street closures, per-street length jitter) that stays connected by
   construction.
-
-Acceleration is on for networks of at least :data:`MIN_CH_NODES` nodes and
-can be forced either way per network (``accelerate=``).  Because
-accelerated answers are bit-equal to plain Dijkstra, forcing acceleration
-can never change a simulation report — only the ``roadnet_*``
-observability counters.
 """
 
 from __future__ import annotations
@@ -44,27 +31,15 @@ import random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.metrics import REGISTRY
-from repro.spatial.ch import ContractionHierarchy
 from repro.spatial.distance import DistanceMetric, Point, euclidean
 from repro.spatial.index import GridIndex
 from repro.spatial.region import BoundingBox
 
-#: Networks below this size answer a full Dijkstra in microseconds; the CH
-#: build would cost more than it saves, so default acceleration only kicks
-#: in above it.  ``accelerate=True`` overrides the floor (tests do).
-MIN_CH_NODES = 128
-
 _SETTLED = REGISTRY.counter(
     "roadnet_settled_nodes", "nodes settled by road-network shortest-path searches"
 )
-_SHORTCUTS = REGISTRY.counter(
-    "roadnet_shortcuts", "shortcut edges inserted by contraction-hierarchy builds"
-)
 _TABLE_QUERIES = REGISTRY.counter(
     "roadnet_table_queries", "pairs answered by the many-to-many table kernel"
-)
-_BOUNDED_QUERIES = REGISTRY.counter(
-    "roadnet_bounded_queries", "goal-bounded road-network point queries"
 )
 
 
@@ -89,10 +64,6 @@ class RoadNetwork:
             omitted it defaults to the Euclidean length of the segment.
         cache_size: bound on retained per-source search states; a full
             cache evicts the oldest state (first in, first out).
-        accelerate: build a contraction hierarchy for queries.  ``None``
-            (default) accelerates networks of at least
-            :data:`MIN_CH_NODES` nodes; ``True``/``False`` force it.
-            Either way every query returns the same floats.
 
     Raises:
         ValueError: on unknown endpoints or non-positive explicit weights.
@@ -103,7 +74,6 @@ class RoadNetwork:
         nodes: Dict[int, Point],
         edges: Iterable[Tuple] = (),
         cache_size: int = 1024,
-        accelerate: Optional[bool] = None,
     ) -> None:
         if not nodes:
             raise ValueError("a road network needs at least one node")
@@ -114,21 +84,12 @@ class RoadNetwork:
         self._snap_index: GridIndex[int] = GridIndex(cell_size=self._pick_cell_size())
         self._snap_index.insert_many(self._coords.items())
         self._cache_size = cache_size
-        self._accelerate = accelerate
         self._states: Dict[int, _SearchState] = {}
-        self._hierarchy: Optional[ContractionHierarchy] = None
-        self._ch_settled_seen = 0
         self.settled_nodes = 0
         self.table_queries = 0
-        self.bounded_queries = 0
         self.cache_evictions = 0
-        self.hierarchy_builds = 0
-        self.shortcuts = 0
         for edge in edges:
             self._insert_edge(*edge)
-        # One invalidation after the whole constructor edge loop — bulk
-        # construction must not pay a cache reset per edge.
-        self._invalidate()
 
     def _pick_cell_size(self) -> float:
         xs = [p[0] for p in self._coords.values()]
@@ -141,7 +102,7 @@ class RoadNetwork:
     def add_edge(self, u: int, v: int, weight: Optional[float] = None) -> None:
         """Add an undirected edge; weight defaults to segment length."""
         self._insert_edge(u, v, weight)
-        self._invalidate()
+        self._states.clear()  # labels may shrink; counters are kept
 
     def _insert_edge(self, u: int, v: int, weight: Optional[float] = None) -> None:
         if u not in self._coords or v not in self._coords:
@@ -152,41 +113,6 @@ class RoadNetwork:
             raise ValueError(f"non-positive edge weight {weight} on ({u}, {v})")
         self._adjacency[u].append((v, weight))
         self._adjacency[v].append((u, weight))
-
-    def _invalidate(self) -> None:
-        """Drop query state derived from the edge set (counters are kept)."""
-        self._states.clear()
-        self._hierarchy = None
-        self._ch_settled_seen = 0
-
-    # -- acceleration ---------------------------------------------------------------
-
-    @property
-    def accelerated(self) -> bool:
-        """Whether queries route through the contraction hierarchy."""
-        if self._accelerate is not None:
-            return self._accelerate
-        return len(self._coords) >= MIN_CH_NODES
-
-    @property
-    def hierarchy(self) -> ContractionHierarchy:
-        """The (lazily built) contraction hierarchy over the current edges."""
-        if self._hierarchy is None:
-            self._hierarchy = ContractionHierarchy(self._adjacency)
-            self._ch_settled_seen = 0
-            self.hierarchy_builds += 1
-            self.shortcuts += self._hierarchy.shortcuts
-            _SHORTCUTS.inc(self._hierarchy.shortcuts)
-        return self._hierarchy
-
-    def _sync_hierarchy_counters(self) -> None:
-        if self._hierarchy is None:
-            return
-        delta = self._hierarchy.settled_nodes - self._ch_settled_seen
-        if delta:
-            self._ch_settled_seen = self._hierarchy.settled_nodes
-            self.settled_nodes += delta
-            _SETTLED.inc(delta)
 
     # -- queries -----------------------------------------------------------------------
 
@@ -211,57 +137,10 @@ class RoadNetwork:
         """Shortest-path length between two nodes (inf when disconnected)."""
         if source == target:
             return 0.0
-        if self.accelerated:
-            value = self.hierarchy.query(source, target)
-            self._sync_hierarchy_counters()
-            return value
         state = self._state_for(source)
         if target not in state.settled:
             self._resume(state, {target})
         return state.dist.get(target, math.inf)
-
-    def bounded_node_distance(self, source: int, target: int, budget: float) -> float:
-        """``node_distance(source, target)`` if it is ``<= budget``, else inf.
-
-        The plain kernel prunes every frontier label above the budget and
-        exits the moment the target settles.  Pruning cannot perturb the
-        answer: Dijkstra's labels along a shortest path only grow, so if the
-        true distance fits the budget no label on its path is ever pruned,
-        and if it does not, ``inf`` is the contract.
-        """
-        if source == target:
-            return 0.0 if 0.0 <= budget else math.inf
-        if self.accelerated:
-            value = self.hierarchy.query(source, target)
-            self._sync_hierarchy_counters()
-            return value if value <= budget else math.inf
-        state = self._states.get(source)
-        if state is not None and (target in state.settled or not state.heap):
-            # A finished (for this target) resumable search already carries
-            # the exact label; no new search needed.
-            value = state.dist.get(target, math.inf)
-            return value if value <= budget else math.inf
-        adjacency = self._adjacency
-        dist = {source: 0.0}
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        settled: Set[int] = set()
-        result = math.inf
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in settled:
-                continue
-            settled.add(node)
-            if node == target:
-                result = d if d <= budget else math.inf
-                break
-            for neighbour, weight in adjacency[node]:
-                nd = d + weight
-                if nd <= budget and nd < dist.get(neighbour, math.inf):
-                    dist[neighbour] = nd
-                    heapq.heappush(heap, (nd, neighbour))
-        self.settled_nodes += len(settled)
-        _SETTLED.inc(len(settled))
-        return result
 
     def distance_table(
         self,
@@ -277,13 +156,10 @@ class RoadNetwork:
             pairs: explicit ``(source, target)`` pairs to answer instead of
                 the full cross product (the engine's per-batch pair list).
 
-        Accelerated path (bucket-style CH many-to-many): one forward cone
-        per distinct source, one backward cone per distinct target, one
-        cheap DAG fold per pair — ``O((|S|+|T|) * cone)`` settled nodes
-        instead of ``O(|pairs| * n)``.  Plain fallback: one resumable
-        multi-target Dijkstra per distinct source, stopped as soon as that
-        source's targets are all settled.  Both return the same floats as
-        :meth:`node_distance` pair by pair.
+        One resumed multi-target search per distinct source, stopped as
+        soon as that source's targets are all settled; the states are the
+        ones :meth:`node_distance` keeps, so both return the same floats
+        pair by pair.
         """
         if pairs is None:
             pair_list = [(s, t) for s in dict.fromkeys(sources) for t in dict.fromkeys(targets)]
@@ -292,20 +168,6 @@ class RoadNetwork:
         self.table_queries += len(pair_list)
         _TABLE_QUERIES.inc(len(pair_list))
         out: Dict[Tuple[int, int], float] = {}
-        if self.accelerated:
-            ch = self.hierarchy
-            forward = {
-                s: ch.forward_labels(s)
-                for s in dict.fromkeys(s for s, t in pair_list if s != t)
-            }
-            cones = {
-                t: ch.backward_cone(t)
-                for t in dict.fromkeys(t for s, t in pair_list if s != t)
-            }
-            for s, t in pair_list:
-                out[(s, t)] = 0.0 if s == t else ch.combine(forward[s], cones[t])
-            self._sync_hierarchy_counters()
-            return out
         wanted: Dict[int, Set[int]] = {}
         for s, t in pair_list:
             wanted.setdefault(s, set()).add(t)
@@ -331,29 +193,6 @@ class RoadNetwork:
             return max(euclidean(a, b), abs(snap_a - snap_b))
         return snap_a + self.node_distance(na, nb) + snap_b
 
-    def bounded_distance(self, a: Point, b: Point, budget: float) -> float:
-        """``distance(a, b)`` when it is ``<= budget``, else ``inf``.
-
-        Exactly the feasibility question ``dist <= d_w`` needs: the search
-        stops settling nodes once the budget is provably exceeded.  Sound
-        because each snap leg is non-negative, so the node-level distance
-        never exceeds the point-level total — a node-level budget overrun
-        implies a point-level one.
-        """
-        self.bounded_queries += 1
-        _BOUNDED_QUERIES.inc()
-        na, nb = self.nearest_node(a), self.nearest_node(b)
-        snap_a = euclidean(a, self._coords[na])
-        snap_b = euclidean(b, self._coords[nb])
-        if na == nb:
-            value = max(euclidean(a, b), abs(snap_a - snap_b))
-            return value if value <= budget else math.inf
-        node_part = self.bounded_node_distance(na, nb, budget)
-        if node_part == math.inf:
-            return math.inf
-        value = snap_a + node_part + snap_b
-        return value if value <= budget else math.inf
-
     def is_connected(self) -> bool:
         """Whether every node is reachable from every other."""
         start = next(iter(self._coords))
@@ -364,10 +203,7 @@ class RoadNetwork:
         return {
             "settled_nodes": float(self.settled_nodes),
             "table_queries": float(self.table_queries),
-            "bounded_queries": float(self.bounded_queries),
             "cache_evictions": float(self.cache_evictions),
-            "hierarchy_builds": float(self.hierarchy_builds),
-            "shortcuts": float(self.shortcuts),
         }
 
     # -- internals ------------------------------------------------------------------------
@@ -441,10 +277,6 @@ class RoadNetworkDistance(DistanceMetric):
     def __call__(self, a: Point, b: Point) -> float:
         return self.network.distance(a, b)
 
-    def bounded_distance(self, a: Point, b: Point, budget: float) -> float:
-        """Goal-bounded variant; see :meth:`RoadNetwork.bounded_distance`."""
-        return self.network.bounded_distance(a, b, budget)
-
     def distance_table(
         self,
         sources: Iterable[Point] = (),
@@ -505,7 +337,6 @@ def grid_road_network(
     closure_prob: float = 0.0,
     detour_factor: float = 1.0,
     jitter: float = 0.0,
-    accelerate: Optional[bool] = None,
 ) -> RoadNetwork:
     """A synthetic city: a rows x cols street grid inside ``box``.
 
@@ -519,11 +350,8 @@ def grid_road_network(
         detour_factor: multiplies every street length (>= 1 models streets
             being slower than the crow flies).
         jitter: per-street relative length noise: each street is stretched
-            by a factor in ``[1, 1 + jitter]``.  Real street lengths vary;
-            perfectly uniform grids also carry massive exact-length ties
-            that bloat contraction-hierarchy preprocessing, so benchmarks
-            use a small jitter.  Weights stay >= segment length.
-        accelerate: forwarded to :class:`RoadNetwork`.
+            by a factor in ``[1, 1 + jitter]``, since real street lengths
+            vary.  Weights stay >= segment length.
 
     Raises:
         ValueError: for degenerate dimensions, ``detour_factor < 1`` or
@@ -578,4 +406,4 @@ def grid_road_network(
             if c + 1 < cols and r + 1 < rows and rng.random() < diagonal_prob:
                 v = node_id(r + 1, c + 1)
                 edges.append((u, v, weight(u, v)))
-    return RoadNetwork(nodes, edges, accelerate=accelerate)
+    return RoadNetwork(nodes, edges)

@@ -133,3 +133,28 @@ class TestValidation:
         a = Assignment([(1, 1)])
         constraints = [v.constraint for v in a.violations(instance)]
         assert "distance" in constraints
+
+    def test_one_metric_query_per_pair(self, example1):
+        # The range and deadline checks share one distance per pair.
+        from repro.core.worker import Worker
+        from repro.spatial.distance import EuclideanDistance
+
+        class CountingMetric(EuclideanDistance):
+            calls = 0
+
+            def __call__(self, a, b):
+                CountingMetric.calls += 1
+                return super().__call__(a, b)
+
+        slow = Worker(id=1, location=(2.0, 1.0), start=0.0, wait=1000.0,
+                      velocity=1e-6, max_distance=1000.0,
+                      skills=frozenset({0, 1}))
+        example1.workers[0] = slow
+        example1._worker_by_id[1] = slow
+        example1.metric = CountingMetric()
+        a = Assignment([(1, 1), (3, 2), (2, 4)])
+        violations = a.violations(example1)
+        assert ("deadline", 1, 1) in [
+            (v.constraint, v.worker_id, v.task_id) for v in violations
+        ]
+        assert CountingMetric.calls == a.score

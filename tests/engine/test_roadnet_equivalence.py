@@ -1,12 +1,15 @@
-"""Acceptance: road-network acceleration is invisible to the platform.
+"""Acceptance: the engine under a road-network metric matches the oracle.
 
 A full platform run under :class:`RoadNetworkDistance` must produce exactly
-the same ``SimulationReport`` *and* the same ``engine_stats`` with the
-contraction hierarchy on as with plain Dijkstra — the acceleration lives
-entirely below the metric interface, so assignments, scores, completion
-times, cache hit/miss counters and edge totals all stay pinned.
+the same ``SimulationReport`` as the reference that rebuilds an exhaustive
+per-pair oracle every batch (:class:`~tests.reference.RebuildEngine`).
+The engine answers its full builds from one ``distance_table`` call and its
+incremental rows from per-pair metric calls; both must agree with the
+oracle's per-pair calls float for float, so assignments, scores and
+completion times coincide.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -18,55 +21,44 @@ from repro.simulation.platform import Platform
 from repro.spatial.region import BoundingBox
 from repro.spatial.roadnet import RoadNetworkDistance, grid_road_network
 
-from tests.reference import ExhaustiveChecker
+from tests.reference import ExhaustiveChecker, without_engine
 
 
-def _roadnet_instance(seed, accelerate):
+def _roadnet_instance(seed, side=8):
     instance = generate_synthetic(SyntheticConfig(seed=seed).scaled(0.05))
     net = grid_road_network(
-        BoundingBox(0.0, 0.0, 1.0, 1.0), 8, 8, rng=random.Random(seed),
+        BoundingBox(0.0, 0.0, 1.0, 1.0), side, side, rng=random.Random(seed),
         closure_prob=0.15, diagonal_prob=0.2, jitter=0.1,
-        accelerate=accelerate,
     )
     instance.metric = RoadNetworkDistance(net)
     return instance
 
 
-def _run(instance, name):
-    platform = Platform(
-        instance, make_allocator(name, seed=11), batch_interval=5.0
-    )
-    return platform.run()
+def _run(instance, name, use_engine):
+    with contextlib.nullcontext() if use_engine else without_engine():
+        platform = Platform(
+            instance, make_allocator(name, seed=11), batch_interval=5.0
+        )
+        return platform.run()
 
 
-class TestAccelerationEquivalence:
+class TestEngineVersusOracle:
+    @pytest.mark.parametrize("seed, side", [(5, 8), (9, 12)])
     @pytest.mark.parametrize("name", ["Greedy", "Closest", "Game"])
-    def test_report_and_engine_stats_pinned(self, name):
-        accel = _run(_roadnet_instance(5, True), name)
-        plain = _run(_roadnet_instance(5, False), name)
-        assert accel.assignments == plain.assignments
-        assert accel.completion_times == plain.completion_times
-        assert accel.expired_tasks == plain.expired_tasks
-        assert [b.score for b in accel.batches] == [b.score for b in plain.batches]
-        assert accel.engine_stats == plain.engine_stats
-
-    def test_accelerated_path_actually_engaged(self):
-        instance = _roadnet_instance(7, True)
-        _run(instance, "Greedy")
-        net = instance.metric.network
-        assert net.accelerated
-        assert net.hierarchy_builds == 1
-        assert net.table_queries > 0  # engine prefetch went through the table
-
-    def test_plain_path_never_builds_hierarchy(self):
-        instance = _roadnet_instance(7, False)
-        _run(instance, "Greedy")
-        assert instance.metric.network.hierarchy_builds == 0
+    def test_report_matches_rebuild_oracle(self, name, seed, side):
+        engine = _run(_roadnet_instance(seed, side), name, True)
+        oracle = _run(_roadnet_instance(seed, side), name, False)
+        assert engine.total_score > 0
+        assert engine.assignments == oracle.assignments
+        assert engine.completion_times == oracle.completion_times
+        assert engine.expired_tasks == oracle.expired_tasks
+        assert [b.score for b in engine.batches] == [b.score for b in oracle.batches]
+        assert [b.time for b in engine.batches] == [b.time for b in oracle.batches]
 
 
 class TestTableRouting:
     def test_full_build_routes_through_the_table(self):
-        instance = _roadnet_instance(7, True)
+        instance = _roadnet_instance(7)
         network = instance.metric.network
         engine = AllocationEngine(instance)
         before = network.table_queries
