@@ -1,18 +1,12 @@
 """Road-network distance queries: exact floats, wall time and settling.
 
 One 64x64 jittered street grid (4096 nodes) answers a batch workload of
-|S| x |T| = 288 node pairs two ways, each on a fresh network:
-
-* **table** — ``distance_table``: one resumed search per distinct source,
-  stopped once that source's targets are settled;
-* **point queries** — ``node_distance`` pair by pair, resuming the same
-  per-source states.
-
-Both must return floats bit-identical (exact ``==``) to the reference full
-``_dijkstra``.  Wall times and settled counts are recorded in the
-trajectory file under ``roadnet_table_64`` and ``roadnet_bounded_64``; the
-second name is kept from when the point queries were goal-bounded, so the
-series stays continuous.
+|S| x |T| = 288 node pairs with ``node_distance``, pair by pair, on a fresh
+network: each source's search resumes from the state its previous target
+left.  Every float must equal (exact ``==``) the reference full
+``_dijkstra``'s.  The wall time and settled count are recorded in the
+trajectory file under ``roadnet_bounded_64``; the name is kept from when
+the point queries were goal-bounded, so the series stays continuous.
 """
 
 import math
@@ -56,15 +50,6 @@ def workload(net):
     return sources, targets
 
 
-def run_table(net, sources, targets):
-    """The many-to-many query; returns (table, settled delta, wall_ms)."""
-    before = net.settled_nodes
-    started = time.perf_counter()
-    table = net.distance_table(sources, targets)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    return table, net.settled_nodes - before, wall_ms
-
-
 def run_points(net, pairs):
     """Per-pair ``node_distance``; returns (values, settled delta, wall_ms)."""
     before = net.settled_nodes
@@ -74,28 +59,20 @@ def run_points(net, pairs):
     return values, net.settled_nodes - before, wall_ms
 
 
-def test_roadnet_kernels_64(record_bench_json):
+def test_roadnet_point_queries_64(record_bench_json):
     reference = make_network()
     sources, targets = workload(reference)
     pairs = [(s, t) for s in sources for t in targets]
     full = {s: reference._dijkstra(s) for s in sources}
     truth = {(s, t): (0.0 if s == t else full[s].get(t, math.inf)) for s, t in pairs}
 
-    table, table_settled, table_ms = run_table(make_network(), sources, targets)
-    assert table == truth  # bit-identical floats
     points, points_settled, points_ms = run_points(make_network(), pairs)
-    assert points == truth
+    assert points == truth  # bit-identical floats
 
-    counters = {"pairs": len(pairs), "nodes": reference.num_nodes}
-    record_bench_json(
-        "roadnet_table_64",
-        ROADNET_CONFIG,
-        table_ms,
-        dict(counters, table_settled=table_settled),
-    )
     record_bench_json(
         "roadnet_bounded_64",
         ROADNET_CONFIG,
         points_ms,
-        dict(counters, point_settled=points_settled),
+        {"pairs": len(pairs), "nodes": reference.num_nodes,
+         "point_settled": points_settled},
     )

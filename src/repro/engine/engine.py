@@ -62,7 +62,6 @@ import math
 from itertools import chain, repeat
 from typing import (
     AbstractSet,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -81,7 +80,7 @@ from repro.engine.counters import EngineCounters
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.spatial.distance import Point, plain_function
+from repro.spatial.distance import plain_function
 
 #: A link loop's reason per skill-passing ``(worker id, task id)`` pair:
 #: None when linked, else ``"reach"`` or ``"deadline"``.
@@ -105,9 +104,7 @@ class AllocationEngine:
 
     Full builds and incremental syncs run the same link loop
     (:meth:`_link`) over the skill buckets, which visits only
-    skill-matching pairs (DESIGN §25, §26).  A metric with a distance table
-    (the road network) answers a full build's pair distances with one
-    table call first.
+    skill-matching pairs (DESIGN §25, §26).
     """
 
     def __init__(
@@ -252,42 +249,7 @@ class AllocationEngine:
     ) -> None:
         for task in tasks:
             self._register_task(task)
-        distance: Optional[Callable[[Point, Point], float]] = None
-        if getattr(self.metric, "supports_distance_table", False):
-            # The road network: answer every skill-passing pair distance
-            # with one many-to-many table call, then link against the table
-            # — same graph, same journal stream.
-            table = self._distance_table(workers)
-
-            def distance(a: Point, b: Point) -> float:
-                return table[(a, b)]
-
-        self._recompute_rows(workers, now, distance)
-
-    def _distance_table(
-        self, workers: Sequence[Worker]
-    ) -> Dict[Tuple[Point, Point], float]:
-        """The build's unique skill-passing pair distances, one table call.
-
-        The table kernel shares one search per distinct endpoint across the
-        whole build — strictly less work than per-pair queries — and its
-        values equal the per-pair metric's.
-        """
-        by_skill = self._tasks_by_skill
-        pairs = list(dict.fromkeys(
-            (worker.location, task.location)
-            for worker in workers
-            for skill in worker.skills
-            if skill in by_skill
-            for task in by_skill[skill].values()
-        ))
-        if not pairs:
-            return {}
-        with self.tracer.span("engine.distance_table") as span:
-            table = self.metric.distance_table(pairs=pairs)
-            if self.tracer.enabled:
-                span.set("pairs", len(pairs))
-        return table
+        self._recompute_rows(workers, now)
 
     def _incremental_update(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
@@ -375,12 +337,7 @@ class AllocationEngine:
         for task_id in self._tasks_of.pop(worker_id):
             self._workers_of[task_id].discard(worker_id)
 
-    def _recompute_rows(
-        self,
-        workers: Sequence[Worker],
-        now: float,
-        distance: Optional[Callable[[Point, Point], float]] = None,
-    ) -> None:
+    def _recompute_rows(self, workers: Sequence[Worker], now: float) -> None:
         """(Re)install ``workers`` and link each against every current task.
 
         One link loop runs over all rows, each installed as the loop reaches
@@ -390,7 +347,7 @@ class AllocationEngine:
         unbucketed walk would (the loop itself emits nothing).
         """
         verdicts: Optional[Verdicts] = {} if self.journal.enabled else None
-        self._link(self._install_rows(workers), now, verdicts, distance)
+        self._link(self._install_rows(workers), now, verdicts)
         self.counters.worker_rows_recomputed += len(workers)
         self.counters.pairs_checked += len(workers) * len(self._tasks)
         if verdicts is not None:
@@ -426,7 +383,6 @@ class AllocationEngine:
         rows: Iterable[Tuple[Worker, Iterable[Task]]],
         now: float,
         verdicts: Optional[Verdicts] = None,
-        distance: Optional[Callable[[Point, Point], float]] = None,
     ) -> None:
         """Link every skill-passing ``(worker, tasks)`` pair that passes
         Definition 3's range and deadline tests at ``now``.
@@ -443,13 +399,11 @@ class AllocationEngine:
 
         With ``verdicts`` given, each pair's reason (None when linked,
         ``"reach"`` or ``"deadline"``) is recorded under ``(worker id, task
-        id)`` for :meth:`_journal_build`.  ``distance`` defaults to the
-        instance metric; a road-network full build passes its table.
-        Callers count ``pairs_checked`` in bulk — a per-pair counter
-        increment here would dominate the test itself.
+        id)`` for :meth:`_journal_build`.  Callers count ``pairs_checked``
+        in bulk — a per-pair counter increment here would dominate the test
+        itself.
         """
-        if distance is None:
-            distance = self._distance
+        distance = self._distance
         tasks_of = self._tasks_of
         workers_of = self._workers_of
         for worker, tasks in rows:

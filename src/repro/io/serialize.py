@@ -16,19 +16,40 @@ from repro.core.instance import ProblemInstance
 from repro.core.skills import SkillUniverse
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.spatial.distance import get_metric
+from repro.spatial.distance import DistanceMetric, get_metric
 
 FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
 
 
+def _metric_name(metric: DistanceMetric) -> str:
+    """The name :func:`get_metric` rebuilds ``metric`` from.
+
+    Raises ValueError for a metric its name cannot rebuild (a road network,
+    say): saving it would write a file that cannot be loaded.
+    """
+    try:
+        rebuilt = type(get_metric(metric.name))
+    except KeyError:
+        rebuilt = None
+    if rebuilt is not type(metric):
+        raise ValueError(
+            f"cannot save metric {metric.name!r} ({type(metric).__name__}): "
+            "get_metric cannot rebuild it from its name"
+        )
+    return metric.name
+
+
 def instance_to_dict(instance: ProblemInstance) -> Dict[str, Any]:
-    """Encode an instance as a JSON-ready dictionary."""
+    """Encode an instance as a JSON-ready dictionary.
+
+    Raises ValueError when the instance's metric cannot be rebuilt by name.
+    """
     return {
         "format": FORMAT_VERSION,
         "name": instance.name,
-        "metric": instance.metric.name,
+        "metric": _metric_name(instance.metric),
         "skills": {"size": len(instance.skills), "names": instance.skills.names},
         "workers": [
             {
@@ -101,8 +122,9 @@ def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
     """Decode an instance.
 
     Raises ValueError on a schema mismatch (a missing key names the entity
-    index) and :class:`~repro.core.exceptions.DascError` when the task
-    dependencies reference unknown tasks or form a cycle.
+    index) or an unknown metric name, and
+    :class:`~repro.core.exceptions.DascError` when the task dependencies
+    reference unknown tasks or form a cycle.
     """
     version = data.get("format")
     if version != FORMAT_VERSION:
@@ -112,11 +134,15 @@ def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
         worker_entries, task_entries = data["workers"], data["tasks"]
     except KeyError as exc:
         raise _missing_key("instance", exc) from None
+    try:
+        metric = get_metric(data.get("metric", "euclidean"))
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     instance = ProblemInstance(
         workers=_decode_entries("workers", _worker_from_dict, worker_entries),
         tasks=_decode_entries("tasks", _task_from_dict, task_entries),
         skills=skills,
-        metric=get_metric(data.get("metric", "euclidean")),
+        metric=metric,
         name=data.get("name", "instance"),
     )
     # Build (and cache) the DAG now, so a cycle fails the load rather than

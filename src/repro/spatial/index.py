@@ -83,11 +83,11 @@ class GridIndex(Generic[K]):
         for key, point in items:
             self.insert(key, point)
 
-    def nearest(self, center: Point, max_radius: float | None = None) -> K | None:
+    def nearest(self, center: Point) -> K | None:
         """The key nearest to ``center`` (ties broken arbitrarily).
 
-        Searches outward ring by ring; ``max_radius`` bounds the search.
-        Returns None when the index is empty or nothing lies within range.
+        Searches outward ring by ring.  Returns None when the index is
+        empty.
         """
         if not self._points:
             return None
@@ -98,10 +98,7 @@ class GridIndex(Generic[K]):
         ring = 0
         ccell = self._cell_of(center)
         max_occupied = self._max_occupied_ring(ccell)
-        max_ring = (
-            math.inf if max_radius is None else math.ceil(max_radius / self._cell_size) + 1
-        )
-        while ring <= max_ring:
+        while True:
             # Ring enumeration costs O(ring); once rings outgrow the whole
             # population a direct scan is cheaper (and bounded).
             if 8 * ring > len(self._points):
@@ -132,8 +129,6 @@ class GridIndex(Generic[K]):
             if best_key is None and ring > max_occupied:
                 break
             ring += 1
-        if max_radius is not None and best_sq > max_radius * max_radius:
-            return None
         return best_key
 
     def _max_occupied_ring(self, center_cell: Cell) -> int:

@@ -8,16 +8,14 @@ place of the Euclidean default.  This module provides that substrate:
   per-source Dijkstra*.  :meth:`RoadNetwork.node_distance` settles only
   until the target settles, keeps the search state and resumes it for
   later targets from the same source (a truncated prefix of a full run, so
-  labels never change), with FIFO state eviction.
-  :meth:`RoadNetwork.distance_table` answers a whole batch of pairs from
-  the same states, one resumed search per distinct source.  Both return
-  floats **bit-identical** to a full Dijkstra (property-pinned in
-  ``tests/properties/test_prop_roadnet.py``);
-
+  labels never change), with FIFO state eviction.  It returns floats
+  **bit-identical** to a full Dijkstra (property-pinned in
+  ``tests/properties/test_prop_roadnet.py``).  :meth:`RoadNetwork.distance`
+  snaps each free point once: nodes never move, so a point's nearest node
+  and snap leg are memoised for the network's lifetime;
 * :class:`RoadNetworkDistance` — a :class:`~repro.spatial.distance.DistanceMetric`
   over free points: snap both endpoints to the network, walk the network
-  between them.  Declares ``supports_distance_table`` so the allocation
-  engine routes a full build's distances through one table call;
+  between them;
 * :func:`grid_road_network` — a synthetic city grid (optional diagonals,
   random street closures, per-street length jitter) that stays connected by
   construction.
@@ -37,9 +35,6 @@ from repro.spatial.region import BoundingBox
 
 _SETTLED = REGISTRY.counter(
     "roadnet_settled_nodes", "nodes settled by road-network shortest-path searches"
-)
-_TABLE_QUERIES = REGISTRY.counter(
-    "roadnet_table_queries", "pairs answered by the many-to-many table kernel"
 )
 
 
@@ -85,8 +80,10 @@ class RoadNetwork:
         self._snap_index.insert_many(self._coords.items())
         self._cache_size = cache_size
         self._states: Dict[int, _SearchState] = {}
+        # Free point -> (nearest node, snap leg); nodes never move, so
+        # entries outlive add_edge.
+        self._snapped: Dict[Point, Tuple[int, float]] = {}
         self.settled_nodes = 0
-        self.table_queries = 0
         self.cache_evictions = 0
         for edge in edges:
             self._insert_edge(*edge)
@@ -139,53 +136,13 @@ class RoadNetwork:
             return 0.0
         state = self._state_for(source)
         if target not in state.settled:
-            self._resume(state, {target})
+            self._resume(state, target)
         return state.dist.get(target, math.inf)
-
-    def distance_table(
-        self,
-        sources: Iterable[int] = (),
-        targets: Iterable[int] = (),
-        pairs: Optional[Iterable[Tuple[int, int]]] = None,
-    ) -> Dict[Tuple[int, int], float]:
-        """Many-to-many node distances for one batch of queries.
-
-        Args:
-            sources / targets: the table axes; every ``(source, target)``
-                combination is answered.
-            pairs: explicit ``(source, target)`` pairs to answer instead of
-                the full cross product (the engine's per-batch pair list).
-
-        One resumed multi-target search per distinct source, stopped as
-        soon as that source's targets are all settled; the states are the
-        ones :meth:`node_distance` keeps, so both return the same floats
-        pair by pair.
-        """
-        if pairs is None:
-            pair_list = [(s, t) for s in dict.fromkeys(sources) for t in dict.fromkeys(targets)]
-        else:
-            pair_list = list(pairs)
-        self.table_queries += len(pair_list)
-        _TABLE_QUERIES.inc(len(pair_list))
-        out: Dict[Tuple[int, int], float] = {}
-        wanted: Dict[int, Set[int]] = {}
-        for s, t in pair_list:
-            wanted.setdefault(s, set()).add(t)
-        for s, want in wanted.items():
-            state = self._state_for(s)
-            missing = {t for t in want if t != s and t not in state.settled}
-            if missing:
-                self._resume(state, missing)
-            dist = state.dist
-            for t in want:
-                out[(s, t)] = 0.0 if s == t else dist.get(t, math.inf)
-        return out
 
     def distance(self, a: Point, b: Point) -> float:
         """Network distance between free points: snap, walk, unsnap."""
-        na, nb = self.nearest_node(a), self.nearest_node(b)
-        snap_a = euclidean(a, self._coords[na])
-        snap_b = euclidean(b, self._coords[nb])
+        na, snap_a = self._snap(a)
+        nb, snap_b = self._snap(b)
         if na == nb:
             # both endpoints reach the same junction; walking via it is an
             # upper bound, the straight line a lower bound — use the line
@@ -202,11 +159,18 @@ class RoadNetwork:
         """Per-network query counters (mirrored into the global registry)."""
         return {
             "settled_nodes": float(self.settled_nodes),
-            "table_queries": float(self.table_queries),
             "cache_evictions": float(self.cache_evictions),
         }
 
     # -- internals ------------------------------------------------------------------------
+
+    def _snap(self, point: Point) -> Tuple[int, float]:
+        """``point``'s nearest node and its distance to it, memoised."""
+        entry = self._snapped.get(point)
+        if entry is None:
+            node = self.nearest_node(point)
+            entry = self._snapped[point] = (node, euclidean(point, self._coords[node]))
+        return entry
 
     def _state_for(self, source: int) -> _SearchState:
         state = self._states.get(source)
@@ -219,25 +183,25 @@ class RoadNetwork:
         self._states[source] = state
         return state
 
-    def _resume(self, state: _SearchState, want: Set[int]) -> None:
-        """Settle until every node in ``want`` is settled or the frontier
-        empties.  The loop is a verbatim continuation of :meth:`_dijkstra`,
-        so settled labels are identical to a full run's."""
+    def _resume(self, state: _SearchState, target: int) -> None:
+        """Settle until ``target`` is settled or the frontier empties.  The
+        loop is a verbatim continuation of :meth:`_dijkstra`, so settled
+        labels are identical to a full run's."""
         dist, heap, settled = state.dist, state.heap, state.settled
         adjacency = self._adjacency
-        missing = want - settled
         before = len(settled)
-        while heap and missing:
+        while heap:
             d, node = heapq.heappop(heap)
             if node in settled:
                 continue
             settled.add(node)
-            missing.discard(node)
             for neighbour, weight in adjacency[node]:
                 nd = d + weight
                 if nd < dist.get(neighbour, math.inf):
                     dist[neighbour] = nd
                     heapq.heappush(heap, (nd, neighbour))
+            if node == target:
+                break
         gained = len(settled) - before
         self.settled_nodes += gained
         _SETTLED.inc(gained)
@@ -261,71 +225,15 @@ class RoadNetwork:
 
 
 class RoadNetworkDistance(DistanceMetric):
-    """Distance metric walking a :class:`RoadNetwork` between free points.
-
-    Declares ``supports_distance_table`` so the allocation engine's
-    full build hands a whole pair list to :meth:`distance_table` in one
-    call.
-    """
+    """Distance metric walking a :class:`RoadNetwork` between free points."""
 
     name = "roadnet"
-    supports_distance_table = True
 
     def __init__(self, network: RoadNetwork) -> None:
         self.network = network
 
     def __call__(self, a: Point, b: Point) -> float:
         return self.network.distance(a, b)
-
-    def distance_table(
-        self,
-        sources: Iterable[Point] = (),
-        targets: Iterable[Point] = (),
-        pairs: Optional[Iterable[Tuple[Point, Point]]] = None,
-    ) -> Dict[Tuple[Point, Point], float]:
-        """Batch evaluation, value-identical to calling the metric per pair.
-
-        Snaps every distinct point once, answers the distinct snapped node
-        pairs through :meth:`RoadNetwork.distance_table`, then reassembles
-        each point pair with the exact expression ``__call__`` uses — same
-        floats, one table walk instead of ``len(pairs)`` searches.
-        """
-        network = self.network
-        coords = network._coords
-        if pairs is None:
-            pair_list = [
-                (a, b) for a in dict.fromkeys(sources) for b in dict.fromkeys(targets)
-            ]
-        else:
-            pair_list = list(pairs)
-        snapped: Dict[Point, Tuple[int, float]] = {}
-
-        def snap(point: Point) -> Tuple[int, float]:
-            entry = snapped.get(point)
-            if entry is None:
-                node = network.nearest_node(point)
-                entry = (node, euclidean(point, coords[node]))
-                snapped[point] = entry
-            return entry
-
-        resolved = []
-        node_pairs: Dict[Tuple[int, int], None] = {}
-        for a, b in pair_list:
-            na, snap_a = snap(a)
-            nb, snap_b = snap(b)
-            resolved.append((a, b, na, snap_a, nb, snap_b))
-            if na != nb:
-                node_pairs[(na, nb)] = None
-        table = (
-            network.distance_table(pairs=node_pairs) if node_pairs else {}
-        )
-        out: Dict[Tuple[Point, Point], float] = {}
-        for a, b, na, snap_a, nb, snap_b in resolved:
-            if na == nb:
-                out[(a, b)] = max(euclidean(a, b), abs(snap_a - snap_b))
-            else:
-                out[(a, b)] = snap_a + table[(na, nb)] + snap_b
-        return out
 
 
 def grid_road_network(

@@ -3,25 +3,25 @@
 A full platform run under :class:`RoadNetworkDistance` must produce exactly
 the same ``SimulationReport`` as the reference that rebuilds an exhaustive
 per-pair oracle every batch (:class:`~tests.reference.RebuildEngine`).
-The engine answers its full builds from one ``distance_table`` call and its
-incremental rows from per-pair metric calls; both must agree with the
+The engine's full builds and incremental rows call the metric per pair,
+snapping each distinct point once; its distances must agree with the
 oracle's per-pair calls float for float, so assignments, scores and
 completion times coincide.
 """
 
 import contextlib
 import random
+from collections import Counter
 
 import pytest
 
 from repro.algorithms.registry import make_allocator
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
-from repro.engine.engine import AllocationEngine
 from repro.simulation.platform import Platform
 from repro.spatial.region import BoundingBox
 from repro.spatial.roadnet import RoadNetworkDistance, grid_road_network
 
-from tests.reference import ExhaustiveChecker, without_engine
+from tests.reference import without_engine
 
 
 def _roadnet_instance(seed, side=8):
@@ -56,21 +56,24 @@ class TestEngineVersusOracle:
         assert [b.time for b in engine.batches] == [b.time for b in oracle.batches]
 
 
-class TestTableRouting:
-    def test_full_build_routes_through_the_table(self):
+class TestSnapOnce:
+    @pytest.mark.parametrize("name", ["Greedy", "Closest", "Game"])
+    def test_platform_run_snaps_each_point_once(self, name):
         instance = _roadnet_instance(7)
         network = instance.metric.network
-        engine = AllocationEngine(instance)
-        before = network.table_queries
-        context = engine.begin_batch(
-            instance.workers, instance.tasks, instance.earliest_start
-        )
-        # One table call answered the build's distances ...
-        assert network.table_queries > before
-        # ... and the graph is the per-pair oracle's, pair for pair.
-        checker = ExhaustiveChecker(
-            instance.workers, instance.tasks, instance.metric,
-            instance.earliest_start,
-        )
-        assert list(context.checker.pairs()) == list(checker.pairs())
-        assert context.checker.pair_count() > 0
+        snapped = Counter()
+        snap = network.nearest_node
+
+        def counting(point):
+            snapped[point] += 1
+            return snap(point)
+
+        network.nearest_node = counting
+        report = _run(instance, name, True)
+        assert report.total_score > 0
+        assert snapped and max(snapped.values()) == 1
+        # Workers return from service at task locations, so every snapped
+        # point is an input location.
+        locations = {w.location for w in instance.workers}
+        locations |= {t.location for t in instance.tasks}
+        assert set(snapped) <= locations

@@ -15,7 +15,9 @@ from repro.io.serialize import (
     load_instance,
     save_instance,
 )
-from repro.spatial.distance import ManhattanDistance
+from repro.spatial.distance import EuclideanDistance, ManhattanDistance
+from repro.spatial.region import BoundingBox
+from repro.spatial.roadnet import RoadNetworkDistance, grid_road_network
 
 
 class TestInstanceRoundTrip:
@@ -57,6 +59,32 @@ class TestInstanceRoundTrip:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError, match="unsupported instance format"):
             instance_from_dict({"format": 99})
+
+    def test_unknown_metric_rejected_at_load(self, example1):
+        data = instance_to_dict(example1)
+        data["metric"] = "roadnet"
+        with pytest.raises(ValueError, match="^unknown distance metric 'roadnet'"):
+            instance_from_dict(data)
+
+    def test_road_network_metric_cannot_be_saved(self, example1, tmp_path):
+        # A road network is not rebuilt from its name, so saving it would
+        # write a file load_instance cannot read.
+        example1.metric = RoadNetworkDistance(
+            grid_road_network(BoundingBox(0.0, 0.0, 1.0, 1.0), 3, 3)
+        )
+        path = tmp_path / "roadnet.json"
+        with pytest.raises(ValueError, match="cannot save metric 'roadnet'"):
+            save_instance(example1, path)
+        assert not path.exists()
+
+    def test_renamed_metric_subclass_cannot_be_saved(self, example1):
+        class Scaled(EuclideanDistance):
+            def __call__(self, a, b):
+                return 2.0 * super().__call__(a, b)
+
+        example1.metric = Scaled()
+        with pytest.raises(ValueError, match=r"cannot save metric 'euclidean' \(Scaled\)"):
+            instance_to_dict(example1)
 
     def test_dependency_cycle_rejected_at_load(self, example1):
         data = instance_to_dict(example1)

@@ -1,11 +1,11 @@
 """Property tests pinning the road-network queries to plain Dijkstra.
 
 The resumable per-source searches behind ``node_distance`` and the
-many-to-many ``distance_table`` promise **bit-identical** results — exact
-float equality, not approximate — on every graph the grid generator can
-produce: closures, diagonals, jittered weights, disconnected components.
-``_dijkstra`` (the untouched reference implementation) is the oracle
-throughout.
+memoised snaps behind the free-point metric promise **bit-identical**
+results — exact float equality, not approximate — on every graph the grid
+generator can produce: closures, diagonals, jittered weights, disconnected
+components.  ``_dijkstra`` (the untouched reference implementation) is the
+oracle throughout.
 """
 
 import math
@@ -70,18 +70,19 @@ def test_node_distance_matches_dijkstra(params, pick_seed):
 
 @settings(max_examples=60, deadline=None)
 @given(grids, st.integers(0, 1_000_000))
-def test_distance_table_matches_dijkstra(params, pick_seed):
+def test_source_target_grid_matches_dijkstra(params, pick_seed):
+    # A batch of sources x targets, as a feasibility build asks them:
+    # each source's search resumes target after target.
     net = _build(params)
     oracle = _oracle(net)
     rng = random.Random(pick_seed)
     n = net.num_nodes
     sources = sorted({rng.randrange(n) for _ in range(4)})
     targets = sorted({rng.randrange(n) for _ in range(5)})
-    table = net.distance_table(sources, targets)
     for s in sources:
         for t in targets:
             expected = 0.0 if s == t else oracle[s].get(t, math.inf)
-            assert table[(s, t)] == expected
+            assert net.node_distance(s, t) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,16 +113,18 @@ def test_reach_decision_matches_dijkstra(params, pick_seed):
 
 @settings(max_examples=40, deadline=None)
 @given(grids, st.integers(0, 1_000_000))
-def test_metric_table_matches_point_calls(params, pick_seed):
+def test_memoised_metric_matches_fresh_calls(params, pick_seed):
     metric = RoadNetworkDistance(_build(params))
-    # A second network, so the point calls start from fresh search states.
-    reference = RoadNetworkDistance(_build(params))
     rng = random.Random(pick_seed)
     points = [(rng.random(), rng.random()) for _ in range(6)]
     pairs = [(a, b) for a in points[:3] for b in points]
-    table = metric.distance_table(pairs=pairs)
-    for pair, value in table.items():
-        assert value == reference(*pair)
+    # Two shuffled passes: the second reads every snap from the memo.
+    for _ in range(2):
+        rng.shuffle(pairs)
+        for a, b in pairs:
+            # A second network, so each reference call snaps and searches
+            # from scratch.
+            assert metric(a, b) == RoadNetworkDistance(_build(params))(a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -146,4 +149,5 @@ def test_disconnected_components_are_infinite(seed, islands):
                 assert d == net._adjacency[s][0][1]
             else:
                 assert d == math.inf
-            assert net.distance_table(pairs=[(s, t)]) == {(s, t): d}
+            # Points on the nodes snap to them with zero legs.
+            assert net.distance(nodes[s], nodes[t]) == d

@@ -32,7 +32,10 @@ class TestGridIndexBasics:
         index.insert("a", (0.0, 0.0))
         with pytest.raises(KeyError):
             index.insert("a", (5.0, 5.0))
-        assert index.nearest((5.0, 5.0), max_radius=1.0) is None
+        # The rejected insert left the key where it was.
+        assert len(index) == 1
+        assert index._cell_of((5.0, 5.0)) not in index._cells
+        assert index._bounds == (0, 0, 0, 0)
 
 
 class TestNearest:
@@ -50,11 +53,14 @@ class TestNearest:
                 euclidean(points[best], center)
             )
 
-    def test_max_radius_limits_search(self):
+    def test_search_reaches_points_many_rings_away(self):
+        # Empty cells lie between the center and the points; nothing
+        # bounds the search, so the farthest-flung point is still found.
         index = GridIndex(cell_size=0.1)
         index.insert(1, (0.9, 0.9))
-        assert index.nearest((0.0, 0.0), max_radius=0.5) is None
-        assert index.nearest((0.0, 0.0), max_radius=2.0) == 1
+        assert index.nearest((0.0, 0.0)) == 1
+        index.insert(2, (0.5, 0.5))
+        assert index.nearest((0.0, 0.0)) == 2
 
     def test_distant_center_terminates_and_finds_point(self):
         # The ring walk must stop once it clears the occupied bounding box

@@ -82,9 +82,7 @@ class TestRoadNetwork:
     def test_stats_keys(self):
         net = square_network()
         net.distance((0.0, 0.0), (1.0, 1.0))
-        assert set(net.stats()) == {
-            "settled_nodes", "table_queries", "cache_evictions"
-        }
+        assert set(net.stats()) == {"settled_nodes", "cache_evictions"}
 
 
 class TestSearchCache:
@@ -125,55 +123,115 @@ class TestSearchCache:
             assert net.node_distance(0, target) == full.get(target, math.inf)
 
 
-class TestDistanceTable:
-    def test_cross_product_matches_single_queries(self):
+class TestPointQueries:
+    """Batches of node pairs answered one ``node_distance`` call at a time."""
+
+    def test_cross_product_matches_dijkstra(self):
         net = grid_road_network(UNIT, 5, 5, rng=random.Random(7),
                                 closure_prob=0.15, jitter=0.05)
         sources, targets = [0, 3, 12], [4, 12, 20, 24]
-        table = net.distance_table(sources, targets)
-        assert set(table) == {(s, t) for s in sources for t in targets}
-        for (s, t), value in table.items():
-            assert value == net.node_distance(s, t)
+        for s in sources:
+            reference = net._dijkstra(s)
+            for t in targets:
+                expected = 0.0 if s == t else reference.get(t, math.inf)
+                assert net.node_distance(s, t) == expected
 
-    def test_pair_list_matches_single_queries(self):
+    def test_pair_list_matches_dijkstra(self):
         net = grid_road_network(UNIT, 5, 5, rng=random.Random(8), jitter=0.1)
-        pairs = [(0, 24), (24, 0), (7, 7), (3, 19)]
-        table = net.distance_table(pairs=pairs)
-        for (s, t), value in table.items():
-            assert value == net.node_distance(s, t)
-        assert table[(7, 7)] == 0.0
+        for s, t in [(0, 24), (24, 0), (7, 7), (3, 19)]:
+            expected = 0.0 if s == t else net._dijkstra(s)[t]
+            assert net.node_distance(s, t) == expected
+        assert net.node_distance(7, 7) == 0.0
+        assert net.node_distance(0, 24) == net.node_distance(24, 0)
 
-    def test_metric_table_matches_calls(self):
+    def test_metric_matches_snap_walk_unsnap(self):
         net = grid_road_network(UNIT, 6, 6, rng=random.Random(2),
                                 diagonal_prob=0.3, jitter=0.1)
         metric = RoadNetworkDistance(net)
-        assert metric.supports_distance_table
         rng = random.Random(3)
         pts = [(rng.random(), rng.random()) for _ in range(8)]
-        pairs = [(a, b) for a in pts for b in pts[:4]]
-        table = metric.distance_table(pairs=pairs)
-        for (a, b), value in table.items():
-            assert value == metric(a, b)
+        for a in pts:
+            for b in pts[:4]:
+                na, nb = net.nearest_node(a), net.nearest_node(b)
+                snap_a = euclidean(a, net.coordinates(na))
+                snap_b = euclidean(b, net.coordinates(nb))
+                if na == nb:
+                    expected = max(euclidean(a, b), abs(snap_a - snap_b))
+                else:
+                    expected = snap_a + net._dijkstra(na)[nb] + snap_b
+                assert metric(a, b) == expected
 
     def test_counters_move(self):
         net = grid_road_network(UNIT, 4, 4)
-        net.distance_table([0, 1], [14, 15])
-        assert net.table_queries == 4
+        for s in (0, 1):
+            for t in (14, 15):
+                net.node_distance(s, t)
         assert net.settled_nodes > 0
+        assert len(net._states) == 2
 
-    def test_table_and_point_queries_bit_identical(self):
-        # Twin networks, so neither query path reuses the other's states.
+    def test_shared_states_match_fresh_networks(self):
+        # One network resumes its states across all pairs; each reference
+        # answer comes from a network that has never searched before.
         def build():
             return grid_road_network(UNIT, 7, 7, rng=random.Random(13),
                                      closure_prob=0.2, jitter=0.2)
 
-        tabled, pointed = build(), build()
-        sources = list(range(0, tabled.num_nodes, 4))
-        targets = list(range(1, tabled.num_nodes, 6))
-        table = tabled.distance_table(sources, targets)
+        shared = build()
+        sources = list(range(0, shared.num_nodes, 4))
+        targets = list(range(1, shared.num_nodes, 6))
         for s in sources:
             for t in targets:
-                assert table[(s, t)] == pointed.node_distance(s, t)
+                assert shared.node_distance(s, t) == build().node_distance(s, t)
+
+
+class TestSnapMemo:
+    """``RoadNetwork.distance`` snaps each distinct free point once."""
+
+    @staticmethod
+    def _count_snaps(net):
+        calls = []
+        snap = net.nearest_node
+
+        def counting(point):
+            calls.append(point)
+            return snap(point)
+
+        net.nearest_node = counting
+        return calls
+
+    def test_each_point_snapped_once(self):
+        net = _grid(5, jitter=0.1)
+        calls = self._count_snaps(net)
+        rng = random.Random(6)
+        pts = [(rng.random(), rng.random()) for _ in range(7)]
+        first = {(a, b): net.distance(a, b) for a in pts for b in pts}
+        assert sorted(calls) == sorted(pts)
+        # Repeat queries hit the memo and return the same floats.
+        assert {(a, b): net.distance(a, b) for a in pts for b in pts} == first
+        assert len(calls) == len(pts)
+
+    def test_memo_holds_the_nearest_node_and_its_leg(self):
+        net = _grid(8, diagonal_prob=0.2)
+        a, b = (0.13, 0.71), (0.88, 0.05)
+        net.distance(a, b)
+        for point in (a, b):
+            node = net.nearest_node(point)
+            assert net._snapped[point] == (
+                node, euclidean(point, net.coordinates(node))
+            )
+
+    def test_memoised_answers_match_a_fresh_network(self):
+        rng = random.Random(12)
+        pts = [(rng.random(), rng.random()) for _ in range(6)]
+        warm = _grid(12, closure_prob=0.2, jitter=0.1)
+        for a in pts:
+            for b in pts:
+                warm.distance(a, b)
+        for a in pts:
+            for b in pts:
+                assert warm.distance(a, b) == _grid(
+                    12, closure_prob=0.2, jitter=0.1
+                ).distance(a, b)
 
 
 def _grid(seed, rows=6, cols=6, **kw):
@@ -204,14 +262,17 @@ class TestHandCheckedGraphs:
     def test_same_node_zero(self):
         net = _grid(3)
         assert net.node_distance(5, 5) == 0.0
-        assert net.distance_table([5], [5]) == {(5, 5): 0.0}
+        assert net._dijkstra(5)[5] == 0.0
+        at_node = net.coordinates(5)
+        assert net.distance(at_node, at_node) == 0.0
 
     def test_disconnected_is_infinite_both_ways(self):
         net = RoadNetwork({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 5.0)},
                           [(0, 1, 1.0)])
         assert net.node_distance(0, 2) == math.inf
         assert net.node_distance(2, 1) == math.inf
-        assert net.distance_table([0, 2], [1, 2]) == {
+        answers = {(s, t): net.node_distance(s, t) for s in (0, 2) for t in (1, 2)}
+        assert answers == {
             (0, 1): 1.0, (0, 2): math.inf, (2, 1): math.inf, (2, 2): 0.0,
         }
 
@@ -235,11 +296,12 @@ class TestHandCheckedGraphs:
         shared = _grid(9, jitter=0.2)
         last = shared.num_nodes - 1
         sources = list(range(0, shared.num_nodes, 5))
-        table = shared.distance_table(sources, [last])
+        answers = {source: shared.node_distance(source, last) for source in sources}
         for source in sources:
-            assert table[(source, last)] == _grid(9, jitter=0.2).node_distance(
+            assert answers[source] == _grid(9, jitter=0.2).node_distance(
                 source, last
             )
+            assert answers[source] == shared._dijkstra(source)[last]
 
     def test_settled_counter_moves(self):
         net = _grid(4)
@@ -278,27 +340,52 @@ class TestAddEdge:
         grown = _grid(21, jitter=0.1)
         sources = [0, 7, 20]
         targets = [35, 14, 3]
-        grown.distance_table(sources, targets)  # warm the states
+        for s in sources:
+            for t in targets:
+                grown.node_distance(s, t)  # warm the states
         grown.add_edge(0, 35, weight=0.05)
         grown.add_edge(7, 20)
         fresh = _grid(21, jitter=0.1)
         fresh.add_edge(0, 35, weight=0.05)
         fresh.add_edge(7, 20)
-        assert grown.distance_table(sources, targets) == fresh.distance_table(
-            sources, targets
-        )
+        for s in sources:
+            for t in targets:
+                assert grown.node_distance(s, t) == fresh.node_distance(s, t)
         for s in sources:
             reference = fresh._dijkstra(s)
             for t in targets:
                 assert grown.node_distance(s, t) == reference.get(t, math.inf)
 
+    def test_snap_memo_survives_add_edge(self):
+        # Nodes never move, so snaps memoised before add_edge stay valid:
+        # the grown network gives a fresh network's answers without
+        # snapping a point again.
+        rng = random.Random(22)
+        # Two points by the far corners the new shortcut joins.
+        pts = [(0.02, 0.03), (0.97, 0.99)]
+        pts += [(rng.random(), rng.random()) for _ in range(6)]
+        grown = _grid(23, closure_prob=0.2, jitter=0.1)
+        before = {(a, b): grown.distance(a, b) for a in pts for b in pts}
+        memo = dict(grown._snapped)
+        assert set(memo) == set(pts)
+        grown.add_edge(0, 35, weight=0.05)
+        grown.add_edge(3, 32)
+        fresh = _grid(23, closure_prob=0.2, jitter=0.1)
+        fresh.add_edge(0, 35, weight=0.05)
+        fresh.add_edge(3, 32)
+        calls = TestSnapMemo._count_snaps(grown)
+        after = {(a, b): grown.distance(a, b) for a in pts for b in pts}
+        assert after == {(a, b): fresh.distance(a, b) for a, b in after}
+        assert after != before
+        assert calls == []
+        assert grown._snapped == memo
+
     def test_stats_mirror_the_counters(self):
         net = square_network()
-        net.distance_table([0], [2])
+        net.node_distance(0, 2)
         net.node_distance(1, 3)
         assert net.stats() == {
             "settled_nodes": float(net.settled_nodes),
-            "table_queries": 1.0,
             "cache_evictions": 0.0,
         }
 
@@ -452,8 +539,8 @@ class TestAllocationUnderRoadNetwork:
         instance.metric = RoadNetworkDistance(net)
         outcome = run_single_batch(instance, DASCGreedy())
         assert outcome.assignment.is_valid(instance, now=instance.earliest_start)
-        # the engine's table-backed build and per-pair checks agree under
-        # the new metric
+        # the engine's build and the per-pair oracle agree under the new
+        # metric
         built = BatchContext.standalone(instance.workers, instance.tasks, instance)
         slow = ExhaustiveChecker(instance.workers, instance.tasks, instance.metric)
         assert sorted(built.checker.pairs()) == sorted(slow.pairs())

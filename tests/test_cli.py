@@ -135,6 +135,17 @@ class TestLoadErrors:
         )
 
     @pytest.mark.parametrize("command", ["lint", "solve"])
+    def test_unknown_metric(self, tmp_path, capsys, command):
+        path = self._instance(
+            tmp_path, capsys, lambda data: data.update(metric="roadnet")
+        )
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().out == (
+            f"error: {path}: unknown distance metric 'roadnet'; expected one of "
+            "['euclidean', 'haversine', 'manhattan']\n"
+        )
+
+    @pytest.mark.parametrize("command", ["lint", "solve"])
     def test_missing_file(self, tmp_path, capsys, command):
         path = tmp_path / "missing.json"
         assert main([command, str(path)]) == 2
