@@ -8,7 +8,7 @@ exactly — the engine's bit-identity contract — while the counters must show
 at least a 5x drop in ``task_value`` computations.  The counter assertion is
 host-independent (no wall-clock in the pass/fail), so it gates identically
 on 1-CPU CI runners and laptops; the wall-time speedup (best of
-``_WALL_REPEATS`` alternating runs each) is recorded next to it for the
+``WALL_REPEATS`` alternating runs each) is recorded next to it for the
 trajectory file.
 """
 
@@ -30,7 +30,7 @@ from tests.reference import NaiveDASCGame
 _SCALE = 0.1
 _SEED = 7
 _MIN_VALUE_RATIO = 5.0
-_WALL_REPEATS = 3
+WALL_REPEATS = 3
 
 GAME_CONFIG = {
     "instance": f"synthetic seed={_SEED} scale={_SCALE} (500x500)",
@@ -72,7 +72,7 @@ def run_game(instance, game_type=DASCGame, **kwargs):
 def test_game_incremental_500(record_bench_json):
     instance = make_game_instance()
     naive_ms = incremental_ms = float("inf")
-    for _ in range(_WALL_REPEATS):
+    for _ in range(WALL_REPEATS):
         slow, wall_ms = run_game(instance, NaiveDASCGame)
         naive_ms = min(naive_ms, wall_ms)
         fast, wall_ms = run_game(instance)

@@ -34,8 +34,8 @@ the per-round ``changed`` counts and therefore the termination round exactly
 identical to a naive withdraw-and-rescan loop (kept as the test suite's
 reference, ``tests/reference.py``).  A dirty worker's argmax is
 ``GameState.best_response`` (read-only, no withdraw/re-add), so the value
-memo is only ever invalidated by real moves; it skips the value walk of
-every candidate whose upper bound cannot beat the incumbent, which leaves
+memo is only ever patched by real moves; it skips the value of every
+candidate whose upper bound cannot beat the incumbent, which leaves
 the argmax bit-identical (see :mod:`repro.algorithms.utility`).
 """
 
@@ -118,7 +118,7 @@ class DASCGame(BatchAllocator):
         rng = random.Random(self.seed)
         checker = context.checker
         strategies: Dict[int, List[int]] = {
-            w.id: checker.tasks_of(w.id) for w in workers if checker.tasks_of(w.id)
+            w.id: options for w in workers if (options := checker.tasks_of(w.id))
         }
         if not strategies:
             return AllocationOutcome(Assignment())

@@ -17,32 +17,38 @@ suite verifies.
 
 Incremental evaluation
 ----------------------
+A hypothetical value ``q(t | a_t = 1)`` is ``t``'s own share plus
+``1 / (alpha * |D_d|)`` for each paying dependent ``d``, so it depends only
+on the integer counts ``c_k(t)`` of paying dependents with ``|D_d| = k``.
+:func:`value_from_counts` turns counts into a float with one fixed formula
+(``c_k / (alpha * k)`` added in ascending ``k``).
+
 :class:`GameState` is the *incremental* implementation driving the
-best-response hot loop: it memoises each task's hypothetical value
-``q(t | a_t = 1)`` and the unassigned-dependency counts behind the
-``deps_satisfied`` indicator, maintains an O(1) task → workers contention
-multimap, and invalidates only the O(degree)
-:meth:`~repro.core.dependency.DependencyGraph.influence_set` neighbourhood
-when an assignment indicator actually flips.  Every float it returns is
-**bit-identical** to a from-scratch graph walk: both sum a task's
-dependents in the one order the graph gives them,
-:meth:`~repro.core.dependency.DependencyGraph.direct_dependents`'s
-ascending tuple, with the same expressions, so argmax decisions — and
+best-response hot loop.  It keeps, per task, the pay counts (filled by one
+dependent walk on first read), the memoised value read off them, and the
+unassigned-dependency count behind the ``deps_satisfied`` indicator, plus
+an O(1) task → workers contention multimap.  When an assignment indicator
+flips it moves the affected counts by one, inside the O(degree)
+:meth:`~repro.core.dependency.DependencyGraph.influence_set`
+neighbourhood, and drops only the memoised values whose counts or gate
+moved.  Every float it returns is **bit-identical** to a from-scratch
+graph walk because both run the same formula over the same integers,
+whatever order the dependents were counted in, so argmax decisions — and
 therefore whole game runs — cannot diverge.
 
-:meth:`GameState.best_response` also skips walks that cannot change the
-argmax.  Before walking a candidate's dependents it divides an upper bound
-on the value by the crowd and compares it with the incumbent: the
-memoised global value for a withdrawn-view candidate, else a static
-ceiling (every term paid).  Each value is the in-order float sum of a
-subset of its bound's non-negative terms, and IEEE addition and division
-are monotone, so a candidate whose bound cannot beat the incumbent by the
-margin cannot either; the pruned candidate is never walked and decisions
-stay bit-identical.
+:meth:`GameState.best_response` also skips withdrawn-view values that
+cannot change the argmax.  Before subtracting a candidate's masked
+readers it divides the candidate's global value by the crowd and compares
+it with the incumbent.  The masked value runs the formula over counts no
+larger, and IEEE division and addition are monotone, so a candidate whose
+global value cannot beat the incumbent by the margin cannot either; the
+pruned candidate's masked value is never computed and decisions stay
+bit-identical.
 
 The original walk-everything implementation lives on as the test suite's
-``ReferenceGameState`` oracle (``tests/reference.py``), which the randomized
-property suite pins this class against float-for-float.
+``ReferenceGameState`` oracle (``tests/reference.py``): it recounts from
+the graph on every call and shares only :func:`value_from_counts`.  The
+randomized property suite pins this class against it float-for-float.
 
 Potentials
 ----------
@@ -66,6 +72,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -88,6 +95,24 @@ def harmonic(n: int) -> float:
     return _HARMONIC[n]
 
 
+def value_from_counts(start: float, alpha: float, paid: Mapping[int, int]) -> float:
+    """An Eq. 3 value from its paying dependents, counted per ``|D_d|``.
+
+    ``paid`` maps ``k`` to ``c_k``: ``c_k`` dependents with ``|D_d| = k``
+    pay ``1 / (alpha * k)`` each.  The one float formula for every value,
+    here and in the reference: ``start``, then ``c_k / (alpha * k)`` added
+    per ``k`` in ascending order.  It reads only the integers, so a value
+    does not depend on the order its dependents were visited or counted in,
+    and it is monotone in each ``c_k``.
+    """
+    value = start
+    for k in sorted(paid) if len(paid) > 1 else paid:
+        count = paid[k]
+        if count:
+            value += count / (alpha * k)
+    return value
+
+
 class GameState:
     """Mutable strategy profile of the DA-SC game for one batch.
 
@@ -104,11 +129,13 @@ class GameState:
     * ``evaluations`` — candidate utilities requested
       (:meth:`candidate_utility` / :meth:`utility_of_choice` calls, and
       each candidate :meth:`best_response` weighs);
-    * ``value_recomputes`` — hypothetical task values actually computed
-      (cache misses plus masked withdrawn-view evaluations);
-    * ``cache_hits`` — hypothetical values served from the memo;
-    * ``pruned`` — candidates :meth:`best_response` ruled out by an upper
-      bound, without a value walk.
+    * ``value_recomputes`` — evaluations that walked a task's dependents:
+      first fills of its pay counts, and masked withdrawn-view evaluations
+      (each scans the dependents that read the masked indicator);
+    * ``cache_hits`` — evaluations served without a walk: from the value
+      memo, or read off pay counts that flips kept current;
+    * ``pruned`` — withdrawn-view candidates :meth:`best_response` ruled
+      out by their global value, without a walk.
 
     Within a best-response run ``evaluations == cache_hits +
     value_recomputes + pruned`` (pinned by the counter tests).
@@ -139,10 +166,12 @@ class GameState:
         #: (the memoised ``deps_satisfied`` indicator), built lazily and
         #: maintained by ``_flip``.
         self._unassigned_deps: Dict[int, int] = {}
+        #: task -> ``{k: c_k}``, its paying dependents with ``|D_d| = k``
+        #: when ``a_t`` is forced to 1: filled by one dependent walk on
+        #: first read, then patched by ``_flip``.
+        self._pay_counts: Dict[int, Dict[int, int]] = {}
         #: task -> memoised hypothetical value ``q(t | a_t = 1)``.
         self._value_cache: Dict[int, float] = {}
-        #: task -> static upper bound on its Eq. 3 value (:meth:`_ceiling`).
-        self._ceilings: Dict[int, float] = {}
         self.evaluations = 0
         self.value_recomputes = 0
         self.cache_hits = 0
@@ -178,21 +207,88 @@ class GameState:
     def _flip(self, task_id: int, became_assigned: bool) -> None:
         """Indicator ``a_task_id`` flipped: patch counts, drop stale values.
 
-        Only the O(degree) influence neighbourhood is touched — the
-        unassigned-dependency count of every direct dependent, and the
-        memoised values of the tasks whose Eq. 3 formula reads the flipped
-        indicator.
+        A memoised value is ``t``'s gate share plus the formula over its pay
+        counts, so it goes stale exactly when one of those moves.  The flip
+        moves each direct dependent's pending count by one, and that
+        dependent's gate share changes when the count crosses 0.  The pay
+        counts move by one where a pay
+        decision read the flipped indicator: a dependent ``d`` pays a reader
+        ``t`` in ``D_d`` (``a_t`` forced to 1) iff ``a_d`` and every task of
+        ``D_d \\ {t}`` is assigned.  So the flip changes ``task_id``'s own pay
+        to each ``t`` in its ``D`` whose other dependencies are assigned,
+        and each assigned dependent ``d``'s pay to each ``t`` in ``D_d \\
+        {task_id}`` once the rest of ``D_d`` is assigned.  All of it lies in
+        :meth:`~repro.core.dependency.DependencyGraph.influence_set`.  Only
+        tasks with pay counts have memoised values, so with none filled
+        there is nothing to patch or drop.
         """
-        delta = -1 if became_assigned else 1
         graph = self.graph
+        delta = -1 if became_assigned else 1
         counts = self._unassigned_deps
-        for dependent in graph.direct_dependents(task_id):
-            if dependent in counts:
-                counts[dependent] += delta
+        memo = self._pay_counts
+        if not memo:
+            for dependent in graph.direct_dependents(task_id):
+                if dependent in counts:
+                    counts[dependent] += delta
+            return
         cache = self._value_cache
-        for affected in graph.influence_set(task_id):
-            if affected in cache:
-                del cache[affected]
+        deps = graph.direct_dependencies(task_id)
+        if not memo.keys().isdisjoint(deps):
+            self._patch_payer(task_id, deps, None, 0, -delta)
+        nw = self.nw
+        prev = self.prev
+        # With ``a_task_id`` now 0 a dependent's pending count includes it,
+        # and the rule asks about the rest of ``D_d``.
+        offset = 0 if became_assigned else 1
+        for dependent, d_deps in graph.dependent_pairs(task_id):
+            pending = counts.get(dependent)
+            if pending is not None:
+                counts[dependent] = pending + delta
+                if not pending or pending == -delta:
+                    cache.pop(dependent, None)
+                if pending + delta - offset > 1:
+                    # Two or more of the rest of ``D_d`` pending: no pay moved.
+                    continue
+            if (dependent in nw or dependent in prev) and not memo.keys().isdisjoint(
+                d_deps
+            ):
+                self._patch_payer(dependent, d_deps, task_id, offset, -delta)
+
+    def _patch_payer(
+        self,
+        payer: int,
+        deps: FrozenSet[int],
+        skip: Optional[int],
+        offset: int,
+        sign: int,
+    ) -> None:
+        """Move by ``sign`` the counts of the readers in ``deps`` (but
+        ``skip``) that ``payer`` pays, if the rest of ``deps`` is assigned,
+        and drop their memoised values.
+
+        ``offset`` is subtracted from ``payer``'s pending count to leave
+        ``skip`` out of it.  Readers without pay counts are left alone.
+        """
+        missing = self._pending_deps(payer) - offset
+        if missing > 1:
+            return
+        memo = self._pay_counts
+        cache = self._value_cache
+        nw = self.nw
+        prev = self.prev
+        k = len(deps)
+        for t in deps:
+            if t == skip:
+                continue
+            if missing and (t in nw or t in prev):
+                # One task of ``deps`` is pending: only that one is paid.
+                continue
+            paid = memo.get(t)
+            if paid is not None:
+                paid[k] = paid.get(k, 0) + sign
+                cache.pop(t, None)
+            if missing:
+                return
 
     # -- indicators -------------------------------------------------------------------
 
@@ -236,7 +332,7 @@ class GameState:
         ``extra`` marks one task hypothetically assigned (used when
         evaluating a candidate move before committing it).  The hot
         ``extra == task_id`` form is served from the value memo; other
-        forms recompute directly.
+        forms recount directly.
         """
         if extra == task_id and task_id is not None:
             return self._hypothetical_value(task_id)
@@ -244,19 +340,19 @@ class GameState:
         return self._value_walk(task_id, extra)
 
     def _value_walk(self, task_id: int, extra: Optional[int]) -> float:
-        """The reference computation: dependents summed in ascending id."""
+        """The reference computation: realised dependents counted per size,
+        for values the memo does not hold (``extra`` not ``task_id``)."""
         graph = self.graph
-        deps = graph.direct_dependencies(task_id)
-        if deps:
-            value = self._self_share if self.deps_satisfied(task_id, extra) else 0.0
+        if graph.direct_dependencies(task_id):
+            start = self._self_share if self.deps_satisfied(task_id, extra) else 0.0
         else:
-            value = 1.0
-        alpha = self.alpha
-        for dependent in graph.direct_dependents(task_id):
-            d_size = len(graph.direct_dependencies(dependent))
+            start = 1.0
+        paid: Dict[int, int] = {}
+        for dependent, d_deps in graph.dependent_pairs(task_id):
             if self.fully_realised(dependent, extra):
-                value += 1.0 / (alpha * d_size)
-        return value
+                k = len(d_deps)
+                paid[k] = paid.get(k, 0) + 1
+        return value_from_counts(start, self.alpha, paid)
 
     def _hypothetical_value(self, task_id: int) -> float:
         """Memoised ``q(t | a_t = 1)`` — the Eq. 3 numerator of a candidate."""
@@ -265,7 +361,10 @@ class GameState:
         if value is not None:
             self.cache_hits += 1
             return value
-        self.value_recomputes += 1
+        if task_id in self._pay_counts:
+            self.cache_hits += 1
+        else:
+            self.value_recomputes += 1
         value = cache[task_id] = self._counted_value(task_id, None)
         return value
 
@@ -279,42 +378,90 @@ class GameState:
         self.value_recomputes += 1
         return self._counted_value(task_id, masked)
 
-    def _counted_value(self, task_id: int, masked: Optional[int]) -> float:
-        """``q(t | a_t = 1)`` read off the unassigned-dependency counts.
+    def _fill_pay_counts(self, task_id: int) -> Dict[int, int]:
+        """Count ``task_id``'s paying dependents per ``|D_d|``: one walk.
 
         With ``a_t`` forced to 1, a dependent ``d`` pays its share iff it is
         assigned and so is every other task in ``D_d``: its pending count is
         exactly ``[t unassigned]``, since ``t`` is the one pending
-        dependency the hypothetical may cover.  ``masked`` (assigned in the
-        global view, 0 in the withdrawn one) also disqualifies ``d ==
-        masked`` and every ``d`` with ``masked`` in ``D_d``.  That test
-        reads ``D_d`` itself, not its closure: the graph keeps dependency
-        sets as given, and Eq. 3 gates on the direct ones.  Dependents are
-        visited in ascending id (``dependent_pairs``), the order the full
-        walk sums them in, with the reference share expression, so the sum
-        is bit-identical to it.
+        dependency the hypothetical may cover.  :meth:`_flip` keeps the
+        counts current.
         """
         graph = self.graph
         nw = self.nw
         prev = self.prev
-        deps = graph.direct_dependencies(task_id)
-        if deps:
-            satisfied = self._pending_deps(task_id) == 0 and masked not in deps
-            value = self._self_share if satisfied else 0.0
-        else:
-            value = 1.0
-        alpha = self.alpha
-        counts = self._unassigned_deps
+        pending_counts = self._unassigned_deps
+        paid: Dict[int, int] = {}
         allowed = 0 if task_id in nw or task_id in prev else 1
         for dependent, d_deps in graph.dependent_pairs(task_id):
             if dependent not in nw and dependent not in prev:
                 continue
-            pending = counts.get(dependent)
+            pending = pending_counts.get(dependent)
             if pending is None:
                 pending = self._pending_deps(dependent)
-            if pending == allowed and dependent != masked and masked not in d_deps:
-                value += 1.0 / (alpha * len(d_deps))
-        return value
+            if pending == allowed:
+                k = len(d_deps)
+                paid[k] = paid.get(k, 0) + 1
+        self._pay_counts[task_id] = paid
+        return paid
+
+    def _masked_pay_counts(
+        self, task_id: int, paid: Dict[int, int], masked: int
+    ) -> Dict[int, int]:
+        """``paid`` less the paying dependents that read ``a_masked``.
+
+        A dependent ``d`` reads it when ``d == masked`` or ``masked`` is in
+        ``D_d`` itself, not its closure: the graph keeps dependency sets as
+        given, and Eq. 3 gates on the direct ones.  The readers are found
+        by walking whichever is shorter, ``task_id``'s dependents or
+        ``masked``'s.
+        """
+        graph = self.graph
+        pairs = graph.dependent_pairs(task_id)
+        masked_pairs = graph.dependent_pairs(masked)
+        if len(masked_pairs) < len(pairs):
+            readers = [pair for pair in masked_pairs if task_id in pair[1]]
+            masked_deps = graph.direct_dependencies(masked)
+            if task_id in masked_deps:
+                readers.append((masked, masked_deps))
+        else:
+            readers = [pair for pair in pairs if pair[0] == masked or masked in pair[1]]
+        nw = self.nw
+        prev = self.prev
+        allowed = 0 if task_id in nw or task_id in prev else 1
+        out = paid
+        for dependent, d_deps in readers:
+            if (dependent in nw or dependent in prev) and (
+                self._pending_deps(dependent) == allowed
+            ):
+                if out is paid:
+                    out = dict(paid)
+                out[len(d_deps)] -= 1
+        return out
+
+    def _counted_value(self, task_id: int, masked: Optional[int]) -> float:
+        """``q(t | a_t = 1)`` read off the pay counts, with ``a_masked`` 0.
+
+        Fills the count memo on first read.  ``masked`` (assigned in the
+        global view, 0 in the withdrawn one) also fails ``t``'s own gate
+        when it is in ``D_t``.  Bit-identity with the reference rests on the
+        shared count formula, :func:`value_from_counts`: both read the same
+        integers, whatever order the dependents were counted in.
+        """
+        paid = self._pay_counts.get(task_id)
+        if paid is None:
+            paid = self._fill_pay_counts(task_id)
+        deps = self.graph.direct_dependencies(task_id)
+        if deps:
+            satisfied = self._pending_deps(task_id) == 0 and masked not in deps
+            start = self._self_share if satisfied else 0.0
+        else:
+            start = 1.0
+        if not paid:
+            return start
+        if masked is not None:
+            paid = self._masked_pay_counts(task_id, paid, masked)
+        return value_from_counts(start, self.alpha, paid)
 
     def candidate_utility(self, worker_id: int, task_id: int) -> float:
         """``U_w(task_id, s̄_w)`` — no withdrawal required.
@@ -340,25 +487,6 @@ class GameState:
                     return self._masked_value(task_id, current) / crowd
         return self._hypothetical_value(task_id) / crowd
 
-    def _ceiling(self, task_id: int) -> float:
-        """Static upper bound on ``q(t | a_t = 1)``: every term paid.
-
-        The start value plus every dependent's share, summed in ascending
-        dependent id like every value walk.  Any value of ``t`` (global or
-        masked) is the in-order sum of a subset of these non-negative terms
-        from a start no greater, so under monotone round-to-nearest
-        addition it cannot exceed this float.
-        """
-        ceiling = self._ceilings.get(task_id)
-        if ceiling is None:
-            graph = self.graph
-            ceiling = self._self_share if graph.direct_dependencies(task_id) else 1.0
-            alpha = self.alpha
-            for _, d_deps in graph.dependent_pairs(task_id):
-                ceiling += 1.0 / (alpha * len(d_deps))
-            self._ceilings[task_id] = ceiling
-        return ceiling
-
     def best_response(
         self, worker_id: int, options: Sequence[int], eps: float
     ) -> Tuple[Optional[int], float]:
@@ -367,20 +495,20 @@ class GameState:
         Starts from the committed strategy (utility 0 when idle) and takes a
         candidate only when it beats the incumbent by more than ``eps``, in
         ``options`` order — the same task and the same float as looping
-        :meth:`candidate_utility` over ``options``.  Before walking a
-        candidate's dependents it compares an upper bound on the value,
-        divided by the crowd, with ``best + eps``: the memoised global value
-        for a masked candidate (its terms are a subset of the global
-        value's), :meth:`_ceiling` on a memo miss.  IEEE division is
-        monotone, so a candidate whose bound fails the test cannot pass it
-        either; it is counted as ``pruned`` and does not fill the memo.
-        Read-only, like :meth:`candidate_utility`.
+        :meth:`candidate_utility` over ``options``.  Before computing a
+        masked candidate's value it compares its global value (an upper
+        bound: its counts are no smaller), divided by the crowd, with
+        ``best + eps``.  IEEE division is monotone, so a candidate whose
+        bound fails the test cannot pass it either; it is counted as
+        ``pruned``, or as a recompute when reading its global value filled
+        its pay counts.  Read-only, like :meth:`candidate_utility`.
         """
         nw = self.nw
         cache = self._value_cache
+        pay_counts = self._pay_counts
         current = self.choice[worker_id]
         masked: FrozenSet[int] = frozenset()
-        evaluations = hits = recomputes = pruned = 0
+        skipped = recomputes = pruned = 0
         if current is None:
             best_task, best = None, 0.0
         else:
@@ -391,29 +519,35 @@ class GameState:
         floor = best + eps
         for candidate in options:
             if candidate == current:
+                skipped += 1
                 continue
-            evaluations += 1
             crowd = nw.get(candidate, 0) + 1
             value = cache.get(candidate)
-            view = current if candidate in masked else None
-            if value is None or view is not None:
-                # The fresh global value bounds the withdrawn-view one.
-                bound = value if value is not None else self._ceiling(candidate)
-                if bound / crowd <= floor:
-                    pruned += 1
-                    continue
-                recomputes += 1
-                value = self._counted_value(candidate, view)
-                if view is None:
-                    cache[candidate] = value
-            else:
-                hits += 1
+            if value is None or candidate in masked:
+                filled = value is None and candidate not in pay_counts
+                if value is None:
+                    value = cache[candidate] = self._counted_value(candidate, None)
+                if candidate in masked:
+                    # The global value bounds the withdrawn-view one.
+                    if value / crowd <= floor:
+                        if filled:
+                            recomputes += 1
+                        else:
+                            pruned += 1
+                        continue
+                    recomputes += 1
+                    value = self._counted_value(candidate, current)
+                elif filled:
+                    recomputes += 1
             utility = value / crowd
             if utility > floor:
                 best_task, best = candidate, utility
                 floor = best + eps
+        # Every other candidate was a hit: its value came from the memo or
+        # from the pay counts, without a walk.
+        evaluations = len(options) - skipped
         self.evaluations += evaluations
-        self.cache_hits += hits
+        self.cache_hits += evaluations - recomputes - pruned
         self.value_recomputes += recomputes
         self.pruned += pruned
         return best_task, best

@@ -246,6 +246,65 @@ class TestIncrementalStateEquivalence:
         assert fast.stats["rounds"] == slow.stats["rounds"]
 
 
+def _recount_pay(state, task_id):
+    """``{k: c_k}`` of ``task_id``'s paying dependents (``c_k > 0``),
+    recounted from the graph with ``a_task_id`` forced to 1."""
+    graph = state.graph
+    paid = {}
+    for dependent in graph.direct_dependents(task_id):
+        d_deps = graph.direct_dependencies(dependent)
+        if state.assigned(dependent) and all(
+            f == task_id or state.assigned(f) for f in d_deps
+        ):
+            paid[len(d_deps)] = paid.get(len(d_deps), 0) + 1
+    return paid
+
+
+class TestPatchedPayCounts:
+    """``_flip`` patches each filled pay-count memo by ±1 instead of
+    dropping it, and drops only the memoised values whose inputs moved; the
+    memos, the values read off them and the masked-value bound must match a
+    fresh recount after every move.
+
+    ``fast`` fills memos only for the drawn tasks and the masked reads, so
+    flips meet tasks without a memo; ``twin`` has every memo and memoised
+    value filled from the first move on.
+    """
+
+    @given(paired_states(), st.sets(st.integers(0, 7), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_and_masked_values_after_every_move(self, scenario, prefill):
+        fast, slow, moves, instance = scenario
+        graph = instance.dependency_graph
+        twin = GameState(
+            instance, instance.tasks, list(fast.choice), fast.prev, alpha=fast.alpha
+        )
+        prefill &= set(graph)
+        for worker_id, task_id in moves:
+            for state in (fast, slow, twin):
+                state.set_choice(worker_id, task_id)
+            for state in (fast, twin):
+                for t, paid in state._pay_counts.items():
+                    assert {k: c for k, c in paid.items() if c} == _recount_pay(state, t)
+                for t, value in state._value_cache.items():
+                    assert value == slow.task_value(t, extra=t)
+            for w, current in list(slow.choice.items()):
+                if current is None or slow.nw[current] > 1 or current in slow.prev:
+                    continue
+                # ``w`` is the sole chooser: its withdrawal flips ``a_current``.
+                slow.set_choice(w, None)
+                for t in graph.influence_set(current):
+                    expected = slow.task_value(t, extra=t)
+                    assert fast._counted_value(t, current) == expected
+                    assert twin._counted_value(t, current) == expected
+                slow.set_choice(w, current)
+            _assert_value_bounds(twin)
+            for t in graph:
+                if t in prefill:
+                    fast.task_value(t, extra=t)
+                twin.task_value(t, extra=t)
+
+
 def build_open_instance(deps, n_workers=None):
     """Tasks ``0..n-1`` with the given dependency lists, taken as-is (unclosed);
     ``n_workers`` defaults to two more than the tasks."""
@@ -347,20 +406,16 @@ def _unpruned_argmax(state, worker_id, options, eps):
 
 
 def _assert_value_bounds(state):
-    """Every value the pruning test could stand in for lies under its bound."""
+    """Every memoised value is current, and every withdrawn-view value lies
+    under the global value the pruning test stands in for it."""
     sole = [m for m, count in state.nw.items() if count == 1 and m not in state.prev]
     for t in state.graph:
-        ceiling = state._ceiling(t)
         memo = state._value_cache.get(t)
         value = state._counted_value(t, None)
-        assert value <= ceiling
         if memo is not None:
             assert memo == value
         for m in sole:
-            masked = state._counted_value(t, m)
-            assert masked <= ceiling
-            if memo is not None:
-                assert masked <= memo
+            assert state._counted_value(t, m) <= value
 
 
 def _replay_pruned_best_responses(instance, prev, alpha, moves):
@@ -417,14 +472,14 @@ def near_tie_scripts(draw):
 
 
 class TestPrunedBestResponse:
-    """``GameState.best_response`` skips value walks by an upper bound.
+    """``GameState.best_response`` skips withdrawn-view values by an upper
+    bound.
 
     Pruning must be exact: the returned task and float equal the argmax of
     :meth:`GameState.candidate_utility` over the same options, at the game's
-    margin and at the equilibrium check's.  The bounds it relies on are
-    asserted directly: every global and withdrawn-view value lies under the
-    static ceiling, and a withdrawn-view value under the (fresh) memoised
-    global value.
+    margin and at the equilibrium check's.  The bound it relies on is
+    asserted directly: a withdrawn-view value lies under the global value,
+    and a memoised global value equals a fresh one.
     """
 
     @given(paired_states())

@@ -43,7 +43,7 @@ import pytest
 
 from repro.algorithms.game import _EPS, DASCGame
 from repro.algorithms.registry import make_allocator
-from repro.algorithms.utility import harmonic
+from repro.algorithms.utility import harmonic, value_from_counts
 from repro.core.constraints import FeasibleRows, pair_feasible
 from repro.core.dependency import CyclicDependencyError
 from repro.core.exceptions import DascError
@@ -118,13 +118,16 @@ def without_engine():
 
 
 class ReferenceGameState:
-    """The original walk-everything game state, kept verbatim as an oracle.
+    """The original walk-everything game state, kept as an oracle.
 
     Every query recomputes from the dependency graph; nothing is cached and
-    nothing is maintained incrementally.  The randomized property suite
-    pins :class:`~repro.algorithms.utility.GameState` against this class
-    float-for-float, and :class:`NaiveDASCGame` runs its best-response loop
-    on it.
+    nothing is maintained incrementally.  A value groups the realised
+    dependents by ``|D_d|`` and sums them with
+    :func:`~repro.algorithms.utility.value_from_counts`, the one float
+    formula it shares with the class under test.  The randomized property
+    suite pins :class:`~repro.algorithms.utility.GameState` against this
+    class float-for-float, and :class:`NaiveDASCGame` runs its best-response
+    loop on it.
     """
 
     def __init__(
@@ -178,17 +181,20 @@ class ReferenceGameState:
         return self.deps_satisfied(task_id, extra)
 
     def task_value(self, task_id: int, extra: Optional[int] = None) -> float:
+        """Recount the realised dependents per ``|D_d|`` from the graph, then
+        sum them with the shared formula."""
         self.value_recomputes += 1
         deps = self.graph.direct_dependencies(task_id)
         if deps:
-            value = (self.alpha - 1.0) / self.alpha if self.deps_satisfied(task_id, extra) else 0.0
+            start = (self.alpha - 1.0) / self.alpha if self.deps_satisfied(task_id, extra) else 0.0
         else:
-            value = 1.0
+            start = 1.0
+        paid: Dict[int, int] = {}
         for dependent in self.graph.direct_dependents(task_id):
             d_size = len(self.graph.direct_dependencies(dependent))
             if self.fully_realised(dependent, extra):
-                value += 1.0 / (self.alpha * d_size)
-        return value
+                paid[d_size] = paid.get(d_size, 0) + 1
+        return value_from_counts(start, self.alpha, paid)
 
     def utility_of_choice(self, worker_id: int, task_id: int) -> float:
         if self.choice[worker_id] is not None:
