@@ -99,6 +99,11 @@ def test_game_incremental_500(record_bench_json):
         fast.stats["value_recomputes"], 1.0
     )
     eval_ratio = slow.stats["evaluations"] / max(fast.stats["evaluations"], 1.0)
+    # The same quantity from the derived naive cost, under the name the
+    # ``game_eval_gate`` entry records it by.
+    evaluations_ratio = (
+        fast.stats["rounds"] * strategy_size(instance)
+    ) / max(fast.stats["evaluations"], 1.0)
     hit_rate = fast.stats["cache_hits"] / max(fast.stats["evaluations"], 1.0)
     wall_speedup = naive_ms / incremental_ms if incremental_ms > 0.0 else 0.0
 
@@ -117,6 +122,7 @@ def test_game_incremental_500(record_bench_json):
             "naive_evaluations": slow.stats["evaluations"],
             "naive_wall_ms": round(naive_ms, 3),
             "eval_ratio": round(eval_ratio, 3),
+            "evaluations_ratio": round(evaluations_ratio, 3),
             "value_ratio": round(value_ratio, 3),
             "wall_speedup": round(wall_speedup, 3),
         },

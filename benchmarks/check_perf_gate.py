@@ -23,8 +23,11 @@ match memo; the other numbers are kept so references to them stay valid):
    ``bench_game`` pins) without running it.  The ratio of derived-naive
    ``task_value`` computations to the engine's measured
    ``value_recomputes`` counter (values that walked a task's dependents)
-   must stay >= 5x.  Being pure counter arithmetic, this check is
-   deterministic on 1-CPU hosts: a regression in the dirty-set scheduler or
+   must stay >= 5x.  The derived-naive count over the ``evaluations``
+   counter (candidates scored at all, which the best-response marking
+   cuts) is recorded beside it as ``evaluations_ratio``, ungated.  Being
+   pure counter arithmetic, this check is
+   deterministic on 1-CPU hosts: a regression in the best-response marking or
    the value memo fails CI regardless of machine speed or load.  The
    incremental game's wall time (best of ``bench_game.WALL_REPEATS`` runs)
    is printed on the same line and recorded in the ``game_eval_gate``
@@ -110,17 +113,21 @@ def check_game_eval_ratio(min_ratio: float) -> bool:
     naive_evals = outcome.stats["rounds"] * strategy_size(instance)
     recomputes = max(outcome.stats["value_recomputes"], 1.0)
     ratio = naive_evals / recomputes
+    # Candidates scored at all: what the best-response marking saves.
+    evaluations_ratio = naive_evals / max(outcome.stats["evaluations"], 1.0)
     record_bench_entry(
         GAME_ENTRY,
         dict(GAME_CONFIG, min_eval_ratio=min_ratio),
         wall_ms,
         {
             "rounds": outcome.stats["rounds"],
+            "evaluations": outcome.stats["evaluations"],
             "value_recomputes": outcome.stats["value_recomputes"],
             "cache_hits": outcome.stats["cache_hits"],
             "skipped_workers": outcome.stats["skipped_workers"],
             "derived_naive_evaluations": naive_evals,
             "eval_ratio": round(ratio, 3),
+            "evaluations_ratio": round(evaluations_ratio, 3),
         },
     )
     ok = ratio >= min_ratio
@@ -129,6 +136,8 @@ def check_game_eval_ratio(min_ratio: float) -> bool:
         f"{verdict}: game eval ratio {ratio:.2f}x "
         f"({naive_evals:.0f} derived-naive task values vs "
         f"{outcome.stats['value_recomputes']:.0f} computed; floor x{min_ratio}); "
+        f"evaluations ratio {evaluations_ratio:.2f}x "
+        f"({outcome.stats['evaluations']:.0f} candidates scored); "
         f"incremental game {wall_ms:.1f} ms wall (best of {WALL_REPEATS})"
     )
     return ok

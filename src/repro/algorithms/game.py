@@ -15,35 +15,56 @@ Three named configurations from the evaluation:
 
 Incremental best response
 -------------------------
-The best-response loop is a *dirty-set scheduler*: after
-each move only the workers whose utility landscape actually changed are
-re-evaluated.  A move of worker ``w`` from task ``old`` to task ``new``
-changes another worker ``x``'s candidate utilities only through
+The best-response loop re-scores only what a move can have raised.  A
+worker's candidate utility is a task's hypothetical value over its crowd
+plus one, and its incumbent is its own task's value over its crowd.
+After :meth:`~repro.algorithms.utility.GameState.set_choice` moves worker
+``m`` from task ``old`` to task ``new``, the state reports the values its
+indicator flips *raised* and those they *lowered*; each value moves one
+way per flip.  Other workers are then marked in three cases:
 
-1. the contention counts ``nw_old`` / ``nw_new`` — affecting exactly the
-   workers with ``old`` or ``new`` in their strategy list (a reverse
-   task → workers index makes this lookup O(1)); and
-2. a *global indicator flip* (``old`` losing its last worker, or ``new``
-   gaining its first) — affecting the workers able to choose any task in
-   the flipped task's :meth:`~repro.core.dependency.DependencyGraph.influence_set`.
+1. **Rescan** the co-choosers of ``new`` (their crowd grew, and a sole
+   chooser loses its withdrawn view) and the choosers of every lowered
+   task: their incumbent may have fallen, so every option is re-scored.
+2. **Probe** every worker able to choose ``old`` (its crowd shrank) or a
+   raised task.  The task is stamped with the move clock, and a probed
+   worker is scored only on the options stamped after its last
+   evaluation, in options order.
+3. **Nothing** for anyone else: a candidate whose utility fell cannot beat
+   an incumbent that did not fall.
 
-A worker outside both sets sees bit-for-bit the same candidate utilities it
-saw when it last held its argmax, so under the strict ``_EPS`` improvement
-margin it provably repeats "no move" — skipping it leaves the move sequence,
-the per-round ``changed`` counts and therefore the termination round exactly
-identical to a naive withdraw-and-rescan loop (kept as the test suite's
-reference, ``tests/reference.py``).  A dirty worker's argmax is
-``GameState.best_response`` (read-only, no withdraw/re-add), so the value
-memo is only ever patched by real moves; it skips the value of every
-candidate whose upper bound cannot beat the incumbent, which leaves
-the argmax bit-identical (see :mod:`repro.algorithms.utility`).
+``m`` itself is left alone: its own move does not change the withdrawn
+view it just optimised over.  A probe returns the task and float of a full
+rescan: every unstamped option failed to beat ``incumbent + _EPS`` at the
+last evaluation, the incumbent has not fallen since, and the floor only
+rises during the scan.  Every worker's first evaluation is a full rescan,
+so all its options have pay counts, which is where the raised and lowered
+reports come from.  So the move sequence, the per-round ``changed`` counts
+and the termination round are exactly those of a naive withdraw-and-rescan
+loop (kept as the test suite's reference, ``tests/reference.py``).  The
+reverse index is the batch view's own columns (``workers_of``).  A scored
+worker's argmax is ``GameState.best_response`` (read-only, no
+withdraw/re-add), so the value memo is only ever patched by real moves; it
+skips the value of every candidate whose upper bound cannot beat the
+incumbent, which leaves the argmax bit-identical (see
+:mod:`repro.algorithms.utility`).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import AbstractSet, Dict, FrozenSet, List, Literal, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    List,
+    Literal,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.algorithms.greedy import DASCGreedy
@@ -60,8 +81,6 @@ InitMode = Literal["random", "greedy"]
 #: its current utility by more than this, which (with the exact potential)
 #: rules out infinite tie-shuffling.
 _EPS = 1e-12
-
-_EMPTY: FrozenSet[int] = frozenset()
 
 
 class DASCGame(BatchAllocator):
@@ -167,7 +186,9 @@ class DASCGame(BatchAllocator):
             alpha=self.alpha,
         )
         self._initialise(state, strategies, context, rng)
-        rounds, skipped = self._best_response(state, strategies, context)
+        rounds, skipped = self._best_response(
+            state, strategies, context.checker.workers_of, context
+        )
         return state, rounds, skipped
 
     def _initialise(
@@ -195,56 +216,71 @@ class DASCGame(BatchAllocator):
         self,
         state: GameState,
         strategies: Dict[int, List[int]],
+        workers_of: Callable[[int], Sequence[int]],
         context: Optional[BatchContext] = None,
     ) -> Tuple[int, int]:
-        """Dirty-set best-response dynamics; returns (rounds, skipped)."""
+        """Best-response dynamics that re-score only what a move can raise.
+
+        ``workers_of`` gives the players whose strategy list holds a task
+        (the batch view's columns).  Returns (rounds, skipped).
+        """
         player_order = sorted(strategies)
         n_players = len(player_order)
-        graph = state.graph
-        prev = state.prev
-        nw = state.nw
-        # Reverse index: task -> workers able to choose it.  Drives both the
-        # contention marking (rule 1) and the indicator-flip marking (rule 2).
-        strategy_index: Dict[int, Set[int]] = {}
-        for worker_id, options in strategies.items():
-            for task_id in options:
-                members = strategy_index.get(task_id)
-                if members is None:
-                    members = strategy_index[task_id] = set()
-                members.add(worker_id)
-
+        raised = state.raised
+        lowered = state.lowered
+        choosers = state.choosers
         tracer = context.tracer if context is not None else get_tracer()
         traced = tracer.enabled
         journal = context.journal if context is not None else get_journal()
-        dirty: Set[int] = set(player_order)
+        # Workers whose incumbent may have fallen: every option is re-scored.
+        rescan: Set[int] = set(player_order)
+        # Workers some of whose options may have risen since ``seen``.
+        probe: Set[int] = set()
+        # Move clock; ``seen[w]`` is the clock at ``w``'s last evaluation and
+        # ``raised_at[t]`` at the last move that may have raised ``t``.
+        clock = 0
+        seen: Dict[int, int] = {}
+        raised_at: Dict[int, int] = {}
         rounds = 0
         total_skipped = 0
         while rounds < self.max_rounds:
             rounds += 1
             changed = 0
             round_skipped = 0
+            round_probed = 0
             with tracer.span("alloc.game.round") as span:
                 for worker_id in player_order:
-                    if worker_id not in dirty:
+                    if worker_id in rescan:
+                        rescan.discard(worker_id)
+                        probe.discard(worker_id)
+                        current = state.choice[worker_id]
+                        options = strategies[worker_id]
+                    elif worker_id in probe:
+                        probe.discard(worker_id)
+                        current = state.choice[worker_id]
+                        since = seen[worker_id]
+                        options = [
+                            task_id
+                            for task_id in strategies[worker_id]
+                            if raised_at.get(task_id, 0) > since
+                            and task_id != current
+                        ]
+                        if not options:
+                            # What a rescan would confirm: nothing rose.
+                            seen[worker_id] = clock
+                            round_skipped += 1
+                            continue
+                        round_probed += 1
+                    else:
                         round_skipped += 1
                         continue
-                    current = state.choice[worker_id]
-                    best_task, _ = state.best_response(
-                        worker_id, strategies[worker_id], _EPS
-                    )
+                    best_task, _ = state.best_response(worker_id, options, _EPS)
                     if best_task == current:
-                        # Argmax confirmed the committed strategy: the worker
-                        # stays clean until something it can see changes.
-                        dirty.discard(worker_id)
+                        seen[worker_id] = clock
                         continue
-                    # Capture indicator flips before mutating the counts.
-                    old_flips = (
-                        current is not None
-                        and nw.get(current) == 1
-                        and current not in prev
-                    )
-                    new_flips = nw.get(best_task, 0) == 0 and best_task not in prev
                     state.set_choice(worker_id, best_task)
+                    clock += 1
+                    seen[worker_id] = clock
                     changed += 1
                     if journal.enabled:
                         journal.emit(
@@ -254,25 +290,26 @@ class DASCGame(BatchAllocator):
                             frm=current,
                             to=best_task,
                         )
-                    # Rule 1: contention on the endpoints changed.
-                    if current is not None:
-                        dirty.update(strategy_index.get(current, _EMPTY))
-                    dirty.update(strategy_index.get(best_task, _EMPTY))
-                    # Rule 2: a flipped indicator re-values every task in its
-                    # influence neighbourhood.
-                    if old_flips:
-                        for task_id in graph.influence_set(current):
-                            dirty.update(strategy_index.get(task_id, _EMPTY))
-                    if new_flips:
-                        for task_id in graph.influence_set(best_task):
-                            dirty.update(strategy_index.get(task_id, _EMPTY))
-                    # The mover itself is clean: its own move does not change
-                    # the withdrawn view it just optimised over.
-                    dirty.discard(worker_id)
+                    # A smaller crowd and a raised value can only raise a
+                    # candidate: probe those options.
+                    raised_at[current] = clock
+                    probe.update(workers_of(current))
+                    for task_id in raised:
+                        raised_at[task_id] = clock
+                        probe.update(workers_of(task_id))
+                    # A larger crowd and a lowered value lower the incumbent
+                    # of their choosers: rescan them.
+                    rescan.update(choosers(best_task))
+                    for task_id in lowered:
+                        rescan.update(choosers(task_id))
+                    # The mover's own withdrawn view did not change.
+                    rescan.discard(worker_id)
+                    probe.discard(worker_id)
                 if traced:
                     span.set("round", rounds)
                     span.set("changed", changed)
                     span.set("evaluated", n_players - round_skipped)
+                    span.set("probed", round_probed)
                     span.set("skipped", round_skipped)
                 if journal.enabled:
                     journal.emit(

@@ -31,7 +31,10 @@ an O(1) task → workers contention multimap.  When an assignment indicator
 flips it moves the affected counts by one, inside the O(degree)
 :meth:`~repro.core.dependency.DependencyGraph.influence_set`
 neighbourhood, and drops only the memoised values whose counts or gate
-moved.  Every float it returns is **bit-identical** to a from-scratch
+moved.  Each move reports those tasks by direction
+(:attr:`GameState.raised`, :attr:`GameState.lowered`); the best-response
+loop of :mod:`repro.algorithms.game` decides whom to re-score from them.
+Every float it returns is **bit-identical** to a from-scratch
 graph walk because both run the same formula over the same integers,
 whatever order the dependents were counted in, so argmax decisions — and
 therefore whole game runs — cannot diverge.
@@ -66,6 +69,7 @@ is what the convergence tests rely on.
 
 from __future__ import annotations
 
+import math
 from typing import (
     AbstractSet,
     Dict,
@@ -86,6 +90,8 @@ from repro.core.task import Task
 # Memoised prefix of the harmonic numbers; grown by left-to-right running
 # sum so each H(n) is the same float the original per-call summation gave.
 _HARMONIC: List[float] = [0.0]
+
+_NOBODY: FrozenSet[int] = frozenset()
 
 
 def harmonic(n: int) -> float:
@@ -149,8 +155,8 @@ class GameState:
         previously_assigned: AbstractSet[int] = frozenset(),
         alpha: float = 10.0,
     ) -> None:
-        if not alpha > 1.0:
-            raise ValueError(f"alpha must be > 1, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 1.0):
+            raise ValueError(f"alpha must be finite and > 1, got {alpha}")
         self.alpha = alpha
         self.graph = instance.dependency_graph
         self.batch_task_ids = {t.id for t in tasks}
@@ -172,6 +178,10 @@ class GameState:
         self._pay_counts: Dict[int, Dict[int, int]] = {}
         #: task -> memoised hypothetical value ``q(t | a_t = 1)``.
         self._value_cache: Dict[int, float] = {}
+        #: Tasks whose hypothetical value the last :meth:`set_choice` moved,
+        #: by direction (see :meth:`_flip`).
+        self.raised: Set[int] = set()
+        self.lowered: Set[int] = set()
         self.evaluations = 0
         self.value_recomputes = 0
         self.cache_hits = 0
@@ -180,7 +190,15 @@ class GameState:
     # -- profile mutation -----------------------------------------------------------
 
     def set_choice(self, worker_id: int, task_id: Optional[int]) -> None:
-        """Move ``worker_id`` to ``task_id`` (None = withdraw)."""
+        """Move ``worker_id`` to ``task_id`` (None = withdraw).
+
+        Afterwards :attr:`raised` and :attr:`lowered` hold the tasks whose
+        hypothetical value this move changed (see :meth:`_flip`).
+        """
+        if self.raised:
+            self.raised.clear()
+        if self.lowered:
+            self.lowered.clear()
         old = self.choice[worker_id]
         if old == task_id:
             return
@@ -221,6 +239,14 @@ class GameState:
         :meth:`~repro.core.dependency.DependencyGraph.influence_set`.  Only
         tasks with pay counts have memoised values, so with none filled
         there is nothing to patch or drop.
+
+        Every task whose value moved is recorded, memoised or not: in
+        :attr:`raised` when ``a_task_id`` became 1, in :attr:`lowered` when
+        it became 0.  A value is monotone in its pay counts and its gate
+        (:func:`value_from_counts` adds nonnegative terms, and IEEE division
+        and addition are monotone), and a flip to 1 only raises both, so
+        the direction is exact.  A masked value reads a subset of the same
+        counts, so it moves with the global value or not at all.
         """
         graph = self.graph
         delta = -1 if became_assigned else 1
@@ -232,6 +258,7 @@ class GameState:
                     counts[dependent] += delta
             return
         cache = self._value_cache
+        moved = self.raised if became_assigned else self.lowered
         deps = graph.direct_dependencies(task_id)
         if not memo.keys().isdisjoint(deps):
             self._patch_payer(task_id, deps, None, 0, -delta)
@@ -245,7 +272,9 @@ class GameState:
             if pending is not None:
                 counts[dependent] = pending + delta
                 if not pending or pending == -delta:
+                    # The gate crossed 0.
                     cache.pop(dependent, None)
+                    moved.add(dependent)
                 if pending + delta - offset > 1:
                     # Two or more of the rest of ``D_d`` pending: no pay moved.
                     continue
@@ -267,13 +296,15 @@ class GameState:
         and drop their memoised values.
 
         ``offset`` is subtracted from ``payer``'s pending count to leave
-        ``skip`` out of it.  Readers without pay counts are left alone.
+        ``skip`` out of it.  Readers without pay counts are left alone; the
+        others are recorded as raised (``sign`` 1) or lowered (-1).
         """
         missing = self._pending_deps(payer) - offset
         if missing > 1:
             return
         memo = self._pay_counts
         cache = self._value_cache
+        moved = self.raised if sign > 0 else self.lowered
         nw = self.nw
         prev = self.prev
         k = len(deps)
@@ -287,6 +318,7 @@ class GameState:
             if paid is not None:
                 paid[k] = paid.get(k, 0) + sign
                 cache.pop(t, None)
+                moved.add(t)
             if missing:
                 return
 
@@ -470,8 +502,8 @@ class GameState:
         mutating the profile*: the view differs from the global state only
         when the worker is the sole chooser of its current task (that one
         indicator reads 0), which the masked path handles.  Keeping
-        evaluation read-only is what lets the memo and the dirty-set
-        scheduler survive a full best-response sweep untouched.
+        evaluation read-only is what lets the memo and the best-response
+        marking survive a full best-response sweep untouched.
         """
         self.evaluations += 1
         nw = self.nw
@@ -619,4 +651,8 @@ class GameState:
     def workers_on(self, task_id: int) -> List[int]:
         """Workers whose strategy is ``task_id``, sorted for determinism."""
         return sorted(self._members.get(task_id, ()))
+
+    def choosers(self, task_id: int) -> AbstractSet[int]:
+        """Workers whose strategy is ``task_id``, unsorted (do not mutate)."""
+        return self._members.get(task_id, _NOBODY)
 

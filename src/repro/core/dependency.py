@@ -162,9 +162,9 @@ class DependencyGraph:
                              ∪ (∪_{d in dependents(tid)} D_d) \\ {tid}
 
         ``tid`` itself is excluded: a task's hypothetical value never reads
-        its own indicator (``extra`` masks it).  The result drives both
-        value-cache invalidation and dirty-worker scheduling, so each flip
-        touches only an O(degree) neighbourhood instead of the whole graph.
+        its own indicator (``extra`` masks it).  Every value a flip moves
+        lies in this O(degree) neighbourhood, and a worker alone on ``tid``
+        values exactly these candidates in its withdrawn view.
         Every reader probes it or iterates it order-insensitively.
         """
         cached = self._influence.get(tid)

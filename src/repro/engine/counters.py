@@ -61,7 +61,7 @@ _COUNTER_FIELDS = (
     ),
     (
         "game_skipped_workers",
-        "worker evaluations skipped by the dirty-set scheduler",
+        "worker evaluations skipped: nothing a move did could raise a candidate",
     ),
 )
 

@@ -1,6 +1,6 @@
 """Bit-identity of the incremental best-response engine vs the naive loop.
 
-The dirty-set scheduler and utility cache must not change a single output:
+The best-response marking and utility cache must not change a single output:
 same assignment pairs, same score, same rounds-to-convergence, for every
 game configuration, seed, and wrapper.  Only the work counters may differ —
 and those must obey the accounting invariants.
@@ -49,6 +49,31 @@ def _pair(instance, seed, **kwargs):
     )
 
 
+class ProbeCheckedGame(DASCGame):
+    """``DASCGame`` that re-scores every probed worker on all its options.
+
+    A probe scores a worker only on the options raised since its last
+    evaluation; each one is checked against ``best_response`` over the
+    worker's full options on the same state, for the same task and float.
+    """
+
+    probes = 0
+
+    def _best_response(self, state, strategies, workers_of, context=None):
+        scan = state.best_response
+
+        def checked(worker_id, options, eps):
+            best = scan(worker_id, options, eps)
+            full = strategies[worker_id]
+            if options is not full:
+                self.probes += 1
+                assert scan(worker_id, full, eps) == best
+            return best
+
+        state.best_response = checked
+        return super()._best_response(state, strategies, workers_of, context)
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS), ids=sorted(CONFIGS))
 @pytest.mark.parametrize("seed", SEEDS)
 class TestSingleBatchBitIdentity:
@@ -76,6 +101,18 @@ class TestSingleBatchBitIdentity:
         # The incremental loop never does *more* of either kind of work.
         assert fast.stats["evaluations"] <= slow.stats["evaluations"]
         assert fast.stats["value_recomputes"] < slow.stats["value_recomputes"]
+
+    def test_probe_equals_full_rescan(self, seed, config):
+        instance = _instance(seed)
+        game = ProbeCheckedGame(seed=seed, **CONFIGS[config])
+        checked = game.allocate(_context(instance))
+        naive = NaiveDASCGame(seed=seed, **CONFIGS[config]).allocate(
+            _context(instance)
+        )
+        assert sorted(checked.assignment.pairs()) == sorted(naive.assignment.pairs())
+        assert checked.stats["rounds"] == naive.stats["rounds"]
+        if checked.stats["rounds"] > 1:
+            assert game.probes > 0
 
 
 def test_largest_case_exceeds_2048_strategy_pairs():
@@ -154,6 +191,13 @@ class TestStatsSurface:
         rounds = [s for s in tracer.finished if s.name == "alloc.game.round"]
         assert len(rounds) == int(outcome.stats["rounds"])
         assert rounds[0].attrs is not None
-        assert set(rounds[0].attrs) == {"round", "changed", "evaluated", "skipped"}
-        # First round evaluates everyone; later rounds are where skips appear.
+        assert set(rounds[0].attrs) == {
+            "round", "changed", "evaluated", "probed", "skipped"
+        }
+        # First round rescans everyone; later rounds are where probes and
+        # skips appear.
         assert rounds[0].attrs["skipped"] == 0
+        assert rounds[0].attrs["probed"] == 0
+        for span in rounds:
+            assert 0 <= span.attrs["probed"] <= span.attrs["evaluated"]
+        assert sum(span.attrs["probed"] for span in rounds) > 0

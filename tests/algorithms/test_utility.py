@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.utility import GameState, harmonic
+from tests.reference import ReferenceGameState
 
 
 def make_state(example1, players=(1, 2, 3), alpha=2.0, prev=frozenset()):
@@ -49,6 +50,13 @@ class TestProfileBookkeeping:
     def test_nan_alpha_rejected(self, example1):
         with pytest.raises(ValueError, match="alpha"):
             make_state(example1, alpha=float("nan"))
+
+    @pytest.mark.parametrize("state_type", [GameState, ReferenceGameState])
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_non_finite_alpha_rejected(self, example1, state_type, alpha):
+        # An infinite alpha would make the self share (inf - 1) / inf = nan.
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            state_type(example1, example1.tasks, (1, 2, 3), alpha=alpha)
 
 
 class TestTaskValue:

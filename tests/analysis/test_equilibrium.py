@@ -75,5 +75,5 @@ class TestGameProducesEquilibria:
             example1.workers, example1.tasks, example1, 0.0
         )
         game._initialise(state, strategies, context, random.Random(seed))
-        game._best_response(state, strategies)
+        game._best_response(state, strategies, checker.workers_of, context)
         assert is_nash_equilibrium(state, strategies)

@@ -305,6 +305,83 @@ class TestPatchedPayCounts:
                 twin.task_value(t, extra=t)
 
 
+def _masked_reference_values(slow, graph):
+    """``{(w, c, t): value}``: each sole chooser ``w`` of ``c``, and each
+    ``t`` in ``c``'s influence set, valued in ``w``'s withdrawn view."""
+    values = {}
+    for w, current in list(slow.choice.items()):
+        if current is None or slow.nw[current] > 1 or current in slow.prev:
+            continue
+        slow.set_choice(w, None)
+        for t in graph.influence_set(current):
+            values[(w, current, t)] = slow.task_value(t, extra=t)
+        slow.set_choice(w, current)
+    return values
+
+
+def _assert_moved_as_reported(state, before, after, task_id):
+    """A value that rose is reported raised, one that fell lowered, and one
+    reported in neither set kept its value."""
+    if after > before:
+        assert task_id in state.raised
+    elif after < before:
+        assert task_id in state.lowered
+    if task_id not in state.raised and task_id not in state.lowered:
+        assert after == before
+
+
+class TestMovedValueReport:
+    """``set_choice`` reports which hypothetical values its flips raised
+    and which they lowered, for every task with pay counts.
+
+    The best-response loop probes the players of raised tasks and rescans
+    the choosers of lowered ones; a value that moved without a report, or
+    in the other direction, would let it skip a worker that should move.
+    ``fast`` fills pay counts for the drawn tasks only, ``twin`` for all.
+    """
+
+    @given(paired_states(), st.sets(st.integers(0, 7), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_report_after_every_move(self, scenario, prefill):
+        fast, slow, moves, instance = scenario
+        graph = instance.dependency_graph
+        twin = GameState(
+            instance, instance.tasks, list(fast.choice), fast.prev, alpha=fast.alpha
+        )
+        prefill &= set(graph)
+        for worker_id, task_id in moves:
+            for t in graph:
+                if t in prefill:
+                    fast.task_value(t, extra=t)
+                twin.task_value(t, extra=t)
+            before = {t: slow.task_value(t, extra=t) for t in graph}
+            masked_before = _masked_reference_values(slow, graph)
+            filled = {state: set(state._pay_counts) for state in (fast, twin)}
+            for state in (fast, slow, twin):
+                state.set_choice(worker_id, task_id)
+            after = {t: slow.task_value(t, extra=t) for t in graph}
+            masked_after = _masked_reference_values(slow, graph)
+            for state in (fast, twin):
+                for t in filled[state]:
+                    _assert_moved_as_reported(state, before[t], after[t], t)
+                # A sole chooser's masked value moves with the global value
+                # or not at all.
+                for key, value in masked_after.items():
+                    if key in masked_before and key[2] in filled[state]:
+                        _assert_moved_as_reported(
+                            state, masked_before[key], value, key[2]
+                        )
+
+    def test_report_reset_by_each_move(self, example1):
+        state = GameState(example1, example1.tasks, (1, 2, 3), alpha=2.0)
+        for t in state.graph:
+            state.task_value(t, extra=t)
+        state.set_choice(1, 1)
+        assert state.raised
+        state.set_choice(1, 1)  # no move
+        assert not state.raised and not state.lowered
+
+
 def build_open_instance(deps, n_workers=None):
     """Tasks ``0..n-1`` with the given dependency lists, taken as-is (unclosed);
     ``n_workers`` defaults to two more than the tasks."""

@@ -138,8 +138,8 @@ class ReferenceGameState:
         previously_assigned: AbstractSet[int] = frozenset(),
         alpha: float = 10.0,
     ) -> None:
-        if alpha <= 1.0:
-            raise ValueError(f"alpha must be > 1, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 1.0):
+            raise ValueError(f"alpha must be finite and > 1, got {alpha}")
         self.alpha = alpha
         self.graph = instance.dependency_graph
         self.batch_task_ids = {t.id for t in tasks}
